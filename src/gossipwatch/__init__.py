@@ -6,7 +6,6 @@ from gossipwatch.topology import (
     AttackerMask,
     manhattan_grid,
     small_world,
-    sample_gossip_pair,
     expected_transition_matrix,
     second_largest_eigenvalue,
     remove_edge,
@@ -18,15 +17,9 @@ from gossipwatch.protocol import (
     Stepsize,
     ProtocolConfig,
     AttackConfig,
-    Trace,
     BatchStats,
     generate_problem,
-    subgradient,
-    project_box,
-    attacker_state,
-    run_instance,
     run_batch,
-    local_objective,
     global_objective,
     optimal_value,
 )
@@ -34,20 +27,12 @@ from gossipwatch.features import (
     NeighborScores,
     FeatureVector,
     SdScoreFeatures,
-    temporal_scores,
-    spatial_scores,
-    neighborhood_average,
     sd_aggregates,
     tailor_inputs,
 )
 from gossipwatch.score_detectors import (
     GREATER_IS_H1,
     SMALLER_IS_H1,
-    ScoreVerdict,
-    td_detect,
-    td_localize,
-    sd_detect,
-    sd_localize,
 )
 from gossipwatch.neural import (
     Mlp,
@@ -57,8 +42,6 @@ from gossipwatch.neural import (
     loss_and_grad,
     sgd_epoch,
     train,
-    nd_predict,
-    nl_predict,
     save_model,
     load_model,
 )
@@ -76,7 +59,6 @@ from gossipwatch.datagen import (
     LabeledDataset,
     DatasetPair,
     Sample,
-    generate_sample,
     scenario_from_tag,
     build_dataset,
     shard_for_gossip,

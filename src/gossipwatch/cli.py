@@ -35,7 +35,6 @@ from .datagen import (
     read_dataset_csv,
     scenario_from_tag,
     shard_for_gossip,
-    training_arrays,
     write_dataset_csv,
 )
 from .evaluation import (
@@ -46,8 +45,8 @@ from .evaluation import (
     roc_to_csv,
 )
 from .experiments import ConfigError, apply_overrides
-from .gossip_train import LearnerState, metrics_to_csv, run_gossip_training
-from .neural import TrainConfig, init_mlp, load_model, save_model, train
+from .gossip_train import metrics_to_csv, run_gossip_training
+from .neural import TrainConfig, load_model, save_model
 from .topology import induced_subgraph, manhattan_grid
 
 GEN_DATA_DEFAULTS = {
@@ -279,12 +278,8 @@ def _cmd_train(args) -> int:
     os.makedirs(outdir, exist_ok=True)
 
     dataset = _load_dataset(cfg["data"], cfg)
-    X, Y, mask = training_arrays(dataset)
-    out = 1 if dataset.task == "nd" else dataset.M
-    rng = np.random.default_rng(cfg["seed"])
-    mlp = init_mlp([dataset.M, *ex.HIDDEN, out], seed=rng)
     config = TrainConfig(eta=cfg["eta"], batch_size=cfg["batch_size"], epochs=cfg["epochs"])
-    losses = train(mlp, X, Y, config, rng=rng, mask=mask)
+    mlp, losses = ex._fit(dataset, config, np.random.default_rng(cfg["seed"]))
 
     name = cfg["name"]
     save_model(
@@ -327,14 +322,7 @@ def _cmd_train_gossip(args) -> int:
     )
     shards = shard_for_gossip(dataset, policy)
     config = TrainConfig(eta=cfg["eta"], batch_size=cfg["batch_size"], epochs=1)
-    out = 1 if dataset.task == "nd" else dataset.M
-    learners = []
-    for a in agents:
-        X, Y, mask = training_arrays(dataset, shards[a])
-        mlp = init_mlp([dataset.M, *ex.HIDDEN, out], seed=np.random.default_rng([cfg["seed"], a]))
-        learners.append(
-            LearnerState(agent=a, model=mlp, X=X, Y=Y, mask=mask, mu=cfg["mu"], config=config)
-        )
+    learners = ex._spawn_learners(shards, dataset, agents, config, cfg["mu"], (cfg["seed"],))
     metrics = run_gossip_training(
         learners, learner_graph, cfg["rounds"],
         np.random.default_rng([cfg["seed"], len(agents)]), mode=cfg["mode"],
@@ -387,8 +375,8 @@ def _cmd_eval_roc(args) -> int:
                     f"model file not found: {model_path}; "
                     f"produce it with the train subcommand"
                 )
-            mlp, meta = load_model(model_path)
-            detector = make_nn_detector(mlp, dataset.task, kind, det, meta=meta)
+            mlp, _ = load_model(model_path)
+            detector = make_nn_detector(mlp, dataset.task, kind, det)
         curve, summary = evaluate_detector(detector, dataset, oracle_nd=cfg["oracle_nd"])
         roc_to_csv(curve, os.path.join(outdir, f"roc_{det}.csv"))
         artifacts.append(f"roc_{det}.csv")

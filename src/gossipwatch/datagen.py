@@ -20,19 +20,10 @@ from gossipwatch.features import (
     TEMPORAL,
     FeatureVector,
     spatial_from_sums,
-    spatial_scores,
     tailor_inputs,
     temporal_from_endpoints,
-    temporal_scores,
 )
-from gossipwatch.protocol import (
-    AttackConfig,
-    ProtocolConfig,
-    Stepsize,
-    generate_problem,
-    run_batch,
-    run_instance,
-)
+from gossipwatch.protocol import ProtocolConfig, Stepsize, generate_problem, run_batch
 from gossipwatch.topology import (
     Graph,
     attacker_mask,
@@ -103,7 +94,6 @@ class Scenario:
         return ProtocolConfig(
             d=self.d,
             T=self.T,
-            K=self.K,
             stepsize=self.stepsize,
             box_lo=self.box[0],
             box_hi=self.box[1],
@@ -262,43 +252,6 @@ def _draw_monitor(scenario: Scenario, rng: np.random.Generator) -> int:
     return int(rng.integers(scenario.graph.n))
 
 
-def generate_sample(
-    scenario: Scenario, monitor: int, task: str, rng: np.random.Generator
-) -> Sample:
-    """One labeled sample at ``monitor`` via K recorded protocol instances.
-
-    Stream use, frozen for reproducibility: attacker placement from ``rng``,
-    then one spawned child generator per instance covering the problem draw,
-    the injection target, and the protocol run.
-    """
-    if task not in ("nd", "nl"):
-        raise ValueError(f"task must be 'nd' or 'nl', got {task!r}")
-    if task == "nl" and scenario.m == 0:
-        raise ValueError("localization samples need an attack present (m >= 1)")
-    graph = scenario.graph
-    if scenario.attackers is not None:
-        ids = scenario.attackers
-        mask = attacker_mask(graph, ids)
-        if monitor in ids:
-            raise ValueError(f"monitor {monitor} cannot be an attacker")
-    else:
-        ids = place_attackers(scenario, monitor, rng)
-        mask = attacker_mask(graph, ids) if ids else None
-    config = scenario.protocol_config()
-    lam = scenario.noise_decay() if ids else None
-    traces = []
-    for child in rng.spawn(scenario.K):
-        problem = generate_problem(graph.n, scenario.d, child)
-        attack = None
-        if ids:
-            alpha = child.uniform(scenario.alpha_law[0], scenario.alpha_law[1], scenario.d)
-            attack = AttackConfig(alpha=alpha, lambda_hat=lam)
-        traces.append(run_instance(graph, mask, problem, config, attack, child))
-    t_scores = temporal_scores(traces, graph, monitor)
-    s_scores = spatial_scores(traces, graph, monitor)
-    return _assemble_sample(scenario, monitor, ids, t_scores, s_scores)
-
-
 def _assemble_sample(scenario, monitor, ids, t_scores, s_scores) -> Sample:
     M = scenario.input_width()
     temporal = tailor_inputs(t_scores, M)
@@ -381,10 +334,14 @@ class _Collector:
 
 
 def _batch_samples(scenario: Scenario, seeds: list[np.random.SeedSequence]) -> list[Sample]:
-    """Fast path: run all instances of many rows in one vectorized batch.
+    """One labeled sample per seed, all K instances of every row in one
+    vectorized run_batch call.
 
-    Row streams are consumed exactly as in generate_sample, so the rows are
-    bitwise identical to the serial path.
+    Stream use per row, frozen for reproducibility: the monitor draw and
+    attacker placement from the row generator, then one spawned child
+    generator per instance covering the problem draw, the injection target
+    and the protocol run.  A row depends only on its own seed, not on the
+    other rows of the batch.
     """
     graph = scenario.graph
     n, d, K = graph.n, scenario.d, scenario.K

@@ -157,20 +157,11 @@ def make_score_detector(method: str, task: str) -> Detector:
     raise ValueError(f"unknown score method {method!r}")
 
 
-def make_nn_detector(
-    model: Mlp, task: str, kind: str, name: str, meta: dict | None = None
-) -> Detector:
-    """Detector wrapping a trained network; applies the input scaling
-    recorded in the model metadata, when present."""
-    meta = meta or {}
-    mean = np.asarray(meta["input_mean"], dtype=np.float64) if "input_mean" in meta else None
-    std = np.asarray(meta["input_std"], dtype=np.float64) if "input_std" in meta else None
+def make_nn_detector(model: Mlp, task: str, kind: str, name: str) -> Detector:
+    """Detector wrapping a trained network applied to the raw row inputs."""
 
     def fn(ds: LabeledDataset) -> np.ndarray:
-        X = ds.inputs
-        if mean is not None:
-            X = (X - mean) / std
-        out = forward(model, X)
+        out = forward(model, ds.inputs)
         return out[:, 0] if task == "nd" else out
 
     return Detector(name, task, kind, GREATER_IS_H1, fn)

@@ -15,6 +15,9 @@ Families:
   mismatch        train on one beta law, test across S0..S4
   gossip-learning collaborative training, starved and position-split shards
   small-world     torus-trained detectors on a rewired 20-agent graph
+
+multi-attacker, degree-tailor, mismatch and small-world differ only in their
+test conditions and share one train-then-sweep driver, ``_sweep``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .datagen import (
     EVENT_H0,
     EVENT_NEXT,
     Budget,
+    Scenario,
     ShardPolicy,
     scenario_from_tag,
     build_dataset,
@@ -46,14 +52,7 @@ from .evaluation import (
 )
 from .gossip_train import LearnerState, metrics_to_csv, run_gossip_training
 from .neural import Mlp, TrainConfig, init_mlp, save_model, train
-from .protocol import (
-    AttackConfig,
-    ProtocolConfig,
-    generate_problem,
-    global_objective,
-    optimal_value,
-    run_instance,
-)
+from .protocol import ProtocolConfig, generate_problem, optimal_value, run_batch
 from .topology import (
     attacker_mask,
     expected_transition_matrix,
@@ -65,6 +64,8 @@ from .topology import (
 )
 
 HIDDEN = (200, 100, 50)
+
+_ALL_EVENTS = (EVENT_H0, EVENT_NEXT, EVENT_FAR)
 
 _TRAIN_DEFAULTS = {"eta": 0.01, "batch_size": 32, "epochs": 30}
 
@@ -258,13 +259,19 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(eta=t["eta"], batch_size=t["batch_size"], epochs=t["epochs"])
 
 
-def _fit(dataset, config: TrainConfig, rng: np.random.Generator) -> Mlp:
-    """Train a fresh [M, 200, 100, 50, out] network on a labeled dataset."""
+def _fit(
+    dataset, config: TrainConfig, rng: np.random.Generator
+) -> tuple[Mlp, list[float]]:
+    """Train a fresh [M, 200, 100, 50, out] network on a labeled dataset;
+    returns it with its epoch loss history."""
     X, Y, mask = training_arrays(dataset)
-    out = 1 if dataset.task == "nd" else dataset.M
-    mlp = init_mlp([dataset.M, *HIDDEN, out], seed=rng)
-    train(mlp, X, Y, config, rng=rng, mask=mask)
-    return mlp
+    mlp = init_mlp([dataset.M, *HIDDEN, _out_width(dataset)], seed=rng)
+    losses = train(mlp, X, Y, config, rng=rng, mask=mask)
+    return mlp, losses
+
+
+def _out_width(dataset) -> int:
+    return 1 if dataset.task == "nd" else dataset.M
 
 
 def _eval(detector, dataset, outdir, stem, summaries, artifacts, extra=None):
@@ -275,11 +282,10 @@ def _eval(detector, dataset, outdir, stem, summaries, artifacts, extra=None):
     name = f"roc_{stem}.csv"
     roc_to_csv(curve, os.path.join(outdir, name))
     artifacts.append(name)
-    return summary
 
 
-def _save(mlp, outdir, name, artifacts, meta=None) -> None:
-    save_model(mlp, os.path.join(outdir, name + ".json"), meta=meta)
+def _save(mlp, outdir, name, artifacts) -> None:
+    save_model(mlp, os.path.join(outdir, name + ".json"))
     artifacts.extend([name + ".json", name + ".json.bin"])
 
 
@@ -299,28 +305,41 @@ def _test_budget(scale: float) -> Budget:
 def run_converge(cfg: dict, outdir) -> list[str]:
     """Attacker-free convergence plus single-attacker steering, per seed.
 
-    report.csv has one row per seed with the final-iterate gaps; the
-    trace_seed run additionally dumps full trajectories for plotting.
+    All seeds run in two batches, one clean and one attacked, with one
+    generator per seed.  report.csv has one row per seed with the
+    final-iterate gaps; the trace_seed run additionally dumps full
+    trajectories for plotting.
     """
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     n, d, T = graph.n, cfg["d"], cfg["T"]
-    config = ProtocolConfig(d=d, T=T, K=1)
-    mask = attacker_mask(graph, [cfg["attacker"]])
+    config = ProtocolConfig(d=d, T=T)
+    flags = attacker_mask(graph, [cfg["attacker"]]).flags
     lam = second_largest_eigenvalue(expected_transition_matrix(graph))
     master = cfg["master_seed"]
+    S = cfg["seeds"]
+
+    problems = [generate_problem(n, d, _rng(master, s, 0)) for s in range(S)]
+    thetas = np.stack([p.theta for p in problems])
+    phis = np.stack([p.phi for p in problems])
+    alphas = np.stack([_rng(master, s, 2).uniform(-0.5, 0.5, size=d) for s in range(S)])
+
+    def trajectories(batch_flags, batch_alphas, lam_b, key):
+        """(S, T+1, n, d) states of every seed's run."""
+        stats = run_batch(
+            graph, batch_flags, thetas, phis, batch_alphas, lam_b, config,
+            [_rng(master, s, key) for s in range(S)], checkpoints=range(T + 1),
+        )
+        return np.stack([stats.checkpoints[t] for t in range(T + 1)], axis=1)
+
+    clean = trajectories(np.zeros((S, n), dtype=bool), None, None, 1)
+    hit = trajectories(np.tile(flags, (S, 1)), alphas, lam, 3)
 
     artifacts: list[str] = []
     rows = []
-    for s in range(cfg["seeds"]):
-        problem = generate_problem(n, d, _rng(master, s, 0))
-        _, f_star = optimal_value(problem)
-        clean = run_instance(graph, None, problem, config, None, _rng(master, s, 1))
-        alpha = _rng(master, s, 2).uniform(-0.5, 0.5, size=d)
-        attack = AttackConfig(alpha=alpha, lambda_hat=lam)
-        hit = run_instance(graph, mask, problem, config, attack, _rng(master, s, 3))
-
-        f_gap_t, spread_t = _clean_trajectory(problem, clean.states, f_star)
-        dist_t = _attack_trajectory(hit.states, alpha, mask.flags)
+    for s in range(S):
+        _, f_star = optimal_value(problems[s])
+        f_gap_t, spread_t = _clean_trajectory(problems[s], clean[s], f_star)
+        dist_t = _attack_trajectory(hit[s], alphas[s], flags)
         rows.append((s, f_gap_t[-1], spread_t[-1], dist_t[-1]))
 
         if s == cfg["trace_seed"]:
@@ -393,7 +412,7 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
                     make_score_detector("td", task), ds.test, outdir,
                     f"{task}_td_K{K}_d{d}", summaries, artifacts,
                 )
-                mlp = _fit(ds.train, tcfg, _rng(master, 11, K, d, task == "nl", 0))
+                mlp, _ = _fit(ds.train, tcfg, _rng(master, 11, K, d, task == "nl", 0))
                 _save(mlp, outdir, f"model_{task}_tdnn_K{K}_d{d}", artifacts)
                 _eval(
                     make_nn_detector(mlp, task, "temporal", "tdnn"), ds.test,
@@ -405,7 +424,7 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
                     make_score_detector("sd", task), ds.test, outdir,
                     f"{task}_sd_K{K}_d{d}", summaries, artifacts,
                 )
-                mlp = _fit(ds.train, tcfg, _rng(master, 11, K, d, task == "nl", 1))
+                mlp, _ = _fit(ds.train, tcfg, _rng(master, 11, K, d, task == "nl", 1))
                 _save(mlp, outdir, f"model_{task}_sdnn_K{K}_d{d}", artifacts)
                 _eval(
                     make_nn_detector(mlp, task, "spatial", "sdnn"), ds.test,
@@ -415,6 +434,80 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
     auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"))
     artifacts.append("aucs.csv")
     return artifacts
+
+
+# --- train-then-sweep families ---------------------------------------------
+
+_METHODS = {"temporal": "td", "spatial": "sd"}
+
+
+class _Variant(NamedTuple):
+    """One test condition of a sweep: ROC stems end in ``suffix`` (formatted
+    with K), ``extra`` fills the aucs.csv extra columns, ``scenario(K=K)``
+    gives the test scenario, rows are seeded by master + ``offset``."""
+
+    suffix: str
+    extra: dict
+    scenario: Callable[..., Scenario]
+    offset: int
+    events: tuple[str, ...]
+
+
+def _sweep(
+    cfg, outdir, train_scenario, specs, variants, extra_cols=(),
+    model_name="model_{task}_{method}",
+) -> list[str]:
+    """Train networks once on ``train_scenario``, then test them and the
+    score detectors on every variant.
+
+    specs lists (K, kind) pairs.  Each gets one network per task, fit on
+    train_scenario(K=K) and saved under ``model_name``; each variant is then
+    tested per spec, in spec order, detection before localization.
+    """
+    master, d = cfg["master_seed"], cfg["d"]
+    tcfg = _train_config(cfg)
+    rows = round(10000 * cfg["scale"])
+    budget = Budget(nd_train_per_event=rows, nd_test_per_event=0, nl_train=rows, nl_test=0)
+
+    artifacts: list[str] = []
+    summaries: list[dict] = []
+    models = {}
+    for K, kind in specs:
+        data = build_dataset(train_scenario(K=K), budget, master)
+        for task in ("nd", "nl"):
+            mlp, _ = _fit(
+                data[f"{task}_{kind}"].train, tcfg,
+                _rng(master, 11, K, d, task == "nl", kind == "spatial"),
+            )
+            models[(task, kind, K)] = mlp
+            name = model_name.format(task=task, method=_METHODS[kind] + "nn", K=K)
+            _save(mlp, outdir, name, artifacts)
+
+    for v in variants:
+        for K, kind in specs:
+            data = build_dataset(
+                v.scenario(K=K), _test_budget(cfg["scale"]), master + v.offset,
+                events=v.events,
+            )
+            method, tail = _METHODS[kind], v.suffix.format(K=K)
+            for task in ("nd", "nl"):
+                ds = data[f"{task}_{kind}"].test
+                _eval(
+                    make_score_detector(method, task), ds, outdir,
+                    f"{task}_{method}{tail}", summaries, artifacts, v.extra,
+                )
+                _eval(
+                    make_nn_detector(models[(task, kind, K)], task, kind, method + "nn"),
+                    ds, outdir, f"{task}_{method}nn{tail}", summaries, artifacts, v.extra,
+                )
+
+    auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"), extra_cols=extra_cols)
+    artifacts.append("aucs.csv")
+    return artifacts
+
+
+def _two_specs(cfg) -> tuple[tuple[int, str], ...]:
+    return ((cfg["temporal_K"], "temporal"), (cfg["spatial_K"], "spatial"))
 
 
 # --- multi-attacker ---------------------------------------------------------
@@ -429,65 +522,19 @@ def run_multi_attacker(cfg: dict, outdir) -> list[str]:
     the 9-agent torus once m exceeds the non-neighbor count.
     """
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
-    master = cfg["master_seed"]
-    tK, sK, d = cfg["temporal_K"], cfg["spatial_K"], cfg["d"]
-    tcfg = _train_config(cfg)
-
-    artifacts: list[str] = []
-    summaries: list[dict] = []
-    models = _baseline_models(cfg, graph, master, tK, sK, d, tcfg, outdir, artifacts)
-
-    for m, c in (tuple(combo) for combo in cfg["combos"]):
-        for K, kind in ((tK, "temporal"), (sK, "spatial")):
-            scenario = scenario_from_tag(
-                cfg["scenario"], graph, m=m, c=c, K=K, d=d
-            )
-            data = build_dataset(
-                scenario,
-                _test_budget(cfg["scale"]),
-                master + 1,
-                events=(EVENT_H0, EVENT_NEXT),
-            )
-            method = "td" if kind == "temporal" else "sd"
-            for task in ("nd", "nl"):
-                ds = data[f"{task}_{kind}"].test
-                extra = {"m": m, "c": c}
-                _eval(
-                    make_score_detector(method, task), ds, outdir,
-                    f"{task}_{method}_m{m}_c{c}", summaries, artifacts, extra,
-                )
-                _eval(
-                    make_nn_detector(models[(task, kind)], task, kind, method + "nn"),
-                    ds, outdir, f"{task}_{method}nn_m{m}_c{c}",
-                    summaries, artifacts, extra,
-                )
-
-    auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"), extra_cols=("m", "c"))
-    artifacts.append("aucs.csv")
-    return artifacts
-
-
-def _baseline_models(cfg, graph, master, tK, sK, d, tcfg, outdir, artifacts):
-    """One-attacker-trained networks, one per (task, kind), saved to disk."""
-    budget = Budget(
-        nd_train_per_event=round(10000 * cfg["scale"]),
-        nd_test_per_event=0,
-        nl_train=round(10000 * cfg["scale"]),
-        nl_test=0,
+    tag, d = cfg["scenario"], cfg["d"]
+    variants = [
+        _Variant(
+            f"_m{m}_c{c}", {"m": m, "c": c},
+            partial(scenario_from_tag, tag, graph, m=m, c=c, d=d), 1,
+            (EVENT_H0, EVENT_NEXT),
+        )
+        for m, c in cfg["combos"]
+    ]
+    return _sweep(
+        cfg, outdir, partial(scenario_from_tag, tag, graph, d=d), _two_specs(cfg),
+        variants, extra_cols=("m", "c"),
     )
-    models = {}
-    for K, kind in ((tK, "temporal"), (sK, "spatial")):
-        scenario = scenario_from_tag(cfg["scenario"], graph, K=K, d=d)
-        data = build_dataset(scenario, budget, master)
-        for task in ("nd", "nl"):
-            mlp = _fit(
-                data[f"{task}_{kind}"].train, tcfg,
-                _rng(master, 11, K, d, task == "nl", kind == "spatial"),
-            )
-            models[(task, kind)] = mlp
-            method = "tdnn" if kind == "temporal" else "sdnn"
-            _save(mlp, outdir, f"model_{task}_{method}", artifacts)
-    return models
 
 
 # --- degree-tailor ----------------------------------------------------------
@@ -501,42 +548,25 @@ def run_degree_tailor(cfg: dict, outdir) -> list[str]:
     below the detector width and the tailoring path (padding) is exercised.
     """
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
-    master = cfg["master_seed"]
-    tK, sK, d = cfg["temporal_K"], cfg["spatial_K"], cfg["d"]
-    monitor = cfg["monitor"]
-    tcfg = _train_config(cfg)
-    M = graph.max_degree()
-
-    artifacts: list[str] = []
-    summaries: list[dict] = []
-    models = _baseline_models(cfg, graph, master, tK, sK, d, tcfg, outdir, artifacts)
-
-    cut = graph
-    for p in range(len(cfg["cuts"]) + 1):
-        if p > 0:
-            u, v = cfg["cuts"][p - 1]
-            cut = remove_edge(cut, u, v)
-        for K, kind in ((tK, "temporal"), (sK, "spatial")):
-            scenario = scenario_from_tag(
-                cfg["scenario"], cut, K=K, d=d, M=M, monitor=monitor
-            )
-            data = build_dataset(scenario, _test_budget(cfg["scale"]), master + 1)
-            method = "td" if kind == "temporal" else "sd"
-            for task in ("nd", "nl"):
-                ds = data[f"{task}_{kind}"].test
-                extra = {"p": p}
-                _eval(
-                    make_score_detector(method, task), ds, outdir,
-                    f"{task}_{method}_p{p}", summaries, artifacts, extra,
-                )
-                _eval(
-                    make_nn_detector(models[(task, kind)], task, kind, method + "nn"),
-                    ds, outdir, f"{task}_{method}nn_p{p}", summaries, artifacts, extra,
-                )
-
-    auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"), extra_cols=("p",))
-    artifacts.append("aucs.csv")
-    return artifacts
+    tag, d = cfg["scenario"], cfg["d"]
+    cuts = [graph]
+    for u, v in cfg["cuts"]:
+        cuts.append(remove_edge(cuts[-1], u, v))
+    variants = [
+        _Variant(
+            f"_p{p}", {"p": p},
+            partial(
+                scenario_from_tag, tag, cut, d=d, M=graph.max_degree(),
+                monitor=cfg["monitor"],
+            ),
+            1, _ALL_EVENTS,
+        )
+        for p, cut in enumerate(cuts)
+    ]
+    return _sweep(
+        cfg, outdir, partial(scenario_from_tag, tag, graph, d=d), _two_specs(cfg),
+        variants, extra_cols=("p",),
+    )
 
 
 # --- mismatch ---------------------------------------------------------------
@@ -545,55 +575,19 @@ def run_degree_tailor(cfg: dict, outdir) -> list[str]:
 def run_mismatch(cfg: dict, outdir) -> list[str]:
     """Train under one initial-state law, test across all of them."""
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
-    master = cfg["master_seed"]
-    tK, d = cfg["temporal_K"], cfg["d"]
-    tcfg = _train_config(cfg)
-    budget = Budget(
-        nd_train_per_event=round(10000 * cfg["scale"]),
-        nd_test_per_event=0,
-        nl_train=round(10000 * cfg["scale"]),
-        nl_test=0,
+    d = cfg["d"]
+    specs = [(cfg["temporal_K"], "temporal")] + [(K, "spatial") for K in cfg["spatial_Ks"]]
+    variants = [
+        _Variant(
+            "_K{K}_" + tag, {"scenario": tag},
+            partial(scenario_from_tag, tag, graph, d=d), 1000, _ALL_EVENTS,
+        )
+        for tag in cfg["test_scenarios"]
+    ]
+    return _sweep(
+        cfg, outdir, partial(scenario_from_tag, cfg["train_scenario"], graph, d=d),
+        specs, variants, extra_cols=("scenario",), model_name="model_{task}_{method}_K{K}",
     )
-
-    artifacts: list[str] = []
-    summaries: list[dict] = []
-
-    models = {}
-    for K, kind in [(tK, "temporal")] + [(K, "spatial") for K in cfg["spatial_Ks"]]:
-        scenario = scenario_from_tag(cfg["train_scenario"], graph, K=K, d=d)
-        data = build_dataset(scenario, budget, master)
-        for task in ("nd", "nl"):
-            mlp = _fit(
-                data[f"{task}_{kind}"].train, tcfg,
-                _rng(master, 11, K, d, task == "nl", kind == "spatial"),
-            )
-            models[(task, kind, K)] = mlp
-            method = "tdnn" if kind == "temporal" else "sdnn"
-            _save(mlp, outdir, f"model_{task}_{method}_K{K}", artifacts)
-
-    for tag in cfg["test_scenarios"]:
-        for K, kind in [(tK, "temporal")] + [(K, "spatial") for K in cfg["spatial_Ks"]]:
-            scenario = scenario_from_tag(tag, graph, K=K, d=d)
-            data = build_dataset(scenario, _test_budget(cfg["scale"]), master + 1000)
-            method = "td" if kind == "temporal" else "sd"
-            for task in ("nd", "nl"):
-                ds = data[f"{task}_{kind}"].test
-                extra = {"scenario": tag}
-                _eval(
-                    make_score_detector(method, task), ds, outdir,
-                    f"{task}_{method}_K{K}_{tag}", summaries, artifacts, extra,
-                )
-                _eval(
-                    make_nn_detector(models[(task, kind, K)], task, kind, method + "nn"),
-                    ds, outdir, f"{task}_{method}nn_K{K}_{tag}",
-                    summaries, artifacts, extra,
-                )
-
-    auc_table_to_csv(
-        summaries, os.path.join(outdir, "aucs.csv"), extra_cols=("scenario",)
-    )
-    artifacts.append("aucs.csv")
-    return artifacts
 
 
 # --- gossip-learning --------------------------------------------------------
@@ -623,11 +617,13 @@ def run_gossip_learning(cfg: dict, outdir) -> list[str]:
     return artifacts
 
 
-def _spawn_learners(shards, dataset, agents, tcfg, mu, master, tag):
+def _spawn_learners(shards, dataset, agents, tcfg, mu, key):
+    """One learner per agent on its shard; agent a's network is seeded by
+    _rng(*key, a)."""
     learners = []
     for a in agents:
         X, Y, mask = training_arrays(dataset, shards[a])
-        mlp = init_mlp([dataset.M, *HIDDEN, 1], seed=_rng(master, tag, a))
+        mlp = init_mlp([dataset.M, *HIDDEN, _out_width(dataset)], seed=_rng(*key, a))
         learners.append(
             LearnerState(agent=a, model=mlp, X=X, Y=Y, mask=mask, mu=mu, config=tcfg)
         )
@@ -656,7 +652,7 @@ def _gossip_case1(cfg, graph, learner_graph, agents, master, tcfg, outdir):
     iso = init_mlp([data.train.M, *HIDDEN, 1], seed=_rng(master, 21, starved))
     train(iso, X, Y, tcfg, rng=_rng(master, 22, starved), mask=mask)
 
-    learners = _spawn_learners(shards, data.train, agents, tcfg, cfg["mu"], master, 21)
+    learners = _spawn_learners(shards, data.train, agents, tcfg, cfg["mu"], (master, 21))
     metrics = run_gossip_training(
         learners, learner_graph, cfg["rounds"], _rng(master, 23), mode="sync"
     )
@@ -709,7 +705,7 @@ def _gossip_case2(cfg, graph, learner_graph, agents, master, tcfg, outdir):
         train(mlp, X, Y, tcfg, rng=_rng(master, 32, agent), mask=mask)
         iso_models[label] = mlp
 
-    learners = _spawn_learners(shards, data.train, agents, tcfg, cfg["mu"], master, 31)
+    learners = _spawn_learners(shards, data.train, agents, tcfg, cfg["mu"], (master, 31))
     metrics = run_gossip_training(
         learners, learner_graph, cfg["rounds"], _rng(master, 33), mode="sync"
     )
@@ -751,14 +747,7 @@ def run_small_world(cfg: dict, outdir) -> list[str]:
     degrees exceed the detector width so inputs are tailored into windows.
     """
     torus = manhattan_grid(cfg["rows"], cfg["cols"])
-    master = cfg["master_seed"]
-    tK, sK, d = cfg["temporal_K"], cfg["spatial_K"], cfg["d"]
-    tcfg = _train_config(cfg)
-
-    artifacts: list[str] = []
-    summaries: list[dict] = []
-    models = _baseline_models(cfg, torus, master, tK, sK, d, tcfg, outdir, artifacts)
-
+    tag, d = cfg["scenario"], cfg["d"]
     world = small_world(
         cfg["n"], cfg["mean_degree"], cfg["rewire_prob"],
         np.random.default_rng(cfg["graph_seed"]),
@@ -767,32 +756,14 @@ def run_small_world(cfg: dict, outdir) -> list[str]:
     adjacent = sorted(
         set(int(v) for a in attackers for v in world.neighbors_of(a)) - set(attackers)
     )
-
-    for K, kind in ((tK, "temporal"), (sK, "spatial")):
-        scenario = scenario_from_tag(
-            cfg["scenario"], world,
-            m=len(attackers), c=1, K=K, d=d, M=cfg["M"],
-            attackers=attackers, monitor_pool=tuple(adjacent),
-        )
-        data = build_dataset(
-            scenario, _test_budget(cfg["scale"]), master + 1,
-            events=(EVENT_H0, EVENT_NEXT),
-        )
-        method = "td" if kind == "temporal" else "sd"
-        for task in ("nd", "nl"):
-            ds = data[f"{task}_{kind}"].test
-            _eval(
-                make_score_detector(method, task), ds, outdir,
-                f"{task}_{method}", summaries, artifacts,
-            )
-            _eval(
-                make_nn_detector(models[(task, kind)], task, kind, method + "nn"),
-                ds, outdir, f"{task}_{method}nn", summaries, artifacts,
-            )
-
-    auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"))
-    artifacts.append("aucs.csv")
-    return artifacts
+    test = partial(
+        scenario_from_tag, tag, world, m=len(attackers), c=1, d=d, M=cfg["M"],
+        attackers=attackers, monitor_pool=tuple(adjacent),
+    )
+    return _sweep(
+        cfg, outdir, partial(scenario_from_tag, tag, torus, d=d), _two_specs(cfg),
+        [_Variant("", {}, test, 1, (EVENT_H0, EVENT_NEXT))],
+    )
 
 
 _RUNNERS = {

@@ -13,8 +13,8 @@ The scalar inputs chi_ij = (1/Kd) sum_k 1.phibar_ij^k feed the neural
 detectors.
 
 Every statistic here is a linear function of per-agent run sufficient
-statistics (states at t = 0 and t = T plus the time sum), so the same code
-serves recorded traces and the vectorized batch runner, bitwise.
+statistics, the states at t = 0 and t = T and the time sum over t = 0..T,
+stacked over the K instances as (K, n, d) arrays of protocol.BatchStats.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gossipwatch.protocol import Trace, stats_from_trace
 from gossipwatch.topology import Graph
 
 TEMPORAL = "temporal"
@@ -84,17 +83,6 @@ class SdScoreFeatures:
     d: int
 
 
-def _check_traces(traces, graph):
-    if len(traces) == 0:
-        raise ValueError("need at least one trace (K >= 1)")
-    n, d, T = traces[0].n, traces[0].d, traces[0].T
-    for tr in traces:
-        if (tr.n, tr.d, tr.T) != (n, d, T):
-            raise ValueError("traces disagree on (n, d, T)")
-    if n != graph.n:
-        raise ValueError(f"traces have {n} agents, graph has {graph.n}")
-
-
 def _closed_neighborhood(graph: Graph, agent: int) -> np.ndarray:
     return np.sort(np.append(graph.neighbors[agent], agent))
 
@@ -137,33 +125,9 @@ def spatial_from_sums(sums: np.ndarray, graph: Graph, agent: int) -> NeighborSco
     )
 
 
-def temporal_scores(traces: list[Trace], graph: Graph, agent: int) -> NeighborScores:
-    """xi_ij for every neighbor of ``agent``, plus the self score xi_ii."""
-    _check_traces(traces, graph)
-    first = np.stack([tr.states[0] for tr in traces])
-    last = np.stack([tr.states[-1] for tr in traces])
-    return temporal_from_endpoints(first, last, graph, agent)
-
-
-def spatial_scores(traces: list[Trace], graph: Graph, agent: int) -> NeighborScores:
-    """chi_ij for every neighbor of ``agent``, plus the self score chi_ii."""
-    _check_traces(traces, graph)
-    sums = np.concatenate([stats_from_trace(tr).sums for tr in traces])
-    return spatial_from_sums(sums, graph, agent)
-
-
-def neighborhood_average(trace: Trace, graph: Graph, agent: int, t: int) -> np.ndarray:
-    """xbar_i(t): mean state over {agent} and its neighbors at iteration t."""
-    if not 0 <= t <= trace.T:
-        raise ValueError(f"t = {t} outside trace range [0, {trace.T}]")
-    members = _closed_neighborhood(graph, agent)
-    return trace.states[t, members, :].mean(axis=0)
-
-
-def sd_aggregates(traces: list[Trace], graph: Graph, agent: int) -> SdScoreFeatures:
-    """Per-instance spatial deviation vectors for detection and localization."""
-    _check_traces(traces, graph)
-    sums = np.concatenate([stats_from_trace(tr).sums for tr in traces])
+def sd_aggregates(sums: np.ndarray, graph: Graph, agent: int) -> SdScoreFeatures:
+    """Per-instance spatial deviation vectors for detection and localization,
+    from stacked (K, n, d) run time-sums."""
     K, _, d = sums.shape
     members = _closed_neighborhood(graph, agent)
     center = sums[:, members, :].mean(axis=1)

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from gossipwatch.score_detectors import GREATER_IS_H1, ScoreVerdict, decide
 
 _CLIP = 1e-12  # probability clip for the loss value; keeps BCE finite
 
@@ -180,38 +178,6 @@ def train(
     if rng is None:
         rng = np.random.default_rng(config.seed)
     return [sgd_epoch(mlp, X, Y, config, rng, mask) for _ in range(config.epochs)]
-
-
-def nd_predict(mlp: Mlp, a0: np.ndarray, delta: float) -> ScoreVerdict:
-    """Neighborhood detection verdict from a single-output network."""
-    score = float(forward(mlp, a0)[0])
-    return ScoreVerdict(
-        score=score,
-        threshold=delta,
-        decision=decide(score, delta, GREATER_IS_H1),
-        orientation=GREATER_IS_H1,
-    )
-
-
-def nl_predict(
-    mlp: Mlp, a0: np.ndarray, eps: float, padded: np.ndarray | None = None
-) -> list[ScoreVerdict | None]:
-    """Per-slot localization verdicts; padded slots yield None."""
-    scores = forward(mlp, a0)
-    out = []
-    for s, score in enumerate(scores):
-        if padded is not None and padded[s]:
-            out.append(None)
-            continue
-        out.append(
-            ScoreVerdict(
-                score=float(score),
-                threshold=eps,
-                decision=decide(float(score), eps, GREATER_IS_H1),
-                orientation=GREATER_IS_H1,
-            )
-        )
-    return out
 
 
 def params_to_blob(mlp: Mlp) -> bytes:

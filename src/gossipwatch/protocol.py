@@ -10,13 +10,12 @@ driven by caller-owned numpy generators so runs are reproducible.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from gossipwatch.topology import AttackerMask, Graph, draw_pair_sequence
+from gossipwatch.topology import Graph, draw_pair_sequence
 
 
 @dataclass(frozen=True)
@@ -45,17 +44,6 @@ def generate_problem(n: int, d: int, rng: np.random.Generator) -> LeastSquaresPr
     return LeastSquaresProblem(theta=theta, phi=phi, x_star=x_star)
 
 
-def subgradient(problem: LeastSquaresProblem, i: int, x: np.ndarray) -> np.ndarray:
-    """Gradient of f_i at x: 2 theta_i (theta_i . x - phi_i)."""
-    th = problem.theta[i]
-    return 2.0 * th * ((th * x).sum() - problem.phi[i])
-
-
-def local_objective(problem: LeastSquaresProblem, i: int, x: np.ndarray) -> float:
-    r = (problem.theta[i] * x).sum() - problem.phi[i]
-    return float(r * r)
-
-
 def global_objective(problem: LeastSquaresProblem, x: np.ndarray) -> float:
     r = problem.theta @ x - problem.phi
     return float((r * r).mean())
@@ -76,13 +64,6 @@ def optimal_value(problem: LeastSquaresProblem) -> tuple[np.ndarray, float]:
             stacklevel=2,
         )
     return x_hat, global_objective(problem, x_hat)
-
-
-def project_box(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Euclidean projection onto the box [lo, hi]^d (componentwise clip)."""
-    if not lo < hi:
-        raise ValueError(f"box requires lo < hi, got [{lo}, {hi}]")
-    return np.clip(x, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -109,11 +90,6 @@ class Stepsize:
         else:
             raise ValueError(f"unknown stepsize family: {self.family!r}")
 
-    def at(self, t: int) -> float:
-        if self.family == "harmonic":
-            return self.c0 / (self.c1 + t)
-        return self.c0
-
     def schedule(self, T: int) -> np.ndarray:
         """gamma(1..T) as an array (index t-1)."""
         if self.family == "harmonic":
@@ -125,7 +101,6 @@ class Stepsize:
 class ProtocolConfig:
     d: int = 2
     T: int = 2000
-    K: int = 2
     stepsize: Stepsize = field(default_factory=Stepsize)
     box_lo: float = -10.0
     box_hi: float = 10.0
@@ -133,8 +108,8 @@ class ProtocolConfig:
     init_high: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1 or self.T < 1 or self.K < 1:
-            raise ValueError(f"need d, T, K >= 1, got d={self.d}, T={self.T}, K={self.K}")
+        if self.d < 1 or self.T < 1:
+            raise ValueError(f"need d, T >= 1, got d={self.d}, T={self.T}")
         if not self.box_lo < self.box_hi:
             raise ValueError(f"box requires lo < hi, got [{self.box_lo}, {self.box_hi}]")
         if not self.init_low <= self.init_high:
@@ -154,85 +129,6 @@ class AttackConfig:
             raise ValueError(f"lambda_hat must be in (0, 1), got {self.lambda_hat}")
 
 
-def attacker_state(attack: AttackConfig, t: int, rng: np.random.Generator) -> np.ndarray:
-    """One attacker emission at iteration t: alpha + lambda_hat^t U[-1, 1]^d."""
-    if t < 0:
-        raise ValueError(f"iteration must be >= 0, got {t}")
-    noise = rng.uniform(-1.0, 1.0, size=attack.alpha.shape)
-    return attack.alpha + (attack.lambda_hat**t) * noise
-
-
-@dataclass
-class Trace:
-    """Full state history of one protocol instance.
-
-    states has shape (T+1, n, d); states[t] is the network state after
-    iteration t.  pairs has shape (T, 2); pairs[t-1] is the gossip pair of
-    iteration t.  pairs is None for traces restored from the binary format
-    written without them (not produced by this module).
-    """
-
-    states: np.ndarray
-    pairs: np.ndarray | None
-    k: int = 0
-
-    @property
-    def T(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.states.shape[2]
-
-    def save(self, path, sidecar: dict | None = None) -> None:
-        """Binary layout: header (n, d, T, k as little-endian int64), then
-        row-major little-endian float64 blocks, states followed by pairs
-        (pair ids stored as reals).  A JSON sidecar with caller metadata is
-        written next to the file."""
-        header = np.array([self.n, self.d, self.T, self.k], dtype="<i8")
-        with open(path, "wb") as fh:
-            fh.write(header.tobytes())
-            fh.write(self.states.astype("<f8").tobytes())
-            fh.write(self.pairs.astype("<f8").tobytes())
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar or {}, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> tuple["Trace", dict]:
-        with open(path, "rb") as fh:
-            n, d, T, k = np.frombuffer(fh.read(32), dtype="<i8")
-            states = np.frombuffer(fh.read(int((T + 1) * n * d) * 8), dtype="<f8")
-            states = states.reshape(T + 1, n, d).copy()
-            pairs = np.frombuffer(fh.read(int(T * 2) * 8), dtype="<f8")
-            pairs = pairs.reshape(T, 2).astype(np.int64)
-        try:
-            with open(str(path) + ".json") as fh:
-                sidecar = json.load(fh)
-        except FileNotFoundError:
-            sidecar = {}
-        return cls(states=states, pairs=pairs, k=int(k)), sidecar
-
-    def to_csv(self, path) -> None:
-        """Long-format CSV: one row per iteration with the pair used and all
-        agent coordinates (x{agent}_{coord} columns)."""
-        n, d = self.n, self.d
-        cols = ["t", "i", "j"] + [f"x{a}_{c}" for a in range(n) for c in range(d)]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for t in range(self.T + 1):
-                if t == 0:
-                    row = ["0", "", ""]
-                else:
-                    row = [str(t), str(int(self.pairs[t - 1, 0])), str(int(self.pairs[t - 1, 1]))]
-                row += [repr(float(v)) for v in self.states[t].ravel()]
-                fh.write(",".join(row) + "\n")
-
-
 @dataclass
 class BatchStats:
     """Sufficient statistics of a batch of instances: states at t = 0 and
@@ -245,32 +141,13 @@ class BatchStats:
     checkpoints: dict = field(default_factory=dict)  # t -> (B, n, d)
 
 
-def _none_flags(mask: AttackerMask | None, n: int) -> np.ndarray:
-    if mask is None:
-        return np.zeros(n, dtype=bool)
-    if mask.flags.shape != (n,):
-        raise ValueError(f"mask covers {mask.flags.shape[0]} agents, graph has {n}")
-    return mask.flags
-
-
-def _check_instance_args(graph, problem, config, flags, attack):
-    if problem.theta.shape != (graph.n, config.d):
-        raise ValueError(
-            f"problem shape {problem.theta.shape} does not match "
-            f"(n, d) = ({graph.n}, {config.d})"
-        )
-    if flags.any() and attack is None:
-        raise ValueError("attackers present but no AttackConfig given")
-    if attack is not None and attack.alpha.shape != (config.d,):
-        raise ValueError(f"alpha shape {attack.alpha.shape} != ({config.d},)")
-
-
 def _draw_instance_randomness(graph, config, flags, rng):
     """All protocol randomness of one instance, in frozen stream order:
     trustworthy initials, attacker initial noise, the pair sequence, then one
     noise row per attacker pair-membership event (t ascending, waking member
-    before pulled member).  Shared by the serial and batch runners so both
-    consume identical streams."""
+    before pulled member).  Each instance of run_batch draws through here,
+    so an instance's states depend only on its own generator, not on the
+    batch it runs in."""
     beta = rng.uniform(config.init_low, config.init_high, size=(graph.n, config.d))
     m = int(flags.sum())
     init_noise = rng.uniform(-1.0, 1.0, size=(m, config.d)) if m else None
@@ -280,55 +157,6 @@ def _draw_instance_randomness(graph, config, flags, rng):
     n_events = int(att_i.sum()) + int(att_j.sum())
     event_noise = rng.uniform(-1.0, 1.0, size=(n_events, config.d)) if n_events else None
     return beta, init_noise, i_seq, j_seq, att_i, att_j, event_noise
-
-
-def run_instance(
-    graph: Graph,
-    mask: AttackerMask | None,
-    problem: LeastSquaresProblem,
-    config: ProtocolConfig,
-    attack: AttackConfig | None,
-    rng: np.random.Generator,
-    k: int = 0,
-) -> Trace:
-    """Run one protocol instance of T iterations and record the full trace.
-
-    Only the two agents of the sampled pair change state at an iteration.
-    Trustworthy members move to the projected subgradient step from the pair
-    average of the pre-iteration states; attacker members re-emit
-    alpha + lambda_hat^t U[-1, 1]^d.
-    """
-    n, d, T = graph.n, config.d, config.T
-    flags = _none_flags(mask, n)
-    _check_instance_args(graph, problem, config, flags, attack)
-    beta, init_noise, i_seq, j_seq, att_i, att_j, event_noise = _draw_instance_randomness(
-        graph, config, flags, rng
-    )
-    sched = config.stepsize.schedule(T)
-    lo, hi = config.box_lo, config.box_hi
-    x = beta.copy()
-    if flags.any():
-        powers = attack.lambda_hat ** np.arange(T + 1, dtype=np.float64)
-        x[flags] = attack.alpha + powers[0] * init_noise
-    states = np.empty((T + 1, n, d))
-    states[0] = x
-    cursor = 0
-    for t in range(1, T + 1):
-        i = int(i_seq[t - 1])
-        j = int(j_seq[t - 1])
-        xbar = 0.5 * (x[i] + x[j])
-        gam = sched[t - 1]
-        for member in (i, j):
-            if flags[member]:
-                x[member] = attack.alpha + powers[t] * event_noise[cursor]
-                cursor += 1
-            else:
-                th = problem.theta[member]
-                resid = (th * xbar).sum() - problem.phi[member]
-                x[member] = np.clip(xbar - gam * (2.0 * th * resid), lo, hi)
-        states[t] = x
-    pairs = np.stack([i_seq, j_seq], axis=1)
-    return Trace(states=states, pairs=pairs, k=k)
 
 
 def run_batch(
@@ -346,9 +174,15 @@ def run_batch(
 
     flags is (B, n) attacker membership, thetas (B, n, d), phis (B, n),
     alphas (B, d) (ignored for rows without attackers; may be None when no
-    row has any).  rngs holds one generator per instance; each instance
-    consumes its stream in exactly the order of run_instance, so for equal
-    generators the two runners produce bitwise identical states.
+    row has any).  rngs holds one generator per instance, consumed in the
+    order of _draw_instance_randomness.  checkpoints lists iterations t
+    whose full (B, n, d) states are kept; range(T + 1) records whole
+    trajectories.
+
+    Only the two agents of the sampled pair change state at an iteration.
+    Trustworthy members move to the projected subgradient step from the pair
+    average of the pre-iteration states; attacker members re-emit
+    alpha + lambda_hat^t U[-1, 1]^d.
     """
     B = len(rngs)
     n, d, T = graph.n, config.d, config.T
@@ -358,7 +192,6 @@ def run_batch(
     if any_attack and (alphas is None or lambda_hat is None):
         raise ValueError("attackers present but alphas/lambda_hat missing")
 
-    betas = np.empty((B, n, d))
     i_seq = np.empty((B, T), dtype=np.int64)
     j_seq = np.empty((B, T), dtype=np.int64)
     att_i = np.zeros((B, T), dtype=bool)
@@ -369,7 +202,6 @@ def run_batch(
         beta, init_noise, isq, jsq, ai, aj, ev = _draw_instance_randomness(
             graph, config, flags[b], rng
         )
-        betas[b] = beta
         i_seq[b], j_seq[b] = isq, jsq
         att_i[b], att_j[b] = ai, aj
         event_rows.append(ev)
@@ -429,19 +261,3 @@ def pair_averaging_matrix(n: int, i: int, j: int) -> np.ndarray:
     A[i, i] = A[j, j] = 0.5
     A[i, j] = A[j, i] = 0.5
     return A
-
-
-def stats_from_trace(trace: Trace) -> BatchStats:
-    """Sufficient statistics of a single recorded trace (B = 1).
-
-    The time sum accumulates sequentially, matching run_batch addition order
-    exactly, so features derived from either path agree bitwise.
-    """
-    S = trace.states[0].copy()
-    for t in range(1, trace.states.shape[0]):
-        S += trace.states[t]
-    return BatchStats(
-        first=trace.states[0][None],
-        last=trace.states[-1][None],
-        sums=S[None],
-    )

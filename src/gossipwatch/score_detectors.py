@@ -1,38 +1,19 @@
-"""Threshold detectors built directly on the temporal and spatial scores.
+"""Score detectors built directly on the temporal and spatial scores.
 
-Each detector reduces per-neighbor scores to a decision statistic and
-compares it against a caller-chosen threshold.  Orientation is explicit:
-greater-is-H1 statistics flag an attack when the score exceeds the
-threshold, smaller-is-H1 when it falls below.
+Each detector reduces per-neighbor scores to a decision statistic; the ROC
+sweep in evaluation thresholds it.  Orientation is explicit: greater-is-H1
+statistics flag an attack when the score exceeds the threshold,
+smaller-is-H1 when it falls below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from gossipwatch.features import NeighborScores, SdScoreFeatures
+from gossipwatch.features import SdScoreFeatures
 
 GREATER_IS_H1 = "greater-is-H1"
 SMALLER_IS_H1 = "smaller-is-H1"
-
-
-@dataclass(frozen=True)
-class ScoreVerdict:
-    score: float
-    threshold: float
-    decision: str  # "H0" | "H1"
-    orientation: str
-    subject: int | None = None  # agent the verdict speaks about, when localized
-
-
-def decide(score: float, threshold: float, orientation: str) -> str:
-    if orientation == GREATER_IS_H1:
-        return "H1" if score > threshold else "H0"
-    if orientation == SMALLER_IS_H1:
-        return "H1" if score < threshold else "H0"
-    raise ValueError(f"unknown orientation: {orientation!r}")
 
 
 def td_detection_score(xi_values: np.ndarray) -> float:
@@ -46,33 +27,6 @@ def td_detection_score(xi_values: np.ndarray) -> float:
 def td_localization_scores(xi_values: np.ndarray) -> np.ndarray:
     """|xi_ij| per neighbor; attackers barely move, so small means H1."""
     return np.abs(np.asarray(xi_values, dtype=np.float64))
-
-
-def td_detect(scores: NeighborScores, delta: float) -> ScoreVerdict:
-    """Neighborhood-level temporal detection at threshold delta."""
-    y = td_detection_score(scores.values)
-    return ScoreVerdict(
-        score=y,
-        threshold=delta,
-        decision=decide(y, delta, GREATER_IS_H1),
-        orientation=GREATER_IS_H1,
-        subject=scores.agent,
-    )
-
-
-def td_localize(scores: NeighborScores, eps: float) -> list[ScoreVerdict]:
-    """Per-neighbor temporal localization at threshold eps."""
-    z = td_localization_scores(scores.values)
-    return [
-        ScoreVerdict(
-            score=float(zj),
-            threshold=eps,
-            decision=decide(float(zj), eps, SMALLER_IS_H1),
-            orientation=SMALLER_IS_H1,
-            subject=int(j),
-        )
-        for zj, j in zip(z, scores.neighbor_ids)
-    ]
 
 
 def sd_detection_score(sd: SdScoreFeatures) -> float:
@@ -93,33 +47,6 @@ def sd_localization_scores(sd: SdScoreFeatures, include_self: bool = False) -> n
         s = -sd.self_detection.sum() / (sd.K * sd.d)
         z = np.append(z, s * s)
     return z
-
-
-def sd_detect(sd: SdScoreFeatures, delta: float) -> ScoreVerdict:
-    """Neighborhood-level spatial detection at threshold delta."""
-    y = sd_detection_score(sd)
-    return ScoreVerdict(
-        score=y,
-        threshold=delta,
-        decision=decide(y, delta, GREATER_IS_H1),
-        orientation=GREATER_IS_H1,
-        subject=sd.agent,
-    )
-
-
-def sd_localize(sd: SdScoreFeatures, eps: float) -> list[ScoreVerdict]:
-    """Per-neighbor spatial localization at threshold eps."""
-    z = sd_localization_scores(sd)
-    return [
-        ScoreVerdict(
-            score=float(zj),
-            threshold=eps,
-            decision=decide(float(zj), eps, GREATER_IS_H1),
-            orientation=GREATER_IS_H1,
-            subject=int(j),
-        )
-        for zj, j in zip(z, sd.neighbor_ids)
-    ]
 
 
 # Row-level scoring over tailored feature vectors, for dataset evaluation.

@@ -3,7 +3,6 @@ constructions, pair sampling, expected mixing matrix, edge surgery."""
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -66,12 +65,6 @@ class Graph:
     def neighbors_of(self, i: int) -> np.ndarray:
         return self.neighbors[i]
 
-    def degree(self, i: int) -> int:
-        return int(self.degrees[i])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.edges)
-
     def max_degree(self) -> int:
         return int(self.degrees.max())
 
@@ -81,26 +74,6 @@ class Graph:
         for i, a in enumerate(self.neighbors):
             P[i, a] = 1.0 / len(a)
         return P
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "edges": [list(e) for e in self.edges],
-            "kind": self.kind,
-            "params": self.params,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Graph":
-        payload = json.loads(text)
-        return cls.from_edges(
-            payload["n"],
-            [tuple(e) for e in payload["edges"]],
-            kind=payload.get("kind", "custom"),
-            params=payload.get("params", {}),
-        )
-
 
 def _connected(n, nbrs, keep=None) -> bool:
     """BFS connectivity over the agents in ``keep`` (all agents if None)."""
@@ -217,22 +190,14 @@ def small_world(
     )
 
 
-def sample_gossip_pair(graph: Graph, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one gossip pair: i uniform over agents, j uniform over N(i)."""
-    i = int(rng.integers(graph.n))
-    nbrs = graph.neighbors[i]
-    j = int(nbrs[int(rng.random() * len(nbrs))])
-    return i, j
-
-
 def draw_pair_sequence(
     graph: Graph, T: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw T gossip pairs in one pass; same law as sample_gossip_pair.
+    """Pre-draw T gossip pairs in one pass: i uniform over agents, j uniform
+    over N(i).
 
     Consumes exactly two generator calls (T waking agents, then T uniform
-    neighbor picks) so serial and batched protocol runs share one stream
-    layout.
+    neighbor picks), a frozen stream layout.
     """
     i_seq = rng.integers(0, graph.n, size=T)
     u_seq = rng.random(T)
@@ -311,10 +276,6 @@ class AttackerMask:
     @property
     def m(self) -> int:
         return int(self.flags.sum())
-
-    def attacking_neighbors(self, graph: Graph, i: int) -> int:
-        """c = number of attackers adjacent to agent i."""
-        return int(self.flags[graph.neighbors[i]].sum())
 
 
 def attacker_mask(

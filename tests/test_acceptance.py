@@ -21,9 +21,9 @@ from gossipwatch.evaluation import (
     roc_curve,
 )
 from gossipwatch.experiments import run_family
-from gossipwatch.features import sd_aggregates, temporal_scores
+from gossipwatch.features import sd_aggregates, temporal_from_endpoints
 from gossipwatch.neural import TrainConfig, init_mlp, loss_and_grad, train
-from gossipwatch.protocol import Trace, pair_averaging_matrix
+from gossipwatch.protocol import pair_averaging_matrix
 from gossipwatch.score_detectors import (
     sd_detection_score,
     sd_localization_scores,
@@ -175,11 +175,11 @@ def test_03_expected_transition_matrix():
 
 
 def test_04_score_detector_hand_oracles():
-    """TD and SD statistics on tiny hand traces match brute-force sums."""
+    """TD and SD statistics on tiny hand trajectories match brute-force sums."""
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     s0 = np.array([[[0.3], [1.0], [-2.0]], [[1.5], [0.5], [0.0]], [[2.0], [1.0], [1.0]]])
     s1 = np.array([[[1.0], [0.0], [0.5]], [[0.0], [2.0], [1.0]], [[-1.0], [0.5], [2.5]]])
-    traces = [Trace(states=s0, pairs=None), Trace(states=s1, pairs=None)]
+    runs = np.stack([s0, s1])  # (K, T+1, n, d)
     monitor, K, d = 1, 2, 1
     nbrs = [0, 2]
 
@@ -214,12 +214,12 @@ def test_04_score_detector_hand_oracles():
         phi.append((total - phibar_ii) / (K * d))
     phi = np.array(phi)
 
-    scores = temporal_scores(traces, path, monitor)
+    scores = temporal_from_endpoints(runs[:, 0], runs[:, -1], path, monitor)
     assert np.abs(scores.values - xi).max() < 1e-12
     assert abs(td_detection_score(scores.values) - mad) < 1e-12
     assert np.abs(td_localization_scores(scores.values) - np.abs(xi)).max() < 1e-12
 
-    agg = sd_aggregates(traces, path, monitor)
+    agg = sd_aggregates(runs.sum(axis=1), path, monitor)
     assert abs(sd_detection_score(agg) - (chi * chi).mean()) < 1e-12
     assert np.abs(sd_localization_scores(agg) - phi * phi).max() < 1e-12
 

@@ -1,5 +1,7 @@
 """Dataset generation: scenarios, budgets, placement, sharding, CSV round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from gossipwatch.datagen import (
     LabeledDataset,
     Scenario,
     ShardPolicy,
+    _batch_samples,
     build_dataset,
-    generate_sample,
     place_attackers,
     read_dataset_csv,
     scenario_from_tag,
@@ -103,38 +105,37 @@ def test_place_attackers_rejects_infeasible_requests():
         place_attackers(scn, 0, np.random.default_rng(0))
 
 
-def test_generate_sample_labels_and_determinism():
-    scn = _scenario(monitor=4)
-    s1 = generate_sample(scn, 4, "nd", np.random.default_rng(np.random.SeedSequence(5)))
-    s2 = generate_sample(scn, 4, "nd", np.random.default_rng(np.random.SeedSequence(5)))
+def _sample(scn, seed):
+    """The sample of one row seed, monitored at agent 4."""
+    return _batch_samples(replace(scn, monitor=4), [np.random.SeedSequence(seed)])[0]
+
+
+def test_batch_samples_labels_and_determinism():
+    scn = _scenario()
+    s1, s2 = _sample(scn, 5), _sample(scn, 5)
     assert s1.nd_label == 1 and s1.event == EVENT_NEXT
     assert s1.attackers == s2.attackers and s1.monitor == 4
     assert np.array_equal(s1.temporal[0].values, s2.temporal[0].values)
     assert np.array_equal(s1.spatial[0].values, s2.spatial[0].values)
 
-    clean = generate_sample(
-        _scenario(m=0, c=0), 4, "nd", np.random.default_rng(np.random.SeedSequence(5))
-    )
+    clean = _sample(_scenario(m=0, c=0), 5)
     assert clean.nd_label == 0 and clean.event == EVENT_H0 and clean.attackers == ()
 
-    loc = generate_sample(scn, 4, "nl", np.random.default_rng(np.random.SeedSequence(6)))
+    loc = _sample(scn, 6)
     hot = loc.nl_labels[0]
     marked = {int(a) for a, h in zip(loc.temporal[0].slot_ids, hot) if h}
     assert marked <= set(loc.attackers) and marked  # flags only true attackers
 
 
-def test_generate_sample_rejects_bad_requests():
+def test_batch_samples_rejects_bad_requests():
+    with pytest.raises(ValueError, match="cannot be an attacker"):
+        _sample(_scenario(attackers=(4,)), 0)
     with pytest.raises(ValueError):
-        generate_sample(_scenario(), 4, "detect", np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        generate_sample(_scenario(m=0, c=0), 4, "nl", np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        generate_sample(_scenario(attackers=(4,)), 4, "nd", np.random.default_rng(0))
+        _sample(_scenario(m=5, c=5), 0)  # more neighbor attackers than neighbors
 
 
 def test_far_from_event_avoids_the_neighborhood():
-    scn = _scenario(m=1, c=0, monitor=4)
-    s = generate_sample(scn, 4, "nd", np.random.default_rng(np.random.SeedSequence(7)))
+    s = _sample(_scenario(m=1, c=0), 7)
     assert s.event == EVENT_FAR
     near = set(int(v) for v in _torus().neighbors[4])
     assert not (set(s.attackers) & near)

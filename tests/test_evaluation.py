@@ -236,24 +236,21 @@ def test_score_detector_orientations():
     assert make_score_detector("sd", "nl").orientation == GREATER_IS_H1
 
 
-def test_nn_detector_applies_recorded_scaling():
-    mlp = init_mlp([2, 4, 1], seed=0)
+def test_nn_detector_scores_raw_inputs():
+    """The network sees the stored row inputs unchanged: one score per row
+    for detection, one per slot for localization."""
+    from gossipwatch.neural import forward
+
     ds = _nd_dataset(
         np.array([[2.0, 4.0], [6.0, 8.0]]), labels=[0, 1], sample_ids=[0, 1]
     )
-    plain = make_nn_detector(mlp, "nd", "temporal", "tdnn")
-    scaled = make_nn_detector(
-        mlp, "nd", "temporal", "tdnn",
-        meta={"input_mean": [2.0, 4.0], "input_std": [2.0, 2.0]},
-    )
-    raw = plain.row_scores(ds)
-    std = scaled.row_scores(ds)
-    assert raw.shape == (2,)
-    assert not np.allclose(raw, std)
-    from gossipwatch.neural import forward
-
-    expect = forward(mlp, (ds.inputs - np.array([2.0, 4.0])) / 2.0)[:, 0]
-    assert np.allclose(std, expect)
+    nd = init_mlp([2, 4, 1], seed=0)
+    scores = make_nn_detector(nd, "nd", "temporal", "tdnn").row_scores(ds)
+    assert scores.shape == (2,)
+    assert np.array_equal(scores, forward(nd, ds.inputs)[:, 0])
+    nl = init_mlp([2, 4, 2], seed=0)
+    scores = make_nn_detector(nl, "nl", "temporal", "tdnn").row_scores(ds)
+    assert np.array_equal(scores, forward(nl, ds.inputs))
 
 
 def test_csv_writers(tmp_path):

@@ -5,95 +5,100 @@ import pytest
 
 from gossipwatch.features import (
     NeighborScores,
-    neighborhood_average,
     sd_aggregates,
-    spatial_scores,
+    spatial_from_sums,
     tailor_inputs,
-    temporal_scores,
+    temporal_from_endpoints,
 )
-from gossipwatch.protocol import Trace
 from gossipwatch.topology import Graph, manhattan_grid
 
 
-def _random_traces(rng, K, n, d, T):
-    return [
-        Trace(states=rng.normal(size=(T + 1, n, d)), pairs=None) for _ in range(K)
-    ]
+def _random_runs(rng, K, n, d, T):
+    """(K, T+1, n, d) state histories of K runs."""
+    return rng.normal(size=(K, T + 1, n, d))
 
 
-def _brute_temporal(traces, graph, agent):
+def _temporal(runs, graph, agent):
+    return temporal_from_endpoints(runs[:, 0], runs[:, -1], graph, agent)
+
+
+def _spatial(runs, graph, agent):
+    return spatial_from_sums(runs.sum(axis=1), graph, agent)
+
+
+def _brute_temporal(runs, graph, agent):
     """xi_ij by explicit loops over instances and dimensions."""
-    K, d = len(traces), traces[0].d
+    K, d = runs.shape[0], runs.shape[3]
     out = []
     for j in graph.neighbors_of(agent):
         total = 0.0
-        for tr in traces:
+        for states in runs:
             for dim in range(d):
-                total += tr.states[-1, j, dim] - tr.states[0, j, dim]
+                total += states[-1, j, dim] - states[0, j, dim]
         out.append(total / (K * d))
     return np.array(out)
 
 
-def _brute_spatial(traces, graph, agent):
+def _brute_spatial(runs, graph, agent):
     """chi_ij by explicit loops over t, instances, and dimensions."""
-    K, d = len(traces), traces[0].d
+    K, d = runs.shape[0], runs.shape[3]
     members = sorted([agent] + [int(v) for v in graph.neighbors_of(agent)])
     out = []
     for j in graph.neighbors_of(agent):
         total = 0.0
-        for tr in traces:
-            for t in range(tr.states.shape[0]):
-                center = tr.states[t, members, :].mean(axis=0)
+        for states in runs:
+            for t in range(states.shape[0]):
+                center = states[t, members, :].mean(axis=0)
                 for dim in range(d):
-                    total += tr.states[t, j, dim] - center[dim]
+                    total += states[t, j, dim] - center[dim]
         out.append(total / (K * d))
     return np.array(out)
 
 
-def _brute_localization(traces, graph, agent):
+def _brute_localization(runs, graph, agent):
     """phi_ij = sum_t (x_j - x_i) - phibar_ii, per instance and neighbor."""
-    K, d = len(traces), traces[0].d
+    K, d = runs.shape[0], runs.shape[3]
     members = sorted([agent] + [int(v) for v in graph.neighbors_of(agent)])
     nbrs = list(graph.neighbors_of(agent))
     out = np.zeros((K, len(nbrs), d))
-    for k, tr in enumerate(traces):
+    for k, states in enumerate(runs):
         phibar_ii = np.zeros(d)
-        for t in range(tr.states.shape[0]):
-            center = tr.states[t, members, :].mean(axis=0)
-            phibar_ii += tr.states[t, agent, :] - center
+        for t in range(states.shape[0]):
+            center = states[t, members, :].mean(axis=0)
+            phibar_ii += states[t, agent, :] - center
         for a, j in enumerate(nbrs):
-            for t in range(tr.states.shape[0]):
-                out[k, a] += tr.states[t, j, :] - tr.states[t, agent, :]
+            for t in range(states.shape[0]):
+                out[k, a] += states[t, j, :] - states[t, agent, :]
             out[k, a] -= phibar_ii
     return out
 
 
-def test_temporal_scores_match_brute_force():
+def test_temporal_from_endpoints_matches_brute_force():
     graph = manhattan_grid(3, 3)
-    traces = _random_traces(np.random.default_rng(0), K=3, n=9, d=2, T=5)
+    runs = _random_runs(np.random.default_rng(0), K=3, n=9, d=2, T=5)
     for agent in (0, 4, 8):
-        scores = temporal_scores(traces, graph, agent)
-        assert np.abs(scores.values - _brute_temporal(traces, graph, agent)).max() < 1e-12
+        scores = _temporal(runs, graph, agent)
+        assert np.abs(scores.values - _brute_temporal(runs, graph, agent)).max() < 1e-12
         assert scores.neighbor_ids == tuple(int(v) for v in graph.neighbors_of(agent))
 
 
-def test_spatial_scores_match_brute_force():
+def test_spatial_from_sums_matches_brute_force():
     graph = manhattan_grid(3, 3)
-    traces = _random_traces(np.random.default_rng(1), K=2, n=9, d=3, T=4)
+    runs = _random_runs(np.random.default_rng(1), K=2, n=9, d=3, T=4)
     for agent in (0, 5):
-        scores = spatial_scores(traces, graph, agent)
-        assert np.abs(scores.values - _brute_spatial(traces, graph, agent)).max() < 1e-12
+        scores = _spatial(runs, graph, agent)
+        assert np.abs(scores.values - _brute_spatial(runs, graph, agent)).max() < 1e-12
 
 
 def test_sd_aggregates_localization_identity():
     graph = manhattan_grid(3, 3)
-    traces = _random_traces(np.random.default_rng(2), K=2, n=9, d=2, T=6)
-    agg = sd_aggregates(traces, graph, 4)
-    brute = _brute_localization(traces, graph, 4)
+    runs = _random_runs(np.random.default_rng(2), K=2, n=9, d=2, T=6)
+    agg = sd_aggregates(runs.sum(axis=1), graph, 4)
+    brute = _brute_localization(runs, graph, 4)
     assert np.abs(agg.localization - brute).max() < 1e-10
     # detection aggregate reduces to the spatial scores
     chi = agg.detection.sum(axis=(0, 2)) / (agg.K * agg.d)
-    assert np.abs(chi - spatial_scores(traces, graph, 4).values).max() < 1e-12
+    assert np.abs(chi - _spatial(runs, graph, 4).values).max() < 1e-12
 
 
 def test_hand_trace_temporal_and_spatial():
@@ -101,14 +106,14 @@ def test_hand_trace_temporal_and_spatial():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     s0 = np.array([[[0.0], [1.0], [2.0]], [[1.0], [1.0], [1.0]], [[4.0], [2.0], [0.0]]])
     s1 = np.array([[[1.0], [0.0], [2.0]], [[2.0], [2.0], [2.0]], [[0.0], [1.0], [2.0]]])
-    traces = [Trace(states=s0, pairs=None), Trace(states=s1, pairs=None)]
+    runs = np.stack([s0, s1])
 
     # monitor 1 sees neighbors 0 and 2; xi averages both endpoint gaps
-    xi = temporal_scores(traces, path, 1)
+    xi = _temporal(runs, path, 1)
     assert xi.values[0] == pytest.approx((4.0 - 0.0 + 0.0 - 1.0) / 2, abs=1e-15)
     assert xi.values[1] == pytest.approx((0.0 - 2.0 + 2.0 - 2.0) / 2, abs=1e-15)
 
-    chi = spatial_scores(traces, path, 1)
+    chi = _spatial(runs, path, 1)
     # closed neighborhood of 1 is everyone; centers are the row means
     expected = []
     for j in (0, 2):
@@ -118,29 +123,6 @@ def test_hand_trace_temporal_and_spatial():
                 total += states[t, j, 0] - states[t, :, 0].mean()
         expected.append(total / 2)
     assert np.abs(chi.values - np.array(expected)).max() < 1e-12
-
-
-def test_neighborhood_average():
-    graph = manhattan_grid(3, 3)
-    trace = _random_traces(np.random.default_rng(3), K=1, n=9, d=2, T=4)[0]
-    members = sorted([4] + [int(v) for v in graph.neighbors_of(4)])
-    avg = neighborhood_average(trace, graph, 4, 2)
-    assert np.allclose(avg, trace.states[2, members, :].mean(axis=0))
-    with pytest.raises(ValueError):
-        neighborhood_average(trace, graph, 4, 5)
-
-
-def test_check_traces_rejects_mismatches():
-    graph = manhattan_grid(3, 3)
-    with pytest.raises(ValueError):
-        temporal_scores([], graph, 0)
-    t1 = Trace(states=np.zeros((3, 9, 2)), pairs=None)
-    t2 = Trace(states=np.zeros((4, 9, 2)), pairs=None)
-    with pytest.raises(ValueError):
-        temporal_scores([t1, t2], graph, 0)
-    wrong_n = Trace(states=np.zeros((3, 4, 2)), pairs=None)
-    with pytest.raises(ValueError):
-        temporal_scores([wrong_n], graph, 0)
 
 
 def _scores(nn, agent=99):

@@ -11,8 +11,6 @@ from gossipwatch.neural import (
     load_model,
     loss_and_grad,
     mlp_from_blob,
-    nd_predict,
-    nl_predict,
     params_to_blob,
     save_model,
     sgd_step,
@@ -165,18 +163,6 @@ def test_sgd_step_returns_pre_update_loss():
     assert reported == pytest.approx(before, abs=1e-15)
     after = loss_and_grad(mlp, X, Y)[0]
     assert after < before
-
-
-def test_predict_wrappers():
-    mlp = init_mlp([3, 4, 1], seed=2)
-    v = nd_predict(mlp, np.zeros(3), delta=-1.0)
-    assert v.decision == "H1" and 0.0 <= v.score <= 1.0
-
-    mlp2 = init_mlp([3, 4, 3], seed=2)
-    padded = np.array([False, True, False])
-    out = nl_predict(mlp2, np.zeros(3), eps=2.0, padded=padded)
-    assert out[1] is None
-    assert out[0] is not None and out[0].decision == "H0"
 
 
 def test_blob_roundtrip_is_bitwise():

@@ -3,22 +3,14 @@
 import numpy as np
 import pytest
 
-from gossipwatch.features import SdScoreFeatures, sd_aggregates, spatial_scores, tailor_inputs
-from gossipwatch.protocol import Trace
+from gossipwatch.features import SdScoreFeatures, sd_aggregates, spatial_from_sums, tailor_inputs
 from gossipwatch.score_detectors import (
-    GREATER_IS_H1,
-    SMALLER_IS_H1,
-    decide,
-    sd_detect,
     sd_detection_score,
     sd_localization_scores,
-    sd_localize,
     sd_row_detection,
     sd_row_localization,
-    td_detect,
     td_detection_score,
     td_localization_scores,
-    td_localize,
     td_row_detection,
     td_row_localization,
 )
@@ -90,46 +82,12 @@ def test_sd_localization_hand_values():
 
 def test_row_localization_matches_aggregate_route():
     """sd_row_localization over tailored slots equals the per-instance
-    aggregate statistic when both are computed from the same traces."""
+    aggregate statistic when both are computed from the same run sums."""
     graph = manhattan_grid(3, 3)
-    rng = np.random.default_rng(7)
-    traces = [Trace(states=rng.normal(size=(5, 9, 2)), pairs=None) for _ in range(3)]
+    sums = np.random.default_rng(7).normal(size=(5, 3, 9, 2)).sum(axis=0)  # (K, n, d)
     agent = 4
-    direct = sd_localization_scores(sd_aggregates(traces, graph, agent))
-    scores = spatial_scores(traces, graph, agent)
+    direct = sd_localization_scores(sd_aggregates(sums, graph, agent))
+    scores = spatial_from_sums(sums, graph, agent)
     fv = tailor_inputs(scores, M=len(scores.neighbor_ids))[0]
     row = sd_row_localization(fv.values, fv.self_value)
     assert np.abs(row - direct).max() < 1e-12
-
-
-def test_decide_orientations():
-    assert decide(1.0, threshold=0.5, orientation=GREATER_IS_H1) == "H1"
-    assert decide(0.4, threshold=0.5, orientation=GREATER_IS_H1) == "H0"
-    assert decide(0.4, threshold=0.5, orientation=SMALLER_IS_H1) == "H1"
-    assert decide(1.0, threshold=0.5, orientation=SMALLER_IS_H1) == "H0"
-    with pytest.raises(ValueError):
-        decide(1.0, threshold=0.5, orientation="sideways")
-
-
-def test_verdict_objects_carry_subject_and_orientation():
-    graph = manhattan_grid(3, 3)
-    rng = np.random.default_rng(11)
-    traces = [Trace(states=rng.normal(size=(4, 9, 2)), pairs=None)]
-    scores = spatial_scores(traces, graph, 0)
-
-    from gossipwatch.features import temporal_scores
-
-    xi = temporal_scores(traces, graph, 0)
-    v = td_detect(xi, delta=0.0)
-    assert v.subject == 0 and v.orientation == GREATER_IS_H1
-    assert v.decision == ("H1" if v.score > 0.0 else "H0")
-
-    locs = td_localize(xi, eps=1e9)
-    assert [w.subject for w in locs] == list(xi.neighbor_ids)
-    assert all(w.decision == "H1" for w in locs)  # everything below a huge eps
-
-    sd = sd_aggregates(traces, graph, 0)
-    assert sd_detect(sd, delta=-1.0).decision == "H1"
-    locs = sd_localize(sd, eps=0.0)
-    assert [w.subject for w in locs] == list(sd.neighbor_ids)
-    assert all(w.orientation == GREATER_IS_H1 for w in locs)
