@@ -607,52 +607,85 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
             fh.write(",".join(row) + "\n")
 
 
+def _parses(conv, cell: str) -> bool:
+    try:
+        conv(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def read_dataset_csv(path, task: str, kind: str, K: int, d: int, meta=None) -> LabeledDataset:
+    """Read a file written by write_dataset_csv.
+
+    A header that lacks a column of the task or disagrees on the slot, pad
+    and src counts, a ragged row and a non-numeric cell each raise a
+    ValueError naming the file, the line and the column.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    M = sum(1 for c in header if c.startswith("slot_"))
+        rows = [(no, line.rstrip("\n").split(",")) for no, line in enumerate(fh, 2) if line.strip()]
+    widths = {p: sum(c.startswith(p) for c in header) for p in ("slot_", "pad_", "src_")}
+    M = max(widths.values())
+    for prefix, width in widths.items():
+        if width < M:
+            counts = ", ".join(f"{w} {p}" for p, w in widths.items())
+            raise ValueError(
+                f"{path}:1: column '{prefix}{width}': missing, the header has {counts} columns"
+            )
+    slots = range(M)
+    label_cols = ["label"] if task == "nd" else [f"label_{s}" for s in slots]
+    int_cols = ["sample", "grp", "monitor", *label_cols]
+    int_cols += [f"pad_{s}" for s in slots] + [f"src_{s}" for s in slots]
+    float_cols = ["self_value"] + [f"slot_{s}" for s in slots]
     col = {c: i for i, c in enumerate(header)}
-    R = len(rows)
-    inputs = np.empty((R, M))
-    padded = np.zeros((R, M), dtype=bool)
-    selfs = np.empty(R)
-    monitors = np.empty(R, dtype=np.int64)
-    sample_ids = np.empty(R, dtype=np.int64)
-    groups = np.empty(R, dtype=np.int64)
-    slot_agents = np.empty((R, M), dtype=np.int64)
-    events = []
-    if task == "nd":
-        labels = np.empty(R, dtype=np.int64)
-    else:
-        labels = np.empty((R, M), dtype=np.int64)
-    for r, parts in enumerate(rows):
-        sample_ids[r] = int(parts[col["sample"]])
-        groups[r] = int(parts[col["grp"]])
-        monitors[r] = int(parts[col["monitor"]])
+    for name in ["event", *int_cols, *float_cols]:
+        if name not in col:
+            raise ValueError(f"{path}:1: column {name!r}: missing from the {task} header")
+    int_at = [col[c] for c in int_cols]
+    float_at = [col[c] for c in float_cols]
+    ints, floats, events = [], [], []
+    for no, parts in rows:
+        if len(parts) < len(header):
+            raise ValueError(
+                f"{path}:{no}: column {header[len(parts)]!r}: missing, the row has "
+                f"{len(parts)} of {len(header)} fields"
+            )
+        if len(parts) > len(header):
+            raise ValueError(
+                f"{path}:{no}: column {len(header) + 1}: the row has {len(parts)} "
+                f"fields, the header {len(header)}"
+            )
+        try:
+            ints.append([int(parts[i]) for i in int_at])
+            floats.append([float(parts[i]) for i in float_at])
+        except ValueError:
+            i = next(
+                i for conv, at in ((int, int_at), (float, float_at))
+                for i in at if not _parses(conv, parts[i])
+            )
+            raise ValueError(
+                f"{path}:{no}: column {header[i]!r}: not a number: {parts[i]!r}"
+            ) from None
         events.append(parts[col["event"]])
-        selfs[r] = float(parts[col["self_value"]])
-        for s in range(M):
-            inputs[r, s] = float(parts[col[f"slot_{s}"]])
-            padded[r, s] = parts[col[f"pad_{s}"]] == "1"
-            slot_agents[r, s] = int(parts[col[f"src_{s}"]])
-        if task == "nd":
-            labels[r] = int(parts[col["label"]])
-        else:
-            for s in range(M):
-                labels[r, s] = int(parts[col[f"label_{s}"]])
+    ints = np.array(ints, dtype=np.int64).reshape(len(rows), len(int_cols))
+    floats = np.array(floats, dtype=np.float64).reshape(len(rows), len(float_cols))
+    at = 3 + len(label_cols)
+    labels = ints[:, 3] if task == "nd" else ints[:, 3:at]
+    padded, slot_agents = ints[:, at : at + M] == 1, ints[:, at + M :]
+    selfs, inputs = floats[:, 0], floats[:, 1:]
     return LabeledDataset(
         task=task,
         kind=kind,
-        inputs=inputs,
+        inputs=inputs.copy(),
         padded=padded,
-        self_values=selfs,
-        labels=labels,
+        self_values=selfs.copy(),
+        labels=labels.copy(),
         events=events,
-        monitors=monitors,
-        sample_ids=sample_ids,
-        groups=groups,
-        slot_agents=slot_agents,
+        monitors=ints[:, 2].copy(),
+        sample_ids=ints[:, 0].copy(),
+        groups=ints[:, 1].copy(),
+        slot_agents=slot_agents.copy(),
         K=K,
         d=d,
         meta=dict(meta or {}),

@@ -237,3 +237,22 @@ def test_simulate_and_experiment_subcommands(tmp_path):
     )
     assert rc == 0
     assert (exp / "report.csv").exists()
+
+
+def test_malformed_dataset_names_file_and_line(tmp_path, capsys):
+    data = _gen(tmp_path)
+    path = data / "nd_temporal_train.csv"
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]  # truncated last row
+    path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--set", f"data={path}", "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{len(lines)}: column " in err
+
+    rc = cli.main(
+        ["train", "--set", f"data={data}/nd_spatial_train.csv", "--set", "task=nl",
+         "--out", str(tmp_path / "m")]
+    )
+    assert rc == 2
+    assert f"{data}/nd_spatial_train.csv:1: column 'label_0'" in capsys.readouterr().err

@@ -356,3 +356,56 @@ def test_csv_roundtrip_is_bitwise(tmp_path, key):
     assert np.array_equal(back.sample_ids, ds.sample_ids)
     assert np.array_equal(back.groups, ds.groups)
     assert (back.task, back.kind, back.K, back.d) == (ds.task, ds.kind, ds.K, ds.d)
+
+
+def _written_csv(tmp_path, key="nd_temporal"):
+    ds = build_dataset(_scenario(), _tiny_budget(), master_seed=6)[key].train
+    path = tmp_path / f"{key}.csv"
+    write_dataset_csv(ds, path)
+    return ds, path
+
+
+def _rewrite(path, lines, name="bad.csv"):
+    bad = path.parent / name
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+def test_read_dataset_csv_rejects_malformed_rows(tmp_path):
+    ds, path = _written_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+
+    def cell(row, column, value):
+        parts = lines[row].split(",")
+        parts[header.index(column)] = value
+        return lines[:row] + [",".join(parts)] + lines[row + 1 :]
+
+    cases = [
+        (lines[:3] + [lines[3].rsplit(",", 2)[0]] + lines[4:], 4, "'src_2': missing"),
+        (lines[:3] + [lines[3] + ",7"] + lines[4:], 4, f"{len(header) + 1}: the row has"),
+        (cell(2, "slot_1", "abc"), 3, "'slot_1': not a number: 'abc'"),
+        (cell(5, "monitor", "4.5"), 6, "'monitor': not a number"),
+        (cell(1, "pad_0", "yes"), 2, "'pad_0': not a number"),
+    ]
+    for k, (bad_lines, line, what) in enumerate(cases):
+        bad = _rewrite(path, bad_lines, f"bad{k}.csv")
+        with pytest.raises(ValueError) as err:
+            read_dataset_csv(bad, ds.task, ds.kind, ds.K, ds.d)
+        assert str(err.value).startswith(f"{bad}:{line}: column {what}"), str(err.value)
+
+
+def test_read_dataset_csv_rejects_headers_of_another_task(tmp_path):
+    nd, nd_path = _written_csv(tmp_path, "nd_temporal")
+    with pytest.raises(ValueError, match=r"nd_temporal\.csv:1: column 'label_0'"):
+        read_dataset_csv(nd_path, "nl", nd.kind, nd.K, nd.d)
+    nl, nl_path = _written_csv(tmp_path, "nl_spatial")
+    with pytest.raises(ValueError, match=r"nl_spatial\.csv:1: column 'label'"):
+        read_dataset_csv(nl_path, "nd", nl.kind, nl.K, nl.d)
+
+    lines = nd_path.read_text().splitlines()
+    drop = lines[0].split(",").index("pad_3")
+    bad = _rewrite(nd_path, [",".join(v for i, v in enumerate(line.split(",")) if i != drop)
+                             for line in lines])
+    with pytest.raises(ValueError, match=r"bad\.csv:1: column 'pad_3': missing"):
+        read_dataset_csv(bad, nd.task, nd.kind, nd.K, nd.d)
