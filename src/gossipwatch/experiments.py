@@ -319,9 +319,10 @@ def run_converge(cfg: dict, outdir) -> list[str]:
     S = cfg["seeds"]
 
     problems = [generate_problem(n, d, _rng(master, s, 0)) for s in range(S)]
-    thetas = np.stack([p.theta for p in problems])
-    phis = np.stack([p.phi for p in problems])
-    alphas = np.stack([_rng(master, s, 2).uniform(-0.5, 0.5, size=d) for s in range(S)])
+    thetas = np.array([p.theta for p in problems]).reshape(S, n, d)
+    phis = np.array([p.phi for p in problems]).reshape(S, n)
+    alphas = np.array([_rng(master, s, 2).uniform(-0.5, 0.5, size=d) for s in range(S)])
+    alphas = alphas.reshape(S, d)
 
     def trajectories(batch_flags, batch_alphas, lam_b, key):
         """(S, T+1, n, d) states of every seed's run."""
