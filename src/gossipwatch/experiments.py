@@ -17,7 +17,7 @@ Families:
   small-world     torus-trained detectors on a rewired 20-agent graph
 
 multi-attacker, degree-tailor, mismatch and small-world differ only in their
-test conditions and share one train-then-sweep driver, ``_sweep``.
+test conditions and share one train-then-sweep routine, ``_sweep``.
 """
 
 from __future__ import annotations
