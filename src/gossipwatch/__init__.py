@@ -16,7 +16,6 @@ from gossipwatch.protocol import (
     LeastSquaresProblem,
     Stepsize,
     ProtocolConfig,
-    AttackConfig,
     BatchStats,
     generate_problem,
     run_batch,
@@ -61,6 +60,7 @@ from gossipwatch.datagen import (
     Sample,
     scenario_from_tag,
     build_dataset,
+    build_datasets,
     shard_for_gossip,
     subset_rows,
     training_arrays,

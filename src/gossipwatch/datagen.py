@@ -333,18 +333,21 @@ class _Collector:
         )
 
 
-def _batch_samples(scenario: Scenario, seeds: list[np.random.SeedSequence]) -> list[Sample]:
-    """One labeled sample per seed, all K instances of every row in one
-    vectorized run_batch call.
+def _batch_samples(
+    scenario: Scenario, seeds: list[np.random.SeedSequence], Ks: tuple[int, ...]
+) -> dict[int, list[Sample]]:
+    """One labeled sample per seed for each K in ``Ks``, from one vectorized
+    run_batch call of max(Ks) instances per row.
 
     Stream use per row, frozen for reproducibility: the monitor draw and
     attacker placement from the row generator, then one spawned child
     generator per instance covering the problem draw, the injection target
     and the protocol run.  A row depends only on its own seed, not on the
-    other rows of the batch.
+    other rows of the batch; spawning is prefix-stable, so its sample at
+    K = k is the one of its first k instances.
     """
     graph = scenario.graph
-    n, d, K = graph.n, scenario.d, scenario.K
+    n, d, K = graph.n, scenario.d, max(Ks)
     config = scenario.protocol_config()
     R = len(seeds)
     monitors, id_lists = [], []
@@ -384,30 +387,40 @@ def _batch_samples(scenario: Scenario, seeds: list[np.random.SeedSequence]) -> l
     first = stats.first.reshape(R, K, n, d)
     last = stats.last.reshape(R, K, n, d)
     sums = stats.sums.reshape(R, K, n, d)
-    out = []
-    for r in range(R):
-        t_scores = temporal_from_endpoints(first[r], last[r], graph, monitors[r])
-        s_scores = spatial_from_sums(sums[r], graph, monitors[r])
-        out.append(_assemble_sample(scenario, monitors[r], id_lists[r], t_scores, s_scores))
+    out: dict[int, list[Sample]] = {k: [] for k in Ks}
+    for r, (monitor, ids) in enumerate(zip(monitors, id_lists)):
+        for k, samples in out.items():
+            t_scores = temporal_from_endpoints(first[r, :k], last[r, :k], graph, monitor)
+            s_scores = spatial_from_sums(sums[r, :k], graph, monitor)
+            samples.append(_assemble_sample(scenario, monitor, ids, t_scores, s_scores))
     return out
 
 
-def build_dataset(
+def build_datasets(
     scenario: Scenario,
+    Ks: tuple[int, ...] | list[int],
     budget: Budget,
     master_seed: int,
     tasks: tuple[str, ...] = ("nd", "nl"),
     events: tuple[str, ...] = (EVENT_H0, EVENT_NEXT, EVENT_FAR),
     chunk: int = 256,
-) -> dict[str, DatasetPair]:
-    """Build train and test datasets for the scenario family.
+) -> dict[int, dict[str, DatasetPair]]:
+    """Build train and test datasets of the scenario family for every K in
+    ``Ks`` (not ``scenario.K``), each as a separate build at that K would,
+    from one simulation.
 
     Detection rows mix the requested events with equal per-event budgets;
-    localization rows are all next-to attacks.  Returns datasets keyed
-    "nd_temporal", "nd_spatial", "nl_temporal", "nl_spatial" (subset per
-    ``tasks``).  Each row derives from its own seed, so results do not
+    localization rows are all next-to attacks.  Each K maps to datasets
+    keyed "nd_temporal", "nd_spatial", "nl_temporal", "nl_spatial" (subset
+    per ``tasks``).  Each row derives from its own seed, so results do not
     depend on ``chunk``.
     """
+    for task in tasks:
+        if task not in ("nd", "nl"):
+            raise ValueError(f"unknown task {task!r}; known: 'nd', 'nl'")
+    Ks = tuple(dict.fromkeys(Ks))
+    if not Ks or min(Ks) < 1:
+        raise ValueError(f"need one or more Ks, each >= 1, got {list(Ks)}")
     if scenario.m == 0 and "nl" in tasks:
         raise ValueError("localization datasets need an attack scenario (m >= 1)")
     if scenario.m == 0:
@@ -424,12 +437,12 @@ def build_dataset(
         },
         "events": list(events),
     }
-    result: dict[str, DatasetPair] = {}
-    collectors: dict[tuple[str, str, str], _Collector] = {}
-    for task in tasks:
-        for kind in (TEMPORAL, SPATIAL):
-            for split in ("train", "test"):
-                collectors[(task, kind, split)] = _Collector(task, kind, M)
+    collectors: dict[tuple[int, str, str, str], _Collector] = {}
+    for k in Ks:
+        for task in tasks:
+            for kind in (TEMPORAL, SPATIAL):
+                for split in ("train", "test"):
+                    collectors[(k, task, kind, split)] = _Collector(task, kind, M)
 
     next_id = {(task, split): 0 for task in tasks for split in ("train", "test")}
 
@@ -441,9 +454,10 @@ def build_dataset(
         for at in range(0, count, chunk):
             rows = range(at, min(at + chunk, count))
             seeds = [_row_seed(master_seed, split, code, r) for r in rows]
-            for r, sample in zip(rows, _batch_samples(scn, seeds)):
-                for kind in (TEMPORAL, SPATIAL):
-                    collectors[(task, kind, split)].add(base + r, sample)
+            for k, samples in _batch_samples(scn, seeds, Ks).items():
+                for r, sample in zip(rows, samples):
+                    for kind in (TEMPORAL, SPATIAL):
+                        collectors[(k, task, kind, split)].add(base + r, sample)
 
     if "nd" in tasks:
         for event in events:
@@ -452,13 +466,29 @@ def build_dataset(
     if "nl" in tasks:
         _run("nl", "train", EVENT_NEXT, budget.nl_train)
         _run("nl", "test", EVENT_NEXT, budget.nl_test)
-    for task in tasks:
-        for kind in (TEMPORAL, SPATIAL):
-            result[f"{task}_{kind}"] = DatasetPair(
-                train=collectors[(task, kind, "train")].build(scenario.K, scenario.d, meta),
-                test=collectors[(task, kind, "test")].build(scenario.K, scenario.d, meta),
-            )
+    result: dict[int, dict[str, DatasetPair]] = {k: {} for k in Ks}
+    for k in Ks:
+        meta_k = {**meta, "scenario": replace(scenario, K=k).fingerprint()}
+        for task in tasks:
+            for kind in (TEMPORAL, SPATIAL):
+                result[k][f"{task}_{kind}"] = DatasetPair(
+                    train=collectors[(k, task, kind, "train")].build(k, scenario.d, meta_k),
+                    test=collectors[(k, task, kind, "test")].build(k, scenario.d, meta_k),
+                )
     return result
+
+
+def build_dataset(
+    scenario: Scenario,
+    budget: Budget,
+    master_seed: int,
+    tasks: tuple[str, ...] = ("nd", "nl"),
+    events: tuple[str, ...] = (EVENT_H0, EVENT_NEXT, EVENT_FAR),
+    chunk: int = 256,
+) -> dict[str, DatasetPair]:
+    """build_datasets at the scenario's own K alone."""
+    K = scenario.K
+    return build_datasets(scenario, (K,), budget, master_seed, tasks, events, chunk)[K]
 
 
 @dataclass(frozen=True)

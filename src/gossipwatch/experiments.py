@@ -17,7 +17,8 @@ Families:
   small-world     torus-trained detectors on a rewired 20-agent graph
 
 multi-attacker, degree-tailor, mismatch and small-world differ only in their
-test conditions and share one train-then-sweep routine, ``_sweep``.
+test conditions and share one train-then-sweep routine, ``_sweep``.  Datasets
+needed at several K for the same rows come from one ``build_datasets`` call.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .datagen import (
     ShardPolicy,
     scenario_from_tag,
     build_dataset,
+    build_datasets,
     shard_for_gossip,
     subset_rows,
     training_arrays,
@@ -387,7 +389,8 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
 
     Temporal methods (td, tdnn) sweep the configured (K, d) setups; spatial
     methods (sd, sdnn) their own list.  Detection and localization both run;
-    localization is evaluated in oracle-detection mode.
+    localization is evaluated in oracle-detection mode.  The setups of one d
+    share one build, simulated at their largest K.
     """
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     master = cfg["master_seed"]
@@ -401,9 +404,13 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
 
     artifacts: list[str] = []
     summaries: list[dict] = []
+    built = {}
     for K, d in setups:
-        scenario = scenario_from_tag(cfg["scenario"], graph, K=K, d=d)
-        data = build_dataset(scenario, budget, master)
+        if d not in built:
+            scenario = scenario_from_tag(cfg["scenario"], graph, K=K, d=d)
+            Ks = [k for k, dk in setups if dk == d]
+            built[d] = build_datasets(scenario, Ks, budget, master)
+        data = built[d].pop(K)
         temporal = [K, d] in [list(s) for s in cfg["temporal_setups"]]
         spatial = [K, d] in [list(s) for s in cfg["spatial_setups"]]
         for task in ("nd", "nl"):
@@ -463,21 +470,23 @@ def _sweep(
 
     specs lists (K, kind) pairs.  Each gets one network per task, fit on
     train_scenario(K=K) and saved under ``model_name``; each variant is then
-    tested per spec, in spec order, detection before localization.
+    tested per spec, in spec order, detection before localization.  The
+    training set and each variant's test set are one build over all specs.
     """
     master, d = cfg["master_seed"], cfg["d"]
     tcfg = _train_config(cfg)
     rows = round(10000 * cfg["scale"])
     budget = Budget(nd_train_per_event=rows, nd_test_per_event=0, nl_train=rows, nl_test=0)
 
+    Ks = [K for K, _ in specs]
     artifacts: list[str] = []
     summaries: list[dict] = []
     models = {}
+    train_data = build_datasets(train_scenario(K=Ks[0]), Ks, budget, master)
     for K, kind in specs:
-        data = build_dataset(train_scenario(K=K), budget, master)
         for task in ("nd", "nl"):
             mlp, _ = _fit(
-                data[f"{task}_{kind}"].train, tcfg,
+                train_data[K][f"{task}_{kind}"].train, tcfg,
                 _rng(master, 11, K, d, task == "nl", kind == "spatial"),
             )
             models[(task, kind, K)] = mlp
@@ -485,14 +494,14 @@ def _sweep(
             _save(mlp, outdir, name, artifacts)
 
     for v in variants:
+        test_data = build_datasets(
+            v.scenario(K=Ks[0]), Ks, _test_budget(cfg["scale"]), master + v.offset,
+            events=v.events,
+        )
         for K, kind in specs:
-            data = build_dataset(
-                v.scenario(K=K), _test_budget(cfg["scale"]), master + v.offset,
-                events=v.events,
-            )
             method, tail = _METHODS[kind], v.suffix.format(K=K)
             for task in ("nd", "nl"):
-                ds = data[f"{task}_{kind}"].test
+                ds = test_data[K][f"{task}_{kind}"].test
                 _eval(
                     make_score_detector(method, task), ds, outdir,
                     f"{task}_{method}{tail}", summaries, artifacts, v.extra,

@@ -191,10 +191,12 @@ def params_to_blob(mlp: Mlp) -> bytes:
 
 def mlp_from_blob(sizes, blob: bytes) -> Mlp:
     sizes = tuple(int(s) for s in sizes)
-    flat = np.frombuffer(blob, dtype="<f8")
     expect = sum(o * i + o for i, o in zip(sizes[:-1], sizes[1:]))
-    if flat.size != expect:
-        raise ValueError(f"blob holds {flat.size} params, layer sizes need {expect}")
+    if len(blob) != 8 * expect:
+        raise ValueError(
+            f"blob holds {len(blob)} bytes, layer sizes {list(sizes)} need {8 * expect}"
+        )
+    flat = np.frombuffer(blob, dtype="<f8")
     weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in).copy())
@@ -223,9 +225,34 @@ def save_model(mlp: Mlp, path, meta: dict | None = None) -> None:
 
 
 def load_model(path) -> tuple[Mlp, dict]:
+    """Read a model written by save_model.
+
+    A header that is not JSON or lacks a field, and a blob that is missing
+    or does not fit the layer sizes, each raise a ValueError naming the file
+    and the field.
+    """
     with open(path) as fh:
-        header = json.load(fh)
-    blob_path = os.path.join(os.path.dirname(str(path)), header["blob"])
-    with open(blob_path, "rb") as fh:
-        mlp = mlp_from_blob(header["sizes"], fh.read())
+        try:
+            header = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(
+                f"{path}:{err.lineno}: column {err.colno}: not a JSON model header: {err.msg}"
+            ) from None
+    for name in ("sizes", "blob"):
+        if not isinstance(header, dict) or name not in header:
+            raise ValueError(f"{path}: field {name!r}: missing from the model header")
+    sizes = header["sizes"]
+    if not (
+        isinstance(sizes, list) and len(sizes) >= 2
+        and all(isinstance(s, int) and s >= 1 for s in sizes)
+    ):
+        raise ValueError(f"{path}: field 'sizes': not a list of layer widths: {sizes!r}")
+    blob_path = os.path.join(os.path.dirname(str(path)), str(header["blob"]))
+    try:
+        with open(blob_path, "rb") as fh:
+            mlp = mlp_from_blob(sizes, fh.read())
+    except FileNotFoundError:
+        raise ValueError(f"{blob_path}: field 'blob' of {path}: file not found") from None
+    except ValueError as err:
+        raise ValueError(f"{blob_path}: field 'blob' of {path}: {err}") from None
     return mlp, header.get("meta", {})

@@ -116,19 +116,6 @@ class ProtocolConfig:
             raise ValueError("init_low must be <= init_high")
 
 
-@dataclass(frozen=True)
-class AttackConfig:
-    """Shared injection target alpha and noise decay base for all attackers
-    in an instance.  Attacker identity lives in the AttackerMask."""
-
-    alpha: np.ndarray  # (d,)
-    lambda_hat: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lambda_hat < 1.0:
-            raise ValueError(f"lambda_hat must be in (0, 1), got {self.lambda_hat}")
-
-
 @dataclass
 class BatchStats:
     """Sufficient statistics of a batch of instances: states at t = 0 and

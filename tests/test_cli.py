@@ -60,6 +60,50 @@ def test_missing_model_names_the_producer(tmp_path, capsys):
     assert "train subcommand" in capsys.readouterr().err
 
 
+def test_bad_model_files_name_the_file_and_field(tmp_path, capsys):
+    data = _gen(tmp_path)
+
+    def eval_with(model):
+        return cli.main(
+            [
+                "eval-roc",
+                "--set", f"temporal_data={data}/nd_temporal_test.csv",
+                "--set", 'detectors=["tdnn"]',
+                "--set", f"tdnn_model={model}",
+                "--out", str(tmp_path / "roc"),
+            ]
+        )
+
+    # a manifest is JSON but not a model header
+    assert eval_with(data / "manifest.json") == 2
+    err = capsys.readouterr().err
+    assert "manifest.json: field 'sizes': missing" in err
+
+    rc = cli.main(
+        [
+            "train", "--set", f"data={data}/nd_temporal_train.csv",
+            "--set", "epochs=1", "--set", "name=tdnn", "--out", str(tmp_path / "m"),
+        ]
+    )
+    assert rc == 0
+    blob = tmp_path / "m" / "tdnn.json.bin"
+    blob.write_bytes(blob.read_bytes()[:-5])
+    assert eval_with(tmp_path / "m" / "tdnn.json") == 2
+    err = capsys.readouterr().err
+    assert "tdnn.json.bin: field 'blob' of" in err and "bytes" in err
+
+
+def test_unknown_task_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = cli.main(
+        ["gen-data", *TINY_GEN, "--set", 'tasks=["detect"]', "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown task 'detect'" in err and "'nd', 'nl'" in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_unconfigured_inputs_are_config_errors(tmp_path, capsys):
     assert cli.main(["train", "--out", str(tmp_path / "m")]) == 1
     data = _gen(tmp_path)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gossipwatch import datagen
 from gossipwatch.datagen import (
     BETA_LAWS,
     Budget,
@@ -16,6 +17,7 @@ from gossipwatch.datagen import (
     ShardPolicy,
     _batch_samples,
     build_dataset,
+    build_datasets,
     place_attackers,
     read_dataset_csv,
     scenario_from_tag,
@@ -107,7 +109,8 @@ def test_place_attackers_rejects_infeasible_requests():
 
 def _sample(scn, seed):
     """The sample of one row seed, monitored at agent 4."""
-    return _batch_samples(replace(scn, monitor=4), [np.random.SeedSequence(seed)])[0]
+    seeds = [np.random.SeedSequence(seed)]
+    return _batch_samples(replace(scn, monitor=4), seeds, (scn.K,))[scn.K][0]
 
 
 def test_batch_samples_labels_and_determinism():
@@ -177,6 +180,62 @@ def test_build_dataset_is_chunk_invariant_and_deterministic():
             assert np.array_equal(da.monitors, db.monitors)
     assert not np.array_equal(a["nd_temporal"].train.inputs,
                               c["nd_temporal"].train.inputs)
+
+
+def _assert_same_datasets(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        for split in ("train", "test"):
+            g, w = getattr(got[key], split), getattr(want[key], split)
+            for name, value in vars(w).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(getattr(g, name), value), (key, split, name)
+                else:
+                    assert getattr(g, name) == value, (key, split, name)
+
+
+@pytest.mark.parametrize("chunk", [3, 256])
+@pytest.mark.parametrize("attacked", [True, False])
+def test_build_datasets_equals_separate_builds_per_K(attacked, chunk):
+    """One shared build serves every K with the rows of a separate build."""
+    scn = _scenario(T=30) if attacked else _scenario(m=0, c=0, T=30)
+    tasks = ("nd", "nl") if attacked else ("nd",)
+    budget = Budget(4, 2, 3, 2)
+    shared = build_datasets(scn, (5, 2, 1), budget, 7, tasks=tasks, chunk=chunk)
+    assert list(shared) == [5, 2, 1]
+    for K in (5, 2, 1):
+        alone = build_dataset(replace(scn, K=K), budget, 7, tasks=tasks, chunk=chunk)
+        _assert_same_datasets(shared[K], alone)
+        assert shared[K]["nd_temporal"].train.meta["scenario"]["K"] == K
+
+
+def test_build_datasets_simulates_only_the_largest_K(monkeypatch):
+    """The shared build makes the K=5 build's run_batch calls, no more."""
+    calls, run_batch = [], datagen.run_batch
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[7]))  # instances in the batch: one rng each
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(datagen, "run_batch", counting)
+    scn, budget = _scenario(T=20), Budget(3, 2, 2, 1)
+    build_datasets(scn, (5, 2, 1), budget, 0, chunk=2)
+    shared = list(calls)
+    calls.clear()
+    build_dataset(replace(scn, K=5), budget, 0, chunk=2)
+    assert shared == calls and len(calls) > 1
+
+
+def test_build_datasets_rejects_bad_tasks_and_Ks():
+    scn, budget = _scenario(), _tiny_budget()
+    with pytest.raises(ValueError, match="'detect'.*'nd', 'nl'"):
+        build_datasets(scn, (1,), budget, 0, tasks=("nd", "detect"))
+    with pytest.raises(ValueError, match="one or more Ks"):
+        build_datasets(scn, (), budget, 0)
+    with pytest.raises(ValueError, match=r"each >= 1, got \[2, 0\]"):
+        build_datasets(scn, (2, 0), budget, 0)
+    merged = build_datasets(scn, (1, 1), Budget(1, 1, 1, 1), 0, tasks=("nd",))
+    assert list(merged) == [1]
 
 
 def test_budget_prefix_rows_are_stable():

@@ -1,5 +1,7 @@
 """MLP correctness: init, forward, analytic gradients, training, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,32 @@ def test_save_load_roundtrip_with_meta(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(mlp.weights, back.weights))
     x = np.random.default_rng(0).normal(size=4)
     assert np.array_equal(forward(mlp, x), forward(back, x))
+
+
+def test_load_model_errors_name_the_file_and_field(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(init_mlp([4, 6, 1], seed=1), path)
+    header = path.read_bytes()
+    bin_path = tmp_path / "model.json.bin"
+    body = bin_path.read_bytes()
+
+    path.write_text("{sizes: [4, 6, 1]}")
+    with pytest.raises(ValueError, match=r"model\.json:1: column 2: not a JSON model header"):
+        load_model(path)
+    path.write_text(json.dumps({"family": "one-attacker", "artifacts": []}))
+    with pytest.raises(ValueError, match=r"model\.json: field 'sizes': missing"):
+        load_model(path)
+    path.write_text(json.dumps({"sizes": "4,6,1", "blob": "model.json.bin"}))
+    with pytest.raises(ValueError, match=r"model\.json: field 'sizes'"):
+        load_model(path)
+
+    path.write_bytes(header)
+    bin_path.write_bytes(body[:-3])
+    with pytest.raises(ValueError, match=r"model\.json\.bin: field 'blob' of .*bytes"):
+        load_model(path)
+    bin_path.write_bytes(body[:-8])
+    with pytest.raises(ValueError, match=r"model\.json\.bin: field 'blob' of .*need"):
+        load_model(path)
+    bin_path.unlink()
+    with pytest.raises(ValueError, match=r"model\.json\.bin: field 'blob' of .*not found"):
+        load_model(path)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gossipwatch.protocol import (
-    AttackConfig,
     ProtocolConfig,
     Stepsize,
     generate_problem,
@@ -187,11 +186,6 @@ def test_attacker_reemission_stays_near_alpha():
         if not np.array_equal(states[t, 4], states[t - 1, 4]):
             gap = np.abs(states[t, 4] - alpha).max()
             assert gap <= lam**t + 1e-12
-
-
-def test_attack_config_rejects_bad_decay():
-    with pytest.raises(ValueError):
-        AttackConfig(alpha=np.zeros(2), lambda_hat=1.0)
 
 
 def _reference_run(graph, flags, theta, phi, alpha, lam, config, rng):
