@@ -23,8 +23,6 @@ from gossipwatch.protocol import (
     optimal_value,
 )
 from gossipwatch.features import (
-    NeighborScores,
-    FeatureVector,
     SdScoreFeatures,
     sd_aggregates,
     tailor_inputs,
@@ -57,7 +55,6 @@ from gossipwatch.datagen import (
     Budget,
     LabeledDataset,
     DatasetPair,
-    Sample,
     scenario_from_tag,
     build_dataset,
     build_datasets,

@@ -156,8 +156,7 @@ def _collect_overrides(args) -> dict:
     if args.config:
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        loaded = _read_json(args.config, ConfigError)
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         _deep_update(overrides, loaded)
@@ -177,6 +176,16 @@ def _collect_overrides(args) -> dict:
                 raise ConfigError(f"--set key {key!r} descends into a non-object")
         node[parts[-1]] = value
     return overrides
+
+
+def _read_json(path, error):
+    """The JSON document in ``path``; raises ``error`` naming the file, line
+    and column when it does not parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise error(f"{path}:{err.lineno}: column {err.colno}: not JSON: {err.msg}") from None
 
 
 def _deep_update(base: dict, extra: dict) -> None:
@@ -199,9 +208,17 @@ def _dataset_meta(path) -> dict:
     manifest = os.path.join(os.path.dirname(os.path.abspath(str(path))), "manifest.json")
     if not os.path.exists(manifest):
         return {}
-    with open(manifest) as fh:
-        content = json.load(fh)
-    return content.get("datasets", {}).get(os.path.basename(str(path)), {})
+    content = _read_json(manifest, ValueError)
+    if not isinstance(content, dict):
+        raise ValueError(f"{manifest}: not a JSON object")
+    name = os.path.basename(str(path))
+    datasets = content.get("datasets", {})
+    if not isinstance(datasets, dict):
+        raise ValueError(f"{manifest}: field 'datasets': not an object")
+    entry = datasets.get(name, {})
+    if not isinstance(entry, dict):
+        raise ValueError(f"{manifest}: field 'datasets.{name}': not an object")
+    return entry
 
 
 def _load_dataset(path, cfg, expected_kind=None):

@@ -18,7 +18,6 @@ import numpy as np
 from gossipwatch.features import (
     SPATIAL,
     TEMPORAL,
-    FeatureVector,
     spatial_from_sums,
     tailor_inputs,
     temporal_from_endpoints,
@@ -154,19 +153,6 @@ class Budget:
 
 
 @dataclass
-class Sample:
-    """One monitored agent's features from K instances, both feature kinds."""
-
-    temporal: list[FeatureVector]
-    spatial: list[FeatureVector]
-    nd_label: int
-    nl_labels: list[np.ndarray]  # per group, multi-hot over slots
-    monitor: int
-    attackers: tuple[int, ...]
-    event: str
-
-
-@dataclass
 class LabeledDataset:
     task: str  # "nd" | "nl"
     kind: str  # "temporal" | "spatial"
@@ -241,7 +227,7 @@ def _resolve_event(scenario: Scenario, event: str) -> Scenario:
         return scenario
     if event == EVENT_FAR:
         return replace(scenario, c=0, attackers=None)
-    raise ValueError(f"unknown event {event!r}")
+    raise ValueError(f"unknown event {event!r}; known: 'h0', 'next-to', 'far-from'")
 
 
 def _draw_monitor(scenario: Scenario, rng: np.random.Generator) -> int:
@@ -252,92 +238,24 @@ def _draw_monitor(scenario: Scenario, rng: np.random.Generator) -> int:
     return int(rng.integers(scenario.graph.n))
 
 
-def _assemble_sample(scenario, monitor, ids, t_scores, s_scores) -> Sample:
-    M = scenario.input_width()
-    temporal = tailor_inputs(t_scores, M)
-    spatial = tailor_inputs(s_scores, M)
-    att = set(ids)
-    nl_labels = []
-    for fv in temporal:
-        hot = np.array(
-            [1 if (sid in att and not pad) else 0 for sid, pad in zip(fv.slot_ids, fv.padded)],
-            dtype=np.int64,
-        )
-        nl_labels.append(hot)
-    if ids:
-        event = EVENT_NEXT if att & set(int(v) for v in scenario.graph.neighbors[monitor]) else EVENT_FAR
-    else:
-        event = EVENT_H0
-    return Sample(
-        temporal=temporal,
-        spatial=spatial,
-        nd_label=int(bool(ids)),
-        nl_labels=nl_labels,
-        monitor=monitor,
-        attackers=tuple(int(v) for v in ids),
-        event=event,
-    )
-
-
 def _row_seed(master_seed: int, split: str, event_code: int, row: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(
         master_seed, spawn_key=(_SPLIT_CODES[split], event_code, row)
     )
 
 
-class _Collector:
-    """Accumulates per-group rows for one (task, kind) dataset."""
-
-    def __init__(self, task, kind, M):
-        self.task, self.kind, self.M = task, kind, M
-        self.inputs, self.padded, self.selfs = [], [], []
-        self.labels, self.events, self.monitors = [], [], []
-        self.sample_ids, self.groups, self.slot_agents = [], [], []
-
-    def add(self, sample_id: int, sample: Sample):
-        fvs = sample.temporal if self.kind == TEMPORAL else sample.spatial
-        for g, fv in enumerate(fvs):
-            self.inputs.append(fv.values)
-            self.padded.append(fv.padded)
-            self.selfs.append(fv.self_value)
-            if self.task == "nd":
-                self.labels.append(sample.nd_label)
-            else:
-                self.labels.append(sample.nl_labels[g])
-            self.events.append(sample.event)
-            self.monitors.append(sample.monitor)
-            self.sample_ids.append(sample_id)
-            self.groups.append(g)
-            self.slot_agents.append(fv.slot_ids)
-
-    def build(self, K, d, meta) -> LabeledDataset:
-        R = len(self.inputs)
-        labels = np.array(self.labels, dtype=np.int64)
-        if self.task == "nl":
-            labels = labels.reshape(R, self.M)
-        return LabeledDataset(
-            task=self.task,
-            kind=self.kind,
-            inputs=np.array(self.inputs).reshape(R, self.M),
-            padded=np.array(self.padded, dtype=bool).reshape(R, self.M),
-            self_values=np.array(self.selfs, dtype=np.float64),
-            labels=labels,
-            events=list(self.events),
-            monitors=np.array(self.monitors, dtype=np.int64),
-            sample_ids=np.array(self.sample_ids, dtype=np.int64),
-            groups=np.array(self.groups, dtype=np.int64),
-            slot_agents=np.array(self.slot_agents, dtype=np.int64).reshape(R, self.M),
-            K=K,
-            d=d,
-            meta=dict(meta),
-        )
-
-
 def _batch_samples(
     scenario: Scenario, seeds: list[np.random.SeedSequence], Ks: tuple[int, ...]
-) -> dict[int, list[Sample]]:
-    """One labeled sample per seed for each K in ``Ks``, from one vectorized
-    run_batch call of max(Ks) instances per row.
+) -> dict[int, dict[str, np.ndarray]]:
+    """The dataset rows of one sample per seed for each K in ``Ks``, from
+    one vectorized run_batch call of max(Ks) instances per row.
+
+    Each K maps to column arrays with one entry per tailored group: the
+    sample's index among ``seeds`` ("sample"), "groups", "monitors",
+    "events", the detection label "nd", the per-slot localization labels
+    "nl", "padded", "slot_agents", and per feature kind the inputs
+    (TEMPORAL, SPATIAL) and the monitor's self value (kind + "_self").  Only
+    the inputs and self values differ between Ks.
 
     Stream use per row, frozen for reproducibility: the monitor draw and
     attacker placement from the row generator, then one spawned child
@@ -350,7 +268,7 @@ def _batch_samples(
     n, d, K = graph.n, scenario.d, max(Ks)
     config = scenario.protocol_config()
     R = len(seeds)
-    monitors, id_lists = [], []
+    monitors = []
     flags = np.zeros((R * K, n), dtype=bool)
     thetas = np.empty((R * K, n, d))
     phis = np.empty((R * K, n))
@@ -372,7 +290,6 @@ def _batch_samples(
         else:
             ids = ()
         monitors.append(monitor)
-        id_lists.append(ids)
         for k, child in enumerate(rng.spawn(K)):
             b = r * K + k
             problem = generate_problem(n, d, child)
@@ -387,13 +304,82 @@ def _batch_samples(
     first = stats.first.reshape(R, K, n, d)
     last = stats.last.reshape(R, K, n, d)
     sums = stats.sums.reshape(R, K, n, d)
-    out: dict[int, list[Sample]] = {k: [] for k in Ks}
-    for r, (monitor, ids) in enumerate(zip(monitors, id_lists)):
-        for k, samples in out.items():
-            t_scores = temporal_from_endpoints(first[r, :k], last[r, :k], graph, monitor)
-            s_scores = spatial_from_sums(sums[r, :k], graph, monitor)
-            samples.append(_assemble_sample(scenario, monitor, ids, t_scores, s_scores))
+
+    # Slot layout and slot agents depend only on the monitor and M.
+    M = scenario.input_width()
+    layouts = {}
+    for monitor in set(monitors):
+        nbrs = graph.neighbors[monitor]
+        index = tailor_inputs(len(nbrs), M)
+        layouts[monitor] = index, np.append(nbrs, monitor)[index]
+    counts = [len(layouts[m][0]) for m in monitors]
+    sample = np.repeat(np.arange(R), counts)
+    watched = np.array(monitors, dtype=np.int64)[sample]
+    slot_agents = np.concatenate([layouts[m][1] for m in monitors])
+    padded = slot_agents == watched[:, None]  # pads repeat the monitor
+    attacked = flags[::K]  # (R, n) attacker mask of each row
+    hit = attacked.any(axis=1)
+    near = [attacked[r, graph.neighbors[m]].any() for r, m in enumerate(monitors)]
+    events = np.where(hit, np.where(near, EVENT_NEXT, EVENT_FAR), EVENT_H0)
+    common = {
+        "sample": sample,
+        "groups": np.concatenate([np.arange(c) for c in counts]),
+        "monitors": watched,
+        "events": events[sample],
+        "nd": hit[sample].astype(np.int64),
+        "nl": (attacked[sample[:, None], slot_agents] & ~padded).astype(np.int64),
+        "padded": padded,
+        "slot_agents": slot_agents,
+    }
+    out = {}
+    for k in Ks:
+        out[k] = cols = dict(common)
+        for kind, scores in (
+            (TEMPORAL, [temporal_from_endpoints(first[r, :k], last[r, :k], graph, m)
+                        for r, m in enumerate(monitors)]),
+            (SPATIAL, [spatial_from_sums(sums[r, :k], graph, m) for r, m in enumerate(monitors)]),
+        ):
+            cols[kind] = np.concatenate(
+                [np.append(v, own)[layouts[m][0]] for (v, own), m in zip(scores, monitors)]
+            )
+            cols[kind + "_self"] = np.repeat([own for _, own in scores], counts)
     return out
+
+
+def _no_rows(M: int) -> dict[str, np.ndarray]:
+    """Zero-row columns of _batch_samples' dtypes and width, so that a split
+    without rows keeps them."""
+    ints, slots = np.zeros(0, np.int64), np.zeros((0, M), np.int64)
+    return {
+        "sample": ints, "groups": ints, "monitors": ints, "events": np.zeros(0, str),
+        "nd": ints, "nl": slots, "padded": slots == 1, "slot_agents": slots,
+        TEMPORAL: np.zeros((0, M)), SPATIAL: np.zeros((0, M)),
+        TEMPORAL + "_self": np.zeros(0), SPATIAL + "_self": np.zeros(0),
+    }
+
+
+def _dataset(blocks, task: str, kind: str, K: int, d: int, meta: dict) -> LabeledDataset:
+    """One (task, kind) dataset from the column blocks of its chunks."""
+
+    def col(name):
+        return np.concatenate([block[name] for block in blocks])
+
+    return LabeledDataset(
+        task=task,
+        kind=kind,
+        inputs=col(kind),
+        padded=col("padded"),
+        self_values=col(kind + "_self"),
+        labels=col(task),
+        events=col("events").tolist(),
+        monitors=col("monitors"),
+        sample_ids=col("sample"),
+        groups=col("groups"),
+        slot_agents=col("slot_agents"),
+        K=K,
+        d=d,
+        meta=dict(meta),
+    )
 
 
 def build_datasets(
@@ -421,6 +407,12 @@ def build_datasets(
     Ks = tuple(dict.fromkeys(Ks))
     if not Ks or min(Ks) < 1:
         raise ValueError(f"need one or more Ks, each >= 1, got {list(Ks)}")
+    if "nd" in tasks and not events:
+        raise ValueError("detection datasets need one or more events")
+    for at, event in enumerate(events):
+        _resolve_event(scenario, event)  # rejects an unknown event
+        if event in events[:at]:
+            raise ValueError(f"event {event!r} is listed twice")
     if scenario.m == 0 and "nl" in tasks:
         raise ValueError("localization datasets need an attack scenario (m >= 1)")
     if scenario.m == 0:
@@ -437,14 +429,9 @@ def build_datasets(
         },
         "events": list(events),
     }
-    collectors: dict[tuple[int, str, str, str], _Collector] = {}
-    for k in Ks:
-        for task in tasks:
-            for kind in (TEMPORAL, SPATIAL):
-                for split in ("train", "test"):
-                    collectors[(k, task, kind, split)] = _Collector(task, kind, M)
-
-    next_id = {(task, split): 0 for task in tasks for split in ("train", "test")}
+    splits = ("train", "test")
+    blocks = {(k, task, split): [_no_rows(M)] for k in Ks for task in tasks for split in splits}
+    next_id = {(task, split): 0 for task in tasks for split in splits}
 
     def _run(task, split, event, count):
         scn = _resolve_event(scenario, event)
@@ -454,10 +441,9 @@ def build_datasets(
         for at in range(0, count, chunk):
             rows = range(at, min(at + chunk, count))
             seeds = [_row_seed(master_seed, split, code, r) for r in rows]
-            for k, samples in _batch_samples(scn, seeds, Ks).items():
-                for r, sample in zip(rows, samples):
-                    for kind in (TEMPORAL, SPATIAL):
-                        collectors[(k, task, kind, split)].add(base + r, sample)
+            for k, cols in _batch_samples(scn, seeds, Ks).items():
+                cols["sample"] = cols["sample"] + base + at
+                blocks[(k, task, split)].append(cols)
 
     if "nd" in tasks:
         for event in events:
@@ -470,10 +456,11 @@ def build_datasets(
     for k in Ks:
         meta_k = {**meta, "scenario": replace(scenario, K=k).fingerprint()}
         for task in tasks:
+            train, test = (blocks.pop((k, task, split)) for split in splits)
             for kind in (TEMPORAL, SPATIAL):
                 result[k][f"{task}_{kind}"] = DatasetPair(
-                    train=collectors[(k, task, kind, "train")].build(k, scenario.d, meta_k),
-                    test=collectors[(k, task, kind, "test")].build(k, scenario.d, meta_k),
+                    train=_dataset(train, task, kind, k, scenario.d, meta_k),
+                    test=_dataset(test, task, kind, k, scenario.d, meta_k),
                 )
     return result
 

@@ -71,6 +71,8 @@ _ALL_EVENTS = (EVENT_H0, EVENT_NEXT, EVENT_FAR)
 
 _TRAIN_DEFAULTS = {"eta": 0.01, "batch_size": 32, "epochs": 30}
 
+_METHODS = {"temporal": "td", "spatial": "sd"}  # score detector of each feature kind
+
 
 class ConfigError(ValueError):
     """Bad experiment configuration (unknown field, invalid value)."""
@@ -411,32 +413,22 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
             Ks = [k for k, dk in setups if dk == d]
             built[d] = build_datasets(scenario, Ks, budget, master)
         data = built[d].pop(K)
-        temporal = [K, d] in [list(s) for s in cfg["temporal_setups"]]
-        spatial = [K, d] in [list(s) for s in cfg["spatial_setups"]]
         for task in ("nd", "nl"):
-            if temporal:
-                ds = data[f"{task}_temporal"]
+            for kind, method in _METHODS.items():
+                if [K, d] not in [list(s) for s in cfg[f"{kind}_setups"]]:
+                    continue
+                ds, tail = data[f"{task}_{kind}"], f"_K{K}_d{d}"
                 _eval(
-                    make_score_detector("td", task), ds.test, outdir,
-                    f"{task}_td_K{K}_d{d}", summaries, artifacts,
+                    make_score_detector(method, task), ds.test, outdir,
+                    f"{task}_{method}{tail}", summaries, artifacts,
                 )
-                mlp, _ = _fit(ds.train, tcfg, _rng(master, 11, K, d, task == "nl", 0))
-                _save(mlp, outdir, f"model_{task}_tdnn_K{K}_d{d}", artifacts)
-                _eval(
-                    make_nn_detector(mlp, task, "temporal", "tdnn"), ds.test,
-                    outdir, f"{task}_tdnn_K{K}_d{d}", summaries, artifacts,
+                mlp, _ = _fit(
+                    ds.train, tcfg, _rng(master, 11, K, d, task == "nl", kind == "spatial")
                 )
-            if spatial:
-                ds = data[f"{task}_spatial"]
+                _save(mlp, outdir, f"model_{task}_{method}nn{tail}", artifacts)
                 _eval(
-                    make_score_detector("sd", task), ds.test, outdir,
-                    f"{task}_sd_K{K}_d{d}", summaries, artifacts,
-                )
-                mlp, _ = _fit(ds.train, tcfg, _rng(master, 11, K, d, task == "nl", 1))
-                _save(mlp, outdir, f"model_{task}_sdnn_K{K}_d{d}", artifacts)
-                _eval(
-                    make_nn_detector(mlp, task, "spatial", "sdnn"), ds.test,
-                    outdir, f"{task}_sdnn_K{K}_d{d}", summaries, artifacts,
+                    make_nn_detector(mlp, task, kind, method + "nn"), ds.test,
+                    outdir, f"{task}_{method}nn{tail}", summaries, artifacts,
                 )
 
     auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"))
@@ -445,8 +437,6 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
 
 
 # --- train-then-sweep families ---------------------------------------------
-
-_METHODS = {"temporal": "td", "spatial": "sd"}
 
 
 class _Variant(NamedTuple):

@@ -30,43 +30,6 @@ SPATIAL = "spatial"
 
 
 @dataclass(frozen=True)
-class NeighborScores:
-    """Per-neighbor scalar statistics of one monitoring agent, aligned with
-    the ascending neighbor id order, plus the agent's own (self) value."""
-
-    agent: int
-    neighbor_ids: tuple[int, ...]
-    values: np.ndarray
-    self_value: float
-    kind: str
-    K: int
-    d: int
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One fixed-width detector input of M slots.
-
-    slot_ids maps each slot to its source agent; padded marks slots filled
-    with the monitor's self value when the neighborhood is smaller than M.
-    Padded slots sit after the real ones; real slots keep ascending id order.
-    """
-
-    agent: int
-    slot_ids: tuple[int, ...]
-    values: np.ndarray
-    padded: np.ndarray
-    kind: str
-    K: int
-    d: int
-    self_value: float
-
-    @property
-    def M(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class SdScoreFeatures:
     """Spatial aggregates of one monitoring agent over K instances.
 
@@ -89,40 +52,24 @@ def _closed_neighborhood(graph: Graph, agent: int) -> np.ndarray:
 
 def temporal_from_endpoints(
     first: np.ndarray, last: np.ndarray, graph: Graph, agent: int
-) -> NeighborScores:
-    """Temporal scores from stacked (K, n, d) endpoint states."""
+) -> tuple[np.ndarray, float]:
+    """Temporal scores xi_ij from stacked (K, n, d) endpoint states: the
+    neighbor values in ascending id order and the monitor's own value."""
     K, _, d = first.shape
     per_agent = (last - first).sum(axis=(0, 2)) / (K * d)
-    nbrs = graph.neighbors[agent]
-    return NeighborScores(
-        agent=agent,
-        neighbor_ids=tuple(int(v) for v in nbrs),
-        values=per_agent[nbrs].copy(),
-        self_value=float(per_agent[agent]),
-        kind=TEMPORAL,
-        K=K,
-        d=d,
-    )
+    return per_agent[graph.neighbors[agent]], float(per_agent[agent])
 
 
-def spatial_from_sums(sums: np.ndarray, graph: Graph, agent: int) -> NeighborScores:
-    """Spatial scores chi_ij from stacked (K, n, d) run time-sums."""
+def spatial_from_sums(sums: np.ndarray, graph: Graph, agent: int) -> tuple[np.ndarray, float]:
+    """Spatial scores chi_ij from stacked (K, n, d) run time-sums: the
+    neighbor values in ascending id order and the monitor's own value."""
     K, _, d = sums.shape
     members = _closed_neighborhood(graph, agent)
     center = sums[:, members, :].mean(axis=1)  # (K, d) time-sum of xbar_i
     nbrs = graph.neighbors[agent]
     dev = sums[:, nbrs, :] - center[:, None, :]  # (K, nn, d) phibar_ij
-    values = dev.sum(axis=(0, 2)) / (K * d)
     self_dev = sums[:, agent, :] - center  # (K, d) phibar_ii
-    return NeighborScores(
-        agent=agent,
-        neighbor_ids=tuple(int(v) for v in nbrs),
-        values=values,
-        self_value=float(self_dev.sum() / (K * d)),
-        kind=SPATIAL,
-        K=K,
-        d=d,
-    )
+    return dev.sum(axis=(0, 2)) / (K * d), float(self_dev.sum() / (K * d))
 
 
 def sd_aggregates(sums: np.ndarray, graph: Graph, agent: int) -> SdScoreFeatures:
@@ -147,43 +94,19 @@ def sd_aggregates(sums: np.ndarray, graph: Graph, agent: int) -> SdScoreFeatures
     )
 
 
-def tailor_inputs(scores: NeighborScores, M: int) -> list[FeatureVector]:
-    """Fit per-neighbor scores to detectors with a fixed input width M.
+def tailor_inputs(nn: int, M: int) -> np.ndarray:
+    """Slot layout of a detector with a fixed input width M over a monitor
+    with nn neighbors: a (groups, M) index into [neighbor scores..., self
+    value], so index nn marks a padded slot.
 
     A neighborhood of exactly M yields one group.  Smaller neighborhoods pad
-    the tail with the monitor's self value (flagged in ``padded``).  Larger
-    ones slide a width-M window by M, with the last window right-aligned so
-    every neighbor lands in at least one group.
+    the tail with the monitor's self value.  Larger ones slide a width-M
+    window by M, with the last window right-aligned so every neighbor lands
+    in at least one group.
     """
     if M < 1:
         raise ValueError(f"input width M must be >= 1, got {M}")
-    nn = len(scores.neighbor_ids)
-    ids = np.asarray(scores.neighbor_ids, dtype=np.int64)
-    groups = []
     if nn <= M:
-        pad = M - nn
-        values = np.concatenate([scores.values, np.full(pad, scores.self_value)])
-        slot_ids = tuple(int(v) for v in ids) + (scores.agent,) * pad
-        padded = np.zeros(M, dtype=bool)
-        padded[nn:] = True
-        groups.append((slot_ids, values, padded))
-    else:
-        n_groups = -(-nn // M)
-        starts = [g * M for g in range(n_groups - 1)] + [nn - M]
-        for s in starts:
-            values = scores.values[s : s + M].copy()
-            slot_ids = tuple(int(v) for v in ids[s : s + M])
-            groups.append((slot_ids, values, np.zeros(M, dtype=bool)))
-    return [
-        FeatureVector(
-            agent=scores.agent,
-            slot_ids=slot_ids,
-            values=values,
-            padded=padded,
-            kind=scores.kind,
-            K=scores.K,
-            d=scores.d,
-            self_value=scores.self_value,
-        )
-        for slot_ids, values, padded in groups
-    ]
+        return np.minimum(np.arange(M), nn)[None, :]
+    starts = [*range(0, nn - M, M), nn - M]
+    return np.array(starts)[:, None] + np.arange(M)

@@ -41,7 +41,6 @@ class TrainConfig:
     eta: float = 0.01
     batch_size: int = 32
     epochs: int = 30
-    seed: int | None = None
 
     def __post_init__(self):
         if self.eta <= 0 or self.batch_size < 1 or self.epochs < 0:
@@ -171,12 +170,10 @@ def train(
     X: np.ndarray,
     Y: np.ndarray,
     config: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     mask: np.ndarray | None = None,
 ) -> list[float]:
     """Run config.epochs epochs in place; returns the epoch loss history."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     return [sgd_epoch(mlp, X, Y, config, rng, mask) for _ in range(config.epochs)]
 
 

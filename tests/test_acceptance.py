@@ -214,10 +214,10 @@ def test_04_score_detector_hand_oracles():
         phi.append((total - phibar_ii) / (K * d))
     phi = np.array(phi)
 
-    scores = temporal_from_endpoints(runs[:, 0], runs[:, -1], path, monitor)
-    assert np.abs(scores.values - xi).max() < 1e-12
-    assert abs(td_detection_score(scores.values) - mad) < 1e-12
-    assert np.abs(td_localization_scores(scores.values) - np.abs(xi)).max() < 1e-12
+    values, _ = temporal_from_endpoints(runs[:, 0], runs[:, -1], path, monitor)
+    assert np.abs(values - xi).max() < 1e-12
+    assert abs(td_detection_score(values) - mad) < 1e-12
+    assert np.abs(td_localization_scores(values) - np.abs(xi)).max() < 1e-12
 
     agg = sd_aggregates(runs.sum(axis=1), path, monitor)
     assert abs(sd_detection_score(agg) - (chi * chi).mean()) < 1e-12

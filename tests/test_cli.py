@@ -104,6 +104,37 @@ def test_unknown_task_writes_nothing(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def test_bad_events_write_nothing(tmp_path, capsys):
+    out = tmp_path / "data"
+    for events, what in (("[]", "one or more events"), ('["h0","h0","next-to"]', "twice")):
+        rc = cli.main(["gen-data", *TINY_GEN, "--set", f"events={events}", "--out", str(out)])
+        assert rc == 2
+        assert what in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+
+def test_malformed_config_file_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{\n  "T": 50,\n  K: 1\n}\n')
+    assert cli.main(["gen-data", "--config", str(bad)]) == 1
+    assert f"config error: {bad}:3: column 3: not JSON" in capsys.readouterr().err
+
+
+def test_malformed_manifest_names_file_and_field(tmp_path, capsys):
+    data = _gen(tmp_path)
+    manifest = data / "manifest.json"
+    train = ["train", "--set", f"data={data}/nd_temporal_train.csv", "--out", str(tmp_path / "m")]
+    for content, what in (
+        ('{"datasets": ', f"{manifest}:1: column 14: not JSON"),
+        ('{"datasets": []}', f"{manifest}: field 'datasets': not an object"),
+        ('{"datasets": {"nd_temporal_train.csv": 3}}',
+         f"{manifest}: field 'datasets.nd_temporal_train.csv': not an object"),
+    ):
+        manifest.write_text(content)
+        assert cli.main(train) == 2
+        assert what in capsys.readouterr().err
+
+
 def test_unconfigured_inputs_are_config_errors(tmp_path, capsys):
     assert cli.main(["train", "--out", str(tmp_path / "m")]) == 1
     data = _gen(tmp_path)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipwatch import datagen
+from gossipwatch import datagen, protocol
 from gossipwatch.datagen import (
     BETA_LAWS,
     Budget,
@@ -108,26 +108,35 @@ def test_place_attackers_rejects_infeasible_requests():
 
 
 def _sample(scn, seed):
-    """The sample of one row seed, monitored at agent 4."""
-    seeds = [np.random.SeedSequence(seed)]
-    return _batch_samples(replace(scn, monitor=4), seeds, (scn.K,))[scn.K][0]
+    """The dataset columns of one row seed, monitored at agent 4, and the
+    attackers its instances were simulated with."""
+    simulated = []
+
+    def spy(graph, flags, *args):
+        simulated.append(tuple(int(a) for a in np.flatnonzero(flags[0])))
+        return protocol.run_batch(graph, flags, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datagen, "run_batch", spy)
+        cols = _batch_samples(replace(scn, monitor=4), [np.random.SeedSequence(seed)], (scn.K,))
+    return cols[scn.K], simulated[0]
 
 
 def test_batch_samples_labels_and_determinism():
     scn = _scenario()
-    s1, s2 = _sample(scn, 5), _sample(scn, 5)
-    assert s1.nd_label == 1 and s1.event == EVENT_NEXT
-    assert s1.attackers == s2.attackers and s1.monitor == 4
-    assert np.array_equal(s1.temporal[0].values, s2.temporal[0].values)
-    assert np.array_equal(s1.spatial[0].values, s2.spatial[0].values)
+    (s1, att1), (s2, att2) = _sample(scn, 5), _sample(scn, 5)
+    assert s1["nd"][0] == 1 and s1["events"][0] == EVENT_NEXT
+    assert att1 == att2 and s1["monitors"][0] == 4
+    assert np.array_equal(s1["temporal"][0], s2["temporal"][0])
+    assert np.array_equal(s1["spatial"][0], s2["spatial"][0])
 
-    clean = _sample(_scenario(m=0, c=0), 5)
-    assert clean.nd_label == 0 and clean.event == EVENT_H0 and clean.attackers == ()
+    clean, none = _sample(_scenario(m=0, c=0), 5)
+    assert clean["nd"][0] == 0 and clean["events"][0] == EVENT_H0 and none == ()
 
-    loc = _sample(scn, 6)
-    hot = loc.nl_labels[0]
-    marked = {int(a) for a, h in zip(loc.temporal[0].slot_ids, hot) if h}
-    assert marked <= set(loc.attackers) and marked  # flags only true attackers
+    loc, att = _sample(scn, 6)
+    hot = loc["nl"][0]
+    marked = {int(a) for a, h in zip(loc["slot_agents"][0], hot) if h}
+    assert marked <= set(att) and marked  # flags only true attackers
 
 
 def test_batch_samples_rejects_bad_requests():
@@ -138,10 +147,10 @@ def test_batch_samples_rejects_bad_requests():
 
 
 def test_far_from_event_avoids_the_neighborhood():
-    s = _sample(_scenario(m=1, c=0), 7)
-    assert s.event == EVENT_FAR
+    s, att = _sample(_scenario(m=1, c=0), 7)
+    assert s["events"][0] == EVENT_FAR
     near = set(int(v) for v in _torus().neighbors[4])
-    assert not (set(s.attackers) & near)
+    assert not (set(att) & near)
 
 
 def test_build_dataset_counts_and_ids():
@@ -236,6 +245,14 @@ def test_build_datasets_rejects_bad_tasks_and_Ks():
         build_datasets(scn, (2, 0), budget, 0)
     merged = build_datasets(scn, (1, 1), Budget(1, 1, 1, 1), 0, tasks=("nd",))
     assert list(merged) == [1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datagen, "run_batch", None)  # bad events fail before any simulation
+        with pytest.raises(ValueError, match="one or more events"):
+            build_datasets(scn, (1,), budget, 0, events=())
+        with pytest.raises(ValueError, match="unknown event 'near'.*'h0', 'next-to', 'far-from'"):
+            build_datasets(scn, (1,), budget, 0, events=("h0", "near"))
+        with pytest.raises(ValueError, match="event 'h0' is listed twice"):
+            build_datasets(scn, (1,), budget, 0, events=("h0", "h0", "next-to"))
 
 
 def test_budget_prefix_rows_are_stable():

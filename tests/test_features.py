@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gossipwatch.features import (
-    NeighborScores,
     sd_aggregates,
     spatial_from_sums,
     tailor_inputs,
@@ -19,11 +18,13 @@ def _random_runs(rng, K, n, d, T):
 
 
 def _temporal(runs, graph, agent):
-    return temporal_from_endpoints(runs[:, 0], runs[:, -1], graph, agent)
+    """Neighbor values of the temporal scores."""
+    return temporal_from_endpoints(runs[:, 0], runs[:, -1], graph, agent)[0]
 
 
 def _spatial(runs, graph, agent):
-    return spatial_from_sums(runs.sum(axis=1), graph, agent)
+    """Neighbor values of the spatial scores."""
+    return spatial_from_sums(runs.sum(axis=1), graph, agent)[0]
 
 
 def _brute_temporal(runs, graph, agent):
@@ -77,17 +78,17 @@ def test_temporal_from_endpoints_matches_brute_force():
     graph = manhattan_grid(3, 3)
     runs = _random_runs(np.random.default_rng(0), K=3, n=9, d=2, T=5)
     for agent in (0, 4, 8):
-        scores = _temporal(runs, graph, agent)
-        assert np.abs(scores.values - _brute_temporal(runs, graph, agent)).max() < 1e-12
-        assert scores.neighbor_ids == tuple(int(v) for v in graph.neighbors_of(agent))
+        values = _temporal(runs, graph, agent)
+        assert np.abs(values - _brute_temporal(runs, graph, agent)).max() < 1e-12
+        assert values.shape == (len(graph.neighbors_of(agent)),)
 
 
 def test_spatial_from_sums_matches_brute_force():
     graph = manhattan_grid(3, 3)
     runs = _random_runs(np.random.default_rng(1), K=2, n=9, d=3, T=4)
     for agent in (0, 5):
-        scores = _spatial(runs, graph, agent)
-        assert np.abs(scores.values - _brute_spatial(runs, graph, agent)).max() < 1e-12
+        values = _spatial(runs, graph, agent)
+        assert np.abs(values - _brute_spatial(runs, graph, agent)).max() < 1e-12
 
 
 def test_sd_aggregates_localization_identity():
@@ -98,7 +99,7 @@ def test_sd_aggregates_localization_identity():
     assert np.abs(agg.localization - brute).max() < 1e-10
     # detection aggregate reduces to the spatial scores
     chi = agg.detection.sum(axis=(0, 2)) / (agg.K * agg.d)
-    assert np.abs(chi - _spatial(runs, graph, 4).values).max() < 1e-12
+    assert np.abs(chi - _spatial(runs, graph, 4)).max() < 1e-12
 
 
 def test_hand_trace_temporal_and_spatial():
@@ -110,8 +111,8 @@ def test_hand_trace_temporal_and_spatial():
 
     # monitor 1 sees neighbors 0 and 2; xi averages both endpoint gaps
     xi = _temporal(runs, path, 1)
-    assert xi.values[0] == pytest.approx((4.0 - 0.0 + 0.0 - 1.0) / 2, abs=1e-15)
-    assert xi.values[1] == pytest.approx((0.0 - 2.0 + 2.0 - 2.0) / 2, abs=1e-15)
+    assert xi[0] == pytest.approx((4.0 - 0.0 + 0.0 - 1.0) / 2, abs=1e-15)
+    assert xi[1] == pytest.approx((0.0 - 2.0 + 2.0 - 2.0) / 2, abs=1e-15)
 
     chi = _spatial(runs, path, 1)
     # closed neighborhood of 1 is everyone; centers are the row means
@@ -122,48 +123,44 @@ def test_hand_trace_temporal_and_spatial():
             for t in range(3):
                 total += states[t, j, 0] - states[t, :, 0].mean()
         expected.append(total / 2)
-    assert np.abs(chi.values - np.array(expected)).max() < 1e-12
+    assert np.abs(chi - np.array(expected)).max() < 1e-12
 
 
-def _scores(nn, agent=99):
-    return NeighborScores(
-        agent=agent,
-        neighbor_ids=tuple(range(nn)),
-        values=np.arange(nn, dtype=np.float64),
-        self_value=-1.0,
-        kind="temporal",
-        K=1,
-        d=1,
-    )
+def _tailored(nn, M, agent=99):
+    """Slot agents, inputs and pad flags of each group for a monitor 99
+    with neighbors 0..nn-1 scoring 0..nn-1 and a self score of -1."""
+    index = tailor_inputs(nn, M)
+    agents = np.append(np.arange(nn), agent)[index]
+    values = np.append(np.arange(nn, dtype=np.float64), -1.0)[index]
+    return [tuple(int(a) for a in row) for row in agents], values, index == nn
 
 
 def test_tailor_pads_small_neighborhoods():
-    groups = tailor_inputs(_scores(3), M=5)
-    assert len(groups) == 1
-    fv = groups[0]
-    assert fv.slot_ids == (0, 1, 2, 99, 99)
-    assert np.array_equal(fv.values, np.array([0.0, 1.0, 2.0, -1.0, -1.0]))
-    assert fv.padded.tolist() == [False, False, False, True, True]
+    slot_ids, values, padded = _tailored(3, M=5)
+    assert slot_ids == [(0, 1, 2, 99, 99)]
+    assert np.array_equal(values[0], np.array([0.0, 1.0, 2.0, -1.0, -1.0]))
+    assert padded[0].tolist() == [False, False, False, True, True]
 
 
 def test_tailor_exact_width():
-    fv = tailor_inputs(_scores(4), M=4)[0]
-    assert fv.slot_ids == (0, 1, 2, 3)
-    assert not fv.padded.any()
+    slot_ids, _, padded = _tailored(4, M=4)
+    assert slot_ids == [(0, 1, 2, 3)]
+    assert not padded.any()
 
 
 def test_tailor_windows_last_right_aligned():
-    groups = tailor_inputs(_scores(6), M=4)
-    assert [g.slot_ids for g in groups] == [(0, 1, 2, 3), (2, 3, 4, 5)]
-    assert all(not g.padded.any() for g in groups)
-    groups = tailor_inputs(_scores(9), M=4)
-    assert [g.slot_ids for g in groups] == [(0, 1, 2, 3), (4, 5, 6, 7), (5, 6, 7, 8)]
+    slot_ids, _, padded = _tailored(6, M=4)
+    assert slot_ids == [(0, 1, 2, 3), (2, 3, 4, 5)]
+    assert not padded.any()
+    slot_ids, _, padded = _tailored(9, M=4)
+    assert slot_ids == [(0, 1, 2, 3), (4, 5, 6, 7), (5, 6, 7, 8)]
+    assert not padded.any()
     covered = set()
-    for g in groups:
-        covered |= set(g.slot_ids)
+    for g in slot_ids:
+        covered |= set(g)
     assert covered == set(range(9))
 
 
 def test_tailor_rejects_bad_width():
     with pytest.raises(ValueError):
-        tailor_inputs(_scores(3), M=0)
+        tailor_inputs(3, M=0)

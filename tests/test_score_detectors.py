@@ -87,7 +87,7 @@ def test_row_localization_matches_aggregate_route():
     sums = np.random.default_rng(7).normal(size=(5, 3, 9, 2)).sum(axis=0)  # (K, n, d)
     agent = 4
     direct = sd_localization_scores(sd_aggregates(sums, graph, agent))
-    scores = spatial_from_sums(sums, graph, agent)
-    fv = tailor_inputs(scores, M=len(scores.neighbor_ids))[0]
-    row = sd_row_localization(fv.values, fv.self_value)
+    values, self_value = spatial_from_sums(sums, graph, agent)
+    index = tailor_inputs(len(values), M=len(values))[0]
+    row = sd_row_localization(np.append(values, self_value)[index], self_value)
     assert np.abs(row - direct).max() < 1e-12
