@@ -305,18 +305,17 @@ def _batch_samples(
     last = stats.last.reshape(R, K, n, d)
     sums = stats.sums.reshape(R, K, n, d)
 
-    # Slot layout and slot agents depend only on the monitor and M.
+    # Slot layout, slot agents and pad flags depend only on the monitor and M.
     M = scenario.input_width()
     layouts = {}
     for monitor in set(monitors):
         nbrs = graph.neighbors[monitor]
         index = tailor_inputs(len(nbrs), M)
-        layouts[monitor] = index, np.append(nbrs, monitor)[index]
+        layouts[monitor] = index, np.append(nbrs, monitor)[index], index == len(nbrs)
     counts = [len(layouts[m][0]) for m in monitors]
     sample = np.repeat(np.arange(R), counts)
-    watched = np.array(monitors, dtype=np.int64)[sample]
     slot_agents = np.concatenate([layouts[m][1] for m in monitors])
-    padded = slot_agents == watched[:, None]  # pads repeat the monitor
+    padded = np.concatenate([layouts[m][2] for m in monitors])
     attacked = flags[::K]  # (R, n) attacker mask of each row
     hit = attacked.any(axis=1)
     near = [attacked[r, graph.neighbors[m]].any() for r, m in enumerate(monitors)]
@@ -324,7 +323,7 @@ def _batch_samples(
     common = {
         "sample": sample,
         "groups": np.concatenate([np.arange(c) for c in counts]),
-        "monitors": watched,
+        "monitors": np.array(monitors, dtype=np.int64)[sample],
         "events": events[sample],
         "nd": hit[sample].astype(np.int64),
         "nl": (attacked[sample[:, None], slot_agents] & ~padded).astype(np.int64),
