@@ -49,6 +49,10 @@ from .gossip_train import metrics_to_csv, run_gossip_training
 from .neural import TrainConfig, load_model, save_model
 from .topology import induced_subgraph, manhattan_grid
 
+# --set values must have the JSON type of their default (a number field also
+# takes an integer).  A null default takes any value and is checked where it
+# is read: task, kind, K and d come from the gen-data manifest beside the CSV
+# when unset, and K and d must be integers.
 GEN_DATA_DEFAULTS = {
     "scenario": "S0",
     "rows": 3,
@@ -218,12 +222,23 @@ def _dataset_meta(path) -> dict:
     entry = datasets.get(name, {})
     if not isinstance(entry, dict):
         raise ValueError(f"{manifest}: field 'datasets.{name}': not an object")
+    for field in ("K", "d"):
+        if entry.get(field) is not None and ex.json_type(entry[field]) != "integer":
+            raise ValueError(
+                f"{manifest}: field 'datasets.{name}.{field}': expects a JSON integer, "
+                f"got {entry[field]!r}"
+            )
     return entry
 
 
-def _load_dataset(path, cfg, expected_kind=None):
+def _load_dataset(path, cfg, section, expected_kind=None):
+    """The dataset CSV at ``path``; its task, kind, K and d come from the
+    ``section`` config ``cfg`` or else from the gen-data manifest beside it."""
     if path is None:
         raise ConfigError("no dataset file configured; pass --set data=PATH")
+    for field in ("K", "d"):
+        if cfg.get(field) is not None and ex.json_type(cfg[field]) != "integer":
+            raise ConfigError(f"'{section}.{field}' expects a JSON integer, got {cfg[field]!r}")
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"dataset file not found: {path}; produce it with the gen-data subcommand"
@@ -242,9 +257,7 @@ def _load_dataset(path, cfg, expected_kind=None):
         raise ConfigError(
             f"{path} holds {fields['kind']} features, expected {expected_kind}"
         )
-    return read_dataset_csv(
-        path, fields["task"], fields["kind"], int(fields["K"]), int(fields["d"])
-    )
+    return read_dataset_csv(path, fields["task"], fields["kind"], fields["K"], fields["d"])
 
 
 # --- subcommand bodies ------------------------------------------------------
@@ -294,7 +307,7 @@ def _cmd_train(args) -> int:
     outdir = _outdir(args, "train")
     os.makedirs(outdir, exist_ok=True)
 
-    dataset = _load_dataset(cfg["data"], cfg)
+    dataset = _load_dataset(cfg["data"], cfg, "train")
     config = TrainConfig(eta=cfg["eta"], batch_size=cfg["batch_size"], epochs=cfg["epochs"])
     mlp, losses = ex._fit(dataset, config, np.random.default_rng(cfg["seed"]))
 
@@ -318,7 +331,7 @@ def _cmd_train_gossip(args) -> int:
     outdir = _outdir(args, "train-gossip")
     os.makedirs(outdir, exist_ok=True)
 
-    dataset = _load_dataset(cfg["data"], cfg)
+    dataset = _load_dataset(cfg["data"], cfg, "train-gossip")
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     keep = [v for v in range(graph.n) if v not in set(cfg["exclude"])]
     learner_graph, _ = induced_subgraph(graph, keep)
@@ -379,7 +392,7 @@ def _cmd_eval_roc(args) -> int:
                 raise ConfigError(
                     f"detector {det!r} needs --set {kind}_data=PATH (a gen-data CSV)"
                 )
-            datasets[kind] = _load_dataset(path, cfg, expected_kind=kind)
+            datasets[kind] = _load_dataset(path, cfg, "eval-roc", expected_kind=kind)
         dataset = datasets[kind]
         if det in ("td", "sd"):
             detector = make_score_detector(det, dataset.task)

@@ -195,16 +195,31 @@ def apply_overrides(defaults: dict, overrides: dict, path: str) -> dict:
 
 
 def _merge(base: dict, overrides: dict, path: str) -> None:
+    """Overlay ``overrides`` on ``base`` in place.  Each value must have the
+    JSON type of its default, except that a number field takes an integer;
+    a field whose default is null takes any value and is checked where it
+    is used."""
     for key, value in overrides.items():
         here = f"{path}.{key}"
         if key not in base:
             raise ConfigError(f"unknown config field {here!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here!r} expects an object, got {value!r}")
+        expected, got = json_type(base[key]), json_type(value)
+        if expected not in ("null", got) and (expected, got) != ("number", "integer"):
+            raise ConfigError(f"{here!r} expects a JSON {expected}, got {value!r}")
+        if expected == "object":
             _merge(base[key], value, here)
         else:
             base[key] = value
+
+
+def json_type(value) -> str:
+    """The JSON type of a decoded JSON value, with integers apart from other
+    numbers (a bool is a boolean, not an integer)."""
+    for kind, name in ((bool, "boolean"), (int, "integer"), (float, "number"),
+                       (str, "string"), (list, "list"), (dict, "object")):
+        if isinstance(value, kind):
+            return name
+    return "null"
 
 
 def config_digest(cfg: dict) -> str:

@@ -10,8 +10,15 @@ driven by caller-owned numpy generators so runs are reproducible.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -139,11 +146,64 @@ def _draw_instance_randomness(graph, config, flags, rng):
     m = int(flags.sum())
     init_noise = rng.uniform(-1.0, 1.0, size=(m, config.d)) if m else None
     i_seq, j_seq = draw_pair_sequence(graph, config.T, rng)
-    att_i = flags[i_seq]
-    att_j = flags[j_seq]
-    n_events = int(att_i.sum()) + int(att_j.sum())
-    event_noise = rng.uniform(-1.0, 1.0, size=(n_events, config.d)) if n_events else None
-    return beta, init_noise, i_seq, j_seq, att_i, att_j, event_noise
+    n_events = int(flags[i_seq].sum()) + int(flags[j_seq].sum())
+    if n_events:
+        event_noise = rng.uniform(-1.0, 1.0, size=(n_events, config.d))
+    else:
+        event_noise = np.empty((0, config.d))
+    return beta, init_noise, i_seq, j_seq, event_noise
+
+
+_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def _compiled_loop():
+    """The C gossip loop of _gossip_loop.c, or None when it cannot be built
+    or loaded here; then run_batch uses the numpy loop and warns once.
+
+    The library is built on first use into $XDG_CACHE_HOME/gossipwatch
+    (~/.cache/gossipwatch when that is unset or relative), named by the SHA-256 of the source and
+    the compiler command, and moved into place by an atomic rename so that
+    concurrent first uses do not collide."""
+    source = Path(__file__).with_name("_gossip_loop.c")
+    try:
+        key = hashlib.sha256(source.read_bytes() + " ".join(_CC).encode()).hexdigest()
+        xdg = os.environ.get("XDG_CACHE_HOME", "")
+        cache = (Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache") / "gossipwatch"
+        lib = cache / f"gossip_loop-{key[:16]}.so"
+        if not lib.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=cache) as tmp:
+                built = os.path.join(tmp, lib.name)
+                subprocess.run(
+                    [*_CC, "-o", built, str(source)], check=True, capture_output=True
+                )
+                os.replace(built, lib)
+        loop = ctypes.CDLL(str(lib)).gossip_loop
+    except (OSError, RuntimeError, subprocess.CalledProcessError) as err:
+        if isinstance(err, subprocess.CalledProcessError):
+            err = err.stderr.decode(errors="replace").strip()
+        warnings.warn(
+            f"cannot build or load the C gossip loop, using the numpy loop: {err}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+
+    def arr(dtype):
+        return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+
+    loop.restype = ctypes.c_int
+    loop.argtypes = [
+        i64, i64, i64, i64, arr(np.float64), arr(np.float64),
+        arr(np.int64), arr(np.int64), arr(np.uint8),
+        arr(np.float64), arr(np.float64), arr(np.float64),
+        arr(np.float64), arr(np.float64), arr(np.int64),
+        arr(np.float64), f64, f64, arr(np.int64), arr(np.float64),
+    ]
+    return loop
 
 
 def run_batch(
@@ -169,76 +229,100 @@ def run_batch(
     Only the two agents of the sampled pair change state at an iteration.
     Trustworthy members move to the projected subgradient step from the pair
     average of the pre-iteration states; attacker members re-emit
-    alpha + lambda_hat^t U[-1, 1]^d.
+    alpha + lambda_hat^t U[-1, 1]^d.  The iterations run in the compiled
+    loop of _gossip_loop.c, or in the bitwise-equal numpy loop where no C
+    compiler works.
     """
     B = len(rngs)
     n, d, T = graph.n, config.d, config.T
     if flags.shape != (B, n) or thetas.shape != (B, n, d) or phis.shape != (B, n):
         raise ValueError("batch array shapes are inconsistent")
     any_attack = bool(flags.any())
-    if any_attack and (alphas is None or lambda_hat is None):
-        raise ValueError("attackers present but alphas/lambda_hat missing")
+    if any_attack:
+        if alphas is None or lambda_hat is None:
+            raise ValueError("attackers present but alphas/lambda_hat missing")
+        alphas = np.ascontiguousarray(alphas, dtype=np.float64)
+        if alphas.shape != (B, d):
+            raise ValueError(f"alphas must be (B, d) = {(B, d)}, got {alphas.shape}")
+        powers = lambda_hat ** np.arange(T + 1, dtype=np.float64)
+    else:
+        alphas, powers = np.zeros((B, d)), np.zeros(T + 1)
 
+    flags = np.ascontiguousarray(flags, dtype=np.uint8)
     i_seq = np.empty((B, T), dtype=np.int64)
     j_seq = np.empty((B, T), dtype=np.int64)
-    att_i = np.zeros((B, T), dtype=bool)
-    att_j = np.zeros((B, T), dtype=bool)
     event_rows = []
     x = np.empty((B, n, d))
     for b, rng in enumerate(rngs):
-        beta, init_noise, isq, jsq, ai, aj, ev = _draw_instance_randomness(
+        beta, init_noise, i_seq[b], j_seq[b], ev = _draw_instance_randomness(
             graph, config, flags[b], rng
         )
-        i_seq[b], j_seq[b] = isq, jsq
-        att_i[b], att_j[b] = ai, aj
         event_rows.append(ev)
         x[b] = beta
         ids = np.flatnonzero(flags[b])
         if ids.size:
             x[b, ids] = alphas[b] + 1.0 * init_noise
+    # Instance b's noise rows are noise[start[b]:start[b + 1]].
+    start = np.zeros(B + 1, dtype=np.int64)
+    np.cumsum([ev.shape[0] for ev in event_rows], out=start[1:])
+    noise = np.concatenate(event_rows + [np.zeros((1, d))])
 
-    if any_attack:
-        powers = lambda_hat ** np.arange(T + 1, dtype=np.float64)
-        max_ev = max(ev.shape[0] if ev is not None else 0 for ev in event_rows)
-        noise = np.zeros((B, max(max_ev, 1), d))
-        for b, ev in enumerate(event_rows):
-            if ev is not None:
-                noise[b, : ev.shape[0]] = ev
-        # Row index of each membership event, cumulative in (t, i-then-j) order.
-        inter = np.stack([att_i, att_j], axis=2).reshape(B, 2 * T)
-        idx = (np.cumsum(inter, axis=1) - 1).reshape(B, T, 2)
-        idx_i, idx_j = np.maximum(idx[:, :, 0], 0), np.maximum(idx[:, :, 1], 0)
-
-    sched = config.stepsize.schedule(T)
-    lo, hi = config.box_lo, config.box_hi
-    aB = np.arange(B)
-    S = x.copy()
+    times = sorted({int(c) for c in checkpoints if 0 <= int(c) <= T})
+    snap_of = np.full(T + 1, -1, dtype=np.int64)
+    snap_of[times] = np.arange(len(times))
+    snaps = np.empty((len(times), B, n, d))
     first = x.copy()
-    snaps = {}
-    want = set(int(c) for c in checkpoints)
-    if 0 in want:
-        snaps[0] = x.copy()
+    sums = x.copy()
+    args = (
+        x, sums, i_seq, j_seq, flags,
+        np.ascontiguousarray(thetas, dtype=np.float64),
+        np.ascontiguousarray(phis, dtype=np.float64),
+        alphas, powers, noise, start, config.stepsize.schedule(T),
+        float(config.box_lo), float(config.box_hi), snap_of, snaps,
+    )
+    loop = _compiled_loop()
+    if loop is None:
+        _numpy_loop(*args)
+    elif loop(B, n, d, T, *args) != 0:
+        raise MemoryError("gossip loop could not allocate its work buffer")
+    return BatchStats(
+        first=first, last=x, sums=sums, checkpoints={t: snaps[k] for k, t in enumerate(times)}
+    )
+
+
+def _numpy_loop(
+    x, sums, i_seq, j_seq, flags, thetas, phis, alphas, powers, noise, start, sched,
+    lo, hi, snap_of, snaps,
+):
+    """The reference loop the C loop must match bit for bit, vectorized over
+    the batch; same arguments and in-place results as gossip_loop."""
+    B, T = i_seq.shape
+    aB = np.arange(B)
+    att_i = flags[aB[:, None], i_seq].astype(bool)
+    att_j = flags[aB[:, None], j_seq].astype(bool)
+    # Row index of each membership event, cumulative in (t, i-then-j) order.
+    inter = np.stack([att_i, att_j], axis=2).reshape(B, 2 * T)
+    idx = (start[:B, None] + np.cumsum(inter, axis=1) - 1).reshape(B, T, 2)
+    idx_i, idx_j = np.maximum(idx[:, :, 0], 0), np.maximum(idx[:, :, 1], 0)
+    any_event = bool(inter.any())
+    if snap_of[0] >= 0:
+        snaps[snap_of[0]] = x
     for t in range(1, T + 1):
         i = i_seq[:, t - 1]
         j = j_seq[:, t - 1]
         xbar = 0.5 * (x[aB, i] + x[aB, j])
         gam = sched[t - 1]
-        for member, att_m, idx_m in (
-            (i, att_i, idx_i if any_attack else None),
-            (j, att_j, idx_j if any_attack else None),
-        ):
+        for member, att_m, idx_m in ((i, att_i, idx_i), (j, att_j, idx_j)):
             th = thetas[aB, member]
             resid = (th * xbar).sum(axis=-1) - phis[aB, member]
             upd = np.clip(xbar - gam * (2.0 * th * resid[:, None]), lo, hi)
-            if any_attack:
-                rows = noise[aB, idx_m[:, t - 1]]
-                att_vals = alphas + powers[t] * rows
+            if any_event:
+                att_vals = alphas + powers[t] * noise[idx_m[:, t - 1]]
                 upd = np.where(att_m[:, t - 1][:, None], att_vals, upd)
             x[aB, member] = upd
-        S += x
-        if t in want:
-            snaps[t] = x.copy()
-    return BatchStats(first=first, last=x, sums=S, checkpoints=snaps)
+        sums += x
+        if snap_of[t] >= 0:
+            snaps[snap_of[t]] = x
 
 
 def pair_averaging_matrix(n: int, i: int, j: int) -> np.ndarray:

@@ -129,10 +129,32 @@ def test_malformed_manifest_names_file_and_field(tmp_path, capsys):
         ('{"datasets": []}', f"{manifest}: field 'datasets': not an object"),
         ('{"datasets": {"nd_temporal_train.csv": 3}}',
          f"{manifest}: field 'datasets.nd_temporal_train.csv': not an object"),
+        ('{"datasets": {"nd_temporal_train.csv": {"K": "1"}}}',
+         f"{manifest}: field 'datasets.nd_temporal_train.csv.K': expects a JSON integer"),
     ):
         manifest.write_text(content)
         assert cli.main(train) == 2
         assert what in capsys.readouterr().err
+
+
+def test_ill_typed_dataset_field_is_a_config_error(tmp_path, capsys):
+    data = _gen(tmp_path)
+    rc = cli.main(
+        ["train", "--set", f"data={data}/nd_temporal_train.csv", "--set", "K=abc",
+         "--out", str(tmp_path / "m")]
+    )
+    assert rc == 1
+    assert "config error: 'train.K' expects a JSON integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_ill_typed_set_value_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = cli.main(["gen-data", *TINY_GEN, "--set", "events=h0", "--out", str(out)])
+    assert rc == 1
+    assert "config error: 'gen-data.events' expects a JSON list, got 'h0'" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_unconfigured_inputs_are_config_errors(tmp_path, capsys):

@@ -55,6 +55,19 @@ def test_apply_overrides_does_not_touch_inputs():
     assert base == {"a": {"b": 1}, "c": 2}
 
 
+def test_apply_overrides_checks_json_types():
+    base = {"scale": 0.1, "T": 50, "full": False, "name": "m", "tasks": ["nd"], "K": None}
+    ok = apply_overrides(base, {"scale": 1, "K": "anything"}, "fam")
+    assert ok["scale"] == 1 and ok["K"] == "anything"
+    for field, value, expected in (
+        ("T", 2.5, "integer"), ("T", True, "integer"), ("full", 1, "boolean"),
+        ("scale", "0.1", "number"), ("name", 3, "string"), ("tasks", "nd", "list"),
+        ("tasks", None, "list"),
+    ):
+        with pytest.raises(ConfigError, match=f"'fam.{field}' expects a JSON {expected}"):
+            apply_overrides(base, {field: value}, "fam")
+
+
 def test_config_digest_is_order_insensitive_and_value_sensitive():
     a = {"x": 1, "y": {"z": [1, 2]}}
     b = {"y": {"z": [1, 2]}, "x": 1}

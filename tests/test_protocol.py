@@ -1,9 +1,13 @@
 """Protocol kernel: problems, stepsizes, run_batch behaviour, and bitwise
-parity with a pure-Python reference stepper."""
+parity of the compiled and numpy loops with a pure-Python reference stepper."""
+
+import shutil
+import warnings
 
 import numpy as np
 import pytest
 
+from gossipwatch import cli, protocol
 from gossipwatch.protocol import (
     ProtocolConfig,
     Stepsize,
@@ -227,9 +231,16 @@ def _reference_run(graph, flags, theta, phi, alpha, lam, config, rng):
     return np.array(states)
 
 
-def test_serial_and_batch_runners_agree_bitwise():
+def test_serial_and_batch_runners_agree_bitwise(monkeypatch):
     """run_batch equals the serial reference stepper bit for bit: first and
-    last states, time sums and every checkpoint, clean and attacked."""
+    last states, time sums and every checkpoint, clean and attacked, with the
+    compiled loop and with the numpy loop."""
+    _check_against_reference()
+    monkeypatch.setattr(protocol, "_compiled_loop", lambda: None)
+    _check_against_reference()
+
+
+def _check_against_reference():
     graphs = (manhattan_grid(3, 3), small_world(20, 8, 0.2, np.random.default_rng(5)))
     T, B = 150, 3
     for graph in graphs:
@@ -262,3 +273,86 @@ def test_serial_and_batch_runners_agree_bitwise():
                         total += ref[t]
                     assert np.array_equal(stats.sums[b], total)
                     assert np.array_equal(_trajectory(stats, b, T), ref)
+
+
+def _attacked_torus_batch(B, T):
+    """run_batch arguments of an attacked batch on the 3x3 torus: agent 4
+    attacks in every other instance, agents 0 and 8 in every third."""
+    graph = manhattan_grid(3, 3)
+    rng = np.random.default_rng(40)
+    flags = np.zeros((B, graph.n), dtype=bool)
+    flags[::2, 4] = True
+    flags[::3, [0, 8]] = True
+    problems = [generate_problem(graph.n, 2, rng) for _ in range(B)]
+    return (
+        graph, flags, np.stack([p.theta for p in problems]), np.stack([p.phi for p in problems]),
+        rng.uniform(-0.5, 0.5, size=(B, 2)),
+        second_largest_eigenvalue(expected_transition_matrix(graph)),
+        ProtocolConfig(d=2, T=T),
+    )
+
+
+def _run_seeded(args, checkpoints=()):
+    B = len(args[1])
+    return run_batch(
+        *args, [np.random.default_rng(np.random.SeedSequence(b)) for b in range(B)],
+        checkpoints=checkpoints,
+    )
+
+
+def _assert_same(a, b):
+    for name in ("first", "last", "sums"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.checkpoints.keys() == b.checkpoints.keys()
+    for t in a.checkpoints:
+        assert np.array_equal(a.checkpoints[t], b.checkpoints[t]), t
+
+
+@pytest.fixture
+def fresh_loader():
+    """Forget the loaded loop before and after the test, so that the test
+    builds or falls back anew and later tests load the real library again."""
+    protocol._compiled_loop.cache_clear()
+    yield
+    protocol._compiled_loop.cache_clear()
+
+
+def test_compiled_and_numpy_loops_agree_bitwise_at_datagen_size(monkeypatch):
+    if shutil.which(protocol._CC[0]) is None:
+        pytest.skip(f"no C compiler {protocol._CC[0]!r} on PATH; only the numpy loop runs here")
+    assert protocol._compiled_loop() is not None
+    args = _attacked_torus_batch(256, 2000)
+    compiled = _run_seeded(args, checkpoints=(0, 1, 999, 2000))
+    monkeypatch.setattr(protocol, "_compiled_loop", lambda: None)
+    _assert_same(compiled, _run_seeded(args, checkpoints=(0, 1, 999, 2000)))
+
+
+def test_failed_build_falls_back_to_numpy_with_one_warning(
+    tmp_path, monkeypatch, fresh_loader
+):
+    args = _attacked_torus_batch(8, 300)
+    compiled = _run_seeded(args, checkpoints=(0, 300))
+    protocol._compiled_loop.cache_clear()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(protocol, "_CC", ("gossipwatch-no-such-cc", *protocol._CC[1:]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fallback = [_run_seeded(args, checkpoints=(0, 300)) for _ in range(2)]
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "numpy loop" in str(caught[0].message)
+    for stats in fallback:
+        _assert_same(compiled, stats)
+    assert not list((tmp_path / "cache").rglob("*.so"))
+
+
+def test_loop_library_is_cached_outside_the_run_output(tmp_path, monkeypatch, fresh_loader):
+    if shutil.which(protocol._CC[0]) is None:
+        pytest.skip(f"no C compiler {protocol._CC[0]!r} on PATH; nothing is built here")
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    argv = ["gen-data", "--set", "T=60", "--set", "K=1", "--set", "scale=0.002",
+            "--set", 'tasks=["nd"]', "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert [p.name for p in out.iterdir() if not p.name.endswith((".csv", ".json"))] == []
+    built = list((cache / "gossipwatch").iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"
