@@ -3,7 +3,6 @@ score-based and neural detectors, collaborative training, and evaluation."""
 
 from gossipwatch.topology import (
     Graph,
-    AttackerMask,
     manhattan_grid,
     small_world,
     expected_transition_matrix,
@@ -22,11 +21,7 @@ from gossipwatch.protocol import (
     global_objective,
     optimal_value,
 )
-from gossipwatch.features import (
-    SdScoreFeatures,
-    sd_aggregates,
-    tailor_inputs,
-)
+from gossipwatch.features import tailor_inputs
 from gossipwatch.score_detectors import (
     GREATER_IS_H1,
     SMALLER_IS_H1,
@@ -65,7 +60,6 @@ from gossipwatch.datagen import (
 from gossipwatch.evaluation import (
     Detector,
     RocCurve,
-    rates_at_threshold,
     roc_curve,
     evaluate_detector,
     make_score_detector,

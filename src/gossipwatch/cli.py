@@ -304,13 +304,12 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = apply_overrides(TRAIN_DEFAULTS, _collect_overrides(args), "train")
-    outdir = _outdir(args, "train")
-    os.makedirs(outdir, exist_ok=True)
-
     dataset = _load_dataset(cfg["data"], cfg, "train")
     config = TrainConfig(eta=cfg["eta"], batch_size=cfg["batch_size"], epochs=cfg["epochs"])
     mlp, losses = ex._fit(dataset, config, np.random.default_rng(cfg["seed"]))
 
+    outdir = _outdir(args, "train")
+    os.makedirs(outdir, exist_ok=True)
     name = cfg["name"]
     save_model(
         mlp, os.path.join(outdir, name + ".json"),
@@ -328,9 +327,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_train_gossip(args) -> int:
     cfg = apply_overrides(TRAIN_GOSSIP_DEFAULTS, _collect_overrides(args), "train-gossip")
-    outdir = _outdir(args, "train-gossip")
-    os.makedirs(outdir, exist_ok=True)
-
     dataset = _load_dataset(cfg["data"], cfg, "train-gossip")
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     keep = [v for v in range(graph.n) if v not in set(cfg["exclude"])]
@@ -358,6 +354,8 @@ def _cmd_train_gossip(args) -> int:
         np.random.default_rng([cfg["seed"], len(agents)]), mode=cfg["mode"],
     )
 
+    outdir = _outdir(args, "train-gossip")
+    os.makedirs(outdir, exist_ok=True)
     artifacts = ["telemetry.csv"]
     metrics_to_csv(metrics, os.path.join(outdir, "telemetry.csv"))
     for state in learners:
@@ -374,16 +372,13 @@ def _cmd_train_gossip(args) -> int:
 
 def _cmd_eval_roc(args) -> int:
     cfg = apply_overrides(EVAL_ROC_DEFAULTS, _collect_overrides(args), "eval-roc")
-    outdir = _outdir(args, "eval-roc")
-    os.makedirs(outdir, exist_ok=True)
-
     known = {"td": "temporal", "tdnn": "temporal", "sd": "spatial", "sdnn": "spatial"}
     for det in cfg["detectors"]:
         if det not in known:
             raise ConfigError(f"unknown detector {det!r}; known: {sorted(known)}")
 
     datasets: dict[str, object] = {}
-    artifacts, summaries = [], []
+    detectors = []
     for det in cfg["detectors"]:
         kind = known[det]
         if kind not in datasets:
@@ -407,9 +402,16 @@ def _cmd_eval_roc(args) -> int:
                 )
             mlp, _ = load_model(model_path)
             detector = make_nn_detector(mlp, dataset.task, kind, det)
+        detectors.append((detector, dataset))
+
+    outdir = _outdir(args, "eval-roc")
+    os.makedirs(outdir, exist_ok=True)
+    artifacts, summaries = [], []
+    for detector, dataset in detectors:
         curve, summary = evaluate_detector(detector, dataset, oracle_nd=cfg["oracle_nd"])
-        roc_to_csv(curve, os.path.join(outdir, f"roc_{det}.csv"))
-        artifacts.append(f"roc_{det}.csv")
+        name = f"roc_{detector.name}.csv"
+        roc_to_csv(curve, os.path.join(outdir, name))
+        artifacts.append(name)
         summaries.append(summary)
 
     auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"))

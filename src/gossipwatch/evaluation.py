@@ -64,22 +64,6 @@ def _validate_scores_labels(scores, labels):
     return scores, labels, n_pos, n_neg
 
 
-def rates_at_threshold(
-    scores, labels, threshold: float, orientation: str = GREATER_IS_H1
-) -> tuple[float, float]:
-    """(detection rate, false-alarm rate) of the thresholded detector."""
-    scores, labels, n_pos, n_neg = _validate_scores_labels(scores, labels)
-    if orientation == GREATER_IS_H1:
-        flagged = scores > threshold
-    elif orientation == SMALLER_IS_H1:
-        flagged = scores < threshold
-    else:
-        raise ValueError(f"unknown orientation: {orientation!r}")
-    p_d = float(flagged[labels == 1].sum() / n_pos)
-    p_f = float(flagged[labels == 0].sum() / n_neg)
-    return p_d, p_f
-
-
 def roc_curve(scores, labels, orientation: str = GREATER_IS_H1) -> RocCurve:
     """Exact ROC curve of a scalar score against binary labels."""
     scores, labels, n_pos, n_neg = _validate_scores_labels(scores, labels)

@@ -332,7 +332,7 @@ def run_converge(cfg: dict, outdir) -> list[str]:
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     n, d, T = graph.n, cfg["d"], cfg["T"]
     config = ProtocolConfig(d=d, T=T)
-    flags = attacker_mask(graph, [cfg["attacker"]]).flags
+    flags = attacker_mask(graph, [cfg["attacker"]])
     lam = second_largest_eigenvalue(expected_transition_matrix(graph))
     master = cfg["master_seed"]
     S = cfg["seeds"]
@@ -769,7 +769,7 @@ def run_small_world(cfg: dict, outdir) -> list[str]:
     )
     attackers = tuple(int(a) for a in cfg["attackers"])
     adjacent = sorted(
-        set(int(v) for a in attackers for v in world.neighbors_of(a)) - set(attackers)
+        set(int(v) for a in attackers for v in world.neighbors[a]) - set(attackers)
     )
     test = partial(
         scenario_from_tag, tag, world, m=len(attackers), c=1, d=d, M=cfg["M"],

@@ -19,35 +19,12 @@ stacked over the K instances as (K, n, d) arrays of protocol.BatchStats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from gossipwatch.topology import Graph
 
 TEMPORAL = "temporal"
 SPATIAL = "spatial"
-
-
-@dataclass(frozen=True)
-class SdScoreFeatures:
-    """Spatial aggregates of one monitoring agent over K instances.
-
-    detection[k, a] = phibar_ij^k and localization[k, a] = phi_ij^k for the
-    a-th neighbor (ascending ids); self_detection[k] = phibar_ii^k.
-    """
-
-    agent: int
-    neighbor_ids: tuple[int, ...]
-    detection: np.ndarray  # (K, nn, d)
-    localization: np.ndarray  # (K, nn, d)
-    self_detection: np.ndarray  # (K, d)
-    K: int
-    d: int
-
-
-def _closed_neighborhood(graph: Graph, agent: int) -> np.ndarray:
-    return np.sort(np.append(graph.neighbors[agent], agent))
 
 
 def temporal_from_endpoints(
@@ -64,34 +41,12 @@ def spatial_from_sums(sums: np.ndarray, graph: Graph, agent: int) -> tuple[np.nd
     """Spatial scores chi_ij from stacked (K, n, d) run time-sums: the
     neighbor values in ascending id order and the monitor's own value."""
     K, _, d = sums.shape
-    members = _closed_neighborhood(graph, agent)
+    members = np.sort(np.append(graph.neighbors[agent], agent))
     center = sums[:, members, :].mean(axis=1)  # (K, d) time-sum of xbar_i
     nbrs = graph.neighbors[agent]
     dev = sums[:, nbrs, :] - center[:, None, :]  # (K, nn, d) phibar_ij
     self_dev = sums[:, agent, :] - center  # (K, d) phibar_ii
     return dev.sum(axis=(0, 2)) / (K * d), float(self_dev.sum() / (K * d))
-
-
-def sd_aggregates(sums: np.ndarray, graph: Graph, agent: int) -> SdScoreFeatures:
-    """Per-instance spatial deviation vectors for detection and localization,
-    from stacked (K, n, d) run time-sums."""
-    K, _, d = sums.shape
-    members = _closed_neighborhood(graph, agent)
-    center = sums[:, members, :].mean(axis=1)
-    nbrs = graph.neighbors[agent]
-    detection = sums[:, nbrs, :] - center[:, None, :]
-    self_detection = sums[:, agent, :] - center
-    # phi_ij = sum_t(x_j - x_i) - phibar_ii = S_j - 2 S_i + center
-    localization = sums[:, nbrs, :] - 2.0 * sums[:, agent, None, :] + center[:, None, :]
-    return SdScoreFeatures(
-        agent=agent,
-        neighbor_ids=tuple(int(v) for v in nbrs),
-        detection=detection,
-        localization=localization,
-        self_detection=self_detection,
-        K=K,
-        d=d,
-    )
 
 
 def tailor_inputs(nn: int, M: int) -> np.ndarray:

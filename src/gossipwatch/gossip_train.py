@@ -3,11 +3,14 @@
 Each agent keeps a private model and a private data shard.  A round lets
 every agent (in id order) merge any model received since its last turn,
 take one mini-batch SGD step on its own shard, and push its parameters to a
-uniformly chosen neighbor.  Inboxes hold one message; a newer arrival
-overwrites an unread one.  Synchronous rounds stage all sends and deliver
-them after every agent has acted, so the serial loop matches a barrier-
-synchronized parallel execution; the asynchronous mode wakes one random
-agent per tick with immediate delivery.
+uniformly chosen neighbor.  A message is the sender's whole parameter vector
+as little-endian float64 bytes (``neural.params_to_blob``, the same bytes a
+saved model's blob holds); the recipient decodes it and merges it into its
+own vector.  Inboxes hold one message; a newer arrival overwrites an unread
+one.  Synchronous rounds stage all sends and deliver them after every agent
+has acted, so the serial loop matches a barrier-synchronized parallel
+execution; the asynchronous mode wakes one random agent per tick with
+immediate delivery.
 """
 
 from __future__ import annotations
@@ -53,11 +56,7 @@ def merge_model(own: Mlp, received: Mlp, mu: float) -> Mlp:
         raise ValueError(f"cannot merge layer sizes {own.sizes} and {received.sizes}")
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"merge weight mu must be in [0, 1], got {mu}")
-    return Mlp(
-        sizes=own.sizes,
-        weights=[(1.0 - mu) * a + mu * b for a, b in zip(own.weights, received.weights)],
-        biases=[(1.0 - mu) * a + mu * b for a, b in zip(own.biases, received.biases)],
-    )
+    return Mlp(own.sizes, (1.0 - mu) * own.params + mu * received.params)
 
 
 def _check_learners(learners, graph):
@@ -109,9 +108,7 @@ def gossip_round(
 
 
 def _dispersion(learners) -> float:
-    flat = np.stack(
-        [np.frombuffer(params_to_blob(lr.model), dtype="<f8") for lr in learners]
-    )
+    flat = np.stack([lr.model.params for lr in learners])
     return float((flat.max(axis=0) - flat.min(axis=0)).max())
 
 

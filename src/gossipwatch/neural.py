@@ -1,18 +1,19 @@
 """Feedforward binary detectors: ReLU hidden layers, sigmoid outputs,
 mean binary cross-entropy loss, plain mini-batch SGD.
 
-Implemented directly on numpy arrays.  A model is a value object (lists of
-weight matrices and bias vectors) so copies are cheap and merging models,
-as collaborative training requires, is elementwise arithmetic.  Parameters
-serialize to a JSON header plus a flat little-endian float64 blob; the blob
-doubles as the gossip message payload.
+Implemented directly on numpy arrays.  A model owns one flat float64
+parameter vector, laid out W then b for each layer; the per-layer weight
+matrices and bias vectors are views into it.  Merging models, as
+collaborative training requires, is arithmetic on the vectors, and the
+vector's little-endian bytes are both the saved blob (beside a JSON header)
+and the gossip message payload.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,18 +23,24 @@ _CLIP = 1e-12  # probability clip for the loss value; keeps BCE finite
 @dataclass
 class Mlp:
     sizes: tuple[int, ...]
-    weights: list[np.ndarray]  # weights[h]: (sizes[h+1], sizes[h])
-    biases: list[np.ndarray]  # biases[h]: (sizes[h+1],)
+    params: np.ndarray  # float64, W then b for each layer
+    weights: list[np.ndarray] = field(init=False)  # views (sizes[h+1], sizes[h])
+    biases: list[np.ndarray] = field(init=False)  # views (sizes[h+1],)
 
-    def copy(self) -> "Mlp":
-        return Mlp(
-            sizes=self.sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+    def __post_init__(self):
+        self.weights, self.biases, at = [], [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            self.weights.append(self.params[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+            at += fan_out * fan_in
+            self.biases.append(self.params[at : at + fan_out])
+            at += fan_out
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
+
+
+def _n_params(sizes) -> int:
+    return sum(o * i + o for i, o in zip(sizes[:-1], sizes[1:]))
 
 
 @dataclass(frozen=True)
@@ -54,12 +61,12 @@ def init_mlp(sizes, seed) -> Mlp:
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"need at least two positive layer sizes, got {sizes}")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    mlp = Mlp(sizes, np.zeros(_n_params(sizes)))
+    for W in mlp.weights:
+        fan_out, fan_in = W.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(sizes=sizes, weights=weights, biases=biases)
+        W[...] = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    return mlp
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -179,28 +186,17 @@ def train(
 
 def params_to_blob(mlp: Mlp) -> bytes:
     """Flat little-endian float64 parameters: W then b per layer, in order."""
-    parts = []
-    for W, b in zip(mlp.weights, mlp.biases):
-        parts.append(W.astype("<f8").tobytes())
-        parts.append(b.astype("<f8").tobytes())
-    return b"".join(parts)
+    return mlp.params.astype("<f8").tobytes()
 
 
 def mlp_from_blob(sizes, blob: bytes) -> Mlp:
     sizes = tuple(int(s) for s in sizes)
-    expect = sum(o * i + o for i, o in zip(sizes[:-1], sizes[1:]))
+    expect = _n_params(sizes)
     if len(blob) != 8 * expect:
         raise ValueError(
             f"blob holds {len(blob)} bytes, layer sizes {list(sizes)} need {8 * expect}"
         )
-    flat = np.frombuffer(blob, dtype="<f8")
-    weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in).copy())
-        at += fan_out * fan_in
-        biases.append(flat[at : at + fan_out].copy())
-        at += fan_out
-    return Mlp(sizes=sizes, weights=weights, biases=biases)
+    return Mlp(sizes, np.frombuffer(blob, dtype="<f8").astype(np.float64))
 
 
 def save_model(mlp: Mlp, path, meta: dict | None = None) -> None:

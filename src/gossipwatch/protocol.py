@@ -323,12 +323,3 @@ def _numpy_loop(
         sums += x
         if snap_of[t] >= 0:
             snaps[snap_of[t]] = x
-
-
-def pair_averaging_matrix(n: int, i: int, j: int) -> np.ndarray:
-    """One-step state-averaging matrix of the pair (i, j): rows i and j both
-    become (e_i + e_j)/2, all other rows stay identity."""
-    A = np.eye(n)
-    A[i, i] = A[j, j] = 0.5
-    A[i, j] = A[j, i] = 0.5
-    return A

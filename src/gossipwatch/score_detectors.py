@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from gossipwatch.features import SdScoreFeatures
-
 GREATER_IS_H1 = "greater-is-H1"
 SMALLER_IS_H1 = "smaller-is-H1"
 
@@ -22,31 +20,6 @@ def td_detection_score(xi_values: np.ndarray) -> float:
     if xi.size == 0:
         raise ValueError("need at least one neighbor score")
     return float(np.abs(xi - xi.mean()).mean())
-
-
-def td_localization_scores(xi_values: np.ndarray) -> np.ndarray:
-    """|xi_ij| per neighbor; attackers barely move, so small means H1."""
-    return np.abs(np.asarray(xi_values, dtype=np.float64))
-
-
-def sd_detection_score(sd: SdScoreFeatures) -> float:
-    """Mean of squared per-neighbor scalar spatial deviations."""
-    scal = sd.detection.sum(axis=(0, 2)) / (sd.K * sd.d)
-    return float((scal * scal).mean())
-
-
-def sd_localization_scores(sd: SdScoreFeatures, include_self: bool = False) -> np.ndarray:
-    """Squared scalar self-referenced deviations per neighbor.
-
-    With include_self a final entry for j = i is appended, using
-    phi_ii = -phibar_ii.
-    """
-    scal = sd.localization.sum(axis=(0, 2)) / (sd.K * sd.d)
-    z = scal * scal
-    if include_self:
-        s = -sd.self_detection.sum() / (sd.K * sd.d)
-        z = np.append(z, s * s)
-    return z
 
 
 # Row-level scoring over tailored feature vectors, for dataset evaluation.

@@ -3,7 +3,6 @@ constructions, pair sampling, expected mixing matrix, edge surgery."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +61,6 @@ class Graph:
         canon = tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
         return cls(n=n, edges=canon, kind=kind, params=dict(params or {}))
 
-    def neighbors_of(self, i: int) -> np.ndarray:
-        return self.neighbors[i]
-
     def max_degree(self) -> int:
         return int(self.degrees.max())
 
@@ -102,32 +98,22 @@ def subset_connected(graph: Graph, keep) -> bool:
     return _connected(graph.n, graph.neighbors, keep=keep)
 
 
-def manhattan_grid(rows: int, cols: int, wrap: bool = True) -> Graph:
-    """Grid of rows x cols agents, row-major ids, 4-neighbor connectivity.
+def manhattan_grid(rows: int, cols: int) -> Graph:
+    """Torus of rows x cols agents, row-major ids, 4-neighbor connectivity.
 
-    With ``wrap`` (the default) the grid closes into a torus and every agent
-    has degree exactly 4; rows and cols must then be at least 3 so the wrap
-    edges do not collapse into duplicates.
+    Every agent has degree exactly 4; rows and cols must be at least 3 so the
+    wrap edges do not collapse into duplicates.
     """
-    if wrap:
-        if rows < 3 or cols < 3:
-            raise ValueError(f"torus needs rows, cols >= 3, got {rows}x{cols}")
-    else:
-        if rows < 2 or cols < 2:
-            raise ValueError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
+    if rows < 3 or cols < 3:
+        raise ValueError(f"torus needs rows, cols >= 3, got {rows}x{cols}")
     edges = set()
     for r in range(rows):
         for c in range(cols):
             i = r * cols + c
-            if wrap or c + 1 < cols:
-                j = r * cols + (c + 1) % cols
+            for j in (r * cols + (c + 1) % cols, ((r + 1) % rows) * cols + c):
                 edges.add((min(i, j), max(i, j)))
-            if wrap or r + 1 < rows:
-                j = ((r + 1) % rows) * cols + c
-                edges.add((min(i, j), max(i, j)))
-    return Graph.from_edges(
-        rows * cols, edges, kind="manhattan", params={"rows": rows, "cols": cols, "wrap": wrap}
-    )
+    params = {"rows": rows, "cols": cols}
+    return Graph.from_edges(rows * cols, edges, kind="manhattan", params=params)
 
 
 def small_world(
@@ -226,13 +212,10 @@ def second_largest_eigenvalue(matrix: np.ndarray) -> float:
     return float(vals[-2])
 
 
-def remove_edge(graph: Graph, i: int, j: int, mask: "AttackerMask | None" = None) -> Graph:
+def remove_edge(graph: Graph, i: int, j: int) -> Graph:
     """Return a copy of ``graph`` without edge (i, j).
 
-    Rejects edges that are absent and refuses to disconnect the graph.  When
-    an attacker mask is supplied and the cut disconnects the trustworthy
-    subgraph, a warning is issued (the protocol still runs but consensus
-    among trustworthy agents is no longer guaranteed).
+    Rejects edges that are absent and refuses to disconnect the graph.
     """
     e = (min(i, j), max(i, j))
     if e not in set(graph.edges):
@@ -240,16 +223,7 @@ def remove_edge(graph: Graph, i: int, j: int, mask: "AttackerMask | None" = None
     edges = tuple(x for x in graph.edges if x != e)
     params = dict(graph.params)
     params["cut_edges"] = list(params.get("cut_edges", [])) + [list(e)]
-    cut = Graph.from_edges(graph.n, edges, kind=graph.kind, params=params)
-    if mask is not None and mask.ids.size:
-        keep = [v for v in range(cut.n) if not mask.flags[v]]
-        if not _connected(cut.n, cut.neighbors, keep=keep):
-            warnings.warn(
-                f"removing edge {e} disconnects the trustworthy subgraph",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return cut
+    return Graph.from_edges(graph.n, edges, kind=graph.kind, params=params)
 
 
 def induced_subgraph(graph: Graph, keep_ids) -> tuple[Graph, list[int]]:
@@ -263,29 +237,12 @@ def induced_subgraph(graph: Graph, keep_ids) -> tuple[Graph, list[int]]:
     return sub, keep
 
 
-@dataclass(frozen=True)
-class AttackerMask:
-    """Boolean attacker membership over agents; trustworthy = not flagged."""
+def attacker_mask(graph: Graph, ids) -> np.ndarray:
+    """Boolean attacker flags over the agents of ``graph`` from the given
+    agent ids; trustworthy means not flagged.
 
-    flags: np.ndarray
-
-    @property
-    def ids(self) -> np.ndarray:
-        return np.flatnonzero(self.flags)
-
-    @property
-    def m(self) -> int:
-        return int(self.flags.sum())
-
-
-def attacker_mask(
-    graph: Graph, ids, require_trustworthy_connected: bool = True
-) -> AttackerMask:
-    """Build an attacker mask over ``graph`` from the given agent ids.
-
-    By default enforces that the trustworthy agents still induce a connected
-    subgraph, the standing assumption for consensus results and detector
-    training data.
+    Enforces that the trustworthy agents still induce a connected subgraph,
+    the standing assumption for consensus results and detector training data.
     """
     flags = np.zeros(graph.n, dtype=bool)
     for v in ids:
@@ -295,10 +252,9 @@ def attacker_mask(
         flags[v] = True
     if flags.all():
         raise ValueError("at least one trustworthy agent required")
-    if require_trustworthy_connected:
-        keep = [v for v in range(graph.n) if not flags[v]]
-        if not _connected(graph.n, graph.neighbors, keep=keep):
-            raise ValueError(
-                f"attackers {sorted(int(v) for v in ids)} disconnect the trustworthy subgraph"
-            )
-    return AttackerMask(flags=flags)
+    keep = [v for v in range(graph.n) if not flags[v]]
+    if not _connected(graph.n, graph.neighbors, keep=keep):
+        raise ValueError(
+            f"attackers {sorted(int(v) for v in ids)} disconnect the trustworthy subgraph"
+        )
+    return flags

@@ -21,16 +21,16 @@ from gossipwatch.evaluation import (
     roc_curve,
 )
 from gossipwatch.experiments import run_family
-from gossipwatch.features import sd_aggregates, temporal_from_endpoints
+from gossipwatch.features import temporal_from_endpoints
 from gossipwatch.neural import TrainConfig, init_mlp, loss_and_grad, train
-from gossipwatch.protocol import pair_averaging_matrix
-from gossipwatch.score_detectors import (
+from gossipwatch.score_detectors import td_detection_score, td_row_localization
+from gossipwatch.topology import Graph, expected_transition_matrix, manhattan_grid
+from oracles import (
+    pair_averaging_matrix,
+    sd_aggregates,
     sd_detection_score,
     sd_localization_scores,
-    td_detection_score,
-    td_localization_scores,
 )
-from gossipwatch.topology import Graph, expected_transition_matrix, manhattan_grid
 
 HIDDEN = (200, 100, 50)
 TRAIN = TrainConfig(eta=0.01, batch_size=32, epochs=30)
@@ -217,7 +217,7 @@ def test_04_score_detector_hand_oracles():
     values, _ = temporal_from_endpoints(runs[:, 0], runs[:, -1], path, monitor)
     assert np.abs(values - xi).max() < 1e-12
     assert abs(td_detection_score(values) - mad) < 1e-12
-    assert np.abs(td_localization_scores(values) - np.abs(xi)).max() < 1e-12
+    assert np.abs(td_row_localization(values) - np.abs(xi)).max() < 1e-12
 
     agg = sd_aggregates(runs.sum(axis=1), path, monitor)
     assert abs(sd_detection_score(agg) - (chi * chi).mean()) < 1e-12

@@ -145,6 +145,7 @@ def test_ill_typed_dataset_field_is_a_config_error(tmp_path, capsys):
     )
     assert rc == 1
     assert "config error: 'train.K' expects a JSON integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_ill_typed_set_value_is_a_config_error(tmp_path, capsys):
@@ -159,6 +160,9 @@ def test_ill_typed_set_value_is_a_config_error(tmp_path, capsys):
 
 def test_unconfigured_inputs_are_config_errors(tmp_path, capsys):
     assert cli.main(["train", "--out", str(tmp_path / "m")]) == 1
+    assert not (tmp_path / "m").exists()
+    assert cli.main(["train-gossip", "--out", str(tmp_path / "g")]) == 1
+    assert not (tmp_path / "g").exists()
     data = _gen(tmp_path)
     assert (
         cli.main(
@@ -170,6 +174,7 @@ def test_unconfigured_inputs_are_config_errors(tmp_path, capsys):
         )
         == 1
     )
+    assert not (tmp_path / "roc").exists()
     assert (
         cli.main(
             [
@@ -181,6 +186,19 @@ def test_unconfigured_inputs_are_config_errors(tmp_path, capsys):
         )
         == 1
     )
+    assert not (tmp_path / "roc").exists()
+    assert (
+        cli.main(
+            [
+                "eval-roc",
+                "--set", f"temporal_data={data}/nd_temporal_test.csv",
+                "--set", 'detectors=["td", "tdnn"]',
+                "--out", str(tmp_path / "roc"),
+            ]
+        )
+        == 1
+    )
+    assert not (tmp_path / "roc").exists()
 
 
 def test_config_file_plus_set_precedence(tmp_path):

@@ -10,12 +10,12 @@ from gossipwatch.evaluation import (
     evaluate_detector,
     make_nn_detector,
     make_score_detector,
-    rates_at_threshold,
     roc_curve,
     roc_to_csv,
 )
 from gossipwatch.neural import init_mlp
 from gossipwatch.score_detectors import GREATER_IS_H1, SMALLER_IS_H1
+from oracles import rates_at_threshold
 
 
 def _mw_brute(scores, labels):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from gossipwatch.features import (
-    sd_aggregates,
     spatial_from_sums,
     tailor_inputs,
     temporal_from_endpoints,
 )
 from gossipwatch.topology import Graph, manhattan_grid
+from oracles import sd_aggregates
 
 
 def _random_runs(rng, K, n, d, T):
@@ -31,7 +31,7 @@ def _brute_temporal(runs, graph, agent):
     """xi_ij by explicit loops over instances and dimensions."""
     K, d = runs.shape[0], runs.shape[3]
     out = []
-    for j in graph.neighbors_of(agent):
+    for j in graph.neighbors[agent]:
         total = 0.0
         for states in runs:
             for dim in range(d):
@@ -43,9 +43,9 @@ def _brute_temporal(runs, graph, agent):
 def _brute_spatial(runs, graph, agent):
     """chi_ij by explicit loops over t, instances, and dimensions."""
     K, d = runs.shape[0], runs.shape[3]
-    members = sorted([agent] + [int(v) for v in graph.neighbors_of(agent)])
+    members = sorted([agent] + [int(v) for v in graph.neighbors[agent]])
     out = []
-    for j in graph.neighbors_of(agent):
+    for j in graph.neighbors[agent]:
         total = 0.0
         for states in runs:
             for t in range(states.shape[0]):
@@ -59,8 +59,8 @@ def _brute_spatial(runs, graph, agent):
 def _brute_localization(runs, graph, agent):
     """phi_ij = sum_t (x_j - x_i) - phibar_ii, per instance and neighbor."""
     K, d = runs.shape[0], runs.shape[3]
-    members = sorted([agent] + [int(v) for v in graph.neighbors_of(agent)])
-    nbrs = list(graph.neighbors_of(agent))
+    members = sorted([agent] + [int(v) for v in graph.neighbors[agent]])
+    nbrs = list(graph.neighbors[agent])
     out = np.zeros((K, len(nbrs), d))
     for k, states in enumerate(runs):
         phibar_ii = np.zeros(d)
@@ -80,7 +80,7 @@ def test_temporal_from_endpoints_matches_brute_force():
     for agent in (0, 4, 8):
         values = _temporal(runs, graph, agent)
         assert np.abs(values - _brute_temporal(runs, graph, agent)).max() < 1e-12
-        assert values.shape == (len(graph.neighbors_of(agent)),)
+        assert values.shape == (len(graph.neighbors[agent]),)
 
 
 def test_spatial_from_sums_matches_brute_force():

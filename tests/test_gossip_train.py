@@ -10,7 +10,7 @@ from gossipwatch.gossip_train import (
     metrics_to_csv,
     run_gossip_training,
 )
-from gossipwatch.neural import TrainConfig, init_mlp, mlp_from_blob, params_to_blob
+from gossipwatch.neural import Mlp, TrainConfig, init_mlp, mlp_from_blob, params_to_blob
 from gossipwatch.topology import Graph
 
 
@@ -61,7 +61,7 @@ def test_sync_round_delivers_after_everyone_acts():
     merged within the round it was sent: inboxes fill only at the barrier."""
     graph = Graph.from_edges(2, [(0, 1)])
     learners = [_learner(0, sizes=(2, 2, 1)), _learner(1, sizes=(2, 2, 1))]
-    before = [lr.model.copy() for lr in learners]
+    before = [Mlp(lr.model.sizes, lr.model.params.copy()) for lr in learners]
     gossip_round(learners, graph, np.random.default_rng(0))
     assert learners[0].inbox is not None and learners[1].inbox is not None
     # each agent took exactly one local step from its pre-round model:
@@ -127,7 +127,7 @@ def test_mean_loss_skips_starved_agents():
 def test_async_mode_wakes_one_agent_per_tick():
     graph = Graph.from_edges(2, [(0, 1)])
     learners = [_learner(0, sizes=(2, 2, 1)), _learner(1, sizes=(2, 2, 1))]
-    before = [lr.model.copy() for lr in learners]
+    before = [Mlp(lr.model.sizes, lr.model.params.copy()) for lr in learners]
     run_gossip_training(learners, graph, 1, np.random.default_rng(0), mode="async")
     changed = [
         not np.array_equal(lr.model.weights[0], b4.weights[0])

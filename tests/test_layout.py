@@ -1,0 +1,78 @@
+"""Package layout: every top-level function and class in ``src/gossipwatch``
+is used by code of the package itself.  Code that only tests use belongs
+in ``tests/`` (``tests/oracles.py`` holds the reference implementations)."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gossipwatch"
+
+# Top-level names that may stay in src/ without a user there.
+ALLOWED: set[str] = set()
+
+
+def _annotation_nodes(tree) -> set[int]:
+    """ids of every node inside an annotation; with postponed evaluation
+    annotations never run, so they are not uses."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            roots.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef) and node.returns:
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(sub) for root in roots for sub in ast.walk(root)}
+
+
+def _used_names(stmt, skip: set[int]) -> set[str]:
+    """Names and attribute names that ``stmt`` evaluates.  Imports are not
+    uses: an imported name counts where the importer uses it."""
+    names = set()
+    for node in ast.walk(stmt):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_top_level_name_has_a_user_in_the_package():
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    uses = {
+        id(stmt): _used_names(stmt, skip)
+        for tree in trees.values()
+        for skip in [_annotation_nodes(tree)]
+        for stmt in tree.body
+    }
+    definitions = [
+        (module, stmt)
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in ALLOWED
+    ]
+    # A name used only by unused code is unused too: drop dead definitions
+    # until none is left to drop.
+    dead: set[int] = set()
+    while True:
+        newly = {
+            id(d)
+            for _, d in definitions
+            if id(d) not in dead
+            and not any(
+                d.name in names
+                for key, names in uses.items()
+                if key != id(d) and key not in dead
+            )
+        }
+        if not newly:
+            break
+        dead |= newly
+    unused = [f"{m}:{d.lineno} {d.name}" for m, d in definitions if id(d) in dead]
+    assert not unused, "not used in src/gossipwatch outside __init__.py: " + ", ".join(unused)

@@ -167,13 +167,28 @@ def test_sgd_step_returns_pre_update_loss():
     assert after < before
 
 
-def test_blob_roundtrip_is_bitwise():
+def test_blob_roundtrip_is_bitwise(tmp_path):
     mlp = init_mlp([5, 7, 2], seed=9)
     back = mlp_from_blob(mlp.sizes, params_to_blob(mlp))
     assert all(np.array_equal(a, b) for a, b in zip(mlp.weights, back.weights))
     assert all(np.array_equal(a, b) for a, b in zip(mlp.biases, back.biases))
     with pytest.raises(ValueError):
         mlp_from_blob([5, 7, 3], params_to_blob(mlp))
+
+    # the layers are views of the one parameter vector, which is the blob
+    for m in (mlp, back):
+        assert all(np.shares_memory(W, m.params) for W in m.weights)
+        assert all(np.shares_memory(b, m.params) for b in m.biases)
+        assert params_to_blob(m) == m.params.tobytes()
+
+    # decoded and loaded models own writable parameters that SGD moves
+    save_model(mlp, tmp_path / "model.json")
+    X, Y = np.ones((3, 5)), np.ones((3, 2))
+    for m in (back, load_model(tmp_path / "model.json")[0]):
+        assert m.params.flags.writeable
+        start = m.params.copy()
+        sgd_step(m, X, Y, eta=0.1)
+        assert not np.array_equal(m.params, start)
 
 
 def test_save_load_roundtrip_with_meta(tmp_path):

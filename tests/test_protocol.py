@@ -115,7 +115,7 @@ def test_run_batch_checkpoint_support():
     config = ProtocolConfig(d=2, T=60)
     stats = _run(graph, problems, config, (1, 2, 3), checkpoints=range(61))
     assert sorted(stats.checkpoints) == list(range(61))
-    nbr_sets = [set(int(v) for v in graph.neighbors_of(i)) for i in range(9)]
+    nbr_sets = [set(int(v) for v in graph.neighbors[i]) for i in range(9)]
     for b in range(3):
         states = _trajectory(stats, b, 60)
         assert states.shape == (61, 9, 2)
@@ -176,7 +176,7 @@ def test_pure_averaging_keeps_mean_and_contracts_range():
 
 def test_attacker_reemission_stays_near_alpha():
     graph = manhattan_grid(3, 3)
-    flags = attacker_mask(graph, [4]).flags[None]
+    flags = attacker_mask(graph, [4])[None]
     problem = generate_problem(9, 2, np.random.default_rng(10))
     lam = second_largest_eigenvalue(expected_transition_matrix(graph))
     alpha = np.array([0.3, -0.2])
@@ -204,7 +204,7 @@ def _reference_run(graph, flags, theta, phi, alpha, lam, config, rng):
     for v, row in zip(attackers, rng.uniform(-1.0, 1.0, size=(len(attackers), d)).tolist()):
         x[v] = [alpha[c] + 1.0 * row[c] for c in range(d)]
     wake = rng.integers(0, n, size=T).tolist()
-    nbrs = [graph.neighbors_of(i).tolist() for i in wake]
+    nbrs = [graph.neighbors[i].tolist() for i in wake]
     pull = [a[int(u * len(a))] for a, u in zip(nbrs, rng.random(T).tolist())]
     events = sum(int(flags[i]) + int(flags[j]) for i, j in zip(wake, pull))
     noise = iter(rng.uniform(-1.0, 1.0, size=(events, d)).tolist())
