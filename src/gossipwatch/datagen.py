@@ -191,14 +191,19 @@ def _placement_pools(graph: Graph, monitor: int):
 
 
 def place_attackers(
-    scenario: Scenario, monitor: int, rng: np.random.Generator, max_tries: int = 100
+    scenario: Scenario,
+    monitor: int,
+    rng: np.random.Generator,
+    max_tries: int = 100,
+    pools: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, ...]:
     """Draw m attacker ids with exactly c adjacent to the monitor, keeping
-    the trustworthy subgraph connected.  Rejection-samples placements."""
+    the trustworthy subgraph connected.  Rejection-samples placements.
+    pools is _placement_pools(graph, monitor), computed here when None."""
     graph, m, c = scenario.graph, scenario.m, scenario.c
     if m == 0:
         return ()
-    nbrs, outside = _placement_pools(graph, monitor)
+    nbrs, outside = _placement_pools(graph, monitor) if pools is None else pools
     if c > len(nbrs):
         raise ValueError(f"c={c} exceeds monitor degree {len(nbrs)}")
     if m - c > len(outside):
@@ -211,7 +216,8 @@ def place_attackers(
             else np.empty(0, np.int64)
         )
         ids = np.sort(np.concatenate([near, far]).astype(np.int64))
-        keep = [v for v in range(graph.n) if v not in set(int(x) for x in ids)]
+        drawn = set(ids.tolist())
+        keep = [v for v in range(graph.n) if v not in drawn]
         if subset_connected(graph, keep):
             return tuple(int(v) for v in ids)
     raise ValueError(
@@ -278,6 +284,7 @@ def _batch_samples(
     lam = scenario.noise_decay() if any_attack else None
     if scenario.attackers is not None:
         attacker_mask(graph, scenario.attackers)  # validate once
+    pools = {}  # monitor -> its placement pools
     for r, ss in enumerate(seeds):
         rng = np.random.default_rng(ss)
         monitor = _draw_monitor(scenario, rng)
@@ -286,7 +293,9 @@ def _batch_samples(
             if monitor in ids:
                 raise ValueError(f"monitor {monitor} cannot be an attacker")
         elif scenario.m:
-            ids = place_attackers(scenario, monitor, rng)
+            if monitor not in pools:
+                pools[monitor] = _placement_pools(graph, monitor)
+            ids = place_attackers(scenario, monitor, rng, pools=pools[monitor])
         else:
             ids = ()
         monitors.append(monitor)

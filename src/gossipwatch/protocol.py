@@ -154,6 +154,12 @@ def _draw_instance_randomness(graph, config, flags, rng):
     return beta, init_noise, i_seq, j_seq, event_noise
 
 
+# The bitgen_t pointer in the "BitGenerator" capsule of a numpy bit generator.
+_bitgen = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
 _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
@@ -197,11 +203,11 @@ def _compiled_loop():
 
     loop.restype = ctypes.c_int
     loop.argtypes = [
-        i64, i64, i64, i64, arr(np.float64), arr(np.float64),
-        arr(np.int64), arr(np.int64), arr(np.uint8),
-        arr(np.float64), arr(np.float64), arr(np.float64),
-        arr(np.float64), arr(np.float64), arr(np.int64),
-        arr(np.float64), f64, f64, arr(np.int64), arr(np.float64),
+        i64, i64, i64, i64, arr(np.uintp),
+        arr(np.float64), arr(np.float64), arr(np.float64), arr(np.uint8),
+        arr(np.int64), arr(np.int64), i64,
+        arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64),
+        f64, f64, f64, f64, arr(np.int64), arr(np.float64),
     ]
     return loop
 
@@ -222,23 +228,25 @@ def run_batch(
     flags is (B, n) attacker membership, thetas (B, n, d), phis (B, n),
     alphas (B, d) (ignored for rows without attackers; may be None when no
     row has any).  rngs holds one generator per instance, consumed in the
-    order of _draw_instance_randomness.  checkpoints lists iterations t
-    whose full (B, n, d) states are kept; range(T + 1) records whole
-    trajectories.
+    order of _draw_instance_randomness and left in the state that order
+    leaves.  checkpoints lists iterations t whose full (B, n, d) states are
+    kept; range(T + 1) records whole trajectories.
 
     Only the two agents of the sampled pair change state at an iteration.
     Trustworthy members move to the projected subgradient step from the pair
     average of the pre-iteration states; attacker members re-emit
-    alpha + lambda_hat^t U[-1, 1]^d.  The iterations run in the compiled
-    loop of _gossip_loop.c, or in the bitwise-equal numpy loop where no C
-    compiler works.
+    alpha + lambda_hat^t U[-1, 1]^d.  The compiled loop of _gossip_loop.c
+    draws each instance's randomness itself, through its generator's C
+    interface (numpy's bitgen_t) and without the generator's lock, so it is
+    not thread-safe against another user of the same generator.  Where no C
+    compiler works, the draws are made in numpy and the iterations run in
+    the bitwise-equal numpy loop.
     """
     B = len(rngs)
     n, d, T = graph.n, config.d, config.T
     if flags.shape != (B, n) or thetas.shape != (B, n, d) or phis.shape != (B, n):
         raise ValueError("batch array shapes are inconsistent")
-    any_attack = bool(flags.any())
-    if any_attack:
+    if flags.any():
         if alphas is None or lambda_hat is None:
             raise ValueError("attackers present but alphas/lambda_hat missing")
         alphas = np.ascontiguousarray(alphas, dtype=np.float64)
@@ -249,6 +257,44 @@ def run_batch(
         alphas, powers = np.zeros((B, d)), np.zeros(T + 1)
 
     flags = np.ascontiguousarray(flags, dtype=np.uint8)
+    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
+    phis = np.ascontiguousarray(phis, dtype=np.float64)
+    times = sorted({int(c) for c in checkpoints if 0 <= int(c) <= T})
+    snap_of = np.full(T + 1, -1, dtype=np.int64)
+    snap_of[times] = np.arange(len(times))
+    snaps = np.empty((len(times), B, n, d))
+    sched = config.stepsize.schedule(T)
+    loop = _compiled_loop()
+    if loop is None:
+        first, last, sums = _numpy_run(
+            graph, config, flags, thetas, phis, alphas, powers, rngs, sched, snap_of, snaps
+        )
+    else:
+        first, last, sums = (np.empty((B, n, d)) for _ in range(3))
+        gens = np.array(
+            [_bitgen(rng.bit_generator.capsule, b"BitGenerator") for rng in rngs],
+            dtype=np.uintp,
+        )
+        status = loop(
+            B, n, d, T, gens, first, last, sums, flags,
+            graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
+            thetas, phis, alphas, powers, sched,
+            float(config.init_low), float(config.init_high),
+            float(config.box_lo), float(config.box_hi), snap_of, snaps,
+        )
+        if status != 0:
+            raise MemoryError("gossip loop could not allocate its work buffer")
+    return BatchStats(
+        first=first, last=last, sums=sums, checkpoints={t: snaps[k] for k, t in enumerate(times)}
+    )
+
+
+def _numpy_run(graph, config, flags, thetas, phis, alphas, powers, rngs, sched, snap_of, snaps):
+    """run_batch without a compiler: the draws of _draw_instance_randomness
+    per instance, then _numpy_loop.  Returns the first, last and summed
+    states."""
+    B = len(rngs)
+    n, d, T = graph.n, config.d, config.T
     i_seq = np.empty((B, T), dtype=np.int64)
     j_seq = np.empty((B, T), dtype=np.int64)
     event_rows = []
@@ -266,28 +312,13 @@ def run_batch(
     start = np.zeros(B + 1, dtype=np.int64)
     np.cumsum([ev.shape[0] for ev in event_rows], out=start[1:])
     noise = np.concatenate(event_rows + [np.zeros((1, d))])
-
-    times = sorted({int(c) for c in checkpoints if 0 <= int(c) <= T})
-    snap_of = np.full(T + 1, -1, dtype=np.int64)
-    snap_of[times] = np.arange(len(times))
-    snaps = np.empty((len(times), B, n, d))
     first = x.copy()
     sums = x.copy()
-    args = (
-        x, sums, i_seq, j_seq, flags,
-        np.ascontiguousarray(thetas, dtype=np.float64),
-        np.ascontiguousarray(phis, dtype=np.float64),
-        alphas, powers, noise, start, config.stepsize.schedule(T),
+    _numpy_loop(
+        x, sums, i_seq, j_seq, flags, thetas, phis, alphas, powers, noise, start, sched,
         float(config.box_lo), float(config.box_hi), snap_of, snaps,
     )
-    loop = _compiled_loop()
-    if loop is None:
-        _numpy_loop(*args)
-    elif loop(B, n, d, T, *args) != 0:
-        raise MemoryError("gossip loop could not allocate its work buffer")
-    return BatchStats(
-        first=first, last=x, sums=sums, checkpoints={t: snaps[k] for k, t in enumerate(times)}
-    )
+    return first, x, sums
 
 
 def _numpy_loop(
@@ -295,7 +326,11 @@ def _numpy_loop(
     lo, hi, snap_of, snaps,
 ):
     """The reference loop the C loop must match bit for bit, vectorized over
-    the batch; same arguments and in-place results as gossip_loop."""
+    the batch.  x holds the (B, n, d) states at t = 0 and receives them at
+    t = T; sums holds x and receives the sum over t = 0..T.  Instance b's
+    attack-noise rows are noise[start[b]:start[b + 1]], one per attacker
+    pair-membership event in (t, waking-then-pulled) order.  snap_of[t] is
+    the slot of iteration t in snaps, or -1."""
     B, T = i_seq.shape
     aB = np.arange(B)
     att_i = flags[aB[:, None], i_seq].astype(bool)

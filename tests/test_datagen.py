@@ -94,6 +94,31 @@ def test_place_attackers_respects_adjacency_counts():
             assert ids == tuple(sorted(ids))
 
 
+def test_place_attackers_with_given_pools_draws_the_same():
+    scn = _scenario(m=3, c=2)
+    pools = datagen._placement_pools(scn.graph, 4)
+    for seed in range(10):
+        rng, own = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert place_attackers(scn, 4, rng, pools=pools) == place_attackers(scn, 4, own)
+        assert rng.bit_generator.state == own.bit_generator.state
+
+
+def test_placement_pools_are_computed_once_per_monitor(monkeypatch):
+    scn = _scenario(m=2, c=1, K=2)
+    seeds = [np.random.SeedSequence(7, spawn_key=(r,)) for r in range(12)]
+    monitors = {datagen._draw_monitor(scn, np.random.default_rng(ss)) for ss in seeds}
+    calls = []
+    real = datagen._placement_pools
+
+    def count(graph, monitor):
+        calls.append(monitor)
+        return real(graph, monitor)
+
+    monkeypatch.setattr(datagen, "_placement_pools", count)
+    _batch_samples(scn, seeds, (2,))
+    assert sorted(calls) == sorted(monitors) and len(monitors) > 1
+
+
 def test_place_attackers_rejects_infeasible_requests():
     with pytest.raises(ValueError):
         place_attackers(_scenario(m=5, c=5), 4, np.random.default_rng(0))

@@ -1,7 +1,9 @@
 """Protocol kernel: problems, stepsizes, run_batch behaviour, and bitwise
 parity of the compiled and numpy loops with a pure-Python reference stepper."""
 
+import itertools
 import shutil
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -241,9 +243,11 @@ def test_serial_and_batch_runners_agree_bitwise(monkeypatch):
 
 
 def _check_against_reference():
+    # An odd T leaves a buffered 32-bit half of the pair draws in the
+    # generator when the neighbor draws begin.
     graphs = (manhattan_grid(3, 3), small_world(20, 8, 0.2, np.random.default_rng(5)))
-    T, B = 150, 3
-    for graph in graphs:
+    B = 3
+    for graph, T in itertools.product(graphs, (150, 151)):
         lam = second_largest_eigenvalue(expected_transition_matrix(graph))
         attacked = np.zeros((B, graph.n), dtype=bool)
         attacked[1, 4] = True
@@ -300,6 +304,12 @@ def _run_seeded(args, checkpoints=()):
     )
 
 
+def _skip_without_cc():
+    if shutil.which(protocol._CC[0]) is None:
+        pytest.skip(f"no C compiler {protocol._CC[0]!r} on PATH; only the numpy loop runs here")
+    assert protocol._compiled_loop() is not None
+
+
 def _assert_same(a, b):
     for name in ("first", "last", "sums"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -318,13 +328,55 @@ def fresh_loader():
 
 
 def test_compiled_and_numpy_loops_agree_bitwise_at_datagen_size(monkeypatch):
-    if shutil.which(protocol._CC[0]) is None:
-        pytest.skip(f"no C compiler {protocol._CC[0]!r} on PATH; only the numpy loop runs here")
-    assert protocol._compiled_loop() is not None
+    _skip_without_cc()
     args = _attacked_torus_batch(256, 2000)
     compiled = _run_seeded(args, checkpoints=(0, 1, 999, 2000))
     monkeypatch.setattr(protocol, "_compiled_loop", lambda: None)
     _assert_same(compiled, _run_seeded(args, checkpoints=(0, 1, 999, 2000)))
+
+
+def _same_state(a, b):
+    """Equality of two bit_generator.state values, which may hold arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("T", [300, 301])
+def test_compiled_draws_match_numpy_draws_for_any_bit_generator(monkeypatch, bit_generator, T):
+    """The compiled path draws through each generator's C interface; it
+    returns the numpy path's bits and leaves every generator in the state
+    the numpy path leaves it in."""
+    _skip_without_cc()
+    args = _attacked_torus_batch(12, T)
+
+    def run():
+        rngs = [np.random.Generator(bit_generator(np.random.SeedSequence(b))) for b in range(12)]
+        return run_batch(*args, rngs, checkpoints=(0, 7, T)), [r.bit_generator.state for r in rngs]
+
+    compiled, compiled_states = run()
+    monkeypatch.setattr(protocol, "_compiled_loop", lambda: None)
+    reference, reference_states = run()
+    _assert_same(compiled, reference)
+    for a, b in zip(compiled_states, reference_states):
+        assert _same_state(a, b), (a, b)
+
+
+def test_compiled_run_batch_allocates_no_per_step_arrays():
+    """The compiled path keeps no (B, T) pair or noise arrays, which at
+    B = 256, T = 2000 would take 8 MB for the pairs alone."""
+    _skip_without_cc()
+    args = _attacked_torus_batch(256, 2000)
+    rngs = [np.random.default_rng(np.random.SeedSequence(b)) for b in range(256)]
+    tracemalloc.start()
+    try:
+        stats = run_batch(*args, rngs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.last.shape == (256, 9, 2)
+    assert peak < 1_000_000, peak
 
 
 def test_failed_build_falls_back_to_numpy_with_one_warning(
