@@ -76,9 +76,7 @@ TRAIN_DEFAULTS = {
     "kind": None,
     "K": None,
     "d": None,
-    "eta": 0.01,
-    "batch_size": 32,
-    "epochs": 30,
+    **ex._TRAIN_DEFAULTS,
     "seed": 0,
     "name": "model",
 }
@@ -315,10 +313,7 @@ def _cmd_train(args) -> int:
         mlp, os.path.join(outdir, name + ".json"),
         meta={"task": dataset.task, "kind": dataset.kind, "K": dataset.K, "d": dataset.d},
     )
-    with open(os.path.join(outdir, "losses.csv"), "w") as fh:
-        fh.write("epoch,loss\n")
-        for e, loss in enumerate(losses):
-            fh.write(f"{e},{repr(float(loss))}\n")
+    ex._write_csv(os.path.join(outdir, "losses.csv"), ["epoch", "loss"], list(enumerate(losses)))
     ex.write_manifest(
         outdir, "train", cfg, [name + ".json", name + ".json.bin", "losses.csv"]
     )

@@ -582,21 +582,11 @@ def subset_rows(dataset: LabeledDataset, rows: np.ndarray) -> LabeledDataset:
     rows = np.asarray(rows)
     if rows.dtype == bool:
         rows = np.flatnonzero(rows)
-    return LabeledDataset(
-        task=dataset.task,
-        kind=dataset.kind,
-        inputs=dataset.inputs[rows],
-        padded=dataset.padded[rows],
-        self_values=dataset.self_values[rows],
-        labels=dataset.labels[rows],
-        events=[dataset.events[int(r)] for r in rows],
-        monitors=dataset.monitors[rows],
-        sample_ids=dataset.sample_ids[rows],
-        groups=dataset.groups[rows],
-        slot_agents=dataset.slot_agents[rows],
-        K=dataset.K,
-        d=dataset.d,
-        meta=dict(dataset.meta),
+    per_row = ("inputs", "padded", "self_values", "labels", "monitors", "sample_ids", "groups",
+               "slot_agents")
+    return replace(
+        dataset, events=[dataset.events[int(r)] for r in rows], meta=dict(dataset.meta),
+        **{name: getattr(dataset, name)[rows] for name in per_row},
     )
 
 

@@ -187,6 +187,17 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
     return apply_overrides(DEFAULTS[family], overrides or {}, family)
 
 
+# Training fields, wherever they appear in a config: (valid, what a value must be).
+_DOMAINS = {
+    "eta": (lambda v: v > 0, "> 0"),
+    "batch_size": (lambda v: v >= 1, ">= 1"),
+    "epochs": (lambda v: v >= 0, ">= 0"),
+    "rounds": (lambda v: v >= 0, ">= 0"),
+    "mu": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "mode": (lambda v: v in ("sync", "async"), "'sync' or 'async'"),
+}
+
+
 def apply_overrides(defaults: dict, overrides: dict, path: str) -> dict:
     """Deep-copied ``defaults`` with ``overrides`` merged; unknown keys fail."""
     cfg = json.loads(json.dumps(defaults))
@@ -196,9 +207,9 @@ def apply_overrides(defaults: dict, overrides: dict, path: str) -> dict:
 
 def _merge(base: dict, overrides: dict, path: str) -> None:
     """Overlay ``overrides`` on ``base`` in place.  Each value must have the
-    JSON type of its default, except that a number field takes an integer;
-    a field whose default is null takes any value and is checked where it
-    is used."""
+    JSON type of its default, except that a number field takes an integer,
+    and a training field its domain (``_DOMAINS``); a field whose default
+    is null takes any value and is checked where it is used."""
     for key, value in overrides.items():
         here = f"{path}.{key}"
         if key not in base:
@@ -208,6 +219,8 @@ def _merge(base: dict, overrides: dict, path: str) -> None:
             raise ConfigError(f"{here!r} expects a JSON {expected}, got {value!r}")
         if expected == "object":
             _merge(base[key], value, here)
+        elif key in _DOMAINS and not _DOMAINS[key][0](value):
+            raise ConfigError(f"{here!r} must be {_DOMAINS[key][1]}, got {value!r}")
         else:
             base[key] = value
 
@@ -274,8 +287,7 @@ def _rng(*key) -> np.random.Generator:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(eta=t["eta"], batch_size=t["batch_size"], epochs=t["epochs"])
+    return TrainConfig(**cfg["train"])
 
 
 def _fit(

@@ -5,12 +5,12 @@ every agent (in id order) merge any model received since its last turn,
 take one mini-batch SGD step on its own shard, and push its parameters to a
 uniformly chosen neighbor.  A message is the sender's whole parameter vector
 as little-endian float64 bytes (``neural.params_to_blob``, the same bytes a
-saved model's blob holds); the recipient decodes it and merges it into its
-own vector.  Inboxes hold one message; a newer arrival overwrites an unread
-one.  Synchronous rounds stage all sends and deliver them after every agent
-has acted, so the serial loop matches a barrier-synchronized parallel
-execution; the asynchronous mode wakes one random agent per tick with
-immediate delivery.
+saved model's blob holds); the recipient reads the bytes in place and merges
+them into its own vector in place.  Inboxes hold one message; a newer
+arrival overwrites an unread one.  Synchronous rounds stage all sends and
+deliver them after every agent has acted, so the serial loop matches a
+barrier-synchronized parallel execution; the asynchronous mode wakes one
+random agent per tick with immediate delivery.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gossipwatch.neural import Mlp, TrainConfig, mlp_from_blob, params_to_blob, sgd_step
+from gossipwatch.neural import Mlp, TrainConfig, params_to_blob, sgd_step
 from gossipwatch.topology import Graph
 
 
@@ -50,13 +50,15 @@ class RoundMetrics:
     dispersion: float  # max over model pairs of the max-abs parameter gap
 
 
-def merge_model(own: Mlp, received: Mlp, mu: float) -> Mlp:
-    """Convex parameter merge: (1 - mu) own + mu received."""
-    if own.sizes != received.sizes:
-        raise ValueError(f"cannot merge layer sizes {own.sizes} and {received.sizes}")
+def merge_model(own: Mlp, received: np.ndarray, mu: float) -> None:
+    """Convex parameter merge in place: own <- (1 - mu) own + mu received,
+    where ``received`` is a parameter vector laid out like ``own.params``."""
+    if received.shape != own.params.shape:
+        raise ValueError(f"cannot merge {received.size} parameters into {own.params.size}")
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"merge weight mu must be in [0, 1], got {mu}")
-    return Mlp(own.sizes, (1.0 - mu) * own.params + mu * received.params)
+    own.params *= 1.0 - mu
+    own.params += mu * received
 
 
 def _check_learners(learners, graph):
@@ -71,21 +73,13 @@ def _act(lr: LearnerState, graph: Graph, rng: np.random.Generator):
     """Merge inbox, take one local SGD step, pick a recipient.  Returns the
     (recipient, payload) message and the batch loss (nan on an empty shard)."""
     if lr.inbox is not None:
-        lr.model = merge_model(lr.model, mlp_from_blob(lr.model.sizes, lr.inbox), lr.mu)
+        merge_model(lr.model, np.frombuffer(lr.inbox, dtype="<f8"), lr.mu)
         lr.inbox = None
-    rows = lr.X.shape[0]
+    rows, loss = lr.X.shape[0], float("nan")
     if rows:
-        take = min(lr.config.batch_size, rows)
-        idx = rng.choice(rows, size=take, replace=False)
-        loss = sgd_step(
-            lr.model,
-            lr.X[idx],
-            lr.Y[idx],
-            lr.config.eta,
-            None if lr.mask is None else lr.mask[idx],
-        )
-    else:
-        loss = float("nan")
+        idx = rng.choice(rows, size=min(lr.config.batch_size, rows), replace=False)
+        mask = None if lr.mask is None else lr.mask[idx]
+        loss = sgd_step(lr.model, lr.X[idx], lr.Y[idx], lr.config.eta, mask)
     nbrs = graph.neighbors[lr.agent]
     recipient = int(nbrs[int(rng.random() * len(nbrs))])
     return recipient, params_to_blob(lr.model), loss
@@ -96,15 +90,10 @@ def gossip_round(
 ) -> list[float]:
     """One synchronous round over all agents; returns per-agent batch losses."""
     _check_learners(learners, graph)
-    staged = []
-    losses = []
-    for lr in learners:
-        recipient, payload, loss = _act(lr, graph, rng)
-        staged.append((recipient, payload))
-        losses.append(loss)
-    for recipient, payload in staged:
+    staged = [_act(lr, graph, rng) for lr in learners]
+    for recipient, payload, _ in staged:
         learners[recipient].inbox = payload
-    return losses
+    return [loss for _, _, loss in staged]
 
 
 def _dispersion(learners) -> float:

@@ -3,21 +3,43 @@ mean binary cross-entropy loss, plain mini-batch SGD.
 
 Implemented directly on numpy arrays.  A model owns one flat float64
 parameter vector, laid out W then b for each layer; the per-layer weight
-matrices and bias vectors are views into it.  Merging models, as
-collaborative training requires, is arithmetic on the vectors, and the
-vector's little-endian bytes are both the saved blob (beside a JSON header)
-and the gossip message payload.
+matrices and bias vectors are views into it, and backprop fills a gradient
+vector of the same layout, so an SGD step and a gossip merge are each one
+vector update.  The vector's little-endian bytes are both the saved blob
+(beside a JSON header) and the gossip message payload.  Importing the module
+runs numpy's bundled OpenBLAS on one thread, so trained bits do not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _CLIP = 1e-12  # probability clip for the loss value; keeps BCE finite
+
+
+def _pin_blas() -> None:
+    """One thread for numpy's bundled OpenBLAS: threads split a product's sums."""
+    root = os.path.dirname(np.__file__)
+    libs = glob.glob(root + ".libs/libscipy_openblas*")  # Linux and Windows wheels
+    for path in libs + glob.glob(root + "/.dylibs/libscipy_openblas*"):  # macOS wheels
+        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            return
+    warnings.warn("numpy's BLAS has no scipy_openblas_set_num_threads64_; left at its own "
+                  "thread count, trained models may differ between thread counts", RuntimeWarning)
+
+
+_pin_blas()
 
 
 @dataclass
@@ -70,42 +92,37 @@ def init_mlp(sizes, seed) -> Mlp:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _forward_cached(mlp: Mlp, X: np.ndarray) -> list[np.ndarray]:
     acts = [X]
-    a = X
     last = len(mlp.weights) - 1
     for h, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = a @ W.T + b
-        a = _sigmoid(z) if h == last else np.maximum(z, 0.0)
-        acts.append(a)
+        z = acts[-1] @ W.T
+        z += b
+        acts.append(_sigmoid(z) if h == last else np.maximum(z, 0.0, out=z))
     return acts
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     """Network output for one input (M,) or a batch (B, M)."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = _forward_cached(mlp, x[None] if single else x)[-1]
-    return a[0] if single else a
+    out = _forward_cached(mlp, np.atleast_2d(x))[-1]
+    return out[0] if x.ndim == 1 else out
 
 
 def _bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    pc = np.clip(p, _CLIP, 1.0 - _CLIP)
+    pc = np.minimum(np.maximum(p, _CLIP), 1.0 - _CLIP)
     return -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
 
 
 def loss_and_grad(
     mlp: Mlp, X: np.ndarray, Y: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean BCE over the batch and its exact parameter gradient.
+) -> tuple[float, np.ndarray]:
+    """Mean BCE over the batch and its exact gradient, laid out like ``mlp.params``.
 
     ``mask`` (same shape as Y) weights output slots; a row's loss is the
     mean over its unmasked slots, so padded localization slots drop out of
@@ -115,35 +132,32 @@ def loss_and_grad(
     Y = np.asarray(Y, dtype=np.float64).reshape(X.shape[0], -1)
     B, out = Y.shape
     if mask is None:
-        w = np.full_like(Y, 1.0 / out)
+        w = 1.0 / out
     else:
         mask = np.asarray(mask, dtype=np.float64).reshape(Y.shape)
-        valid = mask.sum(axis=1, keepdims=True)
+        valid = np.add.reduce(mask, axis=1, keepdims=True)
         if (valid == 0).any():
             raise ValueError("every row needs at least one unmasked output slot")
         w = mask / valid
     acts = _forward_cached(mlp, X)
     p = acts[-1]
-    loss = float((w * _bce(p, Y)).sum() / B)
+    loss = float(np.add.reduce(w * _bce(p, Y), axis=None) / B)
     delta = w * (p - Y) / B
-    dWs = [np.empty(0)] * len(mlp.weights)
-    dbs = [np.empty(0)] * len(mlp.biases)
+    grad = Mlp(mlp.sizes, np.empty_like(mlp.params))
     for h in range(len(mlp.weights) - 1, -1, -1):
-        dWs[h] = delta.T @ acts[h]
-        dbs[h] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[h], out=grad.weights[h])
+        np.add.reduce(delta, axis=0, out=grad.biases[h])
         if h > 0:
-            delta = (delta @ mlp.weights[h]) * (acts[h] > 0)
-    return loss, dWs, dbs
+            delta = delta @ mlp.weights[h]
+            delta *= acts[h] > 0
+    return loss, grad.params
 
 
-def sgd_step(
-    mlp: Mlp, X, Y, eta: float, mask=None
-) -> float:
+def sgd_step(mlp: Mlp, X, Y, eta: float, mask=None) -> float:
     """One gradient step on a mini batch, in place.  Returns the batch loss."""
-    loss, dWs, dbs = loss_and_grad(mlp, X, Y, mask)
-    for W, b, dW, db in zip(mlp.weights, mlp.biases, dWs, dbs):
-        W -= eta * dW
-        b -= eta * db
+    loss, grad = loss_and_grad(mlp, X, Y, mask)
+    grad *= eta
+    mlp.params -= grad
     return loss
 
 
@@ -155,20 +169,20 @@ def sgd_epoch(
     rng: np.random.Generator,
     mask: np.ndarray | None = None,
 ) -> float:
-    """One shuffled pass over the data, updating ``mlp`` in place.
+    """One shuffled pass over the data, gathered once, updating ``mlp`` in place.
 
     Returns the per-sample mean loss of the epoch (batch losses weighted by
     batch size).
     """
     B = X.shape[0]
     perm = rng.permutation(B)
+    X, Y = X[perm], Y[perm]
+    mask = None if mask is None else mask[perm]
     total = 0.0
     for s in range(0, B, config.batch_size):
-        idx = perm[s : s + config.batch_size]
-        loss = sgd_step(
-            mlp, X[idx], Y[idx], config.eta, None if mask is None else mask[idx]
-        )
-        total += loss * idx.size
+        rows = slice(s, min(B, s + config.batch_size))
+        loss = sgd_step(mlp, X[rows], Y[rows], config.eta, None if mask is None else mask[rows])
+        total += loss * (rows.stop - s)
     return total / B
 
 
@@ -186,7 +200,7 @@ def train(
 
 def params_to_blob(mlp: Mlp) -> bytes:
     """Flat little-endian float64 parameters: W then b per layer, in order."""
-    return mlp.params.astype("<f8").tobytes()
+    return mlp.params.astype("<f8", copy=False).tobytes()
 
 
 def mlp_from_blob(sizes, blob: bytes) -> Mlp:

@@ -1,10 +1,13 @@
 """Reference implementations that only the tests use.
 
 Per-instance spatial aggregates and the score statistics over them, the
-pair-averaging matrix of one gossip step, and the rates of a thresholded
-detector.  The package computes the same quantities by other routes (row
+pair-averaging matrix of one gossip step, the rates of a thresholded
+detector, and the per-layer training path (one gradient array per layer
+and per bias, one row gather per SGD step, a gossip merge through a decoded
+model).  The package computes the same quantities by other routes (row
 statistics over tailored slots, the expected transition matrix, the exact
-ROC sweep); the tests check one against the other.
+ROC sweep, one flat gradient and in-place merges); the tests check one
+against the other.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gossipwatch.evaluation import _validate_scores_labels
+from gossipwatch.neural import Mlp, mlp_from_blob, params_to_blob
 from gossipwatch.score_detectors import GREATER_IS_H1, SMALLER_IS_H1
 from gossipwatch.topology import Graph
 
@@ -100,3 +104,107 @@ def rates_at_threshold(
     p_d = float(flagged[labels == 1].sum() / n_pos)
     p_f = float(flagged[labels == 0].sum() / n_neg)
     return p_d, p_f
+
+
+# --- per-layer training path ------------------------------------------------
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _forward_cached(mlp: Mlp, X: np.ndarray) -> list[np.ndarray]:
+    acts = [X]
+    a = X
+    last = len(mlp.weights) - 1
+    for h, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = a @ W.T + b
+        a = _sigmoid(z) if h == last else np.maximum(z, 0.0)
+        acts.append(a)
+    return acts
+
+
+def _bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
+
+
+def loss_and_grad(mlp: Mlp, X, Y, mask=None):
+    """Mean BCE over the batch and its gradient as per-layer lists
+    (dWs, dbs)."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    Y = np.asarray(Y, dtype=np.float64).reshape(X.shape[0], -1)
+    B, out = Y.shape
+    if mask is None:
+        w = np.full_like(Y, 1.0 / out)
+    else:
+        mask = np.asarray(mask, dtype=np.float64).reshape(Y.shape)
+        valid = mask.sum(axis=1, keepdims=True)
+        if (valid == 0).any():
+            raise ValueError("every row needs at least one unmasked output slot")
+        w = mask / valid
+    acts = _forward_cached(mlp, X)
+    p = acts[-1]
+    loss = float((w * _bce(p, Y)).sum() / B)
+    delta = w * (p - Y) / B
+    dWs = [np.empty(0)] * len(mlp.weights)
+    dbs = [np.empty(0)] * len(mlp.biases)
+    for h in range(len(mlp.weights) - 1, -1, -1):
+        dWs[h] = delta.T @ acts[h]
+        dbs[h] = delta.sum(axis=0)
+        if h > 0:
+            delta = (delta @ mlp.weights[h]) * (acts[h] > 0)
+    return loss, dWs, dbs
+
+
+def sgd_step(mlp: Mlp, X, Y, eta: float, mask=None) -> float:
+    """One gradient step, updating each layer's weights and biases apart."""
+    loss, dWs, dbs = loss_and_grad(mlp, X, Y, mask)
+    for W, b, dW, db in zip(mlp.weights, mlp.biases, dWs, dbs):
+        W -= eta * dW
+        b -= eta * db
+    return loss
+
+
+def train(mlp: Mlp, X, Y, config, rng, mask=None) -> list[float]:
+    """config.epochs shuffled epochs that gather each batch's rows apart."""
+    losses = []
+    for _ in range(config.epochs):
+        B = X.shape[0]
+        perm = rng.permutation(B)
+        total = 0.0
+        for s in range(0, B, config.batch_size):
+            idx = perm[s : s + config.batch_size]
+            loss = sgd_step(
+                mlp, X[idx], Y[idx], config.eta, None if mask is None else mask[idx]
+            )
+            total += loss * idx.size
+        losses.append(total / B)
+    return losses
+
+
+def gossip_act(lr, graph: Graph, rng: np.random.Generator):
+    """One learner's turn of gossip training: decode the inbox into a model,
+    merge it into a new parameter vector, then step and pick a recipient."""
+    if lr.inbox is not None:
+        received = mlp_from_blob(lr.model.sizes, lr.inbox)
+        lr.model = Mlp(lr.model.sizes, (1.0 - lr.mu) * lr.model.params + lr.mu * received.params)
+        lr.inbox = None
+    rows = lr.X.shape[0]
+    if rows:
+        take = min(lr.config.batch_size, rows)
+        idx = rng.choice(rows, size=take, replace=False)
+        loss = sgd_step(
+            lr.model, lr.X[idx], lr.Y[idx], lr.config.eta,
+            None if lr.mask is None else lr.mask[idx],
+        )
+    else:
+        loss = float("nan")
+    nbrs = graph.neighbors[lr.agent]
+    recipient = int(nbrs[int(rng.random() * len(nbrs))])
+    return recipient, params_to_blob(lr.model), loss

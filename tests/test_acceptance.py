@@ -22,7 +22,7 @@ from gossipwatch.evaluation import (
 )
 from gossipwatch.experiments import run_family
 from gossipwatch.features import temporal_from_endpoints
-from gossipwatch.neural import TrainConfig, init_mlp, loss_and_grad, train
+from gossipwatch.neural import Mlp, TrainConfig, init_mlp, loss_and_grad, train
 from gossipwatch.score_detectors import td_detection_score, td_row_localization
 from gossipwatch.topology import Graph, expected_transition_matrix, manhattan_grid
 from oracles import (
@@ -237,7 +237,8 @@ def test_05_gradient_check():
         b += jitter.normal(size=b.shape) * 0.1
     X = rng.normal(size=(6, 4))
     Y = rng.integers(0, 2, size=(6, 1)).astype(float)
-    _, dWs, dbs = loss_and_grad(mlp, X, Y)
+    grad = Mlp(mlp.sizes, loss_and_grad(mlp, X, Y)[1])
+    dWs, dbs = grad.weights, grad.biases
 
     h = 1e-6
     checked = 0

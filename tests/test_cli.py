@@ -158,6 +158,38 @@ def test_ill_typed_set_value_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [("eta=0", "'train.eta' must be > 0, got 0"),
+     ("batch_size=0", "'train.batch_size' must be >= 1, got 0"),
+     ("epochs=-1", "'train.epochs' must be >= 0, got -1")],
+)
+def test_out_of_domain_train_values_are_config_errors(tmp_path, capsys, setting, message):
+    data = _gen(tmp_path)
+    out = tmp_path / "m"
+    rc = cli.main(["train", "--set", f"data={data}/nd_temporal_train.csv", "--set", setting,
+                   "--out", str(out)])
+    assert rc == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("mode=foo", "'train-gossip.mode' must be 'sync' or 'async', got 'foo'"),
+     ("mu=1.5", "'train-gossip.mu' must be in [0, 1], got 1.5"),
+     ("rounds=-3", "'train-gossip.rounds' must be >= 0, got -3")],
+)
+def test_out_of_domain_train_gossip_values_are_config_errors(tmp_path, capsys, setting, message):
+    data = _gen(tmp_path)
+    out = tmp_path / "g"
+    rc = cli.main(["train-gossip", "--set", f"data={data}/nd_spatial_train.csv",
+                   "--set", setting, "--out", str(out)])
+    assert rc == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unconfigured_inputs_are_config_errors(tmp_path, capsys):
     assert cli.main(["train", "--out", str(tmp_path / "m")]) == 1
     assert not (tmp_path / "m").exists()

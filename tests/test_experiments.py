@@ -68,6 +68,22 @@ def test_apply_overrides_checks_json_types():
             apply_overrides(base, {field: value}, "fam")
 
 
+def test_training_fields_outside_their_domain_raise_with_the_field_path():
+    for over, message in (
+        ({"train": {"eta": 0}}, "'gossip-learning.train.eta' must be > 0, got 0"),
+        ({"train": {"batch_size": 0}}, "'gossip-learning.train.batch_size' must be >= 1"),
+        ({"train": {"epochs": -1}}, "'gossip-learning.train.epochs' must be >= 0"),
+        ({"rounds": -3}, "'gossip-learning.rounds' must be >= 0"),
+        ({"mu": 1.5}, r"'gossip-learning.mu' must be in \[0, 1\]"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            resolve_config("gossip-learning", over)
+    # the ends of each domain are in it
+    edge = {"train": {"eta": 1e-9, "batch_size": 1, "epochs": 0}, "rounds": 0, "mu": 1}
+    assert resolve_config("gossip-learning", edge)["mu"] == 1
+    assert resolve_config("gossip-learning", {"mu": 0})["mu"] == 0
+
+
 def test_config_digest_is_order_insensitive_and_value_sensitive():
     a = {"x": 1, "y": {"z": [1, 2]}}
     b = {"y": {"z": [1, 2]}, "x": 1}

@@ -1,8 +1,10 @@
 """Collaborative gossip training: merging, delivery timing, telemetry."""
 
 import numpy as np
+import oracles
 import pytest
 
+from gossipwatch import gossip_train
 from gossipwatch.gossip_train import (
     LearnerState,
     gossip_round,
@@ -30,24 +32,36 @@ def _learner(agent, rows=8, seed=None, mu=0.5, sizes=(3, 4, 1), batch=4):
     )
 
 
+def _merged(own, received, mu):
+    out = Mlp(own.sizes, own.params.copy())
+    merge_model(out, received.params, mu)
+    return out
+
+
 def test_merge_model_endpoints_and_midpoint():
     a = init_mlp([2, 3, 1], seed=0)
     b = init_mlp([2, 3, 1], seed=1)
-    keep = merge_model(a, b, mu=0.0)
-    take = merge_model(a, b, mu=1.0)
-    half = merge_model(a, b, mu=0.5)
+    keep = _merged(a, b, mu=0.0)
+    take = _merged(a, b, mu=1.0)
+    half = _merged(a, b, mu=0.5)
     for wa, wb, wk, wt, wh in zip(a.weights, b.weights, keep.weights, take.weights, half.weights):
         assert np.array_equal(wk, wa)
         assert np.array_equal(wt, wb)
         assert np.allclose(wh, 0.5 * (wa + wb), atol=1e-15)
+    # in place, with the bits of (1 - mu) own + mu received
+    mu = 0.3
+    assert np.array_equal(_merged(a, b, mu).params, (1.0 - mu) * a.params + mu * b.params)
+    params = a.params
+    merge_model(a, b.params, mu)
+    assert a.params is params
 
 
 def test_merge_model_rejects_mismatch_and_bad_mu():
     a = init_mlp([2, 3, 1], seed=0)
     with pytest.raises(ValueError):
-        merge_model(a, init_mlp([2, 4, 1], seed=0), mu=0.5)
+        merge_model(a, init_mlp([2, 4, 1], seed=0).params, mu=0.5)
     with pytest.raises(ValueError):
-        merge_model(a, init_mlp([2, 3, 1], seed=1), mu=1.5)
+        merge_model(a, init_mlp([2, 3, 1], seed=1).params, mu=1.5)
     with pytest.raises(ValueError):
         LearnerState(
             agent=0, model=a, X=np.zeros((1, 2)), Y=np.zeros((1, 1)), mu=-0.1
@@ -74,15 +88,47 @@ def test_sync_round_delivers_after_everyone_acts():
 
     # next round: agent 0 merges agent 1's payload before stepping
     payload = learners[0].inbox
-    merged = merge_model(
-        learners[0].model,
-        mlp_from_blob(learners[0].model.sizes, payload),
-        learners[0].mu,
+    merged = _merged(
+        learners[0].model, mlp_from_blob(learners[0].model.sizes, payload), learners[0].mu
     )
     gossip_round(learners, graph, np.random.default_rng(1))
     assert learners[0].inbox is None or learners[0].inbox != payload
     # model moved from the merged point, not the raw pre-merge one
     assert not np.array_equal(learners[0].model.weights[0], merged.weights[0])
+
+
+def test_merging_leaves_the_staged_payload_and_the_sender_alone():
+    graph = Graph.from_edges(2, [(0, 1)])
+    learners = [_learner(0, sizes=(2, 2, 1)), _learner(1, sizes=(2, 2, 1))]
+    gossip_round(learners, graph, np.random.default_rng(0))
+    payload = learners[0].inbox
+    sent, sender = bytes(payload), learners[1].model.params.copy()
+    gossip_train._act(learners[0], graph, np.random.default_rng(1))
+    assert learners[0].inbox is None
+    assert np.array_equal(learners[1].model.params, sender)
+    assert payload == params_to_blob(learners[1].model)
+    # the payload is a copy: the sender's next step does not reach it
+    gossip_train._act(learners[1], graph, np.random.default_rng(2))
+    assert payload == sent
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_training_matches_decoded_model_merge_oracle_bitwise(mode, monkeypatch):
+    """In-place merges of the message bytes and one flat gradient per step
+    give the params and telemetry of decoding each message into a model,
+    merging into a new vector and stepping layer by layer."""
+    graph = _four_cycle()
+
+    def run():
+        learners = [_learner(a, rows=40, sizes=(4, 200, 100, 50, 1), batch=8) for a in range(4)]
+        metrics = run_gossip_training(learners, graph, 12, np.random.default_rng(3), mode=mode)
+        return [lr.model.params for lr in learners], metrics
+
+    got = run()
+    monkeypatch.setattr(gossip_train, "_act", oracles.gossip_act)
+    expect = run()
+    assert all(np.array_equal(a, b) for a, b in zip(got[0], expect[0]))
+    assert got[1] == expect[1]
 
 
 def test_learner_order_is_enforced():

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import oracles
 import pytest
 
 from gossipwatch.neural import (
@@ -96,9 +97,9 @@ def test_analytic_gradient_matches_central_differences(masked):
     if masked:
         mask = rng.integers(0, 2, size=(6, 2)).astype(float)
         mask[:, 0] = 1.0  # every row keeps at least one live slot
-    _, dWs, dbs = loss_and_grad(mlp, X, Y, mask)
+    grad = Mlp(mlp.sizes, loss_and_grad(mlp, X, Y, mask)[1])
     for kind, layer, idx, numeric in _numeric_grad(mlp, X, Y, mask):
-        analytic = dWs[layer][idx] if kind == "W" else dbs[layer][idx]
+        analytic = grad.weights[layer][idx] if kind == "W" else grad.biases[layer][idx]
         assert abs(analytic - numeric) <= 1e-7 + 1e-5 * abs(numeric), (
             f"{kind}[{layer}]{idx}: analytic {analytic} vs numeric {numeric}"
         )
@@ -125,8 +126,7 @@ def test_masked_slots_do_not_influence_loss_or_gradient():
     Y2[:, 1] = 1.0 - Y2[:, 1]  # flip only the masked slot labels
     flipped = loss_and_grad(mlp, X, Y2, mask)
     assert base[0] == pytest.approx(flipped[0], abs=1e-15)
-    for a, b in zip(base[1], flipped[1]):
-        assert np.array_equal(a, b)
+    assert np.array_equal(base[1], flipped[1])
 
 
 def test_training_reduces_loss_and_is_deterministic():
@@ -154,6 +154,47 @@ def test_toy_separable_problem_is_learned():
     train(mlp, X, Y, TrainConfig(eta=0.5, batch_size=32, epochs=60), rng=rng)
     acc = (((forward(mlp, X)[:, 0] > 0.5)) == (Y[:, 0] > 0.5)).mean()
     assert acc >= 0.99
+
+
+@pytest.mark.parametrize(
+    "out, masked, rows",
+    [(1, False, 256), (4, True, 256), (1, False, 250)],
+    ids=["nd", "nl-masked", "partial-batch"],
+)
+def test_train_matches_per_layer_oracle_bitwise(out, masked, rows):
+    """One flat gradient, in-place forward and one gather per epoch give the
+    bytes of per-layer gradients and updates with one gather per step, on
+    the detector network's own layer shapes."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(rows, 4))
+    Y = rng.integers(0, 2, size=(rows, out)).astype(float)
+    mask = None
+    if masked:
+        mask = rng.integers(0, 2, size=(rows, out)).astype(float)
+        mask[np.arange(rows), rng.integers(0, out, size=rows)] = 1.0
+    cfg = TrainConfig(eta=0.05, batch_size=32, epochs=3)
+    got, ref = (init_mlp([4, 200, 100, 50, out], seed=5) for _ in range(2))
+    losses = train(got, X, Y, cfg, np.random.default_rng(6), mask)
+    expect = oracles.train(ref, X, Y, cfg, np.random.default_rng(6), mask)
+    assert np.array_equal(got.params, ref.params)
+    assert losses == expect
+
+
+def test_forward_and_sgd_step_leave_caller_arrays_alone():
+    rng = np.random.default_rng(22)
+    mlp = init_mlp([4, 16, 8, 3], seed=2)
+    X = rng.normal(size=(10, 4))
+    Y = rng.integers(0, 2, size=(10, 3)).astype(float)
+    mask = np.ones((10, 3))
+    mask[:, 2] = 0.0
+    kept = [a.copy() for a in (X, Y, mask)]
+    forward(mlp, X)
+    forward(mlp, X[0])
+    sgd_step(mlp, X, Y, eta=0.1, mask=mask)
+    sgd_step(mlp, X, Y, eta=0.1)
+    train(mlp, X, Y, TrainConfig(batch_size=4, epochs=2), np.random.default_rng(0), mask)
+    for a, b in zip((X, Y, mask), kept):
+        assert np.array_equal(a, b)
 
 
 def test_sgd_step_returns_pre_update_loss():
