@@ -41,7 +41,6 @@ from gossipwatch.gossip_train import (
     LearnerState,
     RoundMetrics,
     merge_model,
-    gossip_round,
     run_gossip_training,
 )
 from gossipwatch.datagen import (

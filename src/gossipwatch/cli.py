@@ -50,9 +50,10 @@ from .neural import TrainConfig, load_model, save_model
 from .topology import induced_subgraph, manhattan_grid
 
 # --set values must have the JSON type of their default (a number field also
-# takes an integer).  A null default takes any value and is checked where it
-# is read: task, kind, K and d come from the gen-data manifest beside the CSV
-# when unset, and K and d must be integers.
+# takes an integer) and lie in the domain experiments._DOMAINS gives their
+# name.  A null default takes any value and is checked where it is read:
+# task, kind, K and d come from the gen-data manifest beside the CSV when
+# unset, and K and d must be integers.
 GEN_DATA_DEFAULTS = {
     "scenario": "S0",
     "rows": 3,
@@ -271,20 +272,20 @@ def _cmd_gen_data(args) -> int:
     if getattr(args, "full", False):
         overrides["full"] = True
     cfg = apply_overrides(GEN_DATA_DEFAULTS, overrides, "gen-data")
-    outdir = _outdir(args, "gen-data")
-    os.makedirs(outdir, exist_ok=True)
 
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     scenario = scenario_from_tag(
         cfg["scenario"], graph,
-        m=cfg["m"], c=cfg["c"], K=cfg["K"], d=cfg["d"], T=cfg["T"],
+        m=cfg["m"], c=cfg["c"], d=cfg["d"], T=cfg["T"],
         monitor=cfg["monitor"],
     )
     budget = Budget.full() if cfg["full"] else Budget.desk(cfg["scale"])
     data = build_dataset(
-        scenario, budget, cfg["master_seed"],
+        scenario, cfg["K"], budget, cfg["master_seed"],
         tasks=tuple(cfg["tasks"]), events=tuple(cfg["events"]),
     )
+    outdir = _outdir(args, "gen-data")
+    os.makedirs(outdir, exist_ok=True)
 
     artifacts, datasets = [], {}
     for key, pair in sorted(data.items()):
@@ -325,7 +326,7 @@ def _cmd_train_gossip(args) -> int:
     dataset = _load_dataset(cfg["data"], cfg, "train-gossip")
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     keep = [v for v in range(graph.n) if v not in set(cfg["exclude"])]
-    learner_graph, _ = induced_subgraph(graph, keep)
+    learner_graph = induced_subgraph(graph, keep)
     agents = tuple(range(learner_graph.n))
 
     policy = ShardPolicy(

@@ -1,17 +1,18 @@
 """Labeled dataset generation for detector training and evaluation.
 
 A sample is one monitored agent's tailored feature vector(s), computed from
-K fresh protocol instances of a scenario.  Attack scenarios re-randomize
-the attacker placement, problem instance, and injection target per sample,
-subject to the scenario's (m, c) constraints: m attackers total, exactly c
-of them adjacent to the monitored agent.  Every sample owns a seed derived
+K fresh protocol instances of a scenario; K is an argument of the build, not
+part of the scenario.  Attack scenarios re-randomize the attacker placement,
+problem instance, and injection target per sample, subject to the
+scenario's (m, c) constraints: m attackers total, exactly c of them
+adjacent to the monitored agent.  Every sample owns a seed derived
 from (master seed, split, event, row index), so datasets are reproducible
 row by row and independent of batching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from gossipwatch.features import (
     tailor_inputs,
     temporal_from_endpoints,
 )
-from gossipwatch.protocol import ProtocolConfig, Stepsize, generate_problem, run_batch
+from gossipwatch.protocol import ProtocolConfig, generate_problem, run_batch
 from gossipwatch.topology import (
     Graph,
     attacker_mask,
@@ -48,32 +49,31 @@ EVENT_FAR = "far-from"
 _SPLIT_CODES = {"train": 0, "test": 1}
 _EVENT_CODES = {EVENT_H0: 0, EVENT_NEXT: 1, EVENT_FAR: 2, "nl-" + EVENT_NEXT: 3}
 
+# Rejection-sampling draws place_attackers makes before it gives up.
+PLACEMENT_TRIES = 100
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything that defines one sampling distribution of labeled rows."""
+    """Everything that defines one sampling distribution of labeled rows,
+    except K, the protocol runs per row, which each build takes.  Attackers
+    inject toward a target drawn from U[-0.5, 0.5]^d per instance, with noise
+    decaying at the graph's mixing value."""
 
     graph: Graph
     m: int = 1  # attackers in H1 events
     c: int = 1  # attackers adjacent to the monitor in next-to events
     beta_law: tuple[float, float] = BETA_LAWS["S1"]
-    alpha_law: tuple[float, float] = (-0.5, 0.5)
-    K: int = 2
     d: int = 2
     T: int = 2000
     M: int | None = None  # detector input width; graph max degree if None
     monitor: int | None = None  # fixed monitored agent, or drawn per sample
     monitor_pool: tuple[int, ...] | None = None  # candidates when drawn
     attackers: tuple[int, ...] | None = None  # fixed placement, or drawn
-    stepsize: Stepsize = field(default_factory=Stepsize)
-    box: tuple[float, float] = (-10.0, 10.0)
-    lambda_hat: float | None = None  # noise decay; graph mixing value if None
 
     def __post_init__(self):
         if self.m < 0 or self.c < 0 or self.c > self.m:
             raise ValueError(f"need 0 <= c <= m, got m={self.m}, c={self.c}")
-        if self.K < 1:
-            raise ValueError(f"need K >= 1, got {self.K}")
         if self.attackers is not None and len(self.attackers) != self.m:
             raise ValueError("fixed attacker list must have m entries")
         if self.monitor is not None and self.monitor_pool is not None:
@@ -85,38 +85,15 @@ class Scenario:
         return self.M if self.M is not None else self.graph.max_degree()
 
     def noise_decay(self) -> float:
-        if self.lambda_hat is not None:
-            return self.lambda_hat
         return second_largest_eigenvalue(expected_transition_matrix(self.graph))
 
     def protocol_config(self) -> ProtocolConfig:
         return ProtocolConfig(
             d=self.d,
             T=self.T,
-            stepsize=self.stepsize,
-            box_lo=self.box[0],
-            box_hi=self.box[1],
             init_low=self.beta_law[0],
             init_high=self.beta_law[1],
         )
-
-    def fingerprint(self) -> dict:
-        return {
-            "graph": {"kind": self.graph.kind, "n": self.graph.n, "params": self.graph.params},
-            "m": self.m,
-            "c": self.c,
-            "beta_law": list(self.beta_law),
-            "alpha_law": list(self.alpha_law),
-            "K": self.K,
-            "d": self.d,
-            "T": self.T,
-            "M": self.input_width(),
-            "monitor": self.monitor,
-            "monitor_pool": None if self.monitor_pool is None else list(self.monitor_pool),
-            "attackers": None if self.attackers is None else list(self.attackers),
-            "stepsize": [self.stepsize.family, self.stepsize.c0, self.stepsize.c1],
-            "box": list(self.box),
-        }
 
 
 def scenario_from_tag(tag: str, graph: Graph, **kwargs) -> Scenario:
@@ -160,14 +137,13 @@ class LabeledDataset:
     padded: np.ndarray  # (R, M) bool
     self_values: np.ndarray  # (R,)
     labels: np.ndarray  # nd: (R,) int; nl: (R, M) int
-    events: list[str]
+    events: np.ndarray  # (R,) str
     monitors: np.ndarray  # (R,)
     sample_ids: np.ndarray  # (R,) groups of one sample share an id
     groups: np.ndarray  # (R,) group index within the sample
     slot_agents: np.ndarray  # (R, M) source agent of each slot
     K: int
     d: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_rows(self) -> int:
@@ -194,7 +170,6 @@ def place_attackers(
     scenario: Scenario,
     monitor: int,
     rng: np.random.Generator,
-    max_tries: int = 100,
     pools: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, ...]:
     """Draw m attacker ids with exactly c adjacent to the monitor, keeping
@@ -208,7 +183,7 @@ def place_attackers(
         raise ValueError(f"c={c} exceeds monitor degree {len(nbrs)}")
     if m - c > len(outside):
         raise ValueError(f"m-c={m - c} attackers do not fit outside the neighborhood")
-    for _ in range(max_tries):
+    for _ in range(PLACEMENT_TRIES):
         near = rng.choice(nbrs, size=c, replace=False) if c else np.empty(0, np.int64)
         far = (
             rng.choice(outside, size=m - c, replace=False)
@@ -222,7 +197,7 @@ def place_attackers(
             return tuple(int(v) for v in ids)
     raise ValueError(
         f"no connected-trustworthy placement found for m={m}, c={c} "
-        f"at monitor {monitor} in {max_tries} tries"
+        f"at monitor {monitor} in {PLACEMENT_TRIES} tries"
     )
 
 
@@ -304,7 +279,7 @@ def _batch_samples(
             problem = generate_problem(n, d, child)
             thetas[b], phis[b] = problem.theta, problem.phi
             if ids:
-                alphas[b] = child.uniform(scenario.alpha_law[0], scenario.alpha_law[1], d)
+                alphas[b] = child.uniform(-0.5, 0.5, d)
                 flags[b, list(ids)] = True
             rngs.append(child)
     stats = run_batch(
@@ -366,7 +341,7 @@ def _no_rows(M: int) -> dict[str, np.ndarray]:
     }
 
 
-def _dataset(blocks, task: str, kind: str, K: int, d: int, meta: dict) -> LabeledDataset:
+def _dataset(blocks, task: str, kind: str, K: int, d: int) -> LabeledDataset:
     """One (task, kind) dataset from the column blocks of its chunks."""
 
     def col(name):
@@ -379,14 +354,13 @@ def _dataset(blocks, task: str, kind: str, K: int, d: int, meta: dict) -> Labele
         padded=col("padded"),
         self_values=col(kind + "_self"),
         labels=col(task),
-        events=col("events").tolist(),
+        events=col("events"),
         monitors=col("monitors"),
         sample_ids=col("sample"),
         groups=col("groups"),
         slot_agents=col("slot_agents"),
         K=K,
         d=d,
-        meta=dict(meta),
     )
 
 
@@ -400,8 +374,7 @@ def build_datasets(
     chunk: int = 256,
 ) -> dict[int, dict[str, DatasetPair]]:
     """Build train and test datasets of the scenario family for every K in
-    ``Ks`` (not ``scenario.K``), each as a separate build at that K would,
-    from one simulation.
+    ``Ks``, each as a separate build at that K would, from one simulation.
 
     Detection rows mix the requested events with equal per-event budgets;
     localization rows are all next-to attacks.  Each K maps to datasets
@@ -426,17 +399,6 @@ def build_datasets(
     if scenario.m == 0:
         events = (EVENT_H0,)
     M = scenario.input_width()
-    meta = {
-        "scenario": scenario.fingerprint(),
-        "master_seed": master_seed,
-        "budget": {
-            "nd_train_per_event": budget.nd_train_per_event,
-            "nd_test_per_event": budget.nd_test_per_event,
-            "nl_train": budget.nl_train,
-            "nl_test": budget.nl_test,
-        },
-        "events": list(events),
-    }
     splits = ("train", "test")
     blocks = {(k, task, split): [_no_rows(M)] for k in Ks for task in tasks for split in splits}
     next_id = {(task, split): 0 for task in tasks for split in splits}
@@ -462,27 +424,26 @@ def build_datasets(
         _run("nl", "test", EVENT_NEXT, budget.nl_test)
     result: dict[int, dict[str, DatasetPair]] = {k: {} for k in Ks}
     for k in Ks:
-        meta_k = {**meta, "scenario": replace(scenario, K=k).fingerprint()}
         for task in tasks:
             train, test = (blocks.pop((k, task, split)) for split in splits)
             for kind in (TEMPORAL, SPATIAL):
                 result[k][f"{task}_{kind}"] = DatasetPair(
-                    train=_dataset(train, task, kind, k, scenario.d, meta_k),
-                    test=_dataset(test, task, kind, k, scenario.d, meta_k),
+                    train=_dataset(train, task, kind, k, scenario.d),
+                    test=_dataset(test, task, kind, k, scenario.d),
                 )
     return result
 
 
 def build_dataset(
     scenario: Scenario,
+    K: int,
     budget: Budget,
     master_seed: int,
     tasks: tuple[str, ...] = ("nd", "nl"),
     events: tuple[str, ...] = (EVENT_H0, EVENT_NEXT, EVENT_FAR),
     chunk: int = 256,
 ) -> dict[str, DatasetPair]:
-    """build_datasets at the scenario's own K alone."""
-    K = scenario.K
+    """build_datasets at one K."""
     return build_datasets(scenario, (K,), budget, master_seed, tasks, events, chunk)[K]
 
 
@@ -541,7 +502,7 @@ def shard_for_gossip(dataset: LabeledDataset, policy: ShardPolicy) -> dict[int, 
             scarce = idx
             plentiful = np.empty(0, dtype=np.int64)
         else:
-            hit = np.isin(np.array(dataset.events), policy.starved_events)
+            hit = np.isin(dataset.events, policy.starved_events)
             scarce, plentiful = idx[hit], idx[~hit]
         take = round(policy.starved_fraction * scarce.size)
         shuffled = scarce[rng.permutation(scarce.size)]
@@ -552,14 +513,13 @@ def shard_for_gossip(dataset: LabeledDataset, policy: ShardPolicy) -> dict[int, 
             for a, rows in _deal(plentiful, policy.agents, rng).items():
                 out.setdefault(a, []).extend(rows)
     else:
-        events = np.array(dataset.events)
-        for tag in sorted(set(dataset.events)):
+        for tag in np.unique(dataset.events).tolist():
             if tag not in policy.position_groups:
                 raise ValueError(f"no agent group for rows tagged {tag!r}")
             group = tuple(policy.position_groups[tag])
             if not group:
                 raise ValueError(f"empty agent group for tag {tag!r}")
-            dealt = _deal(np.flatnonzero(events == tag), group, rng)
+            dealt = _deal(np.flatnonzero(dataset.events == tag), group, rng)
             for a, rows in dealt.items():
                 out.setdefault(a, []).extend(rows)
     return {a: np.sort(np.array(rows, dtype=np.int64)) for a, rows in out.items()}
@@ -578,16 +538,12 @@ def training_arrays(dataset: LabeledDataset, rows: np.ndarray | None = None):
 
 
 def subset_rows(dataset: LabeledDataset, rows: np.ndarray) -> LabeledDataset:
-    """Dataset restricted to the given row indices (e.g. one event family)."""
+    """Dataset restricted to the given row indices or boolean row mask (e.g.
+    one event family)."""
     rows = np.asarray(rows)
-    if rows.dtype == bool:
-        rows = np.flatnonzero(rows)
-    per_row = ("inputs", "padded", "self_values", "labels", "monitors", "sample_ids", "groups",
-               "slot_agents")
-    return replace(
-        dataset, events=[dataset.events[int(r)] for r in rows], meta=dict(dataset.meta),
-        **{name: getattr(dataset, name)[rows] for name in per_row},
-    )
+    per_row = ("inputs", "padded", "self_values", "labels", "events", "monitors", "sample_ids",
+               "groups", "slot_agents")
+    return replace(dataset, **{name: getattr(dataset, name)[rows] for name in per_row})
 
 
 def write_dataset_csv(dataset: LabeledDataset, path) -> None:
@@ -630,7 +586,7 @@ def _parses(conv, cell: str) -> bool:
     return True
 
 
-def read_dataset_csv(path, task: str, kind: str, K: int, d: int, meta=None) -> LabeledDataset:
+def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDataset:
     """Read a file written by write_dataset_csv.
 
     A header that lacks a column of the task or disagrees on the slot, pad
@@ -696,12 +652,11 @@ def read_dataset_csv(path, task: str, kind: str, K: int, d: int, meta=None) -> L
         padded=padded,
         self_values=selfs.copy(),
         labels=labels.copy(),
-        events=events,
+        events=np.array(events, dtype=str),
         monitors=ints[:, 2].copy(),
         sample_ids=ints[:, 0].copy(),
         groups=ints[:, 1].copy(),
         slot_agents=slot_agents.copy(),
         K=K,
         d=d,
-        meta=dict(meta or {}),
     )

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from gossipwatch.datagen import LabeledDataset
+from gossipwatch.datagen import EVENT_H0, LabeledDataset
 from gossipwatch.neural import Mlp, forward
 from gossipwatch.score_detectors import (
     GREATER_IS_H1,
@@ -30,15 +30,14 @@ from gossipwatch.score_detectors import (
 class RocCurve:
     """Operating points from flag-nothing to flag-everything.
 
-    thresholds[k] realizes point k under the curve's orientation, with
-    +/- infinity sentinels at the ends; interior entries are midpoints
-    between adjacent distinct scores.
+    thresholds[k] realizes point k under the orientation the curve was
+    swept with, with +/- infinity sentinels at the ends; interior entries
+    are midpoints between adjacent distinct scores.
     """
 
     p_f: np.ndarray
     p_d: np.ndarray
     thresholds: np.ndarray
-    orientation: str
     n_pos: int
     n_neg: int
     auc: float
@@ -92,7 +91,6 @@ def roc_curve(scores, labels, orientation: str = GREATER_IS_H1) -> RocCurve:
         p_f=p_f,
         p_d=p_d,
         thresholds=thr,
-        orientation=orientation,
         n_pos=n_pos,
         n_neg=n_neg,
         auc=auc,
@@ -182,19 +180,15 @@ def evaluate_detector(
         if raw.shape != (dataset.n_rows,):
             raise ValueError("detection scores must be one per row")
         keys = dataset.sample_ids[:, None]
-        kept, merged = _merge_groups(keys, sign * raw)
-        label_by_sample = {}
-        for sid, lab in zip(dataset.sample_ids, dataset.labels):
-            label_by_sample[int(sid)] = int(lab)
-        labels = np.array([label_by_sample[int(sid)] for sid in kept[:, 0]])
+        _, merged = _merge_groups(keys, sign * raw)
+        _, labels = _merge_groups(keys, dataset.labels)  # constant within a sample
         scores = sign * merged
     else:
         if raw.shape != (dataset.n_rows, dataset.M):
             raise ValueError("localization scores must be one per row slot")
         rows, slots = np.nonzero(~dataset.padded)
         if oracle_nd:
-            under_attack = np.array([e != "h0" for e in dataset.events])
-            keep = under_attack[rows]
+            keep = (dataset.events != EVENT_H0)[rows]
             rows, slots = rows[keep], slots[keep]
         keys = np.stack(
             [dataset.sample_ids[rows], dataset.slot_agents[rows, slots]], axis=1

@@ -17,8 +17,9 @@ Families:
   small-world     torus-trained detectors on a rewired 20-agent graph
 
 multi-attacker, degree-tailor, mismatch and small-world differ only in their
-test conditions and share one train-then-sweep routine, ``_sweep``.  Datasets
-needed at several K for the same rows come from one ``build_datasets`` call.
+test conditions and share one train-then-sweep routine, ``_sweep``.  A
+``Scenario`` leaves K open: datasets needed at several K for the same rows
+come from one ``build_datasets`` call.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,8 +187,13 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
     return apply_overrides(DEFAULTS[family], overrides or {}, family)
 
 
-# Training fields, wherever they appear in a config: (valid, what a value must be).
+# Numeric and choice fields, wherever they appear in a config with a non-null
+# default: (valid, what a value must be).
 _DOMAINS = {
+    "T": (lambda v: v >= 1, ">= 1"),
+    "K": (lambda v: v >= 1, ">= 1"),
+    "scale": (lambda v: v > 0, "> 0"),
+    "starved_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
     "eta": (lambda v: v > 0, "> 0"),
     "batch_size": (lambda v: v >= 1, ">= 1"),
     "epochs": (lambda v: v >= 0, ">= 0"),
@@ -208,8 +213,8 @@ def apply_overrides(defaults: dict, overrides: dict, path: str) -> dict:
 def _merge(base: dict, overrides: dict, path: str) -> None:
     """Overlay ``overrides`` on ``base`` in place.  Each value must have the
     JSON type of its default, except that a number field takes an integer,
-    and a training field its domain (``_DOMAINS``); a field whose default
-    is null takes any value and is checked where it is used."""
+    and a field of ``_DOMAINS`` its domain; a field whose default is null
+    takes any value and is checked where it is used."""
     for key, value in overrides.items():
         here = f"{path}.{key}"
         if key not in base:
@@ -219,7 +224,7 @@ def _merge(base: dict, overrides: dict, path: str) -> None:
             raise ConfigError(f"{here!r} expects a JSON {expected}, got {value!r}")
         if expected == "object":
             _merge(base[key], value, here)
-        elif key in _DOMAINS and not _DOMAINS[key][0](value):
+        elif expected != "null" and key in _DOMAINS and not _DOMAINS[key][0](value):
             raise ConfigError(f"{here!r} must be {_DOMAINS[key][1]}, got {value!r}")
         else:
             base[key] = value
@@ -436,7 +441,7 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
     built = {}
     for K, d in setups:
         if d not in built:
-            scenario = scenario_from_tag(cfg["scenario"], graph, K=K, d=d)
+            scenario = scenario_from_tag(cfg["scenario"], graph, d=d)
             Ks = [k for k, dk in setups if dk == d]
             built[d] = build_datasets(scenario, Ks, budget, master)
         data = built[d].pop(K)
@@ -468,12 +473,12 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
 
 class _Variant(NamedTuple):
     """One test condition of a sweep: ROC stems end in ``suffix`` (formatted
-    with K), ``extra`` fills the aucs.csv extra columns, ``scenario(K=K)``
-    gives the test scenario, rows are seeded by master + ``offset``."""
+    with K), ``extra`` fills the aucs.csv extra columns, ``scenario`` is the
+    test scenario, rows are seeded by master + ``offset``."""
 
     suffix: str
     extra: dict
-    scenario: Callable[..., Scenario]
+    scenario: Scenario
     offset: int
     events: tuple[str, ...]
 
@@ -486,7 +491,7 @@ def _sweep(
     score detectors on every variant.
 
     specs lists (K, kind) pairs.  Each gets one network per task, fit on
-    train_scenario(K=K) and saved under ``model_name``; each variant is then
+    train_scenario at K and saved under ``model_name``; each variant is then
     tested per spec, in spec order, detection before localization.  The
     training set and each variant's test set are one build over all specs.
     """
@@ -499,7 +504,7 @@ def _sweep(
     artifacts: list[str] = []
     summaries: list[dict] = []
     models = {}
-    train_data = build_datasets(train_scenario(K=Ks[0]), Ks, budget, master)
+    train_data = build_datasets(train_scenario, Ks, budget, master)
     for K, kind in specs:
         for task in ("nd", "nl"):
             mlp, _ = _fit(
@@ -512,7 +517,7 @@ def _sweep(
 
     for v in variants:
         test_data = build_datasets(
-            v.scenario(K=Ks[0]), Ks, _test_budget(cfg["scale"]), master + v.offset,
+            v.scenario, Ks, _test_budget(cfg["scale"]), master + v.offset,
             events=v.events,
         )
         for K, kind in specs:
@@ -553,13 +558,13 @@ def run_multi_attacker(cfg: dict, outdir) -> list[str]:
     variants = [
         _Variant(
             f"_m{m}_c{c}", {"m": m, "c": c},
-            partial(scenario_from_tag, tag, graph, m=m, c=c, d=d), 1,
+            scenario_from_tag(tag, graph, m=m, c=c, d=d), 1,
             (EVENT_H0, EVENT_NEXT),
         )
         for m, c in cfg["combos"]
     ]
     return _sweep(
-        cfg, outdir, partial(scenario_from_tag, tag, graph, d=d), _two_specs(cfg),
+        cfg, outdir, scenario_from_tag(tag, graph, d=d), _two_specs(cfg),
         variants, extra_cols=("m", "c"),
     )
 
@@ -582,16 +587,13 @@ def run_degree_tailor(cfg: dict, outdir) -> list[str]:
     variants = [
         _Variant(
             f"_p{p}", {"p": p},
-            partial(
-                scenario_from_tag, tag, cut, d=d, M=graph.max_degree(),
-                monitor=cfg["monitor"],
-            ),
+            scenario_from_tag(tag, cut, d=d, M=graph.max_degree(), monitor=cfg["monitor"]),
             1, _ALL_EVENTS,
         )
         for p, cut in enumerate(cuts)
     ]
     return _sweep(
-        cfg, outdir, partial(scenario_from_tag, tag, graph, d=d), _two_specs(cfg),
+        cfg, outdir, scenario_from_tag(tag, graph, d=d), _two_specs(cfg),
         variants, extra_cols=("p",),
     )
 
@@ -607,12 +609,12 @@ def run_mismatch(cfg: dict, outdir) -> list[str]:
     variants = [
         _Variant(
             "_K{K}_" + tag, {"scenario": tag},
-            partial(scenario_from_tag, tag, graph, d=d), 1000, _ALL_EVENTS,
+            scenario_from_tag(tag, graph, d=d), 1000, _ALL_EVENTS,
         )
         for tag in cfg["test_scenarios"]
     ]
     return _sweep(
-        cfg, outdir, partial(scenario_from_tag, cfg["train_scenario"], graph, d=d),
+        cfg, outdir, scenario_from_tag(cfg["train_scenario"], graph, d=d),
         specs, variants, extra_cols=("scenario",), model_name="model_{task}_{method}_K{K}",
     )
 
@@ -633,7 +635,7 @@ def run_gossip_learning(cfg: dict, outdir) -> list[str]:
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     master = cfg["master_seed"]
     tcfg = _train_config(cfg)
-    learner_graph, _ = induced_subgraph(
+    learner_graph = induced_subgraph(
         graph, [v for v in range(graph.n) if v != cfg["excluded_agent"]]
     )
     agents = tuple(range(learner_graph.n))
@@ -658,9 +660,9 @@ def _spawn_learners(shards, dataset, agents, tcfg, mu, key):
 
 
 def _gossip_case1(cfg, graph, learner_graph, agents, master, tcfg, outdir):
-    scenario = scenario_from_tag(cfg["scenario"], graph, K=cfg["K"], d=cfg["d"])
+    scenario = scenario_from_tag(cfg["scenario"], graph, d=cfg["d"])
     data = build_dataset(
-        scenario, Budget.desk(cfg["scale"]), master,
+        scenario, cfg["K"], Budget.desk(cfg["scale"]), master,
         tasks=("nd",), events=(EVENT_H0, EVENT_NEXT),
     )["nd_spatial"]
     policy = ShardPolicy(
@@ -706,9 +708,9 @@ def _gossip_case1(cfg, graph, learner_graph, agents, master, tcfg, outdir):
 
 
 def _gossip_case2(cfg, graph, learner_graph, agents, master, tcfg, outdir):
-    scenario = scenario_from_tag(cfg["scenario"], graph, K=cfg["K"], d=cfg["d"])
+    scenario = scenario_from_tag(cfg["scenario"], graph, d=cfg["d"])
     data = build_dataset(
-        scenario, Budget.desk(cfg["scale"]), master + 500, tasks=("nd",)
+        scenario, cfg["K"], Budget.desk(cfg["scale"]), master + 500, tasks=("nd",)
     )["nd_spatial"]
     next_group = tuple(cfg["next_group"])
     far_group = tuple(cfg["far_group"])
@@ -737,7 +739,7 @@ def _gossip_case2(cfg, graph, learner_graph, agents, master, tcfg, outdir):
         learners, learner_graph, cfg["rounds"], _rng(master, 33), mode="sync"
     )
 
-    events = np.array(data.test.events)
+    events = data.test.events
     subsets = {
         "next": subset_rows(data.test, np.isin(events, (EVENT_H0, EVENT_NEXT))),
         "far": subset_rows(data.test, np.isin(events, (EVENT_H0, EVENT_FAR))),
@@ -783,12 +785,12 @@ def run_small_world(cfg: dict, outdir) -> list[str]:
     adjacent = sorted(
         set(int(v) for a in attackers for v in world.neighbors[a]) - set(attackers)
     )
-    test = partial(
-        scenario_from_tag, tag, world, m=len(attackers), c=1, d=d, M=cfg["M"],
+    test = scenario_from_tag(
+        tag, world, m=len(attackers), c=1, d=d, M=cfg["M"],
         attackers=attackers, monitor_pool=tuple(adjacent),
     )
     return _sweep(
-        cfg, outdir, partial(scenario_from_tag, tag, torus, d=d), _two_specs(cfg),
+        cfg, outdir, scenario_from_tag(tag, torus, d=d), _two_specs(cfg),
         [_Variant("", {}, test, 1, (EVENT_H0, EVENT_NEXT))],
     )
 

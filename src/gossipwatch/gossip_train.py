@@ -85,20 +85,15 @@ def _act(lr: LearnerState, graph: Graph, rng: np.random.Generator):
     return recipient, params_to_blob(lr.model), loss
 
 
-def gossip_round(
-    learners: list[LearnerState], graph: Graph, rng: np.random.Generator
-) -> list[float]:
-    """One synchronous round over all agents; returns per-agent batch losses."""
-    _check_learners(learners, graph)
-    staged = [_act(lr, graph, rng) for lr in learners]
-    for recipient, payload, _ in staged:
-        learners[recipient].inbox = payload
-    return [loss for _, _, loss in staged]
-
-
 def _dispersion(learners) -> float:
-    flat = np.stack([lr.model.params for lr in learners])
-    return float((flat.max(axis=0) - flat.min(axis=0)).max())
+    """Largest per-parameter spread over the learners' models, from a running
+    maximum and minimum of one parameter vector each."""
+    hi = learners[0].model.params.copy()
+    lo = hi.copy()
+    for lr in learners[1:]:
+        np.maximum(hi, lr.model.params, out=hi)
+        np.minimum(lo, lr.model.params, out=lo)
+    return float(np.subtract(hi, lo, out=hi).max())
 
 
 def run_gossip_training(
@@ -119,13 +114,14 @@ def run_gossip_training(
     metrics = []
     for r in range(rounds):
         if mode == "sync":
-            losses = gossip_round(learners, graph, rng)
+            acting = learners
         else:
-            who = int(rng.integers(len(learners)))
-            recipient, payload, loss = _act(learners[who], graph, rng)
+            acting = [learners[int(rng.integers(len(learners)))]]
+        # Sends are staged until every acting agent has acted.
+        staged = [_act(lr, graph, rng) for lr in acting]
+        for recipient, payload, _ in staged:
             learners[recipient].inbox = payload
-            losses = [loss]
-        arr = np.asarray(losses, dtype=np.float64)
+        arr = np.array([loss for _, _, loss in staged], dtype=np.float64)
         mean_loss = float(np.nanmean(arr)) if np.isfinite(arr).any() else float("nan")
         metrics.append(
             RoundMetrics(round=r, mean_loss=mean_loss, dispersion=_dispersion(learners))

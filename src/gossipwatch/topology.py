@@ -7,6 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Rebuilds small_world tries before it gives up on a connected graph.
+SMALL_WORLD_RETRIES = 100
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -19,8 +22,6 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    kind: str = "custom"
-    params: dict = field(default_factory=dict, compare=False, repr=False)
     neighbors: tuple = field(init=False, compare=False, repr=False)
     degrees: np.ndarray = field(init=False, compare=False, repr=False)
     nbr_table: np.ndarray = field(init=False, compare=False, repr=False)
@@ -57,9 +58,9 @@ class Graph:
             raise ValueError("graph is not connected")
 
     @classmethod
-    def from_edges(cls, n, edges, kind="custom", params=None):
+    def from_edges(cls, n, edges):
         canon = tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
-        return cls(n=n, edges=canon, kind=kind, params=dict(params or {}))
+        return cls(n=n, edges=canon)
 
     def max_degree(self) -> int:
         return int(self.degrees.max())
@@ -112,8 +113,7 @@ def manhattan_grid(rows: int, cols: int) -> Graph:
             i = r * cols + c
             for j in (r * cols + (c + 1) % cols, ((r + 1) % rows) * cols + c):
                 edges.add((min(i, j), max(i, j)))
-    params = {"rows": rows, "cols": cols}
-    return Graph.from_edges(rows * cols, edges, kind="manhattan", params=params)
+    return Graph.from_edges(rows * cols, edges)
 
 
 def small_world(
@@ -121,7 +121,6 @@ def small_world(
     mean_degree: int,
     rewire_prob: float,
     rng: np.random.Generator,
-    max_retries: int = 100,
 ) -> Graph:
     """Watts-Strogatz small world: ring lattice with random rewiring.
 
@@ -129,7 +128,7 @@ def small_world(
     mean_degree/2 nearest neighbors on each side), then rewires each
     clockwise lattice edge with probability ``rewire_prob`` to a uniformly
     chosen non-neighbor.  Rebuilds from scratch if the result is
-    disconnected, up to ``max_retries`` attempts.
+    disconnected, up to ``SMALL_WORLD_RETRIES`` attempts.
     """
     k = mean_degree
     if k % 2 != 0 or k < 2:
@@ -138,7 +137,7 @@ def small_world(
         raise ValueError(f"mean_degree {k} must be < n = {n}")
     if not (0.0 <= rewire_prob <= 1.0):
         raise ValueError(f"rewire_prob must be in [0, 1], got {rewire_prob}")
-    for attempt in range(max_retries):
+    for _ in range(SMALL_WORLD_RETRIES):
         adj = [set() for _ in range(n)]
         for u in range(n):
             for s in range(1, k // 2 + 1):
@@ -165,14 +164,9 @@ def small_world(
                 edges.add((min(u, v), max(u, v)))
         nbrs = tuple(np.array(sorted(a), dtype=np.int64) for a in adj)
         if all(len(a) > 0 for a in adj) and _connected(n, nbrs):
-            return Graph.from_edges(
-                n,
-                edges,
-                kind="small-world",
-                params={"n": n, "mean_degree": k, "rewire_prob": rewire_prob},
-            )
+            return Graph.from_edges(n, edges)
     raise ValueError(
-        f"small_world failed to produce a connected graph in {max_retries} attempts"
+        f"small_world failed to produce a connected graph in {SMALL_WORLD_RETRIES} attempts"
     )
 
 
@@ -221,20 +215,17 @@ def remove_edge(graph: Graph, i: int, j: int) -> Graph:
     if e not in set(graph.edges):
         raise ValueError(f"edge {e} not present")
     edges = tuple(x for x in graph.edges if x != e)
-    params = dict(graph.params)
-    params["cut_edges"] = list(params.get("cut_edges", [])) + [list(e)]
-    return Graph.from_edges(graph.n, edges, kind=graph.kind, params=params)
+    return Graph.from_edges(graph.n, edges)
 
 
-def induced_subgraph(graph: Graph, keep_ids) -> tuple[Graph, list[int]]:
-    """Subgraph on ``keep_ids`` relabeled to 0..m-1; returns (graph, old ids)."""
+def induced_subgraph(graph: Graph, keep_ids) -> Graph:
+    """Subgraph on ``keep_ids``, relabeled to 0..m-1 in ascending id order."""
     keep = sorted(int(v) for v in keep_ids)
     pos = {v: idx for idx, v in enumerate(keep)}
     edges = [
         (pos[i], pos[j]) for i, j in graph.edges if i in pos and j in pos
     ]
-    sub = Graph.from_edges(len(keep), edges, kind=graph.kind + "-sub", params={"parent_ids": keep})
-    return sub, keep
+    return Graph.from_edges(len(keep), edges)
 
 
 def attacker_mask(graph: Graph, ids) -> np.ndarray:

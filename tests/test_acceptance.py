@@ -63,12 +63,10 @@ def _fit(dataset, out, tags):
 def _one_attacker_seed_aucs(graph, s):
     """Detector AUCs for one master seed of the single-attacker scenario."""
 
-    def scn(K, d):
-        return scenario_from_tag("S0", graph, m=1, c=1, K=K, d=d)
-
-    d5 = build_dataset(scn(5, 2), Budget(1000, 600, 0, 0), s, tasks=("nd",))
-    d2 = build_dataset(scn(2, 2), Budget(0, 600, 1000, 600), s)
-    d1 = build_dataset(scn(1, 2), Budget(0, 600, 0, 0), s, tasks=("nd",))
+    scn = scenario_from_tag("S0", graph, m=1, c=1, d=2)
+    d5 = build_dataset(scn, 5, Budget(1000, 600, 0, 0), s, tasks=("nd",))
+    d2 = build_dataset(scn, 2, Budget(0, 600, 1000, 600), s)
+    d1 = build_dataset(scn, 1, Budget(0, 600, 0, 0), s, tasks=("nd",))
     td = make_score_detector("td", "nd")
     sd = make_score_detector("sd", "nd")
     out = {
@@ -297,8 +295,8 @@ def test_07_kd_exchange_symmetry():
     td = make_score_detector("td", "nd")
     aucs = {}
     for K, d in ((2, 1), (1, 2)):
-        scn = scenario_from_tag("S0", graph, m=1, c=1, K=K, d=d)
-        ds = build_dataset(scn, Budget(0, 600, 0, 0), 0, tasks=("nd",))
+        scn = scenario_from_tag("S0", graph, m=1, c=1, d=d)
+        ds = build_dataset(scn, K, Budget(0, 600, 0, 0), 0, tasks=("nd",))
         aucs[(K, d)] = evaluate_detector(td, ds["nd_temporal"].test)[1]["auc"]
     gap = abs(aucs[(2, 1)] - aucs[(1, 2)])
     assert gap <= 0.03, (

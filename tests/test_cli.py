@@ -101,7 +101,7 @@ def test_unknown_task_writes_nothing(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "unknown task 'detect'" in err and "'nd', 'nl'" in err
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_bad_events_write_nothing(tmp_path, capsys):
@@ -110,7 +110,7 @@ def test_bad_events_write_nothing(tmp_path, capsys):
         rc = cli.main(["gen-data", *TINY_GEN, "--set", f"events={events}", "--out", str(out)])
         assert rc == 2
         assert what in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
 
 def test_malformed_config_file_names_file_and_line(tmp_path, capsys):
@@ -178,13 +178,28 @@ def test_out_of_domain_train_values_are_config_errors(tmp_path, capsys, setting,
     "setting, message",
     [("mode=foo", "'train-gossip.mode' must be 'sync' or 'async', got 'foo'"),
      ("mu=1.5", "'train-gossip.mu' must be in [0, 1], got 1.5"),
-     ("rounds=-3", "'train-gossip.rounds' must be >= 0, got -3")],
+     ("rounds=-3", "'train-gossip.rounds' must be >= 0, got -3"),
+     ("starved_fraction=2", "'train-gossip.starved_fraction' must be in (0, 1), got 2")],
 )
 def test_out_of_domain_train_gossip_values_are_config_errors(tmp_path, capsys, setting, message):
     data = _gen(tmp_path)
     out = tmp_path / "g"
     rc = cli.main(["train-gossip", "--set", f"data={data}/nd_spatial_train.csv",
                    "--set", setting, "--out", str(out)])
+    assert rc == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("T=0", "'gen-data.T' must be >= 1, got 0"),
+     ("scale=-1", "'gen-data.scale' must be > 0, got -1"),
+     ("K=0", "'gen-data.K' must be >= 1, got 0")],
+)
+def test_out_of_domain_gen_data_values_are_config_errors(tmp_path, capsys, setting, message):
+    out = tmp_path / "data"
+    rc = cli.main(["gen-data", *TINY_GEN, "--set", setting, "--out", str(out)])
     assert rc == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
@@ -271,7 +286,7 @@ def test_gen_data_writes_manifest_and_reruns_identically(tmp_path):
 def test_full_flag_selects_full_budgets(tmp_path, monkeypatch, capsys):
     seen = {}
 
-    def fake_build(scenario, budget, master_seed, tasks=(), events=()):
+    def fake_build(scenario, K, budget, master_seed, tasks=(), events=()):
         seen["budget"] = budget
         raise RuntimeError("stop before the expensive build")
 

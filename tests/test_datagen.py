@@ -34,7 +34,7 @@ def _torus():
 
 
 def _scenario(**kwargs):
-    defaults = dict(graph=_torus(), m=1, c=1, K=1, d=1, T=50)
+    defaults = dict(graph=_torus(), m=1, c=1, d=1, T=50)
     defaults.update(kwargs)
     return Scenario(**defaults)
 
@@ -46,8 +46,6 @@ def _tiny_budget():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         _scenario(m=1, c=2)
-    with pytest.raises(ValueError):
-        _scenario(K=0)
     with pytest.raises(ValueError):
         _scenario(m=2, attackers=(1,))
     with pytest.raises(ValueError):
@@ -104,7 +102,7 @@ def test_place_attackers_with_given_pools_draws_the_same():
 
 
 def test_placement_pools_are_computed_once_per_monitor(monkeypatch):
-    scn = _scenario(m=2, c=1, K=2)
+    scn = _scenario(m=2, c=1)
     seeds = [np.random.SeedSequence(7, spawn_key=(r,)) for r in range(12)]
     monitors = {datagen._draw_monitor(scn, np.random.default_rng(ss)) for ss in seeds}
     calls = []
@@ -127,7 +125,7 @@ def test_place_attackers_rejects_infeasible_requests():
         place_attackers(_scenario(m=6, c=1), 4, np.random.default_rng(0))
     # on a 3-path, removing the middle agent disconnects the trustworthy part
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    scn = Scenario(graph=path, m=1, c=1, K=1, d=1, T=10)
+    scn = Scenario(graph=path, m=1, c=1, d=1, T=10)
     with pytest.raises(ValueError, match="placement"):
         place_attackers(scn, 0, np.random.default_rng(0))
 
@@ -143,8 +141,8 @@ def _sample(scn, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datagen, "run_batch", spy)
-        cols = _batch_samples(replace(scn, monitor=4), [np.random.SeedSequence(seed)], (scn.K,))
-    return cols[scn.K], simulated[0]
+        cols = _batch_samples(replace(scn, monitor=4), [np.random.SeedSequence(seed)], (1,))
+    return cols[1], simulated[0]
 
 
 def test_batch_samples_labels_and_determinism():
@@ -179,7 +177,7 @@ def test_far_from_event_avoids_the_neighborhood():
 
 
 def test_build_dataset_counts_and_ids():
-    data = build_dataset(_scenario(), _tiny_budget(), master_seed=0)
+    data = build_dataset(_scenario(), 1, _tiny_budget(), master_seed=0)
     assert set(data) == {"nd_temporal", "nd_spatial", "nl_temporal", "nl_spatial"}
     nd = data["nd_temporal"]
     # torus neighborhoods all have width M = 4, so one group per sample
@@ -197,15 +195,14 @@ def test_build_dataset_counts_and_ids():
     assert np.array_equal(nl.train.labels.sum(axis=1), np.ones(3))
     assert not nl.train.padded[nl.train.labels == 1].any()
     assert data["nd_spatial"].train.kind == "spatial"
-    assert nd.train.meta["master_seed"] == 0
 
 
 def test_build_dataset_is_chunk_invariant_and_deterministic():
     scn = _scenario()
     budget = _tiny_budget()
-    a = build_dataset(scn, budget, master_seed=3, chunk=256)
-    b = build_dataset(scn, budget, master_seed=3, chunk=3)
-    c = build_dataset(scn, budget, master_seed=4, chunk=256)
+    a = build_dataset(scn, 1, budget, master_seed=3, chunk=256)
+    b = build_dataset(scn, 1, budget, master_seed=3, chunk=3)
+    c = build_dataset(scn, 1, budget, master_seed=4, chunk=256)
     for key in a:
         for split in ("train", "test"):
             da, db = getattr(a[key], split), getattr(b[key], split)
@@ -238,9 +235,8 @@ def test_build_datasets_equals_separate_builds_per_K(attacked, chunk):
     shared = build_datasets(scn, (5, 2, 1), budget, 7, tasks=tasks, chunk=chunk)
     assert list(shared) == [5, 2, 1]
     for K in (5, 2, 1):
-        alone = build_dataset(replace(scn, K=K), budget, 7, tasks=tasks, chunk=chunk)
+        alone = build_dataset(scn, K, budget, 7, tasks=tasks, chunk=chunk)
         _assert_same_datasets(shared[K], alone)
-        assert shared[K]["nd_temporal"].train.meta["scenario"]["K"] == K
 
 
 def test_build_datasets_simulates_only_the_largest_K(monkeypatch):
@@ -256,7 +252,7 @@ def test_build_datasets_simulates_only_the_largest_K(monkeypatch):
     build_datasets(scn, (5, 2, 1), budget, 0, chunk=2)
     shared = list(calls)
     calls.clear()
-    build_dataset(replace(scn, K=5), budget, 0, chunk=2)
+    build_dataset(scn, 5, budget, 0, chunk=2)
     assert shared == calls and len(calls) > 1
 
 
@@ -284,8 +280,8 @@ def test_budget_prefix_rows_are_stable():
     """Growing a budget extends each event block without changing the rows
     already present, because every row owns its seed."""
     scn = _scenario()
-    small = build_dataset(scn, Budget(2, 1, 2, 1), master_seed=9, tasks=("nd",))
-    big = build_dataset(scn, Budget(5, 1, 2, 1), master_seed=9, tasks=("nd",))
+    small = build_dataset(scn, 1, Budget(2, 1, 2, 1), master_seed=9, tasks=("nd",))
+    big = build_dataset(scn, 1, Budget(5, 1, 2, 1), master_seed=9, tasks=("nd",))
     for event in (EVENT_H0, EVENT_NEXT, EVENT_FAR):
         s = small["nd_temporal"].train
         b = big["nd_temporal"].train
@@ -296,12 +292,13 @@ def test_budget_prefix_rows_are_stable():
 
 def test_monitor_pool_and_fixed_attackers():
     pool = build_dataset(
-        _scenario(monitor_pool=(2, 3)), Budget(4, 1, 1, 1), master_seed=1, tasks=("nd",)
+        _scenario(monitor_pool=(2, 3)), 1, Budget(4, 1, 1, 1), master_seed=1, tasks=("nd",)
     )["nd_temporal"].train
     assert set(int(v) for v in pool.monitors) <= {2, 3}
 
     fixed = build_dataset(
         _scenario(attackers=(5,), monitor=4, c=1),
+        1,
         Budget(2, 1, 2, 1),
         master_seed=1,
         tasks=("nl",),
@@ -314,8 +311,8 @@ def test_monitor_pool_and_fixed_attackers():
 def test_h0_only_scenarios():
     clean = _scenario(m=0, c=0)
     with pytest.raises(ValueError):
-        build_dataset(clean, _tiny_budget(), master_seed=0)
-    data = build_dataset(clean, Budget(2, 1, 1, 1), master_seed=0, tasks=("nd",))
+        build_dataset(clean, 1, _tiny_budget(), master_seed=0)
+    data = build_dataset(clean, 1, Budget(2, 1, 1, 1), master_seed=0, tasks=("nd",))
     assert set(data["nd_temporal"].train.events) == {EVENT_H0}
 
 
@@ -343,7 +340,7 @@ def _fake_dataset(events):
         padded=np.zeros((R, 2), dtype=bool),
         self_values=np.zeros(R),
         labels=np.zeros(R, dtype=np.int64),
-        events=list(events),
+        events=np.array(events),
         monitors=np.zeros(R, dtype=np.int64),
         sample_ids=np.arange(R),
         groups=np.zeros(R, dtype=np.int64),
@@ -419,7 +416,7 @@ def test_by_position_sharding_routes_by_event():
 
 
 def test_training_arrays_shapes():
-    data = build_dataset(_scenario(), _tiny_budget(), master_seed=2)
+    data = build_dataset(_scenario(), 1, _tiny_budget(), master_seed=2)
     nd = data["nd_temporal"].train
     X, Y, mask = training_arrays(nd)
     assert X.shape == (9, 4) and Y.shape == (9, 1) and mask is None
@@ -432,19 +429,19 @@ def test_training_arrays_shapes():
 
 
 def test_subset_rows_bool_and_index_agree():
-    ds = build_dataset(_scenario(), _tiny_budget(), master_seed=2)["nd_temporal"].train
+    ds = build_dataset(_scenario(), 1, _tiny_budget(), master_seed=2)["nd_temporal"].train
     hit = np.array(ds.events) == EVENT_NEXT
     by_bool = subset_rows(ds, hit)
     by_idx = subset_rows(ds, np.flatnonzero(hit))
     assert by_bool.n_rows == hit.sum()
     assert np.array_equal(by_bool.inputs, by_idx.inputs)
-    assert by_bool.events == by_idx.events
+    assert np.array_equal(by_bool.events, by_idx.events)
     assert np.array_equal(by_bool.sample_ids, by_idx.sample_ids)
 
 
 @pytest.mark.parametrize("key", ["nd_temporal", "nl_spatial"])
 def test_csv_roundtrip_is_bitwise(tmp_path, key):
-    ds = build_dataset(_scenario(), _tiny_budget(), master_seed=6)[key].train
+    ds = build_dataset(_scenario(), 1, _tiny_budget(), master_seed=6)[key].train
     path = tmp_path / "rows.csv"
     write_dataset_csv(ds, path)
     back = read_dataset_csv(path, ds.task, ds.kind, ds.K, ds.d)
@@ -453,14 +450,26 @@ def test_csv_roundtrip_is_bitwise(tmp_path, key):
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.padded, ds.padded)
     assert np.array_equal(back.slot_agents, ds.slot_agents)
-    assert back.events == ds.events
+    assert np.array_equal(back.events, ds.events)
     assert np.array_equal(back.sample_ids, ds.sample_ids)
     assert np.array_equal(back.groups, ds.groups)
     assert (back.task, back.kind, back.K, back.d) == (ds.task, ds.kind, ds.K, ds.d)
 
 
+def test_csv_roundtrip_keeps_column_dtypes_without_rows(tmp_path):
+    ds = build_dataset(_scenario(), 1, _tiny_budget(), master_seed=6)["nd_temporal"].train
+    empty = subset_rows(ds, np.zeros(ds.n_rows, dtype=bool))
+    path = tmp_path / "empty.csv"
+    write_dataset_csv(empty, path)
+    back = read_dataset_csv(path, ds.task, ds.kind, ds.K, ds.d)
+    assert back.n_rows == 0 and back.M == ds.M
+    for name, value in vars(ds).items():
+        if isinstance(value, np.ndarray):
+            assert getattr(back, name).dtype.kind == value.dtype.kind, name
+
+
 def _written_csv(tmp_path, key="nd_temporal"):
-    ds = build_dataset(_scenario(), _tiny_budget(), master_seed=6)[key].train
+    ds = build_dataset(_scenario(), 1, _tiny_budget(), master_seed=6)[key].train
     path = tmp_path / f"{key}.csv"
     write_dataset_csv(ds, path)
     return ds, path

@@ -127,7 +127,7 @@ def _nd_dataset(inputs, labels, sample_ids, groups=None, events=None):
         padded=np.zeros((R, M), dtype=bool),
         self_values=np.zeros(R),
         labels=np.asarray(labels, dtype=np.int64),
-        events=events or [EVENT_NEXT if l else EVENT_H0 for l in labels],
+        events=np.array(events or [EVENT_NEXT if l else EVENT_H0 for l in labels]),
         monitors=np.zeros(R, dtype=np.int64),
         sample_ids=np.asarray(sample_ids, dtype=np.int64),
         groups=np.zeros(R, dtype=np.int64) if groups is None else np.asarray(groups),
@@ -186,7 +186,7 @@ def _nl_dataset():
         padded=padded,
         self_values=np.zeros(2),
         labels=labels,
-        events=[EVENT_H0, EVENT_NEXT],
+        events=np.array([EVENT_H0, EVENT_NEXT]),
         monitors=np.zeros(2, dtype=np.int64),
         sample_ids=np.array([0, 1]),
         groups=np.zeros(2, dtype=np.int64),

@@ -7,7 +7,6 @@ import pytest
 from gossipwatch import gossip_train
 from gossipwatch.gossip_train import (
     LearnerState,
-    gossip_round,
     merge_model,
     metrics_to_csv,
     run_gossip_training,
@@ -76,7 +75,7 @@ def test_sync_round_delivers_after_everyone_acts():
     graph = Graph.from_edges(2, [(0, 1)])
     learners = [_learner(0, sizes=(2, 2, 1)), _learner(1, sizes=(2, 2, 1))]
     before = [Mlp(lr.model.sizes, lr.model.params.copy()) for lr in learners]
-    gossip_round(learners, graph, np.random.default_rng(0))
+    run_gossip_training(learners, graph, 1, np.random.default_rng(0))
     assert learners[0].inbox is not None and learners[1].inbox is not None
     # each agent took exactly one local step from its pre-round model:
     # no merge happened because inboxes started empty
@@ -91,7 +90,7 @@ def test_sync_round_delivers_after_everyone_acts():
     merged = _merged(
         learners[0].model, mlp_from_blob(learners[0].model.sizes, payload), learners[0].mu
     )
-    gossip_round(learners, graph, np.random.default_rng(1))
+    run_gossip_training(learners, graph, 1, np.random.default_rng(1))
     assert learners[0].inbox is None or learners[0].inbox != payload
     # model moved from the merged point, not the raw pre-merge one
     assert not np.array_equal(learners[0].model.weights[0], merged.weights[0])
@@ -100,7 +99,7 @@ def test_sync_round_delivers_after_everyone_acts():
 def test_merging_leaves_the_staged_payload_and_the_sender_alone():
     graph = Graph.from_edges(2, [(0, 1)])
     learners = [_learner(0, sizes=(2, 2, 1)), _learner(1, sizes=(2, 2, 1))]
-    gossip_round(learners, graph, np.random.default_rng(0))
+    run_gossip_training(learners, graph, 1, np.random.default_rng(0))
     payload = learners[0].inbox
     sent, sender = bytes(payload), learners[1].model.params.copy()
     gossip_train._act(learners[0], graph, np.random.default_rng(1))
@@ -135,7 +134,7 @@ def test_learner_order_is_enforced():
     graph = Graph.from_edges(2, [(0, 1)])
     learners = [_learner(1, sizes=(2, 2, 1)), _learner(0, sizes=(2, 2, 1))]
     with pytest.raises(ValueError):
-        gossip_round(learners, graph, np.random.default_rng(0))
+        run_gossip_training(learners, graph, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         run_gossip_training(learners[:1], graph, 1, np.random.default_rng(0))
 
@@ -185,6 +184,17 @@ def test_async_mode_wakes_one_agent_per_tick():
     assert learners[1 - waker].inbox == params_to_blob(learners[waker].model)
     with pytest.raises(ValueError):
         run_gossip_training(learners, graph, 1, np.random.default_rng(0), mode="turbo")
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_dispersion_is_the_stacked_parameter_spread(mode):
+    graph = _four_cycle()
+    learners = [_learner(a, sizes=(3, 4, 1)) for a in range(4)]
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        (metrics,) = run_gossip_training(learners, graph, 1, rng, mode=mode)
+        flat = np.stack([lr.model.params for lr in learners])
+        assert metrics.dispersion == float((flat.max(axis=0) - flat.min(axis=0)).max())
 
 
 def test_training_run_is_reproducible():

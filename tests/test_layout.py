@@ -1,6 +1,8 @@
 """Package layout: every top-level function and class in ``src/gossipwatch``
-is used by code of the package itself.  Code that only tests use belongs
-in ``tests/`` (``tests/oracles.py`` holds the reference implementations)."""
+is used by code of the package itself, and every defaulted parameter of a
+top-level function is passed by some call in the package.  Code that only
+tests use belongs in ``tests/`` (``tests/oracles.py`` holds the reference
+implementations)."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,20 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gossipwatch"
 
 # Top-level names that may stay in src/ without a user there.
 ALLOWED: set[str] = set()
+
+# Defaulted parameters that no call in src/ passes, with the reason they stay.
+ALLOWED_DEFAULTS = {
+    ("build_dataset", "chunk"): "tests use it to prove that rows do not depend on chunking",
+    ("main", "argv"): "the command-line entry point: tests and the benchmark pass argv",
+}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
 
 
 def _annotation_nodes(tree) -> set[int]:
@@ -40,11 +56,7 @@ def _used_names(stmt, skip: set[int]) -> set[str]:
 
 
 def test_every_top_level_name_has_a_user_in_the_package():
-    trees = {
-        path.name: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-    }
+    trees = _trees()
     uses = {
         id(stmt): _used_names(stmt, skip)
         for tree in trees.values()
@@ -76,3 +88,39 @@ def test_every_top_level_name_has_a_user_in_the_package():
         dead |= newly
     unused = [f"{m}:{d.lineno} {d.name}" for m, d in definitions if id(d) in dead]
     assert not unused, "not used in src/gossipwatch outside __init__.py: " + ", ".join(unused)
+
+
+def _passes(call: ast.Call, fn: ast.FunctionDef, name: str) -> bool:
+    """Whether ``call`` of ``fn`` may pass its parameter ``name``."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    return name in positional and positional.index(name) < len(call.args)
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    trees = _trees()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = positional[len(positional) - len(fn.args.defaults):] + [
+                a for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+            ]
+            for arg in defaulted:
+                if (fn.name, arg.arg) in ALLOWED_DEFAULTS:
+                    continue
+                if not any(_passes(c, fn, arg.arg) for c in calls.get(fn.name, [])):
+                    unpassed.append(f"{module}:{fn.lineno} {fn.name}({arg.arg}=)")
+    assert not unpassed, "defaulted but never passed in src/gossipwatch: " + ", ".join(unpassed)
