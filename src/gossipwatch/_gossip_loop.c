@@ -1,11 +1,16 @@
-/* One call of gossipwatch.protocol.run_batch, one instance at a time: the
- * instance's draws from its own numpy bit generator, then the t = 1..T loop.
+/* One call of gossipwatch.protocol.run_batch: each instance's draws from its
+ * own numpy bit generator, then its t = 1..T loop, on up to nthreads threads.
  * Built with -ffp-contract=off, every expression rounds exactly as the numpy
  * path in protocol.py does, operation for operation, and every draw goes
  * through the generator's own C interface in the order of
  * _draw_instance_randomness, so both paths return the same bits and leave
- * the generators in the same state.  Arrays are C-contiguous; protocol.py
- * checks shapes and dtypes before the call. */
+ * the generators in the same state.  An instance reads only its own
+ * generator and writes only its own slices of the outputs, so the bits do
+ * not depend on the number of threads or on which thread ran it.  Arrays are
+ * C-contiguous; protocol.py checks shapes and dtypes before the call. */
+#define _GNU_SOURCE /* sched_getcpu, CPU_SET, pthread_attr_setaffinity_np */
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -69,82 +74,179 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
 
-/* gens[b] is instance b's bitgen_t.  first, x and sums receive the (B, n, d)
- * states at t = 0, the states at t = T and the sum over t = 0..T.  Agent i's
- * neighbors are nbr_table[i * width .. i * width + degrees[i]).  An attacker
- * member's noise row is drawn at its event, in (t, waking-then-pulled) order,
- * which continues the stream where the pair draws end.  snap_of[t] is the
- * slot of iteration t in snaps (slot, B, n, d), or -1.  Returns 0, or -1
- * when out of memory. */
-int gossip_loop(int64_t B, int64_t n, int64_t d, int64_t T, bitgen_t *const *gens,
-                double *first, double *x, double *sums, const uint8_t *flags,
-                const int64_t *degrees, const int64_t *nbr_table, int64_t width,
-                const double *thetas, const double *phis, const double *alphas,
-                const double *powers, const double *sched, double init_low,
-                double init_high, double lo, double hi, const int64_t *snap_of,
-                double *snaps)
+/* The arguments of one gossip_loop call, shared read-only by its threads
+ * except for next, the index of the next instance not yet taken. */
+typedef struct {
+    int64_t B, n, d, T, width, next;
+    bitgen_t *const *gens;
+    double *first, *x, *sums, *snaps;
+    const uint8_t *flags;
+    const int64_t *degrees, *nbr_table, *snap_of;
+    const double *thetas, *phis, *alphas, *powers, *sched;
+    double init_low, init_range, lo, hi;
+} job_t;
+
+/* One thread: its job and its work buffer, which holds wake and pull (T
+ * entries each), the running state x and sum (n * d each), then xbar and
+ * prod (d each).  Each buffer starts on its own 64-byte cache line, so that
+ * the threads' per-step writes do not contend for a line. */
+typedef struct {
+    job_t *job;
+    pthread_t tid;
+    double *buf;
+} worker_t;
+
+#define LINE 64
+
+static size_t round_up(size_t bytes)
 {
-    const int64_t nd = n * d;
-    const double init_range = init_high - init_low;
-    int64_t *wake = malloc(2 * T * sizeof *wake);
-    double *xbar = malloc(2 * d * sizeof *xbar);
-    if (wake == NULL || xbar == NULL) {
-        free(wake);
-        free(xbar);
-        return -1;
-    }
-    int64_t *pull = wake + T;
-    double *prod = xbar + d;
-    for (int64_t b = 0; b < B; b++) {
-        bitgen_t *g = gens[b];
-        double *xb = x + b * nd, *sb = sums + b * nd;
-        const double *ab = alphas + b * d;
-        const uint8_t *fb = flags + b * n;
-        for (int64_t k = 0; k < nd; k++)
-            xb[k] = uniform(g, init_low, init_range);
-        for (int64_t v = 0; v < n; v++)
-            if (fb[v])
-                for (int64_t k = 0; k < d; k++)
-                    xb[v * d + k] = ab[k] + 1.0 * uniform(g, -1.0, 2.0);
-        for (int64_t t = 0; t < T; t++)
-            wake[t] = bounded_uint32(g, (uint32_t)(n - 1));
-        for (int64_t t = 0; t < T; t++) {
-            const double u = g->next_double(g->state);
-            pull[t] = nbr_table[wake[t] * width + (int64_t)(u * (double)degrees[wake[t]])];
-        }
-        memcpy(first + b * nd, xb, nd * sizeof *xb);
-        memcpy(sb, xb, nd * sizeof *xb);
-        if (snap_of[0] >= 0)
-            memcpy(snaps + (snap_of[0] * B + b) * nd, xb, nd * sizeof *xb);
-        for (int64_t t = 1; t <= T; t++) {
-            const int64_t pair[2] = {wake[t - 1], pull[t - 1]};
-            const double gam = sched[t - 1];
+    return (bytes + LINE - 1) / LINE * LINE;
+}
+
+/* Instance b: its draws from gens[b], then its t = 1..T loop in buf, whose
+ * states at t = 0 and t = T and sum over t = 0..T go to first, x and sums.
+ * Agent i's neighbors are nbr_table[i * width .. i * width + degrees[i]).
+ * An attacker member's noise row is drawn at its event, in (t,
+ * waking-then-pulled) order, which continues the stream where the pair
+ * draws end.  snap_of[t] is the slot of iteration t in snaps (slot, B, n,
+ * d), or -1. */
+static void run_instance(const job_t *j, int64_t b, double *buf)
+{
+    const int64_t n = j->n, d = j->d, T = j->T, nd = n * d, B = j->B;
+    int64_t *wake = (int64_t *)buf, *pull = wake + T;
+    double *xb = (double *)(pull + T), *sb = xb + nd, *xbar = sb + nd, *prod = xbar + d;
+    bitgen_t *g = j->gens[b];
+    const double *ab = j->alphas + b * d, *powers = j->powers, *sched = j->sched;
+    const double *thetas = j->thetas + b * nd, *phis = j->phis + b * n, lo = j->lo, hi = j->hi;
+    const uint8_t *fb = j->flags + b * n;
+    const int64_t *snap_of = j->snap_of;
+    for (int64_t k = 0; k < nd; k++)
+        xb[k] = uniform(g, j->init_low, j->init_range);
+    for (int64_t v = 0; v < n; v++)
+        if (fb[v])
             for (int64_t k = 0; k < d; k++)
-                xbar[k] = 0.5 * (xb[pair[0] * d + k] + xb[pair[1] * d + k]);
-            for (int p = 0; p < 2; p++) {
-                const int64_t v = pair[p];
-                double *xv = xb + v * d;
-                if (fb[v]) {
-                    for (int64_t k = 0; k < d; k++)
-                        xv[k] = ab[k] + powers[t] * uniform(g, -1.0, 2.0);
-                    continue;
-                }
-                const double *th = thetas + (b * n + v) * d;
-                for (int64_t k = 0; k < d; k++)
-                    prod[k] = th[k] * xbar[k];
-                const double resid = (0.0 + pairwise_sum(prod, d)) - phis[b * n + v];
-                for (int64_t k = 0; k < d; k++) {
-                    const double u = xbar[k] - gam * (2.0 * th[k] * resid);
-                    xv[k] = u < lo ? lo : (u > hi ? hi : u);
-                }
-            }
-            for (int64_t k = 0; k < nd; k++)
-                sb[k] += xb[k];
-            if (snap_of[t] >= 0)
-                memcpy(snaps + (snap_of[t] * B + b) * nd, xb, nd * sizeof *xb);
-        }
+                xb[v * d + k] = ab[k] + 1.0 * uniform(g, -1.0, 2.0);
+    for (int64_t t = 0; t < T; t++)
+        wake[t] = bounded_uint32(g, (uint32_t)(n - 1));
+    for (int64_t t = 0; t < T; t++) {
+        const double u = g->next_double(g->state);
+        pull[t] = j->nbr_table[wake[t] * j->width + (int64_t)(u * (double)j->degrees[wake[t]])];
     }
-    free(wake);
-    free(xbar);
+    memcpy(j->first + b * nd, xb, nd * sizeof *xb);
+    memcpy(sb, xb, nd * sizeof *xb);
+    if (snap_of[0] >= 0)
+        memcpy(j->snaps + (snap_of[0] * B + b) * nd, xb, nd * sizeof *xb);
+    for (int64_t t = 1; t <= T; t++) {
+        const int64_t pair[2] = {wake[t - 1], pull[t - 1]};
+        const double gam = sched[t - 1];
+        for (int64_t k = 0; k < d; k++)
+            xbar[k] = 0.5 * (xb[pair[0] * d + k] + xb[pair[1] * d + k]);
+        for (int p = 0; p < 2; p++) {
+            const int64_t v = pair[p];
+            double *xv = xb + v * d;
+            if (fb[v]) {
+                for (int64_t k = 0; k < d; k++)
+                    xv[k] = ab[k] + powers[t] * uniform(g, -1.0, 2.0);
+                continue;
+            }
+            const double *th = thetas + v * d;
+            for (int64_t k = 0; k < d; k++)
+                prod[k] = th[k] * xbar[k];
+            const double resid = (0.0 + pairwise_sum(prod, d)) - phis[v];
+            for (int64_t k = 0; k < d; k++) {
+                const double u = xbar[k] - gam * (2.0 * th[k] * resid);
+                xv[k] = u < lo ? lo : (u > hi ? hi : u);
+            }
+        }
+        for (int64_t k = 0; k < nd; k++)
+            sb[k] += xb[k];
+        if (snap_of[t] >= 0)
+            memcpy(j->snaps + (snap_of[t] * B + b) * nd, xb, nd * sizeof *xb);
+    }
+    memcpy(j->x + b * nd, xb, nd * sizeof *xb);
+    memcpy(j->sums + b * nd, sb, nd * sizeof *sb);
+}
+
+/* Run instances until none is left, each taken from the shared counter. */
+static void *work(void *arg)
+{
+    worker_t *w = arg;
+    job_t *j = w->job;
+    for (int64_t b; (b = __atomic_fetch_add(&j->next, 1, __ATOMIC_RELAXED)) < j->B;)
+        run_instance(j, b, w->buf);
+    return NULL;
+}
+
+/* Start workers 1 .. nthreads - 1 and return how many threads run, the
+ * caller included; a worker that cannot be started is left out.  On Linux
+ * each worker is bound to its own CPU of the caller's affinity set, other
+ * than the one the caller is on: in a cpuset without load balancing the
+ * scheduler would otherwise keep every new thread on the caller's CPU.  A
+ * worker for which no CPU is left runs unbound. */
+static int64_t start_workers(worker_t *w, int64_t nthreads)
+{
+    int64_t started = 1;
+#ifdef __linux__
+    cpu_set_t allowed;
+    const int here = sched_getcpu();
+    int cpu = -1;
+    if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
+        CPU_ZERO(&allowed);
+#endif
+    for (; started < nthreads; started++) {
+        pthread_attr_t attr;
+        if (pthread_attr_init(&attr) != 0)
+            break;
+#ifdef __linux__
+        do
+            cpu++;
+        while (cpu < CPU_SETSIZE && (cpu == here || !CPU_ISSET(cpu, &allowed)));
+        if (cpu < CPU_SETSIZE) {
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(cpu, &one);
+            pthread_attr_setaffinity_np(&attr, sizeof one, &one);
+        }
+#endif
+        const int failed = pthread_create(&w[started].tid, &attr, work, &w[started]);
+        pthread_attr_destroy(&attr);
+        if (failed)
+            break;
+    }
+    return started;
+}
+
+/* gens[b] is instance b's bitgen_t; no two may be the same generator.  The
+ * B instances run on min(nthreads, B) threads, the calling one included;
+ * when a thread cannot be started, the others do its share.  See
+ * run_instance for the arrays.  Returns 0, or -1 when out of memory. */
+int gossip_loop(int64_t nthreads, int64_t B, int64_t n, int64_t d, int64_t T,
+                bitgen_t *const *gens, double *first, double *x, double *sums,
+                const uint8_t *flags, const int64_t *degrees, const int64_t *nbr_table,
+                int64_t width, const double *thetas, const double *phis,
+                const double *alphas, const double *powers, const double *sched,
+                double init_low, double init_high, double lo, double hi,
+                const int64_t *snap_of, double *snaps)
+{
+    job_t job = {B, n, d, T, width, 0, gens, first, x, sums, snaps, flags, degrees,
+                 nbr_table, snap_of, thetas, phis, alphas, powers, sched,
+                 init_low, init_high - init_low, lo, hi};
+    if (nthreads > B)
+        nthreads = B;
+    if (nthreads < 1)
+        nthreads = 1;
+    /* The workers, then each one's work buffer, in one block. */
+    const size_t head = round_up(nthreads * sizeof(worker_t));
+    const size_t stride = round_up((2 * T + 2 * n * d + 2 * d) * sizeof(double));
+    worker_t *w = aligned_alloc(LINE, head + nthreads * stride);
+    if (w == NULL)
+        return -1;
+    for (int64_t k = 0; k < nthreads; k++)
+        w[k] = (worker_t){&job, 0, (double *)((char *)w + head + k * stride)};
+    const int64_t started = start_workers(w, nthreads);
+    work(&w[0]);
+    for (int64_t k = 1; k < started; k++)
+        pthread_join(w[k].tid, NULL);
+    free(w);
     return 0;
 }

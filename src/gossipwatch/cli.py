@@ -53,7 +53,7 @@ from .topology import induced_subgraph, manhattan_grid
 # takes an integer) and lie in the domain experiments._DOMAINS gives their
 # name.  A null default takes any value and is checked where it is read:
 # task, kind, K and d come from the gen-data manifest beside the CSV when
-# unset, and K and d must be integers.
+# unset, and K and d must be integers in their _DOMAINS domain.
 GEN_DATA_DEFAULTS = {
     "scenario": "S0",
     "rows": 3,
@@ -245,11 +245,17 @@ def _load_dataset(path, cfg, section, expected_kind=None):
     meta = _dataset_meta(path)
     fields = {}
     for field in ("task", "kind", "K", "d"):
-        value = cfg.get(field) if cfg.get(field) is not None else meta.get(field)
+        configured = cfg.get(field) is not None
+        value = cfg[field] if configured else meta.get(field)
         if value is None:
             raise ConfigError(
                 f"cannot determine {field!r} for {path}; "
                 f"pass --set {field}=... or keep the gen-data manifest.json beside it"
+            )
+        if field in ex._DOMAINS and not ex._DOMAINS[field][0](value):
+            origin = "" if configured else f" from the manifest beside {path}"
+            raise ConfigError(
+                f"'{section}.{field}' must be {ex._DOMAINS[field][1]}, got {value!r}{origin}"
             )
         fields[field] = value
     if expected_kind is not None and fields["kind"] != expected_kind:
@@ -272,6 +278,8 @@ def _cmd_gen_data(args) -> int:
     if getattr(args, "full", False):
         overrides["full"] = True
     cfg = apply_overrides(GEN_DATA_DEFAULTS, overrides, "gen-data")
+    if not cfg["full"]:
+        ex.check_desk_scale(cfg, "gen-data")
 
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     scenario = scenario_from_tag(

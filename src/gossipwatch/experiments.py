@@ -184,7 +184,10 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
         raise ConfigError(
             f"unknown experiment family {family!r}; known: {sorted(DEFAULTS)}"
         )
-    return apply_overrides(DEFAULTS[family], overrides or {}, family)
+    cfg = apply_overrides(DEFAULTS[family], overrides or {}, family)
+    if family in _DESK_FAMILIES:
+        check_desk_scale(cfg, family)
+    return cfg
 
 
 # Numeric and choice fields, wherever they appear in a config with a non-null
@@ -192,6 +195,7 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
 _DOMAINS = {
     "T": (lambda v: v >= 1, ">= 1"),
     "K": (lambda v: v >= 1, ">= 1"),
+    "d": (lambda v: v >= 1, ">= 1"),
     "scale": (lambda v: v > 0, "> 0"),
     "starved_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
     "eta": (lambda v: v > 0, "> 0"),
@@ -201,6 +205,18 @@ _DOMAINS = {
     "mu": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "mode": (lambda v: v in ("sync", "async"), "'sync' or 'async'"),
 }
+
+
+# Families whose row budgets come from Budget.desk, which takes a scale in
+# (0, 1]; the sweep families scale their row counts by any scale > 0.
+_DESK_FAMILIES = ("one-attacker", "gossip-learning")
+
+
+def check_desk_scale(cfg: dict, path: str) -> None:
+    """Budget.desk's domain of cfg["scale"], as a config error naming the
+    field path, so that it fails before any output is made."""
+    if cfg["scale"] > 1:
+        raise ConfigError(f"'{path}.scale' must be in (0, 1], got {cfg['scale']!r}")
 
 
 def apply_overrides(defaults: dict, overrides: dict, path: str) -> dict:

@@ -160,7 +160,7 @@ _bitgen = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
 )
 
 
-_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 
 @functools.cache
@@ -203,13 +203,32 @@ def _compiled_loop():
 
     loop.restype = ctypes.c_int
     loop.argtypes = [
-        i64, i64, i64, i64, arr(np.uintp),
+        i64, i64, i64, i64, i64, arr(np.uintp),
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.uint8),
         arr(np.int64), arr(np.int64), i64,
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64),
         f64, f64, f64, f64, arr(np.int64), arr(np.float64),
     ]
     return loop
+
+
+# The fewest pair updates (about 2 ms of one thread) worth a thread of its
+# own: waking an idle CPU for a smaller share costs more than it saves.
+_THREAD_WORK = 1 << 16
+
+
+def _kernel_threads(gens: np.ndarray, T: int) -> int:
+    """Threads for one compiled run_batch call of T iterations over the
+    bitgen_t pointers gens: one per _THREAD_WORK pair updates, up to one per
+    instance and per CPU this process may run on.  One when two instances
+    share a bit generator, whose draws then form one sequential stream."""
+    if len(np.unique(gens)) < len(gens):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(len(gens), cpus, len(gens) * T // _THREAD_WORK))
 
 
 def run_batch(
@@ -238,9 +257,12 @@ def run_batch(
     alpha + lambda_hat^t U[-1, 1]^d.  The compiled loop of _gossip_loop.c
     draws each instance's randomness itself, through its generator's C
     interface (numpy's bitgen_t) and without the generator's lock, so it is
-    not thread-safe against another user of the same generator.  Where no C
-    compiler works, the draws are made in numpy and the iterations run in
-    the bitwise-equal numpy loop.
+    not thread-safe against another user of the same generator.  A batch
+    of enough work is stepped on as many threads as there are CPUs this
+    process may run on, each extra thread bound to its own CPU (one thread
+    when two instances share a generator); the output does not depend on
+    that count.  Where no C compiler works, the draws are made in
+    numpy and the iterations run serially in the bitwise-equal numpy loop.
     """
     B = len(rngs)
     n, d, T = graph.n, config.d, config.T
@@ -276,7 +298,7 @@ def run_batch(
             dtype=np.uintp,
         )
         status = loop(
-            B, n, d, T, gens, first, last, sums, flags,
+            _kernel_threads(gens, T), B, n, d, T, gens, first, last, sums, flags,
             graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
             thetas, phis, alphas, powers, sched,
             float(config.init_low), float(config.init_high),

@@ -205,6 +205,47 @@ def test_out_of_domain_gen_data_values_are_config_errors(tmp_path, capsys, setti
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section, data_field",
+    [("train", "data"), ("train-gossip", "data"), ("eval-roc", "temporal_data")],
+)
+def test_out_of_domain_dataset_sizes_are_config_errors(tmp_path, capsys, section, data_field):
+    data = _gen(tmp_path)
+    csv = data / "nd_temporal_train.csv"
+    out = tmp_path / "o"
+    run = ["--set", f"{data_field}={csv}", "--out", str(out)]
+    if section == "eval-roc":
+        run += ["--set", 'detectors=["td"]']
+    for setting, message in (("K=0", f"'{section}.K' must be >= 1, got 0"),
+                             ("d=-3", f"'{section}.d' must be >= 1, got -3")):
+        assert cli.main([section, "--set", setting, *run]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["datasets"][csv.name]["K"] = 0
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main([section, *run]) == 1
+    assert (
+        f"config error: '{section}.K' must be >= 1, got 0 from the manifest beside {csv}"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["gen-data", *TINY_GEN, "--set", "scale=1.5"], "'gen-data.scale' must be in (0, 1], got 1.5"),
+     (["experiment", "one-attacker", "--set", "scale=2"],
+      "'one-attacker.scale' must be in (0, 1], got 2"),
+     (["experiment", "gossip-learning", "--set", "scale=1.01"],
+      "'gossip-learning.scale' must be in (0, 1], got 1.01")],
+)
+def test_desk_scale_above_one_fails_before_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unconfigured_inputs_are_config_errors(tmp_path, capsys):
     assert cli.main(["train", "--out", str(tmp_path / "m")]) == 1
     assert not (tmp_path / "m").exists()

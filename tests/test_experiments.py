@@ -48,6 +48,15 @@ def test_overrides_merge_deep_without_clobbering_siblings():
     assert cfg["temporal_setups"] == [[1, 1]]
 
 
+def test_only_desk_budget_families_cap_scale_at_one():
+    for family in ("one-attacker", "gossip-learning"):
+        assert resolve_config(family, {"scale": 1})["scale"] == 1
+        with pytest.raises(ConfigError, match=rf"'{family}.scale' must be in \(0, 1\]"):
+            resolve_config(family, {"scale": 1.5})
+    for family in ("multi-attacker", "degree-tailor", "mismatch", "small-world"):
+        assert resolve_config(family, {"scale": 1.5})["scale"] == 1.5
+
+
 def test_apply_overrides_does_not_touch_inputs():
     base = {"a": {"b": 1}, "c": 2}
     out = apply_overrides(base, {"a": {"b": 5}}, "fam")

@@ -9,7 +9,9 @@ output bytes on purpose re-pins the file and says why:
 
 The families run in a child process with one BLAS thread: multi-threaded
 BLAS splits matrix products differently by thread count, which changes the
-low bits of trained weights and so the bytes of every model artifact.
+low bits of trained weights and so the bytes of every model artifact.  The
+gossip kernel's thread count, by contrast, changes no byte, which a second
+run on one kernel thread checks.
 """
 
 from __future__ import annotations
@@ -61,9 +63,21 @@ def _compute() -> dict[str, dict[str, str]]:
 def test_golden_digests():
     from test_acceptance import _TINY
 
+    assert set(json.loads(DIGESTS.read_text())) == set(_TINY)
+    _assert_pinned(all_digests())
+
+
+def test_golden_digests_hold_with_one_kernel_thread(monkeypatch):
+    """The gossip kernel steps a large batch on every CPU the process may
+    use; on one thread it writes the same bytes."""
+    from gossipwatch import protocol
+
+    monkeypatch.setattr(protocol, "_kernel_threads", lambda gens, T: 1)
+    _assert_pinned(_compute())
+
+
+def _assert_pinned(got: dict[str, dict[str, str]]) -> None:
     pinned = json.loads(DIGESTS.read_text())
-    assert set(pinned) == set(_TINY)
-    got = all_digests()
     assert set(got) == set(pinned)
     for family in sorted(pinned):
         assert sorted(got[family]) == sorted(pinned[family]), f"{family}: artifact set changed"

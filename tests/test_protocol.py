@@ -363,6 +363,58 @@ def test_compiled_draws_match_numpy_draws_for_any_bit_generator(monkeypatch, bit
         assert _same_state(a, b), (a, b)
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("B, T", [(1, 300), (1, 301), (5, 300), (5, 301), (5, 20000)])
+def test_compiled_output_does_not_depend_on_the_thread_count(monkeypatch, bit_generator, B, T):
+    """Every instance reads only its own generator and writes only its own
+    slices, so 1, 2, 3 and B + 1 kernel threads return the same bits and
+    leave every generator in the same state.  At T = 20000 an instance
+    outlasts a thread's start, so the threads overlap in time."""
+    _skip_without_cc()
+    args = _attacked_torus_batch(B, T)
+
+    def run(threads):
+        monkeypatch.setattr(protocol, "_kernel_threads", lambda gens, T: threads)
+        rngs = [np.random.Generator(bit_generator(np.random.SeedSequence(b))) for b in range(B)]
+        return run_batch(*args, rngs, checkpoints=(0, 7, T)), [r.bit_generator.state for r in rngs]
+
+    serial, serial_states = run(1)
+    for threads in (2, 3, B + 1):
+        stats, states = run(threads)
+        _assert_same(serial, stats)
+        for a, b in zip(serial_states, states):
+            assert _same_state(a, b), threads
+
+
+def test_shared_generator_runs_on_one_thread(monkeypatch):
+    """Instances that share one generator draw from one sequential stream:
+    the kernel then runs them on one thread even where two CPUs are free,
+    and returns the one-thread and numpy-loop bits.  A batch too small to
+    give each thread _THREAD_WORK pair updates also runs on one."""
+    _skip_without_cc()
+    B, T = 16, protocol._THREAD_WORK // 8
+    args = _attacked_torus_batch(B, T)
+    monkeypatch.setattr(protocol.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    gens = np.arange(1, B + 1, dtype=np.uintp)
+    assert protocol._kernel_threads(gens, T) == 2
+    assert protocol._kernel_threads(gens, T // 2 - 1) == 1
+    gens[2] = gens[0]
+    assert protocol._kernel_threads(gens, T) == 1
+
+    def run():
+        rng = np.random.default_rng(9)
+        return run_batch(*args, [rng] * B, checkpoints=(0, T)), rng.bit_generator.state
+
+    shared, shared_state = run()
+    monkeypatch.setattr(protocol, "_kernel_threads", lambda gens, T: 1)
+    serial, serial_state = run()
+    monkeypatch.setattr(protocol, "_compiled_loop", lambda: None)
+    reference, reference_state = run()
+    for stats, state in ((serial, serial_state), (reference, reference_state)):
+        _assert_same(shared, stats)
+        assert _same_state(shared_state, state)
+
+
 def test_compiled_run_batch_allocates_no_per_step_arrays():
     """The compiled path keeps no (B, T) pair or noise arrays, which at
     B = 256, T = 2000 would take 8 MB for the pairs alone."""
