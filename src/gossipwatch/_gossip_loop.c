@@ -1,10 +1,10 @@
 /* One call of gossipwatch.protocol.run_batch: each instance's draws from its
  * own numpy bit generator, then its t = 1..T loop, on up to nthreads threads.
  * Built with -ffp-contract=off, every expression rounds exactly as the numpy
- * path in protocol.py does, operation for operation, and every draw goes
- * through the generator's own C interface in the order of
- * _draw_instance_randomness, so both paths return the same bits and leave
- * the generators in the same state.  An instance reads only its own
+ * reference in tests/oracles.py does, operation for operation, and every
+ * draw goes through the generator's own C interface in the frozen stream
+ * order that the reference writes out, so both return the same bits and
+ * leave the generators in the same state.  An instance reads only its own
  * generator and writes only its own slices of the outputs, so the bits do
  * not depend on the number of threads or on which thread ran it.  Arrays are
  * C-contiguous; protocol.py checks shapes and dtypes before the call. */

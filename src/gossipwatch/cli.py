@@ -222,12 +222,19 @@ def _dataset_meta(path) -> dict:
     if not isinstance(entry, dict):
         raise ValueError(f"{manifest}: field 'datasets.{name}': not an object")
     for field in ("K", "d"):
-        if entry.get(field) is not None and ex.json_type(entry[field]) != "integer":
-            raise ValueError(
-                f"{manifest}: field 'datasets.{name}.{field}': expects a JSON integer, "
-                f"got {entry[field]!r}"
-            )
+        problem = entry.get(field) is not None and _size_problem(field, entry[field])
+        if problem:
+            raise ValueError(f"{manifest}: field 'datasets.{name}.{field}': {problem}")
     return entry
+
+
+def _size_problem(field, value) -> str | None:
+    """What is wrong with ``value`` as a dataset's K or d, or None."""
+    if ex.json_type(value) != "integer":
+        return f"expects a JSON integer, got {value!r}"
+    if not ex._DOMAINS[field][0](value):
+        return f"must be {ex._DOMAINS[field][1]}, got {value!r}"
+    return None
 
 
 def _load_dataset(path, cfg, section, expected_kind=None):
@@ -236,8 +243,9 @@ def _load_dataset(path, cfg, section, expected_kind=None):
     if path is None:
         raise ConfigError("no dataset file configured; pass --set data=PATH")
     for field in ("K", "d"):
-        if cfg.get(field) is not None and ex.json_type(cfg[field]) != "integer":
-            raise ConfigError(f"'{section}.{field}' expects a JSON integer, got {cfg[field]!r}")
+        problem = cfg.get(field) is not None and _size_problem(field, cfg[field])
+        if problem:
+            raise ConfigError(f"'{section}.{field}' {problem}")
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"dataset file not found: {path}; produce it with the gen-data subcommand"
@@ -245,17 +253,11 @@ def _load_dataset(path, cfg, section, expected_kind=None):
     meta = _dataset_meta(path)
     fields = {}
     for field in ("task", "kind", "K", "d"):
-        configured = cfg.get(field) is not None
-        value = cfg[field] if configured else meta.get(field)
+        value = cfg[field] if cfg.get(field) is not None else meta.get(field)
         if value is None:
             raise ConfigError(
                 f"cannot determine {field!r} for {path}; "
                 f"pass --set {field}=... or keep the gen-data manifest.json beside it"
-            )
-        if field in ex._DOMAINS and not ex._DOMAINS[field][0](value):
-            origin = "" if configured else f" from the manifest beside {path}"
-            raise ConfigError(
-                f"'{section}.{field}' must be {ex._DOMAINS[field][1]}, got {value!r}{origin}"
             )
         fields[field] = value
     if expected_kind is not None and fields["kind"] != expected_kind:

@@ -187,6 +187,11 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
     cfg = apply_overrides(DEFAULTS[family], overrides or {}, family)
     if family in _DESK_FAMILIES:
         check_desk_scale(cfg, family)
+    for key, (valid, what) in _PAIR_DOMAINS.items():
+        for i, entry in enumerate(cfg.get(key, ())):
+            pair = json_type(entry) == "list" and list(map(json_type, entry)) == ["integer"] * 2
+            if not (pair and valid(*entry)):
+                raise ConfigError(f"'{family}.{key}[{i}]' must be {what}, got {entry!r}")
     return cfg
 
 
@@ -194,6 +199,8 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
 # default: (valid, what a value must be).
 _DOMAINS = {
     "T": (lambda v: v >= 1, ">= 1"),
+    "rows": (lambda v: v >= 3, ">= 3"),
+    "cols": (lambda v: v >= 3, ">= 3"),
     "K": (lambda v: v >= 1, ">= 1"),
     "d": (lambda v: v >= 1, ">= 1"),
     "scale": (lambda v: v > 0, "> 0"),
@@ -204,6 +211,13 @@ _DOMAINS = {
     "rounds": (lambda v: v >= 0, ">= 0"),
     "mu": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "mode": (lambda v: v in ("sync", "async"), "'sync' or 'async'"),
+}
+
+# List fields whose entries are integer pairs: (valid, what an entry must be).
+_PAIR_DOMAINS = {
+    "temporal_setups": (lambda K, d: K >= 1 and d >= 1, "[K, d] with K, d >= 1"),
+    "spatial_setups": (lambda K, d: K >= 1 and d >= 1, "[K, d] with K, d >= 1"),
+    "combos": (lambda m, c: 0 <= c <= m, "[m, c] with 0 <= c <= m"),
 }
 
 

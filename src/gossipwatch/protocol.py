@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gossipwatch.topology import Graph, draw_pair_sequence
+from gossipwatch.topology import Graph
 
 
 @dataclass(frozen=True)
@@ -135,25 +135,6 @@ class BatchStats:
     checkpoints: dict = field(default_factory=dict)  # t -> (B, n, d)
 
 
-def _draw_instance_randomness(graph, config, flags, rng):
-    """All protocol randomness of one instance, in frozen stream order:
-    trustworthy initials, attacker initial noise, the pair sequence, then one
-    noise row per attacker pair-membership event (t ascending, waking member
-    before pulled member).  Each instance of run_batch draws through here,
-    so an instance's states depend only on its own generator, not on the
-    batch it runs in."""
-    beta = rng.uniform(config.init_low, config.init_high, size=(graph.n, config.d))
-    m = int(flags.sum())
-    init_noise = rng.uniform(-1.0, 1.0, size=(m, config.d)) if m else None
-    i_seq, j_seq = draw_pair_sequence(graph, config.T, rng)
-    n_events = int(flags[i_seq].sum()) + int(flags[j_seq].sum())
-    if n_events:
-        event_noise = rng.uniform(-1.0, 1.0, size=(n_events, config.d))
-    else:
-        event_noise = np.empty((0, config.d))
-    return beta, init_noise, i_seq, j_seq, event_noise
-
-
 # The bitgen_t pointer in the "BitGenerator" capsule of a numpy bit generator.
 _bitgen = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi)
@@ -165,14 +146,16 @@ _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 @functools.cache
 def _compiled_loop():
-    """The C gossip loop of _gossip_loop.c, or None when it cannot be built
-    or loaded here; then run_batch uses the numpy loop and warns once.
+    """The C gossip loop of _gossip_loop.c.
 
     The library is built on first use into $XDG_CACHE_HOME/gossipwatch
     (~/.cache/gossipwatch when that is unset or relative), named by the SHA-256 of the source and
     the compiler command, and moved into place by an atomic rename so that
-    concurrent first uses do not collide."""
+    concurrent first uses do not collide.  Where it cannot be built or
+    loaded, a RuntimeError names the compiler command and the compiler's
+    stderr or the OSError (no compiler on PATH, say)."""
     source = Path(__file__).with_name("_gossip_loop.c")
+    command = " ".join([*_CC, str(source)])
     try:
         key = hashlib.sha256(source.read_bytes() + " ".join(_CC).encode()).hexdigest()
         xdg = os.environ.get("XDG_CACHE_HOME", "")
@@ -187,15 +170,13 @@ def _compiled_loop():
                 )
                 os.replace(built, lib)
         loop = ctypes.CDLL(str(lib)).gossip_loop
-    except (OSError, RuntimeError, subprocess.CalledProcessError) as err:
+    except (OSError, subprocess.CalledProcessError) as err:
+        detail = err
         if isinstance(err, subprocess.CalledProcessError):
-            err = err.stderr.decode(errors="replace").strip()
-        warnings.warn(
-            f"cannot build or load the C gossip loop, using the numpy loop: {err}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
+            detail = err.stderr.decode(errors="replace").strip()
+        raise RuntimeError(
+            f"cannot build or load the C gossip loop with `{command}`: {detail}"
+        ) from err
     i64, f64 = ctypes.c_int64, ctypes.c_double
 
     def arr(dtype):
@@ -242,27 +223,28 @@ def run_batch(
     rngs: list[np.random.Generator],
     checkpoints: tuple[int, ...] = (),
 ) -> BatchStats:
-    """Vectorized runner for B instances on a shared graph.
+    """Runner for B instances on a shared graph, in the compiled loop of
+    _gossip_loop.c.
 
     flags is (B, n) attacker membership, thetas (B, n, d), phis (B, n),
     alphas (B, d) (ignored for rows without attackers; may be None when no
     row has any).  rngs holds one generator per instance, consumed in the
-    order of _draw_instance_randomness and left in the state that order
-    leaves.  checkpoints lists iterations t whose full (B, n, d) states are
-    kept; range(T + 1) records whole trajectories.
+    frozen stream order that the numpy reference in tests/oracles.py writes
+    out and left in the state that order leaves.  checkpoints lists
+    iterations t whose full (B, n, d) states are kept; range(T + 1) records
+    whole trajectories.
 
     Only the two agents of the sampled pair change state at an iteration.
     Trustworthy members move to the projected subgradient step from the pair
     average of the pre-iteration states; attacker members re-emit
-    alpha + lambda_hat^t U[-1, 1]^d.  The compiled loop of _gossip_loop.c
-    draws each instance's randomness itself, through its generator's C
-    interface (numpy's bitgen_t) and without the generator's lock, so it is
-    not thread-safe against another user of the same generator.  A batch
-    of enough work is stepped on as many threads as there are CPUs this
-    process may run on, each extra thread bound to its own CPU (one thread
-    when two instances share a generator); the output does not depend on
-    that count.  Where no C compiler works, the draws are made in
-    numpy and the iterations run serially in the bitwise-equal numpy loop.
+    alpha + lambda_hat^t U[-1, 1]^d.  The loop draws each instance's
+    randomness itself, through its generator's C interface (numpy's
+    bitgen_t) and without the generator's lock, so it is not thread-safe
+    against another user of the same generator.  A batch of enough work is
+    stepped on as many threads as there are CPUs this process may run on,
+    each extra thread bound to its own CPU (one thread when two instances
+    share a generator); the output does not depend on that count.  Raises
+    RuntimeError where the loop cannot be built (see _compiled_loop).
     """
     B = len(rngs)
     n, d, T = graph.n, config.d, config.T
@@ -287,96 +269,20 @@ def run_batch(
     snaps = np.empty((len(times), B, n, d))
     sched = config.stepsize.schedule(T)
     loop = _compiled_loop()
-    if loop is None:
-        first, last, sums = _numpy_run(
-            graph, config, flags, thetas, phis, alphas, powers, rngs, sched, snap_of, snaps
-        )
-    else:
-        first, last, sums = (np.empty((B, n, d)) for _ in range(3))
-        gens = np.array(
-            [_bitgen(rng.bit_generator.capsule, b"BitGenerator") for rng in rngs],
-            dtype=np.uintp,
-        )
-        status = loop(
-            _kernel_threads(gens, T), B, n, d, T, gens, first, last, sums, flags,
-            graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
-            thetas, phis, alphas, powers, sched,
-            float(config.init_low), float(config.init_high),
-            float(config.box_lo), float(config.box_hi), snap_of, snaps,
-        )
-        if status != 0:
-            raise MemoryError("gossip loop could not allocate its work buffer")
+    first, last, sums = (np.empty((B, n, d)) for _ in range(3))
+    gens = np.array(
+        [_bitgen(rng.bit_generator.capsule, b"BitGenerator") for rng in rngs], dtype=np.uintp
+    )
+    status = loop(
+        _kernel_threads(gens, T), B, n, d, T, gens, first, last, sums, flags,
+        graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
+        thetas, phis, alphas, powers, sched,
+        float(config.init_low), float(config.init_high),
+        float(config.box_lo), float(config.box_hi), snap_of, snaps,
+    )
+    if status != 0:
+        raise MemoryError("gossip loop could not allocate its work buffer")
     return BatchStats(
         first=first, last=last, sums=sums, checkpoints={t: snaps[k] for k, t in enumerate(times)}
     )
 
-
-def _numpy_run(graph, config, flags, thetas, phis, alphas, powers, rngs, sched, snap_of, snaps):
-    """run_batch without a compiler: the draws of _draw_instance_randomness
-    per instance, then _numpy_loop.  Returns the first, last and summed
-    states."""
-    B = len(rngs)
-    n, d, T = graph.n, config.d, config.T
-    i_seq = np.empty((B, T), dtype=np.int64)
-    j_seq = np.empty((B, T), dtype=np.int64)
-    event_rows = []
-    x = np.empty((B, n, d))
-    for b, rng in enumerate(rngs):
-        beta, init_noise, i_seq[b], j_seq[b], ev = _draw_instance_randomness(
-            graph, config, flags[b], rng
-        )
-        event_rows.append(ev)
-        x[b] = beta
-        ids = np.flatnonzero(flags[b])
-        if ids.size:
-            x[b, ids] = alphas[b] + 1.0 * init_noise
-    # Instance b's noise rows are noise[start[b]:start[b + 1]].
-    start = np.zeros(B + 1, dtype=np.int64)
-    np.cumsum([ev.shape[0] for ev in event_rows], out=start[1:])
-    noise = np.concatenate(event_rows + [np.zeros((1, d))])
-    first = x.copy()
-    sums = x.copy()
-    _numpy_loop(
-        x, sums, i_seq, j_seq, flags, thetas, phis, alphas, powers, noise, start, sched,
-        float(config.box_lo), float(config.box_hi), snap_of, snaps,
-    )
-    return first, x, sums
-
-
-def _numpy_loop(
-    x, sums, i_seq, j_seq, flags, thetas, phis, alphas, powers, noise, start, sched,
-    lo, hi, snap_of, snaps,
-):
-    """The reference loop the C loop must match bit for bit, vectorized over
-    the batch.  x holds the (B, n, d) states at t = 0 and receives them at
-    t = T; sums holds x and receives the sum over t = 0..T.  Instance b's
-    attack-noise rows are noise[start[b]:start[b + 1]], one per attacker
-    pair-membership event in (t, waking-then-pulled) order.  snap_of[t] is
-    the slot of iteration t in snaps, or -1."""
-    B, T = i_seq.shape
-    aB = np.arange(B)
-    att_i = flags[aB[:, None], i_seq].astype(bool)
-    att_j = flags[aB[:, None], j_seq].astype(bool)
-    # Row index of each membership event, cumulative in (t, i-then-j) order.
-    inter = np.stack([att_i, att_j], axis=2).reshape(B, 2 * T)
-    idx = (start[:B, None] + np.cumsum(inter, axis=1) - 1).reshape(B, T, 2)
-    idx_i, idx_j = np.maximum(idx[:, :, 0], 0), np.maximum(idx[:, :, 1], 0)
-    any_event = bool(inter.any())
-    if snap_of[0] >= 0:
-        snaps[snap_of[0]] = x
-    for t in range(1, T + 1):
-        i = i_seq[:, t - 1]
-        j = j_seq[:, t - 1]
-        xbar = 0.5 * (x[aB, i] + x[aB, j])
-        gam = sched[t - 1]
-        for member, att_m, idx_m in ((i, att_i, idx_i), (j, att_j, idx_j)):
-            th = thetas[aB, member]
-            resid = (th * xbar).sum(axis=-1) - phis[aB, member]
-            upd = np.clip(xbar - gam * (2.0 * th * resid[:, None]), lo, hi)
-            if any_event:
-                att_vals = alphas + powers[t] * noise[idx_m[:, t - 1]]
-                upd = np.where(att_m[:, t - 1][:, None], att_vals, upd)
-            x[aB, member] = upd
-        sums += x
-        if snap_of[t] >= 0:
-            snaps[snap_of[t]] = x

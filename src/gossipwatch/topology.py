@@ -1,5 +1,5 @@
 """Communication graphs for asynchronous gossip: torus and small-world
-constructions, pair sampling, expected mixing matrix, edge surgery."""
+constructions, expected mixing matrix, edge surgery."""
 
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ class Graph:
         degs = np.array([len(a) for a in nbrs], dtype=np.int64)
         if degs.min() == 0:
             raise ValueError("graph has an isolated agent")
-        # Padded neighbor table for vectorized neighbor draws.
+        # Padded neighbor table, from which the gossip loop draws neighbors.
         table = np.zeros((self.n, int(degs.max())), dtype=np.int64)
         for i, a in enumerate(nbrs):
             table[i, : len(a)] = a
@@ -168,22 +168,6 @@ def small_world(
     raise ValueError(
         f"small_world failed to produce a connected graph in {SMALL_WORLD_RETRIES} attempts"
     )
-
-
-def draw_pair_sequence(
-    graph: Graph, T: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw T gossip pairs in one pass: i uniform over agents, j uniform
-    over N(i).
-
-    Consumes exactly two generator calls (T waking agents, then T uniform
-    neighbor picks), a frozen stream layout.
-    """
-    i_seq = rng.integers(0, graph.n, size=T)
-    u_seq = rng.random(T)
-    slots = (u_seq * graph.degrees[i_seq]).astype(np.int64)
-    j_seq = graph.nbr_table[i_seq, slots]
-    return i_seq, j_seq
 
 
 def expected_transition_matrix(graph: Graph) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 Per-instance spatial aggregates and the score statistics over them, the
 pair-averaging matrix of one gossip step, the rates of a thresholded
-detector, and the per-layer training path (one gradient array per layer
-and per bias, one row gather per SGD step, a gossip merge through a decoded
-model).  The package computes the same quantities by other routes (row
-statistics over tailored slots, the expected transition matrix, the exact
-ROC sweep, one flat gradient and in-place merges); the tests check one
-against the other.
+detector, the per-layer training path (one gradient array per layer and per
+bias, one row gather per SGD step, a gossip merge through a decoded model),
+and the gossip iteration in numpy, which writes out the frozen stream order
+of every instance's draws.  The package computes the same quantities by
+other routes (row statistics over tailored slots, the expected transition
+matrix, the exact ROC sweep, one flat gradient and in-place merges, the
+compiled gossip loop); the tests check one against the other.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from gossipwatch.evaluation import _validate_scores_labels
 from gossipwatch.neural import Mlp, mlp_from_blob, params_to_blob
+from gossipwatch.protocol import BatchStats
 from gossipwatch.score_detectors import GREATER_IS_H1, SMALLER_IS_H1
 from gossipwatch.topology import Graph
 
@@ -208,3 +210,125 @@ def gossip_act(lr, graph: Graph, rng: np.random.Generator):
     nbrs = graph.neighbors[lr.agent]
     recipient = int(nbrs[int(rng.random() * len(nbrs))])
     return recipient, params_to_blob(lr.model), loss
+
+
+# --- numpy gossip iteration -------------------------------------------------
+
+
+def draw_pair_sequence(graph: Graph, T: int, rng: np.random.Generator):
+    """Pre-draw T gossip pairs in one pass: i uniform over agents, j uniform
+    over N(i).
+
+    Consumes exactly two generator calls (T waking agents, then T uniform
+    neighbor picks), a frozen stream layout.
+    """
+    i_seq = rng.integers(0, graph.n, size=T)
+    u_seq = rng.random(T)
+    slots = (u_seq * graph.degrees[i_seq]).astype(np.int64)
+    j_seq = graph.nbr_table[i_seq, slots]
+    return i_seq, j_seq
+
+
+def _draw_instance_randomness(graph, config, flags, rng):
+    """All protocol randomness of one instance, in frozen stream order:
+    trustworthy initials, attacker initial noise, the pair sequence, then one
+    noise row per attacker pair-membership event (t ascending, waking member
+    before pulled member).  Each instance draws through here, so its states
+    depend only on its own generator, not on the batch it runs in."""
+    beta = rng.uniform(config.init_low, config.init_high, size=(graph.n, config.d))
+    m = int(flags.sum())
+    init_noise = rng.uniform(-1.0, 1.0, size=(m, config.d)) if m else None
+    i_seq, j_seq = draw_pair_sequence(graph, config.T, rng)
+    n_events = int(flags[i_seq].sum()) + int(flags[j_seq].sum())
+    if n_events:
+        event_noise = rng.uniform(-1.0, 1.0, size=(n_events, config.d))
+    else:
+        event_noise = np.empty((0, config.d))
+    return beta, init_noise, i_seq, j_seq, event_noise
+
+
+def numpy_run_batch(
+    graph, flags, thetas, phis, alphas, lambda_hat, config, rngs, checkpoints=()
+) -> BatchStats:
+    """protocol.run_batch in numpy: the draws of _draw_instance_randomness
+    per instance, then _numpy_loop over the whole batch.  Same arguments,
+    same BatchStats, same bits, and the generators left in the same state."""
+    B = len(rngs)
+    n, d, T = graph.n, config.d, config.T
+    flags = np.ascontiguousarray(flags, dtype=np.uint8)
+    if flags.any():
+        alphas = np.ascontiguousarray(alphas, dtype=np.float64)
+        powers = lambda_hat ** np.arange(T + 1, dtype=np.float64)
+    else:
+        alphas, powers = np.zeros((B, d)), np.zeros(T + 1)
+    times = sorted({int(c) for c in checkpoints if 0 <= int(c) <= T})
+    snap_of = np.full(T + 1, -1, dtype=np.int64)
+    snap_of[times] = np.arange(len(times))
+    snaps = np.empty((len(times), B, n, d))
+
+    i_seq = np.empty((B, T), dtype=np.int64)
+    j_seq = np.empty((B, T), dtype=np.int64)
+    event_rows = []
+    x = np.empty((B, n, d))
+    for b, rng in enumerate(rngs):
+        beta, init_noise, i_seq[b], j_seq[b], ev = _draw_instance_randomness(
+            graph, config, flags[b], rng
+        )
+        event_rows.append(ev)
+        x[b] = beta
+        ids = np.flatnonzero(flags[b])
+        if ids.size:
+            x[b, ids] = alphas[b] + 1.0 * init_noise
+    # Instance b's noise rows are noise[start[b]:start[b + 1]].
+    start = np.zeros(B + 1, dtype=np.int64)
+    np.cumsum([ev.shape[0] for ev in event_rows], out=start[1:])
+    noise = np.concatenate(event_rows + [np.zeros((1, d))])
+    first = x.copy()
+    sums = x.copy()
+    _numpy_loop(
+        x, sums, i_seq, j_seq, flags, np.asarray(thetas, dtype=np.float64),
+        np.asarray(phis, dtype=np.float64), alphas, powers, noise, start,
+        config.stepsize.schedule(T), float(config.box_lo), float(config.box_hi), snap_of, snaps,
+    )
+    return BatchStats(
+        first=first, last=x, sums=sums, checkpoints={t: snaps[k] for k, t in enumerate(times)}
+    )
+
+
+def _numpy_loop(
+    x, sums, i_seq, j_seq, flags, thetas, phis, alphas, powers, noise, start, sched,
+    lo, hi, snap_of, snaps,
+):
+    """The reference loop the compiled loop must match bit for bit,
+    vectorized over the batch.  x holds the (B, n, d) states at t = 0 and
+    receives them at t = T; sums holds x and receives the sum over
+    t = 0..T.  Instance b's attack-noise rows are noise[start[b]:start[b + 1]],
+    one per attacker pair-membership event in (t, waking-then-pulled) order.
+    snap_of[t] is the slot of iteration t in snaps, or -1."""
+    B, T = i_seq.shape
+    aB = np.arange(B)
+    att_i = flags[aB[:, None], i_seq].astype(bool)
+    att_j = flags[aB[:, None], j_seq].astype(bool)
+    # Row index of each membership event, cumulative in (t, i-then-j) order.
+    inter = np.stack([att_i, att_j], axis=2).reshape(B, 2 * T)
+    idx = (start[:B, None] + np.cumsum(inter, axis=1) - 1).reshape(B, T, 2)
+    idx_i, idx_j = np.maximum(idx[:, :, 0], 0), np.maximum(idx[:, :, 1], 0)
+    any_event = bool(inter.any())
+    if snap_of[0] >= 0:
+        snaps[snap_of[0]] = x
+    for t in range(1, T + 1):
+        i = i_seq[:, t - 1]
+        j = j_seq[:, t - 1]
+        xbar = 0.5 * (x[aB, i] + x[aB, j])
+        gam = sched[t - 1]
+        for member, att_m, idx_m in ((i, att_i, idx_i), (j, att_j, idx_j)):
+            th = thetas[aB, member]
+            resid = (th * xbar).sum(axis=-1) - phis[aB, member]
+            upd = np.clip(xbar - gam * (2.0 * th * resid[:, None]), lo, hi)
+            if any_event:
+                att_vals = alphas + powers[t] * noise[idx_m[:, t - 1]]
+                upd = np.where(att_m[:, t - 1][:, None], att_vals, upd)
+            x[aB, member] = upd
+        sums += x
+        if snap_of[t] >= 0:
+            snaps[snap_of[t]] = x

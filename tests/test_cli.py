@@ -131,6 +131,8 @@ def test_malformed_manifest_names_file_and_field(tmp_path, capsys):
          f"{manifest}: field 'datasets.nd_temporal_train.csv': not an object"),
         ('{"datasets": {"nd_temporal_train.csv": {"K": "1"}}}',
          f"{manifest}: field 'datasets.nd_temporal_train.csv.K': expects a JSON integer"),
+        ('{"datasets": {"nd_temporal_train.csv": {"K": 0}}}',
+         f"{manifest}: field 'datasets.nd_temporal_train.csv.K': must be >= 1, got 0"),
     ):
         manifest.write_text(content)
         assert cli.main(train) == 2
@@ -220,14 +222,24 @@ def test_out_of_domain_dataset_sizes_are_config_errors(tmp_path, capsys, section
                              ("d=-3", f"'{section}.d' must be >= 1, got -3")):
         assert cli.main([section, "--set", setting, *run]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
-    manifest = json.loads((data / "manifest.json").read_text())
-    manifest["datasets"][csv.name]["K"] = 0
-    (data / "manifest.json").write_text(json.dumps(manifest))
-    assert cli.main([section, *run]) == 1
-    assert (
-        f"config error: '{section}.K' must be >= 1, got 0 from the manifest beside {csv}"
-        in capsys.readouterr().err
-    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["one-attacker", "--set", "temporal_setups=[[5, 0]]"],
+      "'one-attacker.temporal_setups[0]' must be [K, d] with K, d >= 1, got [5, 0]"),
+     (["one-attacker", "--set", "spatial_setups=[[2, 2], [1]]"],
+      "'one-attacker.spatial_setups[1]' must be [K, d] with K, d >= 1, got [1]"),
+     (["converge", "--set", "rows=0"], "'converge.rows' must be >= 3, got 0"),
+     (["multi-attacker", "--set", "combos=[[1, 2]]"],
+      "'multi-attacker.combos[0]' must be [m, c] with 0 <= c <= m, got [1, 2]")],
+    ids=["temporal_setups", "spatial_setups", "rows", "combos"],
+)
+def test_out_of_domain_grid_and_list_entries_fail_before_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert cli.main(["experiment", *argv, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

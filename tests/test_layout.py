@@ -2,12 +2,14 @@
 is used by code of the package itself, and every defaulted parameter of a
 top-level function is passed by some call in the package.  Code that only
 tests use belongs in ``tests/`` (``tests/oracles.py`` holds the reference
-implementations)."""
+implementations), and every top-level function and class there is used by
+some test."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gossipwatch"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "gossipwatch"
 
 # Top-level names that may stay in src/ without a user there.
 ALLOWED: set[str] = set()
@@ -55,8 +57,9 @@ def _used_names(stmt, skip: set[int]) -> set[str]:
     return names
 
 
-def test_every_top_level_name_has_a_user_in_the_package():
-    trees = _trees()
+def _unused(trees: dict[str, ast.Module], defining) -> list[str]:
+    """Top-level functions and classes of the modules named in ``defining``
+    that no top-level statement of ``trees`` uses, other than themselves."""
     uses = {
         id(stmt): _used_names(stmt, skip)
         for tree in trees.values()
@@ -65,8 +68,8 @@ def test_every_top_level_name_has_a_user_in_the_package():
     }
     definitions = [
         (module, stmt)
-        for module, tree in trees.items()
-        for stmt in tree.body
+        for module in defining
+        for stmt in trees[module].body
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in ALLOWED
     ]
     # A name used only by unused code is unused too: drop dead definitions
@@ -86,8 +89,22 @@ def test_every_top_level_name_has_a_user_in_the_package():
         if not newly:
             break
         dead |= newly
-    unused = [f"{m}:{d.lineno} {d.name}" for m, d in definitions if id(d) in dead]
+    return [f"{m}:{d.lineno} {d.name}" for m, d in definitions if id(d) in dead]
+
+
+def test_every_top_level_name_has_a_user_in_the_package():
+    trees = _trees()
+    unused = _unused(trees, trees)
     assert not unused, "not used in src/gossipwatch outside __init__.py: " + ", ".join(unused)
+
+
+def test_every_oracle_has_a_user_in_the_tests():
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in [TESTS / "oracles.py", *sorted(TESTS.glob("test_*.py"))]
+    }
+    unused = _unused(trees, ["oracles.py"])
+    assert not unused, "not used by any tests/test_*.py: " + ", ".join(unused)
 
 
 def _passes(call: ast.Call, fn: ast.FunctionDef, name: str) -> bool:

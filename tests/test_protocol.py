@@ -1,13 +1,14 @@
 """Protocol kernel: problems, stepsizes, run_batch behaviour, and bitwise
-parity of the compiled and numpy loops with a pure-Python reference stepper."""
+parity of the compiled loop with the numpy reference of tests/oracles.py and
+a pure-Python reference stepper."""
 
 import itertools
-import shutil
+import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
+from oracles import numpy_run_batch
 
 from gossipwatch import cli, protocol
 from gossipwatch.protocol import (
@@ -27,12 +28,16 @@ from gossipwatch.topology import (
 )
 
 
-def _run(graph, problems, config, seeds, flags=None, alphas=None, lam=None, **kwargs):
-    """run_batch over the given problems, one generator per seed."""
+def _run(
+    graph, problems, config, seeds, flags=None, alphas=None, lam=None, runner=run_batch,
+    **kwargs,
+):
+    """runner (run_batch or its numpy reference) over the given problems,
+    one generator per seed."""
     B = len(problems)
     if flags is None:
         flags = np.zeros((B, graph.n), dtype=bool)
-    return run_batch(
+    return runner(
         graph, flags, np.stack([p.theta for p in problems]),
         np.stack([p.phi for p in problems]), alphas, lam, config,
         [np.random.default_rng(s) for s in seeds], **kwargs,
@@ -233,16 +238,15 @@ def _reference_run(graph, flags, theta, phi, alpha, lam, config, rng):
     return np.array(states)
 
 
-def test_serial_and_batch_runners_agree_bitwise(monkeypatch):
+def test_serial_and_batch_runners_agree_bitwise():
     """run_batch equals the serial reference stepper bit for bit: first and
-    last states, time sums and every checkpoint, clean and attacked, with the
-    compiled loop and with the numpy loop."""
-    _check_against_reference()
-    monkeypatch.setattr(protocol, "_compiled_loop", lambda: None)
-    _check_against_reference()
+    last states, time sums and every checkpoint, clean and attacked; so does
+    the numpy reference loop."""
+    _check_against_reference(run_batch)
+    _check_against_reference(numpy_run_batch)
 
 
-def _check_against_reference():
+def _check_against_reference(runner):
     # An odd T leaves a buffered 32-bit half of the pair draws in the
     # generator when the neighbor draws begin.
     graphs = (manhattan_grid(3, 3), small_world(20, 8, 0.2, np.random.default_rng(5)))
@@ -263,7 +267,7 @@ def _check_against_reference():
                 stats = _run(
                     graph, problems, config, seeds, flags=flags,
                     alphas=alphas if any_attack else None, lam=lam if any_attack else None,
-                    checkpoints=range(T + 1),
+                    runner=runner, checkpoints=range(T + 1),
                 )
                 for b in range(B):
                     ref = _reference_run(
@@ -296,18 +300,12 @@ def _attacked_torus_batch(B, T):
     )
 
 
-def _run_seeded(args, checkpoints=()):
+def _run_seeded(args, checkpoints=(), runner=run_batch):
     B = len(args[1])
-    return run_batch(
+    return runner(
         *args, [np.random.default_rng(np.random.SeedSequence(b)) for b in range(B)],
         checkpoints=checkpoints,
     )
-
-
-def _skip_without_cc():
-    if shutil.which(protocol._CC[0]) is None:
-        pytest.skip(f"no C compiler {protocol._CC[0]!r} on PATH; only the numpy loop runs here")
-    assert protocol._compiled_loop() is not None
 
 
 def _assert_same(a, b):
@@ -321,18 +319,17 @@ def _assert_same(a, b):
 @pytest.fixture
 def fresh_loader():
     """Forget the loaded loop before and after the test, so that the test
-    builds or falls back anew and later tests load the real library again."""
+    builds anew and later tests load the real library again."""
     protocol._compiled_loop.cache_clear()
     yield
     protocol._compiled_loop.cache_clear()
 
 
-def test_compiled_and_numpy_loops_agree_bitwise_at_datagen_size(monkeypatch):
-    _skip_without_cc()
+def test_compiled_and_numpy_loops_agree_bitwise_at_datagen_size():
     args = _attacked_torus_batch(256, 2000)
     compiled = _run_seeded(args, checkpoints=(0, 1, 999, 2000))
-    monkeypatch.setattr(protocol, "_compiled_loop", lambda: None)
-    _assert_same(compiled, _run_seeded(args, checkpoints=(0, 1, 999, 2000)))
+    reference = _run_seeded(args, checkpoints=(0, 1, 999, 2000), runner=numpy_run_batch)
+    _assert_same(compiled, reference)
 
 
 def _same_state(a, b):
@@ -344,20 +341,18 @@ def _same_state(a, b):
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox, np.random.MT19937])
 @pytest.mark.parametrize("T", [300, 301])
-def test_compiled_draws_match_numpy_draws_for_any_bit_generator(monkeypatch, bit_generator, T):
-    """The compiled path draws through each generator's C interface; it
-    returns the numpy path's bits and leaves every generator in the state
-    the numpy path leaves it in."""
-    _skip_without_cc()
+def test_compiled_draws_match_numpy_draws_for_any_bit_generator(bit_generator, T):
+    """The compiled loop draws through each generator's C interface; it
+    returns the numpy reference's bits and leaves every generator in the
+    state the numpy reference leaves it in."""
     args = _attacked_torus_batch(12, T)
 
-    def run():
+    def run(runner):
         rngs = [np.random.Generator(bit_generator(np.random.SeedSequence(b))) for b in range(12)]
-        return run_batch(*args, rngs, checkpoints=(0, 7, T)), [r.bit_generator.state for r in rngs]
+        return runner(*args, rngs, checkpoints=(0, 7, T)), [r.bit_generator.state for r in rngs]
 
-    compiled, compiled_states = run()
-    monkeypatch.setattr(protocol, "_compiled_loop", lambda: None)
-    reference, reference_states = run()
+    compiled, compiled_states = run(run_batch)
+    reference, reference_states = run(numpy_run_batch)
     _assert_same(compiled, reference)
     for a, b in zip(compiled_states, reference_states):
         assert _same_state(a, b), (a, b)
@@ -370,7 +365,6 @@ def test_compiled_output_does_not_depend_on_the_thread_count(monkeypatch, bit_ge
     slices, so 1, 2, 3 and B + 1 kernel threads return the same bits and
     leave every generator in the same state.  At T = 20000 an instance
     outlasts a thread's start, so the threads overlap in time."""
-    _skip_without_cc()
     args = _attacked_torus_batch(B, T)
 
     def run(threads):
@@ -389,9 +383,8 @@ def test_compiled_output_does_not_depend_on_the_thread_count(monkeypatch, bit_ge
 def test_shared_generator_runs_on_one_thread(monkeypatch):
     """Instances that share one generator draw from one sequential stream:
     the kernel then runs them on one thread even where two CPUs are free,
-    and returns the one-thread and numpy-loop bits.  A batch too small to
-    give each thread _THREAD_WORK pair updates also runs on one."""
-    _skip_without_cc()
+    and returns the one-thread and numpy-reference bits.  A batch too small
+    to give each thread _THREAD_WORK pair updates also runs on one."""
     B, T = 16, protocol._THREAD_WORK // 8
     args = _attacked_torus_batch(B, T)
     monkeypatch.setattr(protocol.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -401,15 +394,14 @@ def test_shared_generator_runs_on_one_thread(monkeypatch):
     gens[2] = gens[0]
     assert protocol._kernel_threads(gens, T) == 1
 
-    def run():
+    def run(runner=run_batch):
         rng = np.random.default_rng(9)
-        return run_batch(*args, [rng] * B, checkpoints=(0, T)), rng.bit_generator.state
+        return runner(*args, [rng] * B, checkpoints=(0, T)), rng.bit_generator.state
 
     shared, shared_state = run()
     monkeypatch.setattr(protocol, "_kernel_threads", lambda gens, T: 1)
     serial, serial_state = run()
-    monkeypatch.setattr(protocol, "_compiled_loop", lambda: None)
-    reference, reference_state = run()
+    reference, reference_state = run(numpy_run_batch)
     for stats, state in ((serial, serial_state), (reference, reference_state)):
         _assert_same(shared, stats)
         assert _same_state(shared_state, state)
@@ -418,7 +410,6 @@ def test_shared_generator_runs_on_one_thread(monkeypatch):
 def test_compiled_run_batch_allocates_no_per_step_arrays():
     """The compiled path keeps no (B, T) pair or noise arrays, which at
     B = 256, T = 2000 would take 8 MB for the pairs alone."""
-    _skip_without_cc()
     args = _attacked_torus_batch(256, 2000)
     rngs = [np.random.default_rng(np.random.SeedSequence(b)) for b in range(256)]
     tracemalloc.start()
@@ -431,31 +422,42 @@ def test_compiled_run_batch_allocates_no_per_step_arrays():
     assert peak < 1_000_000, peak
 
 
-def test_failed_build_falls_back_to_numpy_with_one_warning(
-    tmp_path, monkeypatch, fresh_loader
+# A gen-data run of one short simulation batch.
+TINY_GEN_DATA = ["gen-data", "--set", "T=60", "--set", "K=1", "--set", "scale=0.002",
+                 "--set", 'tasks=["nd"]']
+
+
+@pytest.mark.parametrize(
+    "cc, says",
+    [(("gossipwatch-no-such-cc", *protocol._CC[1:]), "gossipwatch-no-such-cc"),
+     ((*protocol._CC, "--gossipwatch-no-such-option"), "error")],
+    ids=["missing", "failing"],
+)
+def test_failed_build_names_the_compiler_and_leaves_nothing(
+    tmp_path, monkeypatch, capsys, fresh_loader, cc, says
 ):
-    args = _attacked_torus_batch(8, 300)
-    compiled = _run_seeded(args, checkpoints=(0, 300))
-    protocol._compiled_loop.cache_clear()
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(protocol, "_CC", ("gossipwatch-no-such-cc", *protocol._CC[1:]))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fallback = [_run_seeded(args, checkpoints=(0, 300)) for _ in range(2)]
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert "numpy loop" in str(caught[0].message)
-    for stats in fallback:
-        _assert_same(compiled, stats)
-    assert not list((tmp_path / "cache").rglob("*.so"))
+    """A compiler that is missing or fails makes run_batch raise, naming the
+    compiler command and the OSError or the compiler's stderr, and makes
+    gen-data exit 2 before its --out exists."""
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    monkeypatch.setattr(protocol, "_CC", cc)
+    command = re.escape(" ".join(cc))
+    with pytest.raises(RuntimeError, match=f"`{command} .*_gossip_loop.c`: .*{says}"):
+        _run_seeded(_attacked_torus_batch(8, 300))
+    argv = [*TINY_GEN_DATA, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert f"error: cannot build or load the C gossip loop with `{' '.join(cc)} " in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+    assert not list(cache.rglob("*.so"))
 
 
 def test_loop_library_is_cached_outside_the_run_output(tmp_path, monkeypatch, fresh_loader):
-    if shutil.which(protocol._CC[0]) is None:
-        pytest.skip(f"no C compiler {protocol._CC[0]!r} on PATH; nothing is built here")
     cache, out = tmp_path / "cache", tmp_path / "out"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-    argv = ["gen-data", "--set", "T=60", "--set", "K=1", "--set", "scale=0.002",
-            "--set", 'tasks=["nd"]', "--out", str(out)]
+    argv = [*TINY_GEN_DATA, "--out", str(out)]
     assert cli.main(argv) == 0
     assert [p.name for p in out.iterdir() if not p.name.endswith((".csv", ".json"))] == []
     built = list((cache / "gossipwatch").iterdir())
