@@ -16,7 +16,7 @@ from gossipwatch.protocol import (
     Stepsize,
     ProtocolConfig,
     BatchStats,
-    generate_problem,
+    draw_problems,
     run_batch,
     global_objective,
     optimal_value,

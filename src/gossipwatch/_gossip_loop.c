@@ -1,13 +1,17 @@
-/* One call of gossipwatch.protocol.run_batch: each instance's draws from its
- * own numpy bit generator, then its t = 1..T loop, on up to nthreads threads.
- * Built with -ffp-contract=off, every expression rounds exactly as the numpy
- * reference in tests/oracles.py does, operation for operation, and every
- * draw goes through the generator's own C interface in the frozen stream
- * order that the reference writes out, so both return the same bits and
- * leave the generators in the same state.  An instance reads only its own
- * generator and writes only its own slices of the outputs, so the bits do
- * not depend on the number of threads or on which thread ran it.  Arrays are
- * C-contiguous; protocol.py checks shapes and dtypes before the call. */
+/* The two entries of gossipwatch.protocol.  draw_problems: each instance's
+ * least-squares problem and injection target, drawn from its own numpy bit
+ * generator before its run (phi = theta x* stays in numpy, whose BLAS
+ * product the C build does not reproduce).  gossip_loop, one call of
+ * run_batch: each instance's draws from its generator, then its t = 1..T
+ * loop, on up to nthreads threads.  Built with -ffp-contract=off, every
+ * expression rounds exactly as the numpy reference in tests/oracles.py does,
+ * operation for operation, and every draw goes through the generator's own C
+ * interface in the frozen stream order that the reference writes out, so
+ * both return the same bits and leave the generators in the same state.  An
+ * instance reads only its own generator and writes only its own slices of
+ * the outputs, so the bits do not depend on the number of threads or on
+ * which thread ran it.  Arrays are C-contiguous; protocol.py checks shapes
+ * and dtypes before the call. */
 #define _GNU_SOURCE /* sched_getcpu, CPU_SET, pthread_attr_setaffinity_np */
 #include <pthread.h>
 #include <sched.h>
@@ -249,4 +253,23 @@ int gossip_loop(int64_t nthreads, int64_t B, int64_t n, int64_t d, int64_t T,
         pthread_join(w[k].tid, NULL);
     free(w);
     return 0;
+}
+
+/* Instance b's least-squares problem and injection target from gens[b], in
+ * the frozen stream order: thetas[b] ~ U[0.5, 2.5]^(n x d), then x_stars[b] ~
+ * U[0, 1]^d, then alphas[b] ~ U[-0.5, 0.5]^d where attacked[b] (left as it is
+ * elsewhere), as Generator.uniform draws them. */
+void draw_problems(int64_t B, int64_t n, int64_t d, bitgen_t *const *gens,
+                   const uint8_t *attacked, double *thetas, double *x_stars, double *alphas)
+{
+    for (int64_t b = 0; b < B; b++) {
+        bitgen_t *g = gens[b];
+        for (int64_t k = 0; k < n * d; k++)
+            thetas[b * n * d + k] = uniform(g, 0.5, 2.0);
+        for (int64_t k = 0; k < d; k++)
+            x_stars[b * d + k] = uniform(g, 0.0, 1.0);
+        if (attacked[b])
+            for (int64_t k = 0; k < d; k++)
+                alphas[b * d + k] = uniform(g, -0.5, 1.0);
+    }
 }

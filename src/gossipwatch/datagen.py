@@ -16,14 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from gossipwatch.features import (
-    SPATIAL,
-    TEMPORAL,
-    spatial_from_sums,
-    tailor_inputs,
-    temporal_from_endpoints,
-)
-from gossipwatch.protocol import ProtocolConfig, generate_problem, run_batch
+from gossipwatch.features import SPATIAL, TEMPORAL, spatial_scores, tailor_inputs, temporal_scores
+from gossipwatch.protocol import ProtocolConfig, draw_problems, run_batch
 from gossipwatch.topology import (
     Graph,
     attacker_mask,
@@ -184,17 +178,12 @@ def place_attackers(
     if m - c > len(outside):
         raise ValueError(f"m-c={m - c} attackers do not fit outside the neighborhood")
     for _ in range(PLACEMENT_TRIES):
-        near = rng.choice(nbrs, size=c, replace=False) if c else np.empty(0, np.int64)
-        far = (
-            rng.choice(outside, size=m - c, replace=False)
-            if m - c
-            else np.empty(0, np.int64)
-        )
-        ids = np.sort(np.concatenate([near, far]).astype(np.int64))
-        drawn = set(ids.tolist())
-        keep = [v for v in range(graph.n) if v not in drawn]
+        near = rng.choice(nbrs, size=c, replace=False).tolist() if c else []
+        far = rng.choice(outside, size=m - c, replace=False).tolist() if m - c else []
+        ids = sorted(near + far)
+        keep = [v for v in range(graph.n) if v not in ids]
         if subset_connected(graph, keep):
-            return tuple(int(v) for v in ids)
+            return tuple(ids)
     raise ValueError(
         f"no connected-trustworthy placement found for m={m}, c={c} "
         f"at monitor {monitor} in {PLACEMENT_TRIES} tries"
@@ -240,29 +229,24 @@ def _batch_samples(
 
     Stream use per row, frozen for reproducibility: the monitor draw and
     attacker placement from the row generator, then one spawned child
-    generator per instance covering the problem draw, the injection target
-    and the protocol run.  A row depends only on its own seed, not on the
-    other rows of the batch; spawning is prefix-stable, so its sample at
-    K = k is the one of its first k instances.
+    generator per instance covering the problem draw and the injection
+    target (both drawn in C, by protocol.draw_problems) and the protocol run.
+    A row depends only on its own seed, not on the other rows of the batch;
+    spawning is prefix-stable, so its sample at K = k is the one of its
+    first k instances.
     """
     graph = scenario.graph
     n, d, K = graph.n, scenario.d, max(Ks)
-    config = scenario.protocol_config()
     R = len(seeds)
-    monitors = []
-    flags = np.zeros((R * K, n), dtype=bool)
-    thetas = np.empty((R * K, n, d))
-    phis = np.empty((R * K, n))
-    alphas = np.zeros((R * K, d))
+    monitors = np.empty(R, dtype=np.int64)
+    attacked = np.zeros((R, n), dtype=bool)  # attacker mask of each row
     rngs = []
-    any_attack = scenario.m > 0
-    lam = scenario.noise_decay() if any_attack else None
     if scenario.attackers is not None:
         attacker_mask(graph, scenario.attackers)  # validate once
     pools = {}  # monitor -> its placement pools
     for r, ss in enumerate(seeds):
         rng = np.random.default_rng(ss)
-        monitor = _draw_monitor(scenario, rng)
+        monitors[r] = monitor = _draw_monitor(scenario, rng)
         if scenario.attackers is not None:
             ids = scenario.attackers
             if monitor in ids:
@@ -273,41 +257,33 @@ def _batch_samples(
             ids = place_attackers(scenario, monitor, rng, pools=pools[monitor])
         else:
             ids = ()
-        monitors.append(monitor)
-        for k, child in enumerate(rng.spawn(K)):
-            b = r * K + k
-            problem = generate_problem(n, d, child)
-            thetas[b], phis[b] = problem.theta, problem.phi
-            if ids:
-                alphas[b] = child.uniform(-0.5, 0.5, d)
-                flags[b, list(ids)] = True
-            rngs.append(child)
-    stats = run_batch(
-        graph, flags, thetas, phis, alphas if any_attack else None, lam, config, rngs
-    )
-    first = stats.first.reshape(R, K, n, d)
-    last = stats.last.reshape(R, K, n, d)
-    sums = stats.sums.reshape(R, K, n, d)
-
-    # Slot layout, slot agents and pad flags depend only on the monitor and M.
-    M = scenario.input_width()
-    layouts = {}
-    for monitor in set(monitors):
-        nbrs = graph.neighbors[monitor]
-        index = tailor_inputs(len(nbrs), M)
-        layouts[monitor] = index, np.append(nbrs, monitor)[index], index == len(nbrs)
-    counts = [len(layouts[m][0]) for m in monitors]
-    sample = np.repeat(np.arange(R), counts)
-    slot_agents = np.concatenate([layouts[m][1] for m in monitors])
-    padded = np.concatenate([layouts[m][2] for m in monitors])
-    attacked = flags[::K]  # (R, n) attacker mask of each row
+        attacked[r, list(ids)] = True
+        rngs += rng.spawn(K)
     hit = attacked.any(axis=1)
-    near = [attacked[r, graph.neighbors[m]].any() for r, m in enumerate(monitors)]
+    flags = np.repeat(attacked, K, axis=0)
+    thetas, phis, alphas = draw_problems(n, d, np.repeat(hit, K), rngs)
+    lam = scenario.noise_decay() if scenario.m else None
+    stats = run_batch(graph, flags, thetas, phis, alphas, lam, scenario.protocol_config(), rngs)
+    first, last, sums = (a.reshape(R, K, n, d) for a in (stats.first, stats.last, stats.sums))
+
+    # Each output row's slot agents, from the slot layouts of the monitors.
+    M = scenario.input_width()
+    present = np.unique(monitors)
+    layouts = [np.append(graph.neighbors[m], m)[tailor_inputs(graph.degrees[m], M)]
+               for m in present.tolist()]
+    sizes = np.array([len(a) for a in layouts])
+    at = np.searchsorted(present, monitors)  # each row's monitor among those present
+    counts = sizes[at]
+    sample = np.repeat(np.arange(R), counts)
+    groups = np.arange(len(sample)) - (np.cumsum(counts) - counts)[sample]
+    slot_agents = np.concatenate(layouts)[(np.cumsum(sizes) - sizes)[at][sample] + groups]
+    padded = slot_agents == monitors[sample, None]
+    near = (attacked & (graph.choice_probabilities() > 0)[monitors]).any(axis=1)
     events = np.where(hit, np.where(near, EVENT_NEXT, EVENT_FAR), EVENT_H0)
     common = {
         "sample": sample,
-        "groups": np.concatenate([np.arange(c) for c in counts]),
-        "monitors": np.array(monitors, dtype=np.int64)[sample],
+        "groups": groups,
+        "monitors": monitors[sample],
         "events": events[sample],
         "nd": hit[sample].astype(np.int64),
         "nl": (attacked[sample[:, None], slot_agents] & ~padded).astype(np.int64),
@@ -316,16 +292,19 @@ def _batch_samples(
     }
     out = {}
     for k in Ks:
-        out[k] = cols = dict(common)
-        for kind, scores in (
-            (TEMPORAL, [temporal_from_endpoints(first[r, :k], last[r, :k], graph, m)
-                        for r, m in enumerate(monitors)]),
-            (SPATIAL, [spatial_from_sums(sums[r, :k], graph, m) for r, m in enumerate(monitors)]),
-        ):
-            cols[kind] = np.concatenate(
-                [np.append(v, own)[layouts[m][0]] for (v, own), m in zip(scores, monitors)]
+        # (R, n) score tables: row r holds the scores of its monitor's
+        # neighbors at their ids and the monitor's own score at its id.
+        temporal = temporal_scores(first[:, :k], last[:, :k])
+        spatial = np.full((R, n), np.nan)
+        for m in present.tolist():
+            rows = np.flatnonzero(monitors == m)
+            spatial[rows[:, None], graph.neighbors[m]], spatial[rows, m] = spatial_scores(
+                sums[rows, :k], graph, m
             )
-            cols[kind + "_self"] = np.repeat([own for _, own in scores], counts)
+        out[k] = cols = dict(common)
+        for kind, scores in ((TEMPORAL, temporal), (SPATIAL, spatial)):
+            cols[kind] = scores[sample[:, None], slot_agents]
+            cols[kind + "_self"] = scores[sample, common["monitors"]]
     return out
 
 
@@ -560,22 +539,16 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
     )
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for r in range(dataset.n_rows):
-            row = [
-                str(int(dataset.sample_ids[r])),
-                str(int(dataset.groups[r])),
-                str(int(dataset.monitors[r])),
-                dataset.events[r],
-            ]
-            if dataset.task == "nd":
-                row.append(str(int(dataset.labels[r])))
-            else:
-                row += [str(int(v)) for v in dataset.labels[r]]
-            row.append(repr(float(dataset.self_values[r])))
-            row += [repr(float(v)) for v in dataset.inputs[r]]
-            row += [str(int(v)) for v in dataset.padded[r]]
-            row += [str(int(v)) for v in dataset.slot_agents[r]]
-            fh.write(",".join(row) + "\n")
+        for at in range(0, dataset.n_rows, 64):  # 64 rows as Python values at a time
+            b = subset_rows(dataset, np.arange(at, min(at + 64, dataset.n_rows)))
+            for sample, grp, monitor, event, labels, own, inputs, pads, srcs in zip(
+                b.sample_ids.tolist(), b.groups.tolist(), b.monitors.tolist(), b.events.tolist(),
+                b.labels.reshape(b.n_rows, -1).tolist(), b.self_values.tolist(),
+                b.inputs.tolist(), b.padded.astype(np.int64).tolist(), b.slot_agents.tolist(),
+            ):
+                row = [str(sample), str(grp), str(monitor), event, *map(str, labels), repr(own)]
+                row += [*map(repr, inputs), *map(str, pads), *map(str, srcs)]
+                fh.write(",".join(row) + "\n")
 
 
 def _parses(conv, cell: str) -> bool:

@@ -54,7 +54,7 @@ from .evaluation import (
 )
 from .gossip_train import LearnerState, metrics_to_csv, run_gossip_training
 from .neural import Mlp, TrainConfig, init_mlp, save_model, train
-from .protocol import ProtocolConfig, generate_problem, optimal_value, run_batch
+from .protocol import LeastSquaresProblem, ProtocolConfig, draw_problems, optimal_value, run_batch
 from .topology import (
     attacker_mask,
     expected_transition_matrix,
@@ -187,11 +187,13 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
     cfg = apply_overrides(DEFAULTS[family], overrides or {}, family)
     if family in _DESK_FAMILIES:
         check_desk_scale(cfg, family)
-    for key, (valid, what) in _PAIR_DOMAINS.items():
+    for key, valid, what in _PAIR_DOMAINS:
         for i, entry in enumerate(cfg.get(key, ())):
             pair = json_type(entry) == "list" and list(map(json_type, entry)) == ["integer"] * 2
-            if not (pair and valid(*entry)):
-                raise ConfigError(f"'{family}.{key}[{i}]' must be {what}, got {entry!r}")
+            if not (pair and valid(*entry, cfg)):
+                raise ConfigError(
+                    f"'{family}.{key}[{i}]' must be {what.format(**cfg)}, got {entry!r}"
+                )
     return cfg
 
 
@@ -213,12 +215,15 @@ _DOMAINS = {
     "mode": (lambda v: v in ("sync", "async"), "'sync' or 'async'"),
 }
 
-# List fields whose entries are integer pairs: (valid, what an entry must be).
-_PAIR_DOMAINS = {
-    "temporal_setups": (lambda K, d: K >= 1 and d >= 1, "[K, d] with K, d >= 1"),
-    "spatial_setups": (lambda K, d: K >= 1 and d >= 1, "[K, d] with K, d >= 1"),
-    "combos": (lambda m, c: 0 <= c <= m, "[m, c] with 0 <= c <= m"),
-}
+# List fields of integer pairs: (field, valid given the config, what an entry
+# must be).  A combo puts c attackers on the monitor's 4 torus neighbors.
+_PAIR_DOMAINS = [
+    ("temporal_setups", lambda K, d, cfg: K >= 1 and d >= 1, "[K, d] with K, d >= 1"),
+    ("spatial_setups", lambda K, d, cfg: K >= 1 and d >= 1, "[K, d] with K, d >= 1"),
+    ("combos", lambda m, c, cfg: 0 <= c <= m, "[m, c] with 0 <= c <= m"),
+    ("combos", lambda m, c, cfg: c <= 4 and m - c <= cfg["rows"] * cfg["cols"] - 5,
+     "[m, c] that fits the {rows}x{cols} torus, c <= 4 and m - c <= rows * cols - 5"),
+]
 
 
 # Families whose row budgets come from Budget.desk, which takes a scale in
@@ -384,9 +389,7 @@ def run_converge(cfg: dict, outdir) -> list[str]:
     master = cfg["master_seed"]
     S = cfg["seeds"]
 
-    problems = [generate_problem(n, d, _rng(master, s, 0)) for s in range(S)]
-    thetas = np.array([p.theta for p in problems]).reshape(S, n, d)
-    phis = np.array([p.phi for p in problems]).reshape(S, n)
+    thetas, phis, _ = draw_problems(n, d, np.zeros(S), [_rng(master, s, 0) for s in range(S)])
     alphas = np.array([_rng(master, s, 2).uniform(-0.5, 0.5, size=d) for s in range(S)])
     alphas = alphas.reshape(S, d)
 
@@ -404,8 +407,9 @@ def run_converge(cfg: dict, outdir) -> list[str]:
     artifacts: list[str] = []
     rows = []
     for s in range(S):
-        _, f_star = optimal_value(problems[s])
-        f_gap_t, spread_t = _clean_trajectory(problems[s], clean[s], f_star)
+        problem = LeastSquaresProblem(theta=thetas[s], phi=phis[s])
+        _, f_star = optimal_value(problem)
+        f_gap_t, spread_t = _clean_trajectory(problem, clean[s], f_star)
         dist_t = _attack_trajectory(hit[s], alphas[s], flags)
         rows.append((s, f_gap_t[-1], spread_t[-1], dist_t[-1]))
 

@@ -14,7 +14,8 @@ detectors.
 
 Every statistic here is a linear function of per-agent run sufficient
 statistics, the states at t = 0 and t = T and the time sum over t = 0..T,
-stacked over the K instances as (K, n, d) arrays of protocol.BatchStats.
+stacked over a dataset chunk's rows and their K instances as (R, K, n, d)
+arrays of protocol.BatchStats.
 """
 
 from __future__ import annotations
@@ -27,26 +28,27 @@ TEMPORAL = "temporal"
 SPATIAL = "spatial"
 
 
-def temporal_from_endpoints(
-    first: np.ndarray, last: np.ndarray, graph: Graph, agent: int
-) -> tuple[np.ndarray, float]:
-    """Temporal scores xi_ij from stacked (K, n, d) endpoint states: the
-    neighbor values in ascending id order and the monitor's own value."""
-    K, _, d = first.shape
-    per_agent = (last - first).sum(axis=(0, 2)) / (K * d)
-    return per_agent[graph.neighbors[agent]], float(per_agent[agent])
+def temporal_scores(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Temporal scores xi of every row from the rows' stacked (R, K, n, d)
+    endpoint states: an (R, n) array whose row r holds the value of each
+    neighbor of row r's monitor, and the monitor's own, at the agent's id."""
+    _, K, _, d = first.shape
+    return (last - first).sum(axis=(1, 3)) / (K * d)
 
 
-def spatial_from_sums(sums: np.ndarray, graph: Graph, agent: int) -> tuple[np.ndarray, float]:
-    """Spatial scores chi_ij from stacked (K, n, d) run time-sums: the
-    neighbor values in ascending id order and the monitor's own value."""
-    K, _, d = sums.shape
-    members = np.sort(np.append(graph.neighbors[agent], agent))
-    center = sums[:, members, :].mean(axis=1)  # (K, d) time-sum of xbar_i
+def spatial_scores(sums: np.ndarray, graph: Graph, agent: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spatial scores chi_ij of rows monitored by ``agent``, from their
+    stacked (G, K, n, d) run time-sums: the (G, nn) neighbor values in
+    ascending id order and the (G,) monitor's own values."""
+    _, K, _, d = sums.shape
     nbrs = graph.neighbors[agent]
-    dev = sums[:, nbrs, :] - center[:, None, :]  # (K, nn, d) phibar_ij
-    self_dev = sums[:, agent, :] - center  # (K, d) phibar_ii
-    return dev.sum(axis=(0, 2)) / (K * d), float(self_dev.sum() / (K * d))
+    # As in the per-row reference: numpy sums a member-major gather member by
+    # member, but one instance's gather at d = 1 is one run, summed pairwise.
+    members = sums[:, :, np.sort(np.append(nbrs, agent)), :]
+    center = (np.ascontiguousarray(members) if K * d == 1 else members).mean(axis=2)
+    dev = sums[:, :, nbrs, :] - center[:, :, None, :]  # (G, K, nn, d) phibar_ij
+    self_dev = sums[:, :, agent, :] - center  # (G, K, d) phibar_ii
+    return dev.sum(axis=(1, 3)) / (K * d), self_dev.sum(axis=(1, 2)) / (K * d)
 
 
 def tailor_inputs(nn: int, M: int) -> np.ndarray:

@@ -32,7 +32,6 @@ class LeastSquaresProblem:
 
     theta: np.ndarray  # (n, d)
     phi: np.ndarray  # (n,)
-    x_star: np.ndarray  # (d,) planted generator of phi
 
     @property
     def n(self) -> int:
@@ -41,14 +40,6 @@ class LeastSquaresProblem:
     @property
     def d(self) -> int:
         return self.theta.shape[1]
-
-
-def generate_problem(n: int, d: int, rng: np.random.Generator) -> LeastSquaresProblem:
-    """Draw theta ~ U[0.5, 2.5]^(n x d), x* ~ U[0, 1]^d, phi = theta x*."""
-    theta = rng.uniform(0.5, 2.5, size=(n, d))
-    x_star = rng.uniform(0.0, 1.0, size=d)
-    phi = theta @ x_star
-    return LeastSquaresProblem(theta=theta, phi=phi, x_star=x_star)
 
 
 def global_objective(problem: LeastSquaresProblem, x: np.ndarray) -> float:
@@ -146,7 +137,7 @@ _CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 @functools.cache
 def _compiled_loop():
-    """The C gossip loop of _gossip_loop.c.
+    """The library of _gossip_loop.c, its entries bound with ctypes.
 
     The library is built on first use into $XDG_CACHE_HOME/gossipwatch
     (~/.cache/gossipwatch when that is unset or relative), named by the SHA-256 of the source and
@@ -160,16 +151,16 @@ def _compiled_loop():
         key = hashlib.sha256(source.read_bytes() + " ".join(_CC).encode()).hexdigest()
         xdg = os.environ.get("XDG_CACHE_HOME", "")
         cache = (Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache") / "gossipwatch"
-        lib = cache / f"gossip_loop-{key[:16]}.so"
-        if not lib.exists():
+        so = cache / f"gossip_loop-{key[:16]}.so"
+        if not so.exists():
             cache.mkdir(parents=True, exist_ok=True)
             with tempfile.TemporaryDirectory(dir=cache) as tmp:
-                built = os.path.join(tmp, lib.name)
+                built = os.path.join(tmp, so.name)
                 subprocess.run(
                     [*_CC, "-o", built, str(source)], check=True, capture_output=True
                 )
-                os.replace(built, lib)
-        loop = ctypes.CDLL(str(lib)).gossip_loop
+                os.replace(built, so)
+        lib = ctypes.CDLL(str(so))
     except (OSError, subprocess.CalledProcessError) as err:
         detail = err
         if isinstance(err, subprocess.CalledProcessError):
@@ -182,15 +173,41 @@ def _compiled_loop():
     def arr(dtype):
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
-    loop.restype = ctypes.c_int
-    loop.argtypes = [
+    lib.gossip_loop.restype = ctypes.c_int
+    lib.gossip_loop.argtypes = [
         i64, i64, i64, i64, i64, arr(np.uintp),
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.uint8),
         arr(np.int64), arr(np.int64), i64,
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64),
         f64, f64, f64, f64, arr(np.int64), arr(np.float64),
     ]
-    return loop
+    lib.draw_problems.restype = None
+    lib.draw_problems.argtypes = [
+        i64, i64, i64, arr(np.uintp), arr(np.uint8),
+        arr(np.float64), arr(np.float64), arr(np.float64),
+    ]
+    return lib
+
+
+def _bitgens(rngs: list[np.random.Generator]) -> np.ndarray:
+    """The bitgen_t pointers of the generators, for the compiled entries."""
+    return np.array([_bitgen(r.bit_generator.capsule, b"BitGenerator") for r in rngs], np.uintp)
+
+
+def draw_problems(n: int, d: int, attacked: np.ndarray, rngs: list[np.random.Generator]):
+    """Each instance's problem and injection target, drawn from its own
+    generator in C in the frozen stream order: theta ~ U[0.5, 2.5]^(n x d),
+    x* ~ U[0, 1]^d, then, where attacked[b], alpha ~ U[-0.5, 0.5]^d, as
+    Generator.uniform draws them.  Returns thetas (B, n, d), phis (B, n) and
+    alphas (B, d), zero where not attacked; phi = theta x* is one batched
+    matmul, which rounds as each instance's theta @ x_star."""
+    B = len(rngs)
+    attacked = np.ascontiguousarray(attacked, dtype=np.uint8)
+    if attacked.shape != (B,):
+        raise ValueError(f"attacked must be (B,) = {(B,)}, got {attacked.shape}")
+    thetas, x_stars, alphas = np.empty((B, n, d)), np.empty((B, d)), np.zeros((B, d))
+    _compiled_loop().draw_problems(B, n, d, _bitgens(rngs), attacked, thetas, x_stars, alphas)
+    return thetas, np.matmul(thetas, x_stars[..., None])[..., 0], alphas
 
 
 # The fewest pair updates (about 2 ms of one thread) worth a thread of its
@@ -268,12 +285,9 @@ def run_batch(
     snap_of[times] = np.arange(len(times))
     snaps = np.empty((len(times), B, n, d))
     sched = config.stepsize.schedule(T)
-    loop = _compiled_loop()
     first, last, sums = (np.empty((B, n, d)) for _ in range(3))
-    gens = np.array(
-        [_bitgen(rng.bit_generator.capsule, b"BitGenerator") for rng in rngs], dtype=np.uintp
-    )
-    status = loop(
+    gens = _bitgens(rngs)
+    status = _compiled_loop().gossip_loop(
         _kernel_threads(gens, T), B, n, d, T, gens, first, last, sums, flags,
         graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
         thetas, phis, alphas, powers, sched,

@@ -16,13 +16,14 @@ class Graph:
     """Undirected connected graph on agents 0..n-1.
 
     Immutable after construction.  ``edges`` is the canonical sorted list of
-    (i, j) pairs with i < j.  Derived lookups (neighbor arrays, degrees, the
-    neighbor-choice matrix) are built once and shared.
+    (i, j) pairs with i < j.  Derived lookups (neighbor arrays and lists,
+    degrees, the neighbor-choice matrix) are built once and shared.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple = field(init=False, compare=False, repr=False)
+    nbr_lists: tuple = field(init=False, compare=False, repr=False)
     degrees: np.ndarray = field(init=False, compare=False, repr=False)
     nbr_table: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -52,9 +53,10 @@ class Graph:
         for i, a in enumerate(nbrs):
             table[i, : len(a)] = a
         object.__setattr__(self, "neighbors", nbrs)
+        object.__setattr__(self, "nbr_lists", tuple(a.tolist() for a in nbrs))
         object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "nbr_table", table)
-        if not _connected(self.n, nbrs):
+        if not _connected(self.n, self.nbr_lists):
             raise ValueError("graph is not connected")
 
     @classmethod
@@ -73,10 +75,10 @@ class Graph:
         return P
 
 def _connected(n, nbrs, keep=None) -> bool:
-    """BFS connectivity over the agents in ``keep`` (all agents if None)."""
+    """BFS connectivity over ``keep`` (all agents if None); nbrs[v] lists ints."""
     if keep is None:
         keep = range(n)
-    keep = set(int(v) for v in keep)
+    keep = {int(v) for v in keep}
     if not keep:
         return False
     start = next(iter(keep))
@@ -86,7 +88,6 @@ def _connected(n, nbrs, keep=None) -> bool:
         nxt = []
         for v in frontier:
             for w in nbrs[v]:
-                w = int(w)
                 if w in keep and w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -96,7 +97,7 @@ def _connected(n, nbrs, keep=None) -> bool:
 
 def subset_connected(graph: Graph, keep) -> bool:
     """Whether the agents in ``keep`` induce a connected subgraph."""
-    return _connected(graph.n, graph.neighbors, keep=keep)
+    return _connected(graph.n, graph.nbr_lists, keep=keep)
 
 
 def manhattan_grid(rows: int, cols: int) -> Graph:
@@ -162,8 +163,7 @@ def small_world(
         for u in range(n):
             for v in adj[u]:
                 edges.add((min(u, v), max(u, v)))
-        nbrs = tuple(np.array(sorted(a), dtype=np.int64) for a in adj)
-        if all(len(a) > 0 for a in adj) and _connected(n, nbrs):
+        if all(len(a) > 0 for a in adj) and _connected(n, adj):
             return Graph.from_edges(n, edges)
     raise ValueError(
         f"small_world failed to produce a connected graph in {SMALL_WORLD_RETRIES} attempts"
@@ -228,7 +228,7 @@ def attacker_mask(graph: Graph, ids) -> np.ndarray:
     if flags.all():
         raise ValueError("at least one trustworthy agent required")
     keep = [v for v in range(graph.n) if not flags[v]]
-    if not _connected(graph.n, graph.neighbors, keep=keep):
+    if not _connected(graph.n, graph.nbr_lists, keep=keep):
         raise ValueError(
             f"attackers {sorted(int(v) for v in ids)} disconnect the trustworthy subgraph"
         )

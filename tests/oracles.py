@@ -4,11 +4,13 @@ Per-instance spatial aggregates and the score statistics over them, the
 pair-averaging matrix of one gossip step, the rates of a thresholded
 detector, the per-layer training path (one gradient array per layer and per
 bias, one row gather per SGD step, a gossip merge through a decoded model),
-and the gossip iteration in numpy, which writes out the frozen stream order
-of every instance's draws.  The package computes the same quantities by
+the problem draw and the gossip iteration in numpy, which write out the
+frozen stream order of every instance's draws, and the temporal and spatial
+scores of one dataset row.  The package computes the same quantities by
 other routes (row statistics over tailored slots, the expected transition
 matrix, the exact ROC sweep, one flat gradient and in-place merges, the
-compiled gossip loop); the tests check one against the other.
+compiled draws and gossip loop, scores over a whole chunk's arrays); the
+tests check one against the other.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from gossipwatch.evaluation import _validate_scores_labels
 from gossipwatch.neural import Mlp, mlp_from_blob, params_to_blob
-from gossipwatch.protocol import BatchStats
+from gossipwatch.protocol import BatchStats, LeastSquaresProblem
 from gossipwatch.score_detectors import GREATER_IS_H1, SMALLER_IS_H1
 from gossipwatch.topology import Graph
 
@@ -215,6 +217,22 @@ def gossip_act(lr, graph: Graph, rng: np.random.Generator):
 # --- numpy gossip iteration -------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PlantedProblem(LeastSquaresProblem):
+    """A problem with the planted solution that generated its phi."""
+
+    x_star: np.ndarray  # (d,)
+
+
+def generate_problem(n: int, d: int, rng: np.random.Generator) -> PlantedProblem:
+    """protocol.draw_problems for one clean instance, in numpy: theta ~
+    U[0.5, 2.5]^(n x d), then x* ~ U[0, 1]^d, and phi = theta x*."""
+    theta = rng.uniform(0.5, 2.5, size=(n, d))
+    x_star = rng.uniform(0.0, 1.0, size=d)
+    return PlantedProblem(theta=theta, phi=theta @ x_star, x_star=x_star)
+
+
+
 def draw_pair_sequence(graph: Graph, T: int, rng: np.random.Generator):
     """Pre-draw T gossip pairs in one pass: i uniform over agents, j uniform
     over N(i).
@@ -332,3 +350,30 @@ def _numpy_loop(
         sums += x
         if snap_of[t] >= 0:
             snaps[snap_of[t]] = x
+
+
+# --- per-row features -------------------------------------------------------
+
+
+def temporal_from_endpoints(
+    first: np.ndarray, last: np.ndarray, graph: Graph, agent: int
+) -> tuple[np.ndarray, float]:
+    """Temporal scores xi_ij of one row from stacked (K, n, d) endpoint
+    states: the neighbor values in ascending id order and the monitor's own
+    value."""
+    K, _, d = first.shape
+    per_agent = (last - first).sum(axis=(0, 2)) / (K * d)
+    return per_agent[graph.neighbors[agent]], float(per_agent[agent])
+
+
+def spatial_from_sums(sums: np.ndarray, graph: Graph, agent: int) -> tuple[np.ndarray, float]:
+    """Spatial scores chi_ij of one row from stacked (K, n, d) run
+    time-sums: the neighbor values in ascending id order and the monitor's
+    own value."""
+    K, _, d = sums.shape
+    members = np.sort(np.append(graph.neighbors[agent], agent))
+    center = sums[:, members, :].mean(axis=1)  # (K, d) time-sum of xbar_i
+    nbrs = graph.neighbors[agent]
+    dev = sums[:, nbrs, :] - center[:, None, :]  # (K, nn, d) phibar_ij
+    self_dev = sums[:, agent, :] - center  # (K, d) phibar_ii
+    return dev.sum(axis=(0, 2)) / (K * d), float(self_dev.sum() / (K * d))

@@ -21,7 +21,6 @@ from gossipwatch.evaluation import (
     roc_curve,
 )
 from gossipwatch.experiments import run_family
-from gossipwatch.features import temporal_from_endpoints
 from gossipwatch.neural import Mlp, TrainConfig, init_mlp, loss_and_grad, train
 from gossipwatch.score_detectors import td_detection_score, td_row_localization
 from gossipwatch.topology import Graph, expected_transition_matrix, manhattan_grid
@@ -30,6 +29,7 @@ from oracles import (
     sd_aggregates,
     sd_detection_score,
     sd_localization_scores,
+    temporal_from_endpoints,
 )
 
 HIDDEN = (200, 100, 50)

@@ -233,8 +233,11 @@ def test_out_of_domain_dataset_sizes_are_config_errors(tmp_path, capsys, section
       "'one-attacker.spatial_setups[1]' must be [K, d] with K, d >= 1, got [1]"),
      (["converge", "--set", "rows=0"], "'converge.rows' must be >= 3, got 0"),
      (["multi-attacker", "--set", "combos=[[1, 2]]"],
-      "'multi-attacker.combos[0]' must be [m, c] with 0 <= c <= m, got [1, 2]")],
-    ids=["temporal_setups", "spatial_setups", "rows", "combos"],
+      "'multi-attacker.combos[0]' must be [m, c] with 0 <= c <= m, got [1, 2]"),
+     (["multi-attacker", "--set", "combos=[[9, 1]]", "--set", "scale=0.002"],
+      "'multi-attacker.combos[0]' must be [m, c] that fits the 3x3 torus, c <= 4 and "
+      "m - c <= rows * cols - 5, got [9, 1]")],
+    ids=["temporal_setups", "spatial_setups", "rows", "combos", "combos_fit"],
 )
 def test_out_of_domain_grid_and_list_entries_fail_before_writing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"

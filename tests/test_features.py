@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from gossipwatch.features import (
-    spatial_from_sums,
-    tailor_inputs,
-    temporal_from_endpoints,
-)
-from gossipwatch.topology import Graph, manhattan_grid
-from oracles import sd_aggregates
+from gossipwatch.features import spatial_scores, tailor_inputs, temporal_scores
+from gossipwatch.topology import Graph, manhattan_grid, remove_edge, small_world
+from oracles import sd_aggregates, spatial_from_sums, temporal_from_endpoints
 
 
 def _random_runs(rng, K, n, d, T):
@@ -100,6 +96,40 @@ def test_sd_aggregates_localization_identity():
     # detection aggregate reduces to the spatial scores
     chi = agg.detection.sum(axis=(0, 2)) / (agg.K * agg.d)
     assert np.abs(chi - _spatial(runs, graph, 4)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [manhattan_grid(3, 3), small_world(20, 8, 0.2, np.random.default_rng(5)),
+     remove_edge(remove_edge(manhattan_grid(3, 3), 2, 5), 2, 8)],
+    ids=["torus", "small_world", "cut_torus"],
+)
+@pytest.mark.parametrize("d", [1, 2])
+def test_chunk_scores_match_per_row_oracles_bitwise(graph, d):
+    """The chunk scores of every row equal the per-row oracles bit for bit
+    at K = 5, 2 and 1, whatever the other rows of the chunk: rows spread over
+    every monitor, a monitor watched by one row, neighborhoods of mixed
+    sizes (the cut torus), and closed neighborhoods of 8 or more agents
+    (the small world), which numpy sums pairwise at K = d = 1."""
+    rng = np.random.default_rng(d)
+    R, K = 3 * graph.n + 1, 5
+    first, last, sums = (rng.normal(size=(R, K, graph.n, d)) * 1e3 for _ in range(3))
+    monitors = np.append(np.arange(R - 1) % graph.n, 0)
+    monitors[monitors == 1] = 0  # leaves agent 1 out and agent 0 with many rows
+    monitors[R // 2] = 1  # agent 1 watched by one row
+    for k in (5, 2, 1):
+        temporal = temporal_scores(first[:, :k], last[:, :k])
+        for r, agent in enumerate(monitors.tolist()):
+            values, own = temporal_from_endpoints(first[r, :k], last[r, :k], graph, agent)
+            assert np.array_equal(temporal[r, graph.neighbors[agent]], values)
+            assert temporal[r, agent] == own
+        for agent in np.unique(monitors).tolist():
+            rows = np.flatnonzero(monitors == agent)
+            values, own = spatial_scores(sums[rows, :k], graph, agent)
+            for g, r in enumerate(rows):
+                ref_values, ref_own = spatial_from_sums(sums[r, :k], graph, agent)
+                assert np.array_equal(values[g], ref_values), (k, agent, r)
+                assert own[g] == ref_own, (k, agent, r)
 
 
 def test_hand_trace_temporal_and_spatial():

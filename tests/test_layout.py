@@ -3,10 +3,14 @@ is used by code of the package itself, and every defaulted parameter of a
 top-level function is passed by some call in the package.  Code that only
 tests use belongs in ``tests/`` (``tests/oracles.py`` holds the reference
 implementations), and every top-level function and class there is used by
-some test."""
+some test.  Every C entry of ``_gossip_loop.c`` is bound with its full
+argument list."""
 
 import ast
+import re
 from pathlib import Path
+
+from gossipwatch import protocol
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "gossipwatch"
@@ -141,3 +145,24 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
                 if not any(_passes(c, fn, arg.arg) for c in calls.get(fn.name, [])):
                     unpassed.append(f"{module}:{fn.lineno} {fn.name}({arg.arg}=)")
     assert not unpassed, "defaulted but never passed in src/gossipwatch: " + ", ".join(unpassed)
+
+
+def test_every_c_entry_is_bound_with_all_its_arguments():
+    """Every non-static function of _gossip_loop.c has argtypes in
+    protocol._compiled_loop, one per C parameter: without them ctypes passes
+    each argument as a C int, which garbles 64-bit integers and pointers."""
+    source = re.sub(r"/\*.*?\*/", "", (PACKAGE / "_gossip_loop.c").read_text(), flags=re.S)
+    entries = {
+        name: [p for p in params.split(",") if p.strip() not in ("", "void")]
+        for name, params in re.findall(
+            r"^(?!static\b)[A-Za-z_][\w *]*?\b(\w+)\(([^)]*)\)\s*\{", source, flags=re.M
+        )
+    }
+    assert {"gossip_loop", "draw_problems"} <= entries.keys()
+    lib = protocol._compiled_loop()
+    unbound = [
+        f"{name} ({len(params)} parameters)"
+        for name, params in entries.items()
+        if len(getattr(lib, name).argtypes or ()) != len(params)
+    ]
+    assert not unbound, "without matching argtypes: " + ", ".join(unbound)

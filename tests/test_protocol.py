@@ -8,13 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import numpy_run_batch
+from oracles import generate_problem, numpy_run_batch
 
 from gossipwatch import cli, protocol
 from gossipwatch.protocol import (
     ProtocolConfig,
     Stepsize,
-    generate_problem,
+    draw_problems,
     global_objective,
     optimal_value,
     run_batch,
@@ -79,6 +79,31 @@ def test_generate_problem_laws():
     assert p.theta.min() >= 0.5 and p.theta.max() <= 2.5
     assert p.x_star.min() >= 0.0 and p.x_star.max() <= 1.0
     assert np.allclose(p.phi, p.theta @ p.x_star)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("n, d", [(9, 2), (20, 1), (50, 7)])
+def test_compiled_problem_draws_match_numpy_draws(bit_generator, n, d):
+    """draw_problems returns, for attacked and clean instances alike, the
+    bits of generate_problem followed, where attacked, by the target draw
+    uniform(-0.5, 0.5, d), and leaves every generator in the state those
+    draws leave it in; its batched phi equals each instance's theta @ x_star."""
+    B = 7
+    attacked = np.arange(B) % 3 == 1
+
+    def rngs():
+        return [np.random.Generator(bit_generator(np.random.SeedSequence(b))) for b in range(B)]
+
+    compiled = rngs()
+    thetas, phis, alphas = draw_problems(n, d, attacked, compiled)
+    for b, rng in enumerate(rngs()):
+        problem = generate_problem(n, d, rng)
+        assert np.array_equal(thetas[b], problem.theta)
+        assert np.array_equal(phis[b], problem.phi)
+        assert np.array_equal(phis[b], problem.theta @ problem.x_star)
+        target = rng.uniform(-0.5, 0.5, d) if attacked[b] else np.zeros(d)
+        assert np.array_equal(alphas[b], target)
+        assert _same_state(compiled[b].bit_generator.state, rng.bit_generator.state)
 
 
 def test_optimal_value_matches_normal_equations():

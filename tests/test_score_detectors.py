@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gossipwatch.features import spatial_from_sums, tailor_inputs
+from gossipwatch.features import tailor_inputs
 from gossipwatch.score_detectors import (
     sd_row_detection,
     sd_row_localization,
@@ -17,6 +17,7 @@ from oracles import (
     sd_aggregates,
     sd_detection_score,
     sd_localization_scores,
+    spatial_from_sums,
 )
 
 
