@@ -24,6 +24,7 @@ come from one ``build_datasets`` call.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -31,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import protocol
 from .datagen import (
     EVENT_FAR,
     EVENT_H0,
@@ -53,7 +55,7 @@ from .evaluation import (
     roc_to_csv,
 )
 from .gossip_train import LearnerState, metrics_to_csv, run_gossip_training
-from .neural import Mlp, TrainConfig, init_mlp, save_model, train
+from .neural import Mlp, TrainConfig, init_mlp, load_model, save_model, train
 from .protocol import LeastSquaresProblem, ProtocolConfig, draw_problems, optimal_value, run_batch
 from .topology import (
     attacker_mask,
@@ -187,6 +189,13 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
     cfg = apply_overrides(DEFAULTS[family], overrides or {}, family)
     if family in _DESK_FAMILIES:
         check_desk_scale(cfg, family)
+    elif family in _SWEEP_FAMILIES and _test_budget(cfg["scale"]).nl_test < 1:
+        # The test split is _sweep's smallest: a scale that gives it no row
+        # would fail only after fitting on the training split, or in the fit.
+        raise ConfigError(
+            f"'{family}.scale' must be > 1/12000, so that every split has a row, "
+            f"got {cfg['scale']!r}"
+        )
     for key, valid, what in _PAIR_DOMAINS:
         for i, entry in enumerate(cfg.get(key, ())):
             pair = json_type(entry) == "list" and list(map(json_type, entry)) == ["integer"] * 2
@@ -227,8 +236,10 @@ _PAIR_DOMAINS = [
 
 
 # Families whose row budgets come from Budget.desk, which takes a scale in
-# (0, 1]; the sweep families scale their row counts by any scale > 0.
+# (0, 1] and gives every split at least one row; the sweep families scale
+# their row counts by any scale large enough that no split is empty.
 _DESK_FAMILIES = ("one-attacker", "gossip-learning")
+_SWEEP_FAMILIES = ("multi-attacker", "degree-tailor", "mismatch", "small-world")
 
 
 def check_desk_scale(cfg: dict, path: str) -> None:
@@ -341,6 +352,62 @@ def _fit(
     return mlp, losses
 
 
+def _fit_job(dataset, config: TrainConfig, key: tuple, outdir, name: str) -> None:
+    """One job of _fan_out: fit a network on dataset, seeded by _rng(*key),
+    and save it as ``name`` in outdir, where _load reads it back."""
+    mlp, _ = _fit(dataset, config, _rng(*key))
+    save_model(mlp, os.path.join(outdir, name + ".json"))
+
+
+def _fit_key(master: int, K: int, d: int, task: str, kind: str) -> tuple:
+    """Seed key of the network fit for one (K, d, task, feature kind) setup."""
+    return (master, 11, K, d, task == "nl", kind == "spatial")
+
+
+def _fan_out(jobs: list) -> None:
+    """Call every job (a function of no arguments) once: on min(CPUs,
+    len(jobs)) forked worker processes, or in order in this process where
+    that is one or the platform has no fork.
+
+    Each job must seed its own generator and write only its own files, so
+    the bytes do not depend on the worker count or the order.  The workers
+    inherit the jobs and their data through the fork, and only job indices
+    and None results cross the pipe: no dataset is pickled, and nothing a
+    job makes comes back into this process.  A failing job's exception is
+    re-raised here, and no worker outlives the call.  Forking is safe
+    because no other thread is at work: the gossip kernel joins its threads
+    before it returns, and BLAS computes on one thread (OpenBLAS stops its
+    idle pool at a fork).
+    """
+    workers = min(protocol.usable_cpus(), len(jobs))
+    if workers <= 1 or not hasattr(os, "fork"):
+        for job in jobs:
+            job()
+        return
+    # Imported here: they cost every other command about 20 ms of start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_take_jobs, initargs=(jobs,),
+    ) as pool:
+        for _ in pool.map(_run_job, range(len(jobs))):
+            pass
+
+
+_worker_jobs: list = []  # set in each fan-out worker, from its fork of the jobs
+
+
+def _take_jobs(jobs: list) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _run_job(index: int) -> None:
+    _worker_jobs[index]()
+
+
 def _out_width(dataset) -> int:
     return 1 if dataset.task == "nd" else dataset.M
 
@@ -358,6 +425,12 @@ def _eval(detector, dataset, outdir, stem, summaries, artifacts, extra=None):
 def _save(mlp, outdir, name, artifacts) -> None:
     save_model(mlp, os.path.join(outdir, name + ".json"))
     artifacts.extend([name + ".json", name + ".json.bin"])
+
+
+def _load(outdir, name, artifacts) -> Mlp:
+    """The network a _fit_job saved as ``name``; lists its two files."""
+    artifacts.extend([name + ".json", name + ".json.bin"])
+    return load_model(os.path.join(outdir, name + ".json"))[0]
 
 
 def _test_budget(scale: float) -> Budget:
@@ -458,7 +531,9 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
     Temporal methods (td, tdnn) sweep the configured (K, d) setups; spatial
     methods (sd, sdnn) their own list.  Detection and localization both run;
     localization is evaluated in oracle-detection mode.  The setups of one d
-    share one build, simulated at their largest K.
+    share one build, simulated at their largest K.  Every dataset is built
+    first; the networks are then fit and saved by _fan_out's workers, and
+    each is read back when its detector is evaluated, in setup order.
     """
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     master = cfg["master_seed"]
@@ -470,32 +545,39 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
         if tuple(s) not in setups:
             setups.append(tuple(s))
 
+    data = {}
+    for d in dict.fromkeys(d for _, d in setups):
+        scenario = scenario_from_tag(cfg["scenario"], graph, d=d)
+        built = build_datasets(scenario, [K for K, dk in setups if dk == d], budget, master)
+        data.update(((K, d), sets) for K, sets in built.items())
+    runs = [  # (K, d, task, kind, method) in evaluation order
+        (K, d, task, kind, method)
+        for K, d in setups
+        for task in ("nd", "nl")
+        for kind, method in _METHODS.items()
+        if [K, d] in [list(s) for s in cfg[f"{kind}_setups"]]
+    ]
+    _fan_out([
+        functools.partial(
+            _fit_job, data[K, d][f"{task}_{kind}"].train, tcfg,
+            _fit_key(master, K, d, task, kind), outdir, f"model_{task}_{method}nn_K{K}_d{d}",
+        )
+        for K, d, task, kind, method in runs
+    ])
+
     artifacts: list[str] = []
     summaries: list[dict] = []
-    built = {}
-    for K, d in setups:
-        if d not in built:
-            scenario = scenario_from_tag(cfg["scenario"], graph, d=d)
-            Ks = [k for k, dk in setups if dk == d]
-            built[d] = build_datasets(scenario, Ks, budget, master)
-        data = built[d].pop(K)
-        for task in ("nd", "nl"):
-            for kind, method in _METHODS.items():
-                if [K, d] not in [list(s) for s in cfg[f"{kind}_setups"]]:
-                    continue
-                ds, tail = data[f"{task}_{kind}"], f"_K{K}_d{d}"
-                _eval(
-                    make_score_detector(method, task), ds.test, outdir,
-                    f"{task}_{method}{tail}", summaries, artifacts,
-                )
-                mlp, _ = _fit(
-                    ds.train, tcfg, _rng(master, 11, K, d, task == "nl", kind == "spatial")
-                )
-                _save(mlp, outdir, f"model_{task}_{method}nn{tail}", artifacts)
-                _eval(
-                    make_nn_detector(mlp, task, kind, method + "nn"), ds.test,
-                    outdir, f"{task}_{method}nn{tail}", summaries, artifacts,
-                )
+    for K, d, task, kind, method in runs:
+        ds, tail = data[K, d][f"{task}_{kind}"].test, f"_K{K}_d{d}"
+        _eval(
+            make_score_detector(method, task), ds, outdir, f"{task}_{method}{tail}",
+            summaries, artifacts,
+        )
+        mlp = _load(outdir, f"model_{task}_{method}nn{tail}", artifacts)
+        _eval(
+            make_nn_detector(mlp, task, kind, method + "nn"), ds, outdir,
+            f"{task}_{method}nn{tail}", summaries, artifacts,
+        )
 
     auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"))
     artifacts.append("aucs.csv")
@@ -528,6 +610,8 @@ def _sweep(
     train_scenario at K and saved under ``model_name``; each variant is then
     tested per spec, in spec order, detection before localization.  The
     training set and each variant's test set are one build over all specs.
+    Every dataset is built first; the networks are then fit and saved by
+    _fan_out's workers, and read back once before the tests.
     """
     master, d = cfg["master_seed"], cfg["d"]
     tcfg = _train_config(cfg)
@@ -535,25 +619,30 @@ def _sweep(
     budget = Budget(nd_train_per_event=rows, nd_test_per_event=0, nl_train=rows, nl_test=0)
 
     Ks = [K for K, _ in specs]
+    train_data = build_datasets(train_scenario, Ks, budget, master)
+    tests = [
+        build_datasets(
+            v.scenario, Ks, _test_budget(cfg["scale"]), master + v.offset, events=v.events,
+        )
+        for v in variants
+    ]
+    names = {
+        (task, kind, K): model_name.format(task=task, method=_METHODS[kind] + "nn", K=K)
+        for K, kind in specs
+        for task in ("nd", "nl")
+    }
+    _fan_out([
+        functools.partial(
+            _fit_job, train_data[K][f"{task}_{kind}"].train, tcfg,
+            _fit_key(master, K, d, task, kind), outdir, name,
+        )
+        for (task, kind, K), name in names.items()
+    ])
+
     artifacts: list[str] = []
     summaries: list[dict] = []
-    models = {}
-    train_data = build_datasets(train_scenario, Ks, budget, master)
-    for K, kind in specs:
-        for task in ("nd", "nl"):
-            mlp, _ = _fit(
-                train_data[K][f"{task}_{kind}"].train, tcfg,
-                _rng(master, 11, K, d, task == "nl", kind == "spatial"),
-            )
-            models[(task, kind, K)] = mlp
-            name = model_name.format(task=task, method=_METHODS[kind] + "nn", K=K)
-            _save(mlp, outdir, name, artifacts)
-
-    for v in variants:
-        test_data = build_datasets(
-            v.scenario, Ks, _test_budget(cfg["scale"]), master + v.offset,
-            events=v.events,
-        )
+    models = {key: _load(outdir, name, artifacts) for key, name in names.items()}
+    for v, test_data in zip(variants, tests):
         for K, kind in specs:
             method, tail = _METHODS[kind], v.suffix.format(K=K)
             for task in ("nd", "nl"):

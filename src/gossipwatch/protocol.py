@@ -222,11 +222,16 @@ def _kernel_threads(gens: np.ndarray, T: int) -> int:
     share a bit generator, whose draws then form one sequential stream."""
     if len(np.unique(gens)) < len(gens):
         return 1
+    return max(1, min(len(gens), usable_cpus(), len(gens) * T // _THREAD_WORK))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the kernel's thread count and the
+    experiment families' fit workers are both bounded by it."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(len(gens), cpus, len(gens) * T // _THREAD_WORK))
+        return os.cpu_count() or 1
 
 
 def run_batch(

@@ -236,8 +236,15 @@ def test_out_of_domain_dataset_sizes_are_config_errors(tmp_path, capsys, section
       "'multi-attacker.combos[0]' must be [m, c] with 0 <= c <= m, got [1, 2]"),
      (["multi-attacker", "--set", "combos=[[9, 1]]", "--set", "scale=0.002"],
       "'multi-attacker.combos[0]' must be [m, c] that fits the 3x3 torus, c <= 4 and "
-      "m - c <= rows * cols - 5, got [9, 1]")],
-    ids=["temporal_setups", "spatial_setups", "rows", "combos", "combos_fit"],
+      "m - c <= rows * cols - 5, got [9, 1]"),
+     (["multi-attacker", "--set", "scale=0.00004"],
+      "'multi-attacker.scale' must be > 1/12000, so that every split has a row, got 4e-05"),
+     (["multi-attacker", "--set", "scale=0.00006"],
+      "'multi-attacker.scale' must be > 1/12000, so that every split has a row, got 6e-05"),
+     (["small-world", "--set", "scale=0.00004"],
+      "'small-world.scale' must be > 1/12000, so that every split has a row, got 4e-05")],
+    ids=["temporal_setups", "spatial_setups", "rows", "combos", "combos_fit",
+         "scale_no_train_row", "scale_no_test_row", "small_world_scale"],
 )
 def test_out_of_domain_grid_and_list_entries_fail_before_writing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"

@@ -1,6 +1,7 @@
 """Experiment config resolution, manifests, and run determinism."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -128,6 +129,37 @@ def test_run_family_reruns_byte_identical(tmp_path):
     assert names_a == sorted(p.name for p in b.iterdir())
     for name in names_a:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("family, overrides", [
+    ("one-attacker", {"scale": 0.002, "temporal_setups": [[2, 2]], "spatial_setups": [[1, 2]]}),
+    ("multi-attacker", {"scale": 0.002, "combos": [[1, 1]]}),
+], ids=["one-attacker", "multi-attacker"])
+def test_a_failing_fit_fails_the_family_and_leaves_no_worker(
+    tmp_path, monkeypatch, capsys, cpus, family, overrides
+):
+    """A fit that raises, in this process on one CPU or in a forked worker
+    on two, fails run_family with its own exception type and message and the
+    CLI with exit code 2; no worker process is left running."""
+    from gossipwatch import cli, experiments, protocol
+
+    def fail(*args, **kwargs):
+        raise ValueError("no fit today")
+
+    monkeypatch.setattr(experiments, "_fit", fail)  # forked workers inherit it
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
+    overrides = {**overrides, "train": {"epochs": 1}}
+    with pytest.raises(ValueError) as err:
+        run_family(family, tmp_path / "a", overrides)
+    assert type(err.value) is ValueError and str(err.value) == "no fit today"
+    assert multiprocessing.active_children() == []
+    argv = ["experiment", family, "--out", str(tmp_path / "b")]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    assert cli.main(argv) == 2
+    assert "error: no fit today" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_run_family_rejects_unknown_family(tmp_path):

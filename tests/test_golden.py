@@ -10,8 +10,9 @@ output bytes on purpose re-pins the file and says why:
 The families run in a child process with one BLAS thread: multi-threaded
 BLAS splits matrix products differently by thread count, which changes the
 low bits of trained weights and so the bytes of every model artifact.  The
-gossip kernel's thread count, by contrast, changes no byte, which a second
-run on one kernel thread checks.
+CPU count, by contrast, changes no byte: it sets the gossip kernel's thread
+count and the number of processes that fit an experiment's networks, which
+further runs with one and with two CPUs check.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -67,12 +70,15 @@ def test_golden_digests():
     _assert_pinned(all_digests())
 
 
-def test_golden_digests_hold_with_one_kernel_thread(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_golden_digests_hold_with_one_kernel_thread(monkeypatch, cpus):
     """The gossip kernel steps a large batch on every CPU the process may
-    use; on one thread it writes the same bytes."""
+    use, and the families fit their networks in one forked worker per CPU;
+    on one CPU (one kernel thread, fits in this process) and on two (two
+    workers, even on a one-CPU machine) they write the same bytes."""
     from gossipwatch import protocol
 
-    monkeypatch.setattr(protocol, "_kernel_threads", lambda gens, T: 1)
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
     _assert_pinned(_compute())
 
 
