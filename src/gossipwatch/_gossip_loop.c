@@ -3,15 +3,17 @@
  * generator before its run (phi = theta x* stays in numpy, whose BLAS
  * product the C build does not reproduce).  gossip_loop, one call of
  * run_batch: each instance's draws from its generator, then its t = 1..T
- * loop, on up to nthreads threads.  Built with -ffp-contract=off, every
- * expression rounds exactly as the numpy reference in tests/oracles.py does,
- * operation for operation, and every draw goes through the generator's own C
- * interface in the frozen stream order that the reference writes out, so
- * both return the same bits and leave the generators in the same state.  An
- * instance reads only its own generator and writes only its own slices of
- * the outputs, so the bits do not depend on the number of threads or on
- * which thread ran it.  Arrays are C-contiguous; protocol.py checks shapes
- * and dtypes before the call. */
+ * loop, on up to nthreads threads.  protocol.py asks for at most one per CPU
+ * of the caller's affinity set, which in a forked fan-out worker (fanout.py)
+ * is one CPU, so there the loop runs on the calling thread alone.  Built
+ * with -ffp-contract=off, every expression rounds exactly as the numpy
+ * reference in tests/oracles.py does, operation for operation, and every
+ * draw goes through the generator's own C interface in the frozen stream
+ * order that the reference writes out, so both return the same bits and
+ * leave the generators in the same state.  An instance reads only its own
+ * generator and writes only its own slices of the outputs, so the bits do
+ * not depend on the number of threads or on which thread ran it.  Arrays
+ * are C-contiguous; protocol.py checks shapes and dtypes before the call. */
 #define _GNU_SOURCE /* sched_getcpu, CPU_SET, pthread_attr_setaffinity_np */
 #include <pthread.h>
 #include <sched.h>

@@ -12,10 +12,12 @@ row by row and independent of batching.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from gossipwatch.fanout import fan_out
 from gossipwatch.features import SPATIAL, TEMPORAL, spatial_scores, tailor_inputs, temporal_scores
 from gossipwatch.protocol import ProtocolConfig, draw_problems, run_batch
 from gossipwatch.topology import (
@@ -45,6 +47,17 @@ _EVENT_CODES = {EVENT_H0: 0, EVENT_NEXT: 1, EVENT_FAR: 2, "nl-" + EVENT_NEXT: 3}
 
 # Rejection-sampling draws place_attackers makes before it gives up.
 PLACEMENT_TRIES = 100
+
+# The cost of build_datasets in pair updates of one CPU (about 40 ns each):
+# a row's draws, placement and features cost about _ROW_WORK, and each of its
+# instances its T pair updates plus _INSTANCE_WORK to spawn and draw.  A
+# build of _FAN_OUT_WORK (about 100 ms) or more runs its chunks on forked
+# workers.  Below it the fan-out gains nothing measurable: in this process a
+# large batch already runs its kernel on every CPU, so the workers gain only
+# on the Python share, against their start-up and the columns sent back.
+_ROW_WORK = 1000
+_INSTANCE_WORK = 500
+_FAN_OUT_WORK = 2_500_000
 
 
 @dataclass(frozen=True)
@@ -343,6 +356,15 @@ def _dataset(blocks, task: str, kind: str, K: int, d: int) -> LabeledDataset:
     )
 
 
+def _chunk_columns(scenario: Scenario, Ks, master_seed: int, task: str, split: str,
+                   event: str, rows: range) -> dict[int, dict[str, np.ndarray]]:
+    """_batch_samples of one chunk of build_datasets: the given rows of one
+    (task, split, event) block, each from its own seed."""
+    code = _EVENT_CODES[("nl-" + event) if task == "nl" else event]
+    seeds = [_row_seed(master_seed, split, code, r) for r in rows]
+    return _batch_samples(_resolve_event(scenario, event), seeds, Ks)
+
+
 def build_datasets(
     scenario: Scenario,
     Ks: tuple[int, ...] | list[int],
@@ -359,7 +381,8 @@ def build_datasets(
     localization rows are all next-to attacks.  Each K maps to datasets
     keyed "nd_temporal", "nd_spatial", "nl_temporal", "nl_spatial" (subset
     per ``tasks``).  Each row derives from its own seed, so results do not
-    depend on ``chunk``.
+    depend on ``chunk``, nor on whether the chunks run in this process or,
+    for a build of _FAN_OUT_WORK or more, on forked workers (fanout.fan_out).
     """
     for task in tasks:
         if task not in ("nd", "nl"):
@@ -377,30 +400,34 @@ def build_datasets(
         raise ValueError("localization datasets need an attack scenario (m >= 1)")
     if scenario.m == 0:
         events = (EVENT_H0,)
+    runs = []  # (task, split, event, rows) of every block of rows, in block order
+    if "nd" in tasks:
+        for event in events:
+            runs.append(("nd", "train", event, budget.nd_train_per_event))
+            runs.append(("nd", "test", event, budget.nd_test_per_event))
+    if "nl" in tasks:
+        runs.append(("nl", "train", EVENT_NEXT, budget.nl_train))
+        runs.append(("nl", "test", EVENT_NEXT, budget.nl_test))
+    chunks = [
+        (task, split, event, range(at, min(at + chunk, count)))
+        for task, split, event, count in runs
+        for at in range(0, count, chunk)
+    ]
+    row_work = max(Ks) * (scenario.T + _INSTANCE_WORK) + _ROW_WORK
+    columns = fan_out([
+        functools.partial(_chunk_columns, scenario, Ks, master_seed, task, split, event, r)
+        for task, split, event, r in chunks
+    ], fork=sum(len(r) for *_, r in chunks) * row_work >= _FAN_OUT_WORK)
+
     M = scenario.input_width()
     splits = ("train", "test")
     blocks = {(k, task, split): [_no_rows(M)] for k in Ks for task in tasks for split in splits}
     next_id = {(task, split): 0 for task in tasks for split in splits}
-
-    def _run(task, split, event, count):
-        scn = _resolve_event(scenario, event)
-        code = _EVENT_CODES[("nl-" + event) if task == "nl" else event]
-        base = next_id[(task, split)]
-        next_id[(task, split)] = base + count
-        for at in range(0, count, chunk):
-            rows = range(at, min(at + chunk, count))
-            seeds = [_row_seed(master_seed, split, code, r) for r in rows]
-            for k, cols in _batch_samples(scn, seeds, Ks).items():
-                cols["sample"] = cols["sample"] + base + at
-                blocks[(k, task, split)].append(cols)
-
-    if "nd" in tasks:
-        for event in events:
-            _run("nd", "train", event, budget.nd_train_per_event)
-            _run("nd", "test", event, budget.nd_test_per_event)
-    if "nl" in tasks:
-        _run("nl", "train", EVENT_NEXT, budget.nl_train)
-        _run("nl", "test", EVENT_NEXT, budget.nl_test)
+    for (task, split, _, r), by_K in zip(chunks, columns):
+        for k, cols in by_K.items():
+            cols["sample"] = cols["sample"] + next_id[(task, split)]
+            blocks[(k, task, split)].append(cols)
+        next_id[(task, split)] += len(r)
     result: dict[int, dict[str, DatasetPair]] = {k: {} for k in Ks}
     for k in Ks:
         for task in tasks:

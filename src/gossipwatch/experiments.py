@@ -32,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import protocol
 from .datagen import (
     EVENT_FAR,
     EVENT_H0,
@@ -54,6 +53,7 @@ from .evaluation import (
     make_score_detector,
     roc_to_csv,
 )
+from .fanout import fan_out
 from .gossip_train import LearnerState, metrics_to_csv, run_gossip_training
 from .neural import Mlp, TrainConfig, init_mlp, load_model, save_model, train
 from .protocol import LeastSquaresProblem, ProtocolConfig, draw_problems, optimal_value, run_batch
@@ -353,7 +353,7 @@ def _fit(
 
 
 def _fit_job(dataset, config: TrainConfig, key: tuple, outdir, name: str) -> None:
-    """One job of _fan_out: fit a network on dataset, seeded by _rng(*key),
+    """One job of _fit_all: fit a network on dataset, seeded by _rng(*key),
     and save it as ``name`` in outdir, where _load reads it back."""
     mlp, _ = _fit(dataset, config, _rng(*key))
     save_model(mlp, os.path.join(outdir, name + ".json"))
@@ -364,48 +364,22 @@ def _fit_key(master: int, K: int, d: int, task: str, kind: str) -> tuple:
     return (master, 11, K, d, task == "nl", kind == "spatial")
 
 
-def _fan_out(jobs: list) -> None:
-    """Call every job (a function of no arguments) once: on min(CPUs,
-    len(jobs)) forked worker processes, or in order in this process where
-    that is one or the platform has no fork.
-
-    Each job must seed its own generator and write only its own files, so
-    the bytes do not depend on the worker count or the order.  The workers
-    inherit the jobs and their data through the fork, and only job indices
-    and None results cross the pipe: no dataset is pickled, and nothing a
-    job makes comes back into this process.  A failing job's exception is
-    re-raised here, and no worker outlives the call.  Forking is safe
-    because no other thread is at work: the gossip kernel joins its threads
-    before it returns, and BLAS computes on one thread (OpenBLAS stops its
-    idle pool at a fork).
-    """
-    workers = min(protocol.usable_cpus(), len(jobs))
-    if workers <= 1 or not hasattr(os, "fork"):
-        for job in jobs:
-            job()
-        return
-    # Imported here: they cost every other command about 20 ms of start-up.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_take_jobs, initargs=(jobs,),
-    ) as pool:
-        for _ in pool.map(_run_job, range(len(jobs))):
-            pass
+# The fewest row-epochs (one dataset row through one epoch, about 10 us of
+# one CPU for a [4, 200, 100, 50, 1] network) worth fanning fits out: below
+# it starting the workers and reading the models back cost about as much as
+# the second CPU saves.
+_FIT_WORK = 10_000
 
 
-_worker_jobs: list = []  # set in each fan-out worker, from its fork of the jobs
-
-
-def _take_jobs(jobs: list) -> None:
-    global _worker_jobs
-    _worker_jobs = jobs
-
-
-def _run_job(index: int) -> None:
-    _worker_jobs[index]()
+def _fit_all(fits: list, config: TrainConfig, outdir) -> None:
+    """Fit and save one network per (dataset, key, name) of fits with
+    _fit_job: on forked workers (fanout.fan_out) when their row-epochs come
+    to _FIT_WORK or more, else in this process."""
+    work = sum(dataset.n_rows for dataset, _, _ in fits) * config.epochs
+    fan_out([
+        functools.partial(_fit_job, dataset, config, key, outdir, name)
+        for dataset, key, name in fits
+    ], fork=work >= _FIT_WORK)
 
 
 def _out_width(dataset) -> int:
@@ -532,7 +506,7 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
     methods (sd, sdnn) their own list.  Detection and localization both run;
     localization is evaluated in oracle-detection mode.  The setups of one d
     share one build, simulated at their largest K.  Every dataset is built
-    first; the networks are then fit and saved by _fan_out's workers, and
+    first; the networks are then fit and saved by _fit_all, and
     each is read back when its detector is evaluated, in setup order.
     """
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
@@ -557,13 +531,11 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
         for kind, method in _METHODS.items()
         if [K, d] in [list(s) for s in cfg[f"{kind}_setups"]]
     ]
-    _fan_out([
-        functools.partial(
-            _fit_job, data[K, d][f"{task}_{kind}"].train, tcfg,
-            _fit_key(master, K, d, task, kind), outdir, f"model_{task}_{method}nn_K{K}_d{d}",
-        )
+    _fit_all([
+        (data[K, d][f"{task}_{kind}"].train, _fit_key(master, K, d, task, kind),
+         f"model_{task}_{method}nn_K{K}_d{d}")
         for K, d, task, kind, method in runs
-    ])
+    ], tcfg, outdir)
 
     artifacts: list[str] = []
     summaries: list[dict] = []
@@ -611,7 +583,7 @@ def _sweep(
     tested per spec, in spec order, detection before localization.  The
     training set and each variant's test set are one build over all specs.
     Every dataset is built first; the networks are then fit and saved by
-    _fan_out's workers, and read back once before the tests.
+    _fit_all, and read back once before the tests.
     """
     master, d = cfg["master_seed"], cfg["d"]
     tcfg = _train_config(cfg)
@@ -631,13 +603,10 @@ def _sweep(
         for K, kind in specs
         for task in ("nd", "nl")
     }
-    _fan_out([
-        functools.partial(
-            _fit_job, train_data[K][f"{task}_{kind}"].train, tcfg,
-            _fit_key(master, K, d, task, kind), outdir, name,
-        )
+    _fit_all([
+        (train_data[K][f"{task}_{kind}"].train, _fit_key(master, K, d, task, kind), name)
         for (task, kind, K), name in names.items()
-    ])
+    ], tcfg, outdir)
 
     artifacts: list[str] = []
     summaries: list[dict] = []

@@ -227,7 +227,7 @@ def _kernel_threads(gens: np.ndarray, T: int) -> int:
 
 def usable_cpus() -> int:
     """CPUs this process may run on: the kernel's thread count and the
-    experiment families' fit workers are both bounded by it."""
+    number of fanout.fan_out workers are both bounded by it."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
@@ -265,7 +265,9 @@ def run_batch(
     against another user of the same generator.  A batch of enough work is
     stepped on as many threads as there are CPUs this process may run on,
     each extra thread bound to its own CPU (one thread when two instances
-    share a generator); the output does not depend on that count.  Raises
+    share a generator); the output does not depend on that count.  In a
+    fan-out worker (fanout.fan_out) the process may run on one CPU, so the
+    batch runs on one thread there.  Raises
     RuntimeError where the loop cannot be built (see _compiled_loop).
     """
     B = len(rngs)

@@ -1,11 +1,13 @@
 """Dataset generation: scenarios, budgets, placement, sharding, CSV round trips."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gossipwatch import datagen, protocol
+from gossipwatch import cli, datagen, fanout, protocol
 from gossipwatch.datagen import (
     BETA_LAWS,
     Budget,
@@ -254,6 +256,112 @@ def test_build_datasets_simulates_only_the_largest_K(monkeypatch):
     calls.clear()
     build_dataset(scn, 5, budget, 0, chunk=2)
     assert shared == calls and len(calls) > 1
+
+
+def _fan_out_everything(monkeypatch):
+    """Every build of this test fans its chunks out to two forked workers,
+    whatever its work and however many CPUs the machine has."""
+    monkeypatch.setattr(datagen, "_FAN_OUT_WORK", 0)
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("chunk", [3, 256])
+@pytest.mark.parametrize("attacked", [True, False])
+def test_build_datasets_fanned_out_equals_the_in_process_build(monkeypatch, attacked, chunk):
+    """Chunks run on forked workers give the in-process build's arrays,
+    dtype, shape and bytes, at every K."""
+    scn = _scenario(T=30) if attacked else _scenario(m=0, c=0, T=30)
+    tasks = ("nd", "nl") if attacked else ("nd",)
+    budget = Budget(4, 2, 3, 2)
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: 1)
+    alone = build_datasets(scn, (5, 2, 1), budget, 7, tasks=tasks, chunk=chunk)
+    _fan_out_everything(monkeypatch)
+    here, chunk_columns = os.getpid(), datagen._chunk_columns
+
+    def in_a_worker(*args):
+        assert os.getpid() != here
+        return chunk_columns(*args)
+
+    monkeypatch.setattr(datagen, "_chunk_columns", in_a_worker)
+    fanned = build_datasets(scn, (5, 2, 1), budget, 7, tasks=tasks, chunk=chunk)
+    assert list(fanned) == list(alone) == [5, 2, 1]
+    for K in alone:
+        assert list(fanned[K]) == list(alone[K])
+        for key in alone[K]:
+            for split in ("train", "test"):
+                got, want = getattr(fanned[K][key], split), getattr(alone[K][key], split)
+                for name, value in vars(want).items():
+                    other = getattr(got, name)
+                    if isinstance(value, np.ndarray):
+                        assert (other.dtype, other.shape) == (value.dtype, value.shape), name
+                        assert other.tobytes() == value.tobytes(), (K, key, split, name)
+                    else:
+                        assert other == value, (K, key, split, name)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no worker is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_a_fanned_out_job_runs_on_one_cpu(monkeypatch):
+    """Each worker binds itself to its own CPU of this process's set (the
+    same one where the set has fewer CPUs than workers), so its gossip
+    kernel runs one thread; this process keeps its own set."""
+    usable_cpus, mine = protocol.usable_cpus, os.sched_getaffinity(0)
+    both = multiprocessing.get_context("fork").Barrier(2)  # one job per worker
+
+    def job():
+        both.wait(timeout=30)
+        return usable_cpus(), os.sched_getaffinity(0), os.getpid()
+
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+    seen = fanout.fan_out([job, job], fork=True)
+    assert [cpus for cpus, _, _ in seen] == [1, 1]
+    assert all(len(cpus) == 1 and cpus <= mine for _, cpus, _ in seen)
+    assert len({pid for _, _, pid in seen} | {os.getpid()}) == 3
+    assert len(set().union(*(cpus for _, cpus, _ in seen))) == min(2, len(mine))
+    assert os.sched_getaffinity(0) == mine
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no worker is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_fails_the_fan_out_and_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="fan-out worker exited unexpectedly"):
+        fanout.fan_out([lambda: os._exit(3), lambda: 1], fork=True)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_chunk_fails_the_build_and_leaves_no_worker(
+    tmp_path, monkeypatch, capsys, cpus
+):
+    """A chunk that raises, in this process or in a forked worker, fails
+    build_datasets with its own exception type and message, and gen-data
+    with exit code 2 before --out exists; no worker process is left."""
+
+    def fail(*args, **kwargs):
+        raise ValueError("no placement today")
+
+    _fan_out_everything(monkeypatch)
+    monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(datagen, "place_attackers", fail)  # forked workers inherit it
+    with pytest.raises(ValueError) as err:
+        build_datasets(_scenario(), (2, 1), _tiny_budget(), 0)
+    assert type(err.value) is ValueError and str(err.value) == "no placement today"
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no worker is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+    out = tmp_path / "out"
+    argv = ["gen-data", "--set", "T=20", "--set", "scale=0.002", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "error: no placement today" in capsys.readouterr().err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no worker is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_build_datasets_rejects_bad_tasks_and_Ks():

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -148,18 +149,23 @@ def test_a_failing_fit_fails_the_family_and_leaves_no_worker(
         raise ValueError("no fit today")
 
     monkeypatch.setattr(experiments, "_fit", fail)  # forked workers inherit it
+    monkeypatch.setattr(experiments, "_FIT_WORK", 0)  # tiny fits fan out too
     monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
     overrides = {**overrides, "train": {"epochs": 1}}
     with pytest.raises(ValueError) as err:
         run_family(family, tmp_path / "a", overrides)
     assert type(err.value) is ValueError and str(err.value) == "no fit today"
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no worker is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
     argv = ["experiment", family, "--out", str(tmp_path / "b")]
     for key, value in overrides.items():
         argv += ["--set", f"{key}={json.dumps(value)}"]
     assert cli.main(argv) == 2
     assert "error: no fit today" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_family_rejects_unknown_family(tmp_path):

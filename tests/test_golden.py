@@ -11,8 +11,8 @@ The families run in a child process with one BLAS thread: multi-threaded
 BLAS splits matrix products differently by thread count, which changes the
 low bits of trained weights and so the bytes of every model artifact.  The
 CPU count, by contrast, changes no byte: it sets the gossip kernel's thread
-count and the number of processes that fit an experiment's networks, which
-further runs with one and with two CPUs check.
+count and the number of processes that build a dataset's chunks and fit an
+experiment's networks, which further runs with one and with two CPUs check.
 """
 
 from __future__ import annotations
@@ -73,12 +73,15 @@ def test_golden_digests():
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_golden_digests_hold_with_one_kernel_thread(monkeypatch, cpus):
     """The gossip kernel steps a large batch on every CPU the process may
-    use, and the families fit their networks in one forked worker per CPU;
-    on one CPU (one kernel thread, fits in this process) and on two (two
+    use, and dataset builds and the families' fits of enough work run on one
+    forked worker per CPU; on one CPU (one kernel thread, everything in this
+    process) and on two (every build's chunks and every family's fits on two
     workers, even on a one-CPU machine) they write the same bytes."""
-    from gossipwatch import protocol
+    from gossipwatch import datagen, experiments, protocol
 
     monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(datagen, "_FAN_OUT_WORK", 0)
+    monkeypatch.setattr(experiments, "_FIT_WORK", 0)
     _assert_pinned(_compute())
 
 

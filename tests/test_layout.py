@@ -4,7 +4,7 @@ top-level function is passed by some call in the package.  Code that only
 tests use belongs in ``tests/`` (``tests/oracles.py`` holds the reference
 implementations), and every top-level function and class there is used by
 some test.  Every C entry of ``_gossip_loop.c`` is bound with its full
-argument list."""
+argument list, and one module alone forks worker processes."""
 
 import ast
 import re
@@ -166,3 +166,22 @@ def test_every_c_entry_is_bound_with_all_its_arguments():
         if len(getattr(lib, name).argtypes or ()) != len(params)
     ]
     assert not unbound, "without matching argtypes: " + ", ".join(unbound)
+
+
+def test_only_the_fan_out_module_starts_processes():
+    """Dataset chunks and network fits share fanout.fan_out: no other module
+    calls os.fork or imports multiprocessing or concurrent.futures, so a
+    second fan-out does not creep back."""
+    pools = ("multiprocessing", "concurrent")
+    forking = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                forks = any(alias.name.split(".")[0] in pools for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                forks = (node.module or "").split(".")[0] in pools
+            else:
+                forks = isinstance(node, ast.Attribute) and node.attr == "fork"
+            if forks:
+                forking.add(path.name)
+    assert forking == {"fanout.py"}
