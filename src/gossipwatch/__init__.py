@@ -22,10 +22,6 @@ from gossipwatch.protocol import (
     optimal_value,
 )
 from gossipwatch.features import tailor_inputs
-from gossipwatch.score_detectors import (
-    GREATER_IS_H1,
-    SMALLER_IS_H1,
-)
 from gossipwatch.neural import (
     Mlp,
     TrainConfig,
@@ -57,6 +53,8 @@ from gossipwatch.datagen import (
     training_arrays,
 )
 from gossipwatch.evaluation import (
+    GREATER_IS_H1,
+    SMALLER_IS_H1,
     Detector,
     RocCurve,
     roc_curve,

@@ -81,6 +81,8 @@ class Scenario:
     def __post_init__(self):
         if self.m < 0 or self.c < 0 or self.c > self.m:
             raise ValueError(f"need 0 <= c <= m, got m={self.m}, c={self.c}")
+        if self.attackers is not None and len(set(self.attackers)) != len(self.attackers):
+            raise ValueError(f"fixed attackers must be distinct, got {self.attackers}")
         if self.attackers is not None and len(self.attackers) != self.m:
             raise ValueError("fixed attacker list must have m entries")
         if self.monitor is not None and self.monitor_pool is not None:

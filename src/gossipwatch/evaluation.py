@@ -1,10 +1,13 @@
-"""ROC analysis of detectors over labeled datasets.
+"""Score detectors and ROC analysis of detectors over labeled datasets.
 
-Curves are exact threshold sweeps: one operating point per distinct score
-(ties grouped), prefixed with the flag-nothing point, so the trapezoid area
+The score detectors reduce each row's slots (xi on temporal rows, chi on
+spatial rows) to a decision statistic over a whole dataset at once.  Curves
+are exact threshold sweeps: one operating point per distinct score (ties
+grouped), prefixed with the flag-nothing point, so the trapezoid area
 equals the Mann-Whitney statistic with ties counted one half.  Detector
-orientation is explicit and normalized internally, letting greater-is-H1
-and smaller-is-H1 statistics share one code path.
+orientation is explicit: greater-is-H1 statistics flag an attack when the
+score exceeds the threshold, smaller-is-H1 when it falls below; both share
+one code path.
 """
 
 from __future__ import annotations
@@ -16,14 +19,9 @@ import numpy as np
 
 from gossipwatch.datagen import EVENT_H0, LabeledDataset
 from gossipwatch.neural import Mlp, forward
-from gossipwatch.score_detectors import (
-    GREATER_IS_H1,
-    SMALLER_IS_H1,
-    sd_row_detection,
-    sd_row_localization,
-    td_row_detection,
-    td_row_localization,
-)
+
+GREATER_IS_H1 = "greater-is-H1"
+SMALLER_IS_H1 = "smaller-is-H1"
 
 
 @dataclass(frozen=True)
@@ -113,30 +111,49 @@ class Detector:
     row_scores: Callable[[LabeledDataset], np.ndarray]
 
 
+def _over_unpadded(stat: Callable[[np.ndarray], np.ndarray]):
+    """Row scores of ``stat``, a reduction along axis 1, over each row's
+    unpadded slots (padded slots repeat the monitor's self value).  Rows with
+    k unpadded slots reduce together as one (rows, k) array, so each row sums
+    in the order of a reduction of its k values alone: numpy's pairwise sum
+    groups by position, and zeros at padded slots would regroup it."""
+
+    def row_scores(ds: LabeledDataset) -> np.ndarray:
+        keep = ~ds.padded
+        counts = keep.sum(axis=1)
+        if (counts == 0).any():
+            raise ValueError("need at least one neighbor score")
+        out = np.empty(ds.n_rows)
+        for k in np.unique(counts):
+            rows = np.flatnonzero(counts == k)
+            out[rows] = stat(ds.inputs[rows][keep[rows]].reshape(rows.size, k))
+        return out
+
+    return row_scores
+
+
+# (method, task) -> (feature kind, orientation, row scores) of the closed-form
+# detectors.  td: the mean absolute deviation of the neighbor displacements
+# xi, and |xi| per slot.  sd: the mean square of the neighbor deviations chi,
+# and (chi_ij - 2 chi_ii)^2 per slot, the square of phi_ij = S_j - 2 S_i +
+# center, so localization needs only the row slots and the self score.
+_SCORE_DETECTORS = {
+    ("td", "nd"): ("temporal", GREATER_IS_H1, _over_unpadded(
+        lambda v: np.abs(v - v.mean(axis=1, keepdims=True)).mean(axis=1))),
+    ("td", "nl"): ("temporal", SMALLER_IS_H1, lambda ds: np.abs(ds.inputs)),
+    ("sd", "nd"): ("spatial", GREATER_IS_H1, _over_unpadded(lambda v: (v * v).mean(axis=1))),
+    ("sd", "nl"): ("spatial", GREATER_IS_H1,
+                   lambda ds: (ds.inputs - 2.0 * ds.self_values[:, None]) ** 2),
+}
+
+
 def make_score_detector(method: str, task: str) -> Detector:
     """Closed-form detectors on the score features ("td" or "sd")."""
     if task not in ("nd", "nl"):
         raise ValueError(f"task must be 'nd' or 'nl', got {task!r}")
-    if method == "td":
-        if task == "nd":
-            fn = lambda ds: np.array(
-                [td_row_detection(v, p) for v, p in zip(ds.inputs, ds.padded)]
-            )
-            return Detector("td", "nd", "temporal", GREATER_IS_H1, fn)
-        return Detector(
-            "td", "nl", "temporal", SMALLER_IS_H1, lambda ds: td_row_localization(ds.inputs)
-        )
-    if method == "sd":
-        if task == "nd":
-            fn = lambda ds: np.array(
-                [sd_row_detection(v, p) for v, p in zip(ds.inputs, ds.padded)]
-            )
-            return Detector("sd", "nd", "spatial", GREATER_IS_H1, fn)
-        fn = lambda ds: np.stack(
-            [sd_row_localization(v, sv) for v, sv in zip(ds.inputs, ds.self_values)]
-        )
-        return Detector("sd", "nl", "spatial", GREATER_IS_H1, fn)
-    raise ValueError(f"unknown score method {method!r}")
+    if (method, task) not in _SCORE_DETECTORS:
+        raise ValueError(f"unknown score method {method!r}")
+    return Detector(method, task, *_SCORE_DETECTORS[method, task])
 
 
 def make_nn_detector(model: Mlp, task: str, kind: str, name: str) -> Detector:

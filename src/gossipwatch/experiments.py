@@ -16,16 +16,21 @@ Families:
   gossip-learning collaborative training, starved and position-split shards
   small-world     torus-trained detectors on a rewired 20-agent graph
 
-multi-attacker, degree-tailor, mismatch and small-world differ only in their
-test conditions and share one train-then-sweep routine, ``_sweep``.  A
-``Scenario`` leaves K open: datasets needed at several K for the same rows
-come from one ``build_datasets`` call.
+Every ROC family lists the networks it fits and the test sets it scores,
+and hands both lists to one driver, ``_fit_and_test``, which fits the
+networks, sweeps the score and neural detectors over each test set in list
+order and writes the ROC curves and ``aucs.csv``.  multi-attacker,
+degree-tailor, mismatch and small-world differ only in their test
+conditions and build their lists through ``_sweep``.  A ``Scenario`` leaves
+K open: datasets needed at several K for the same rows come from one
+``build_datasets`` call.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import os
 from typing import NamedTuple
@@ -33,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .datagen import (
+    BETA_LAWS,
     EVENT_FAR,
     EVENT_H0,
     EVENT_NEXT,
@@ -203,26 +209,59 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
                 raise ConfigError(
                     f"'{family}.{key}[{i}]' must be {what.format(**cfg)}, got {entry!r}"
                 )
+    for key, (field, kind) in _LIST_DOMAINS.items():
+        valid, what = _DOMAINS[field]
+        for i, entry in enumerate(cfg.get(key, ())):
+            if json_type(entry) != kind:
+                raise ConfigError(f"'{family}.{key}[{i}]' expects a JSON {kind}, got {entry!r}")
+            if not valid(entry):
+                raise ConfigError(f"'{family}.{key}[{i}]' must be {what}, got {entry!r}")
+    for key, count in _AGENT_FIELDS:
+        if key in cfg:
+            value, n = cfg[key], count(cfg)
+            ids = value if json_type(value) == "list" else [value]
+            ints = all(json_type(i) == "integer" and 0 <= i < n for i in ids)
+            if not (ints and ids and len(set(ids)) == len(ids)):
+                what = "a non-empty list of distinct agent ids" if ids is value else "an agent id"
+                raise ConfigError(f"'{family}.{key}' must be {what} in [0, {n}), got {value!r}")
     return cfg
 
 
 # Numeric and choice fields, wherever they appear in a config with a non-null
 # default: (valid, what a value must be).
 _DOMAINS = {
-    "T": (lambda v: v >= 1, ">= 1"),
+    **dict.fromkeys(
+        ("T", "K", "d", "temporal_K", "spatial_K", "M", "batch_size"), (lambda v: v >= 1, ">= 1")
+    ),
+    **dict.fromkeys(
+        ("scenario", "train_scenario"), (lambda v: v in BETA_LAWS, f"one of {sorted(BETA_LAWS)}")
+    ),
     "rows": (lambda v: v >= 3, ">= 3"),
     "cols": (lambda v: v >= 3, ">= 3"),
-    "K": (lambda v: v >= 1, ">= 1"),
-    "d": (lambda v: v >= 1, ">= 1"),
     "scale": (lambda v: v > 0, "> 0"),
     "starved_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
     "eta": (lambda v: v > 0, "> 0"),
-    "batch_size": (lambda v: v >= 1, ">= 1"),
     "epochs": (lambda v: v >= 0, ">= 0"),
     "rounds": (lambda v: v >= 0, ">= 0"),
     "mu": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "mode": (lambda v: v in ("sync", "async"), "'sync' or 'async'"),
 }
+
+# List fields whose entries each lie in the domain of a field of _DOMAINS:
+# (that field, the JSON type of an entry).
+_LIST_DOMAINS = {"spatial_Ks": ("spatial_K", "integer"), "test_scenarios": ("scenario", "string")}
+
+# Agent-id fields, one id or a list of distinct ids, with the agent count of
+# the graph they index.  The gossip learners are the grid without its
+# excluded agent, numbered anew.
+_AGENT_FIELDS = [
+    ("attackers", lambda cfg: cfg["n"]),
+    ("monitor", lambda cfg: cfg["rows"] * cfg["cols"]),
+    ("excluded_agent", lambda cfg: cfg["rows"] * cfg["cols"]),
+    ("starved_agent", lambda cfg: cfg["rows"] * cfg["cols"] - 1),
+    ("next_group", lambda cfg: cfg["rows"] * cfg["cols"] - 1),
+    ("far_group", lambda cfg: cfg["rows"] * cfg["cols"] - 1),
+]
 
 # List fields of integer pairs: (field, valid given the config, what an entry
 # must be).  A combo puts c attackers on the monitor's 4 torus neighbors.
@@ -354,7 +393,7 @@ def _fit(
 
 def _fit_job(dataset, config: TrainConfig, key: tuple, outdir, name: str) -> None:
     """One job of _fit_all: fit a network on dataset, seeded by _rng(*key),
-    and save it as ``name`` in outdir, where _load reads it back."""
+    and save it as ``name`` in outdir, where _fit_and_test reads it back."""
     mlp, _ = _fit(dataset, config, _rng(*key))
     save_model(mlp, os.path.join(outdir, name + ".json"))
 
@@ -386,25 +425,36 @@ def _out_width(dataset) -> int:
     return 1 if dataset.task == "nd" else dataset.M
 
 
-def _eval(detector, dataset, outdir, stem, summaries, artifacts, extra=None):
-    curve, summary = evaluate_detector(detector, dataset)
-    if extra:
-        summary.update(extra)
-    summaries.append(summary)
-    name = f"roc_{stem}.csv"
-    roc_to_csv(curve, os.path.join(outdir, name))
-    artifacts.append(name)
-
-
 def _save(mlp, outdir, name, artifacts) -> None:
     save_model(mlp, os.path.join(outdir, name + ".json"))
     artifacts.extend([name + ".json", name + ".json.bin"])
 
 
-def _load(outdir, name, artifacts) -> Mlp:
-    """The network a _fit_job saved as ``name``; lists its two files."""
-    artifacts.extend([name + ".json", name + ".json.bin"])
-    return load_model(os.path.join(outdir, name + ".json"))[0]
+def _fit_and_test(
+    fits: list, tests: list, tcfg: TrainConfig, outdir, extra_cols=()
+) -> list[str]:
+    """Fit and save the networks of ``fits`` with _fit_all, then score each
+    (test set, model name, ROC stem tail, extra columns) of ``tests`` in
+    order: the score detector of the set's feature kind, then the network
+    saved as ``model name``, read back for this test alone.  Writes one ROC
+    curve per detector and test, and aucs.csv with ``extra_cols`` after the
+    summary columns; returns every artifact name."""
+    _fit_all(fits, tcfg, outdir)
+    artifacts = [name + ext for _, _, name in fits for ext in (".json", ".json.bin")]
+    summaries: list[dict] = []
+    for ds, name, tail, extra in tests:
+        method = _METHODS[ds.kind]
+        mlp = load_model(os.path.join(outdir, name + ".json"))[0]
+        for detector in (
+            make_score_detector(method, ds.task),
+            make_nn_detector(mlp, ds.task, ds.kind, method + "nn"),
+        ):
+            curve, summary = evaluate_detector(detector, ds)
+            summaries.append({**summary, **extra})
+            artifacts.append(f"roc_{ds.task}_{detector.name}{tail}.csv")
+            roc_to_csv(curve, os.path.join(outdir, artifacts[-1]))
+    auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"), extra_cols)
+    return artifacts + ["aucs.csv"]
 
 
 def _test_budget(scale: float) -> Budget:
@@ -505,9 +555,8 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
     Temporal methods (td, tdnn) sweep the configured (K, d) setups; spatial
     methods (sd, sdnn) their own list.  Detection and localization both run;
     localization is evaluated in oracle-detection mode.  The setups of one d
-    share one build, simulated at their largest K.  Every dataset is built
-    first; the networks are then fit and saved by _fit_all, and
-    each is read back when its detector is evaluated, in setup order.
+    share one build, simulated at their largest K; each network is tested
+    on the test split of the build it was fit on.
     """
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     master = cfg["master_seed"]
@@ -524,36 +573,13 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
         scenario = scenario_from_tag(cfg["scenario"], graph, d=d)
         built = build_datasets(scenario, [K for K, dk in setups if dk == d], budget, master)
         data.update(((K, d), sets) for K, sets in built.items())
-    runs = [  # (K, d, task, kind, method) in evaluation order
-        (K, d, task, kind, method)
-        for K, d in setups
-        for task in ("nd", "nl")
-        for kind, method in _METHODS.items()
-        if [K, d] in [list(s) for s in cfg[f"{kind}_setups"]]
-    ]
-    _fit_all([
-        (data[K, d][f"{task}_{kind}"].train, _fit_key(master, K, d, task, kind),
-         f"model_{task}_{method}nn_K{K}_d{d}")
-        for K, d, task, kind, method in runs
-    ], tcfg, outdir)
-
-    artifacts: list[str] = []
-    summaries: list[dict] = []
-    for K, d, task, kind, method in runs:
-        ds, tail = data[K, d][f"{task}_{kind}"].test, f"_K{K}_d{d}"
-        _eval(
-            make_score_detector(method, task), ds, outdir, f"{task}_{method}{tail}",
-            summaries, artifacts,
-        )
-        mlp = _load(outdir, f"model_{task}_{method}nn{tail}", artifacts)
-        _eval(
-            make_nn_detector(mlp, task, kind, method + "nn"), ds, outdir,
-            f"{task}_{method}nn{tail}", summaries, artifacts,
-        )
-
-    auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"))
-    artifacts.append("aucs.csv")
-    return artifacts
+    fits, tests = [], []  # in (K, d) -> task -> kind order
+    for (K, d), task, (kind, method) in itertools.product(setups, ("nd", "nl"), _METHODS.items()):
+        if [K, d] in cfg[f"{kind}_setups"]:
+            sets, name = data[K, d][f"{task}_{kind}"], f"model_{task}_{method}nn_K{K}_d{d}"
+            fits.append((sets.train, _fit_key(master, K, d, task, kind), name))
+            tests.append((sets.test, name, f"_K{K}_d{d}", {}))
+    return _fit_and_test(fits, tests, tcfg, outdir)
 
 
 # --- train-then-sweep families ---------------------------------------------
@@ -576,14 +602,13 @@ def _sweep(
     model_name="model_{task}_{method}",
 ) -> list[str]:
     """Train networks once on ``train_scenario``, then test them and the
-    score detectors on every variant.
+    score detectors on every variant, through _fit_and_test.
 
     specs lists (K, kind) pairs.  Each gets one network per task, fit on
     train_scenario at K and saved under ``model_name``; each variant is then
     tested per spec, in spec order, detection before localization.  The
-    training set and each variant's test set are one build over all specs.
-    Every dataset is built first; the networks are then fit and saved by
-    _fit_all, and read back once before the tests.
+    training set and each variant's test set are one build over all specs,
+    and every dataset is built before the first fit.
     """
     master, d = cfg["master_seed"], cfg["d"]
     tcfg = _train_config(cfg)
@@ -592,7 +617,7 @@ def _sweep(
 
     Ks = [K for K, _ in specs]
     train_data = build_datasets(train_scenario, Ks, budget, master)
-    tests = [
+    test_builds = [
         build_datasets(
             v.scenario, Ks, _test_budget(cfg["scale"]), master + v.offset, events=v.events,
         )
@@ -603,31 +628,17 @@ def _sweep(
         for K, kind in specs
         for task in ("nd", "nl")
     }
-    _fit_all([
+    fits = [
         (train_data[K][f"{task}_{kind}"].train, _fit_key(master, K, d, task, kind), name)
         for (task, kind, K), name in names.items()
-    ], tcfg, outdir)
-
-    artifacts: list[str] = []
-    summaries: list[dict] = []
-    models = {key: _load(outdir, name, artifacts) for key, name in names.items()}
-    for v, test_data in zip(variants, tests):
-        for K, kind in specs:
-            method, tail = _METHODS[kind], v.suffix.format(K=K)
-            for task in ("nd", "nl"):
-                ds = test_data[K][f"{task}_{kind}"].test
-                _eval(
-                    make_score_detector(method, task), ds, outdir,
-                    f"{task}_{method}{tail}", summaries, artifacts, v.extra,
-                )
-                _eval(
-                    make_nn_detector(models[(task, kind, K)], task, kind, method + "nn"),
-                    ds, outdir, f"{task}_{method}nn{tail}", summaries, artifacts, v.extra,
-                )
-
-    auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"), extra_cols=extra_cols)
-    artifacts.append("aucs.csv")
-    return artifacts
+    ]
+    tests = [
+        (test_data[K][f"{task}_{kind}"].test, names[task, kind, K], v.suffix.format(K=K), v.extra)
+        for v, test_data in zip(variants, test_builds)
+        for K, kind in specs
+        for task in ("nd", "nl")
+    ]
+    return _fit_and_test(fits, tests, tcfg, outdir, extra_cols)
 
 
 def _two_specs(cfg) -> tuple[tuple[int, str], ...]:
@@ -725,17 +736,13 @@ def run_gossip_learning(cfg: dict, outdir) -> list[str]:
     against collaborative ones on matched and mismatched test subsets.
     """
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
-    master = cfg["master_seed"]
     tcfg = _train_config(cfg)
     learner_graph = induced_subgraph(
         graph, [v for v in range(graph.n) if v != cfg["excluded_agent"]]
     )
     agents = tuple(range(learner_graph.n))
-
-    artifacts: list[str] = []
-    artifacts += _gossip_case1(cfg, graph, learner_graph, agents, master, tcfg, outdir)
-    artifacts += _gossip_case2(cfg, graph, learner_graph, agents, master, tcfg, outdir)
-    return artifacts
+    case = functools.partial(_gossip_case, cfg, graph, learner_graph, tcfg)
+    return _gossip_case1(cfg, case, agents, outdir) + _gossip_case2(cfg, case, agents, outdir)
 
 
 def _spawn_learners(shards, dataset, agents, tcfg, mu, key):
@@ -751,40 +758,57 @@ def _spawn_learners(shards, dataset, agents, tcfg, mu, key):
     return learners
 
 
-def _gossip_case1(cfg, graph, learner_graph, agents, master, tcfg, outdir):
+def _gossip_case(cfg, graph, learner_graph, tcfg, policy, offset, key, events, isolated):
+    """The steps both gossip-learning cases share.
+
+    Builds the spatial detection dataset of ``events``, seeded by master +
+    ``offset``, and shards its training rows by ``policy``.  Fits an isolated
+    network on the shard of each agent in ``isolated``, initialized by
+    _rng(master, key, a) and trained with _rng(master, key + 1, a), then
+    gossips one learner per agent, initialized like the isolated networks,
+    for cfg["rounds"] sync rounds drawn from _rng(master, key + 2).  Returns
+    the test split, the shards, the isolated networks by agent, the learners
+    and the round metrics.
+    """
+    master = cfg["master_seed"]
     scenario = scenario_from_tag(cfg["scenario"], graph, d=cfg["d"])
     data = build_dataset(
-        scenario, cfg["K"], Budget.desk(cfg["scale"]), master,
-        tasks=("nd",), events=(EVENT_H0, EVENT_NEXT),
+        scenario, cfg["K"], Budget.desk(cfg["scale"]), master + offset,
+        tasks=("nd",), events=events,
     )["nd_spatial"]
+    shards = shard_for_gossip(data.train, policy)
+    iso = {}
+    for a in isolated:
+        X, Y, mask = training_arrays(data.train, shards[a])
+        iso[a] = init_mlp([data.train.M, *HIDDEN, 1], seed=_rng(master, key, a))
+        train(iso[a], X, Y, tcfg, rng=_rng(master, key + 1, a), mask=mask)
+    learners = _spawn_learners(shards, data.train, policy.agents, tcfg, cfg["mu"], (master, key))
+    metrics = run_gossip_training(
+        learners, learner_graph, cfg["rounds"], _rng(master, key + 2), mode="sync"
+    )
+    return data.test, shards, iso, learners, metrics
+
+
+def _gossip_case1(cfg, case, agents, outdir):
+    starved = cfg["starved_agent"]
     policy = ShardPolicy(
         kind="starved",
         agents=agents,
-        starved_agent=cfg["starved_agent"],
+        starved_agent=starved,
         starved_fraction=cfg["starved_fraction"],
         starved_events=(EVENT_NEXT,),
         seed=cfg["policy_seed"],
     )
-    shards = shard_for_gossip(data.train, policy)
-    starved = cfg["starved_agent"]
-
-    iso_rows = shards[starved]
-    X, Y, mask = training_arrays(data.train, iso_rows)
-    iso = init_mlp([data.train.M, *HIDDEN, 1], seed=_rng(master, 21, starved))
-    train(iso, X, Y, tcfg, rng=_rng(master, 22, starved), mask=mask)
-
-    learners = _spawn_learners(shards, data.train, agents, tcfg, cfg["mu"], (master, 21))
-    metrics = run_gossip_training(
-        learners, learner_graph, cfg["rounds"], _rng(master, 23), mode="sync"
+    test, shards, iso, learners, metrics = case(
+        policy, offset=0, key=21, events=(EVENT_H0, EVENT_NEXT), isolated=[starved]
     )
-    collab = learners[starved].model
 
     artifacts = []
     summaries = []
-    for name, mlp in (("isolated", iso), ("collaborative", collab)):
+    for name, mlp in (("isolated", iso[starved]), ("collaborative", learners[starved].model)):
         det = make_nn_detector(mlp, "nd", "spatial", name)
-        curve, summary = evaluate_detector(det, data.test)
-        summaries.append((name, iso_rows.size, summary["auc"]))
+        curve, summary = evaluate_detector(det, test)
+        summaries.append((name, shards[starved].size, summary["auc"]))
         roc_to_csv(curve, os.path.join(outdir, f"roc_case1_{name}.csv"))
         artifacts.append(f"roc_case1_{name}.csv")
         _save(mlp, outdir, f"model_case1_{name}", artifacts)
@@ -799,11 +823,7 @@ def _gossip_case1(cfg, graph, learner_graph, agents, master, tcfg, outdir):
     return artifacts
 
 
-def _gossip_case2(cfg, graph, learner_graph, agents, master, tcfg, outdir):
-    scenario = scenario_from_tag(cfg["scenario"], graph, d=cfg["d"])
-    data = build_dataset(
-        scenario, cfg["K"], Budget.desk(cfg["scale"]), master + 500, tasks=("nd",)
-    )["nd_spatial"]
+def _gossip_case2(cfg, case, agents, outdir):
     next_group = tuple(cfg["next_group"])
     far_group = tuple(cfg["far_group"])
     policy = ShardPolicy(
@@ -816,37 +836,23 @@ def _gossip_case2(cfg, graph, learner_graph, agents, master, tcfg, outdir):
         },
         seed=cfg["policy_seed"],
     )
-    shards = shard_for_gossip(data.train, policy)
-
     probes = {"next": next_group[0], "far": far_group[0]}
-    iso_models = {}
-    for label, agent in probes.items():
-        X, Y, mask = training_arrays(data.train, shards[agent])
-        mlp = init_mlp([data.train.M, *HIDDEN, 1], seed=_rng(master, 31, agent))
-        train(mlp, X, Y, tcfg, rng=_rng(master, 32, agent), mask=mask)
-        iso_models[label] = mlp
-
-    learners = _spawn_learners(shards, data.train, agents, tcfg, cfg["mu"], (master, 31))
-    metrics = run_gossip_training(
-        learners, learner_graph, cfg["rounds"], _rng(master, 33), mode="sync"
+    test, _, iso, learners, metrics = case(
+        policy, offset=500, key=31, events=_ALL_EVENTS, isolated=list(probes.values())
     )
 
-    events = data.test.events
     subsets = {
-        "next": subset_rows(data.test, np.isin(events, (EVENT_H0, EVENT_NEXT))),
-        "far": subset_rows(data.test, np.isin(events, (EVENT_H0, EVENT_FAR))),
+        "next": subset_rows(test, np.isin(test.events, (EVENT_H0, EVENT_NEXT))),
+        "far": subset_rows(test, np.isin(test.events, (EVENT_H0, EVENT_FAR))),
     }
 
     rows = []
-    for label, agent in probes.items():
-        for model_kind, mlp in (
-            ("independent", iso_models[label]),
-            ("collaborative", learners[agent].model),
-        ):
-            det = make_nn_detector(mlp, "nd", "spatial", model_kind)
+    for agent in probes.values():
+        for label, mlp in (("independent", iso[agent]), ("collaborative", learners[agent].model)):
+            det = make_nn_detector(mlp, "nd", "spatial", label)
             for subset_label, subset in subsets.items():
                 _, summary = evaluate_detector(det, subset)
-                rows.append((model_kind, agent, subset_label, summary["auc"]))
+                rows.append((label, agent, subset_label, summary["auc"]))
 
     _write_csv(
         os.path.join(outdir, "case2_report.csv"),

@@ -1,16 +1,17 @@
 """Reference implementations that only the tests use.
 
 Per-instance spatial aggregates and the score statistics over them, the
-pair-averaging matrix of one gossip step, the rates of a thresholded
-detector, the per-layer training path (one gradient array per layer and per
-bias, one row gather per SGD step, a gossip merge through a decoded model),
-the problem draw and the gossip iteration in numpy, which write out the
-frozen stream order of every instance's draws, and the temporal and spatial
-scores of one dataset row.  The package computes the same quantities by
-other routes (row statistics over tailored slots, the expected transition
-matrix, the exact ROC sweep, one flat gradient and in-place merges, the
-compiled draws and gossip loop, scores over a whole chunk's arrays); the
-tests check one against the other.
+score detector statistics of one dataset row, the pair-averaging matrix of
+one gossip step, the rates of a thresholded detector, the per-layer
+training path (one gradient array per layer and per bias, one row gather
+per SGD step, a gossip merge through a decoded model), the problem draw and
+the gossip iteration in numpy, which write out the frozen stream order of
+every instance's draws, and the temporal and spatial scores of one dataset
+row.  The package computes the same quantities by other routes (row
+statistics over tailored slots reduced for a whole dataset at once, the
+expected transition matrix, the exact ROC sweep, one flat gradient and
+in-place merges, the compiled draws and gossip loop, scores over a whole
+chunk's arrays); the tests check one against the other.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gossipwatch.evaluation import _validate_scores_labels
+from gossipwatch.evaluation import GREATER_IS_H1, SMALLER_IS_H1, _validate_scores_labels
 from gossipwatch.neural import Mlp, mlp_from_blob, params_to_blob
 from gossipwatch.protocol import BatchStats, LeastSquaresProblem
-from gossipwatch.score_detectors import GREATER_IS_H1, SMALLER_IS_H1
 from gossipwatch.topology import Graph
 
 
@@ -83,6 +83,41 @@ def sd_localization_scores(sd: SdScoreFeatures, include_self: bool = False) -> n
         s = -sd.self_detection.sum() / (sd.K * sd.d)
         z = np.append(z, s * s)
     return z
+
+
+# Per-row score detector statistics over one row's slots, the references
+# for the whole-dataset reductions of evaluation.make_score_detector.  Slots
+# carry xi (temporal rows) or chi (spatial rows); padded slots repeat the
+# monitor's self value and are excluded where the statistic is a neighbor
+# aggregate.
+
+
+def td_detection_score(xi_values: np.ndarray) -> float:
+    """Mean absolute deviation of neighbor displacements from their mean."""
+    xi = np.asarray(xi_values, dtype=np.float64)
+    if xi.size == 0:
+        raise ValueError("need at least one neighbor score")
+    return float(np.abs(xi - xi.mean()).mean())
+
+
+def td_row_detection(values: np.ndarray, padded: np.ndarray) -> float:
+    return td_detection_score(np.asarray(values)[~np.asarray(padded, dtype=bool)])
+
+
+def td_row_localization(values: np.ndarray) -> np.ndarray:
+    return np.abs(np.asarray(values, dtype=np.float64))
+
+
+def sd_row_detection(values: np.ndarray, padded: np.ndarray) -> float:
+    v = np.asarray(values, dtype=np.float64)[~np.asarray(padded, dtype=bool)]
+    if v.size == 0:
+        raise ValueError("need at least one neighbor score")
+    return float((v * v).mean())
+
+
+def sd_row_localization(values: np.ndarray, self_value: float) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64) - 2.0 * self_value
+    return v * v
 
 
 def pair_averaging_matrix(n: int, i: int, j: int) -> np.ndarray:

@@ -22,13 +22,14 @@ from gossipwatch.evaluation import (
 )
 from gossipwatch.experiments import run_family
 from gossipwatch.neural import Mlp, TrainConfig, init_mlp, loss_and_grad, train
-from gossipwatch.score_detectors import td_detection_score, td_row_localization
 from gossipwatch.topology import Graph, expected_transition_matrix, manhattan_grid
 from oracles import (
     pair_averaging_matrix,
     sd_aggregates,
     sd_detection_score,
     sd_localization_scores,
+    td_detection_score,
+    td_row_localization,
     temporal_from_endpoints,
 )
 

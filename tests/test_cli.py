@@ -253,6 +253,62 @@ def test_out_of_domain_grid_and_list_entries_fail_before_writing(tmp_path, capsy
     assert not out.exists()
 
 
+_TAGS = "one of ['S0', 'S1', 'S2', 'S3', 'S4']"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["multi-attacker", "--set", "temporal_K=0"],
+      "'multi-attacker.temporal_K' must be >= 1, got 0"),
+     (["mismatch", "--set", "spatial_Ks=[0]"], "'mismatch.spatial_Ks[0]' must be >= 1, got 0"),
+     (["mismatch", "--set", 'spatial_Ks=[2, "1"]'],
+      "'mismatch.spatial_Ks[1]' expects a JSON integer, got '1'"),
+     (["one-attacker", "--set", "scenario=S7"],
+      f"'one-attacker.scenario' must be {_TAGS}, got 'S7'"),
+     (["mismatch", "--set", "train_scenario=S5"],
+      f"'mismatch.train_scenario' must be {_TAGS}, got 'S5'"),
+     (["mismatch", "--set", 'test_scenarios=["S9"]'],
+      f"'mismatch.test_scenarios[0]' must be {_TAGS}, got 'S9'"),
+     (["small-world", "--set", "M=0"], "'small-world.M' must be >= 1, got 0")],
+    ids=["temporal_K", "spatial_Ks", "spatial_Ks_type", "scenario", "train_scenario",
+         "test_scenarios", "M"],
+)
+def test_width_and_scenario_tag_fields_fail_before_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert cli.main(["experiment", *argv, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_IDS = "a non-empty list of distinct agent ids"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["small-world", "--set", "attackers=[3,3,17]"],
+      f"'small-world.attackers' must be {_IDS} in [0, 20), got [3, 3, 17]"),
+     (["small-world", "--set", "attackers=[3,10,25]"],
+      f"'small-world.attackers' must be {_IDS} in [0, 20), got [3, 10, 25]"),
+     (["degree-tailor", "--set", "monitor=20"],
+      "'degree-tailor.monitor' must be an agent id in [0, 9), got 20"),
+     (["gossip-learning", "--set", "excluded_agent=12"],
+      "'gossip-learning.excluded_agent' must be an agent id in [0, 9), got 12"),
+     (["gossip-learning", "--set", "starved_agent=8"],
+      "'gossip-learning.starved_agent' must be an agent id in [0, 8), got 8"),
+     (["gossip-learning", "--set", "next_group=[0,99]"],
+      f"'gossip-learning.next_group' must be {_IDS} in [0, 8), got [0, 99]"),
+     (["gossip-learning", "--set", "far_group=[]"],
+      f"'gossip-learning.far_group' must be {_IDS} in [0, 8), got []")],
+    ids=["duplicate_attacker", "attacker_off_graph", "monitor", "excluded_agent",
+         "starved_agent", "next_group", "far_group"],
+)
+def test_agent_ids_outside_their_graph_fail_before_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert cli.main(["experiment", *argv, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [(["gen-data", *TINY_GEN, "--set", "scale=1.5"], "'gen-data.scale' must be in (0, 1], got 1.5"),

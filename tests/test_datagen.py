@@ -50,6 +50,8 @@ def test_scenario_validation():
         _scenario(m=1, c=2)
     with pytest.raises(ValueError):
         _scenario(m=2, attackers=(1,))
+    with pytest.raises(ValueError, match="distinct"):
+        _scenario(m=3, attackers=(3, 3, 7))
     with pytest.raises(ValueError):
         _scenario(monitor=0, monitor_pool=(1, 2))
     with pytest.raises(ValueError):

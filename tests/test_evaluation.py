@@ -1,10 +1,15 @@
-"""ROC machinery against hand-computed curves and a brute-force rank statistic."""
+"""ROC machinery against hand-computed curves and a brute-force rank statistic,
+and the score detectors against their per-row references."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gossipwatch.datagen import EVENT_H0, EVENT_NEXT, LabeledDataset
 from gossipwatch.evaluation import (
+    GREATER_IS_H1,
+    SMALLER_IS_H1,
     Detector,
     auc_table_to_csv,
     evaluate_detector,
@@ -14,8 +19,13 @@ from gossipwatch.evaluation import (
     roc_to_csv,
 )
 from gossipwatch.neural import init_mlp
-from gossipwatch.score_detectors import GREATER_IS_H1, SMALLER_IS_H1
-from oracles import rates_at_threshold
+from oracles import (
+    rates_at_threshold,
+    sd_row_detection,
+    sd_row_localization,
+    td_row_detection,
+    td_row_localization,
+)
 
 
 def _mw_brute(scores, labels):
@@ -234,6 +244,52 @@ def test_score_detector_orientations():
     assert make_score_detector("td", "nl").orientation == SMALLER_IS_H1
     assert make_score_detector("sd", "nd").orientation == GREATER_IS_H1
     assert make_score_detector("sd", "nl").orientation == GREATER_IS_H1
+
+
+# Per-row references of the four score detectors: (method, task) -> the
+# row scores of a dataset, one reference call per row.
+_ROW_ORACLES = {
+    ("td", "nd"): lambda ds: np.array(
+        [td_row_detection(v, p) for v, p in zip(ds.inputs, ds.padded)]),
+    ("td", "nl"): lambda ds: np.stack([td_row_localization(v) for v in ds.inputs]),
+    ("sd", "nd"): lambda ds: np.array(
+        [sd_row_detection(v, p) for v, p in zip(ds.inputs, ds.padded)]),
+    ("sd", "nl"): lambda ds: np.stack(
+        [sd_row_localization(v, s) for v, s in zip(ds.inputs, ds.self_values)]),
+}
+
+
+def _padded_rows(M, rows=300, seed=0):
+    """Rows of width M, values of either sign with magnitudes from 1e-8 to
+    1e3, a random share of padded slots per row and at least one unpadded
+    slot.  Row 0's unpadded slots are all -0.0, so they sum to -0.0, where
+    zeros at its padded slots would sum to +0.0."""
+    rng = np.random.default_rng([seed, M])
+    inputs = rng.choice([-1.0, 1.0], size=(rows, M)) * 10.0 ** rng.uniform(-8, 3, (rows, M))
+    padded = rng.random((rows, M)) < rng.random((rows, 1))
+    padded[np.arange(rows), rng.integers(M, size=rows)] = False
+    padded[0] = np.arange(M) % 2 == 1
+    inputs[0, ~padded[0]] = -0.0
+    ds = _nd_dataset(inputs, labels=np.zeros(rows), sample_ids=np.arange(rows))
+    return replace(ds, padded=padded, self_values=rng.uniform(-1e3, 1e3, rows))
+
+
+@pytest.mark.parametrize("M", [4, 8, 13, 33])
+@pytest.mark.parametrize("method, task", sorted(_ROW_ORACLES))
+def test_score_detectors_match_the_per_row_references_bit_for_bit(M, method, task):
+    ds = _padded_rows(M)
+    scores = make_score_detector(method, task).row_scores(ds)
+    expected = _ROW_ORACLES[method, task](ds)
+    assert scores.dtype == expected.dtype and scores.shape == expected.shape
+    assert scores.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("method", ["td", "sd"])
+def test_a_row_without_an_unpadded_slot_is_rejected(method):
+    ds = _padded_rows(8)
+    ds.padded[5] = True
+    with pytest.raises(ValueError, match="need at least one neighbor score"):
+        make_score_detector(method, "nd").row_scores(ds)
 
 
 def test_nn_detector_scores_raw_inputs():

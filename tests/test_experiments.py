@@ -168,6 +168,26 @@ def test_a_failing_fit_fails_the_family_and_leaves_no_worker(
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_sweep_without_test_conditions_still_fits_and_lists_its_networks(tmp_path):
+    """mismatch with no test scenario fits and saves its six networks (K = 5
+    temporal, K = 2 and 1 spatial, one per task), lists their 12 files in the
+    manifest and writes an aucs.csv of its header alone."""
+    out = tmp_path / "run"
+    manifest = run_family(
+        "mismatch", out, {"scale": 0.002, "test_scenarios": [], "train": {"epochs": 1}}
+    )
+    models = sorted(
+        f"model_{task}_{method}_K{K}.json{blob}"
+        for task in ("nd", "nl")
+        for method, K in (("tdnn", 5), ("sdnn", 2), ("sdnn", 1))
+        for blob in ("", ".bin")
+    )
+    assert manifest["artifacts"] == sorted([*models, "aucs.csv"]) + ["manifest.json"]
+    assert len(manifest["artifacts"]) == 14
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["artifacts"])
+    assert (out / "aucs.csv").read_text() == "detector,task,kind,K,d,auc,n_pos,n_neg,scenario\n"
+
+
 def test_run_family_rejects_unknown_family(tmp_path):
     with pytest.raises(ConfigError):
         run_family("warp-drive", tmp_path / "x")

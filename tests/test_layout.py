@@ -4,7 +4,8 @@ top-level function is passed by some call in the package.  Code that only
 tests use belongs in ``tests/`` (``tests/oracles.py`` holds the reference
 implementations), and every top-level function and class there is used by
 some test.  Every C entry of ``_gossip_loop.c`` is bound with its full
-argument list, and one module alone forks worker processes."""
+argument list, one module alone forks worker processes, and the README's
+module table lists exactly the package's modules."""
 
 import ast
 import re
@@ -14,6 +15,7 @@ from gossipwatch import protocol
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "gossipwatch"
+README = TESTS.parent / "README.md"
 
 # Top-level names that may stay in src/ without a user there.
 ALLOWED: set[str] = set()
@@ -185,3 +187,12 @@ def test_only_the_fan_out_module_starts_processes():
             if forks:
                 forking.add(path.name)
     assert forking == {"fanout.py"}
+
+
+def test_the_readme_module_table_lists_exactly_the_package_modules():
+    """Each row of the README's module table names one module of
+    src/gossipwatch, and each module (other than __init__) has one row, so
+    the table cannot go stale when a module is added, removed or renamed."""
+    rows = re.findall(r"^\| `gossipwatch\.(\w+)` \|", README.read_text(), flags=re.M)
+    modules = [path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    assert sorted(rows) == sorted(modules)

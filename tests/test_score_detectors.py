@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from gossipwatch.features import tailor_inputs
-from gossipwatch.score_detectors import (
-    sd_row_detection,
-    sd_row_localization,
-    td_detection_score,
-    td_row_detection,
-    td_row_localization,
-)
 from gossipwatch.topology import manhattan_grid
 from oracles import (
     SdScoreFeatures,
     sd_aggregates,
     sd_detection_score,
     sd_localization_scores,
+    sd_row_detection,
+    sd_row_localization,
     spatial_from_sums,
+    td_detection_score,
+    td_row_detection,
+    td_row_localization,
 )
 
 
