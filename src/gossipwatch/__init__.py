@@ -17,7 +17,9 @@ from gossipwatch.protocol import (
     ProtocolConfig,
     BatchStats,
     draw_problems,
+    entropy_words,
     run_batch,
+    seed_states,
     global_objective,
     optimal_value,
 )

@@ -282,6 +282,8 @@ def _cmd_gen_data(args) -> int:
     cfg = apply_overrides(GEN_DATA_DEFAULTS, overrides, "gen-data")
     if not cfg["full"]:
         ex.check_desk_scale(cfg, "gen-data")
+    if cfg["monitor"] is not None:
+        ex.check_agent_ids(cfg["monitor"], cfg["rows"] * cfg["cols"], "gen-data.monitor")
 
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     scenario = scenario_from_tag(
@@ -331,8 +333,34 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_learner_fields(cfg: dict) -> None:
+    """train-gossip's agent fields against the grid: ``exclude`` lists
+    distinct grid agents and leaves one or more learners, numbered anew;
+    ``starved_agent`` (for the starved policy) and every group of
+    ``position_groups`` (an object of event tag to learner ids, which the
+    by-position policy needs) name learners."""
+    n = cfg["rows"] * cfg["cols"]
+    ex.check_agent_ids(cfg["exclude"], n, "train-gossip.exclude", many=True, empty=True)
+    learners = n - len(cfg["exclude"])
+    if learners < 1:
+        raise ConfigError(f"'train-gossip.exclude' must leave one or more of the {n} agents")
+    if cfg["policy"] == "starved":
+        ex.check_agent_ids(cfg["starved_agent"], learners, "train-gossip.starved_agent")
+    groups = cfg["position_groups"]
+    if groups is None and cfg["policy"] == "by-position":
+        raise ConfigError("'train-gossip.position_groups' must be set for the by-position policy")
+    if groups is not None:
+        if ex.json_type(groups) != "object":
+            raise ConfigError(
+                f"'train-gossip.position_groups' expects a JSON object, got {groups!r}"
+            )
+        for tag, group in groups.items():
+            ex.check_agent_ids(group, learners, f"train-gossip.position_groups.{tag}", many=True)
+
+
 def _cmd_train_gossip(args) -> int:
     cfg = apply_overrides(TRAIN_GOSSIP_DEFAULTS, _collect_overrides(args), "train-gossip")
+    _check_learner_fields(cfg)
     dataset = _load_dataset(cfg["data"], cfg, "train-gossip")
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     keep = [v for v in range(graph.n) if v not in set(cfg["exclude"])]

@@ -19,7 +19,13 @@ import numpy as np
 
 from gossipwatch.fanout import fan_out
 from gossipwatch.features import SPATIAL, TEMPORAL, spatial_scores, tailor_inputs, temporal_scores
-from gossipwatch.protocol import ProtocolConfig, draw_problems, run_batch
+from gossipwatch.protocol import (
+    ProtocolConfig,
+    draw_problems,
+    entropy_words,
+    run_batch,
+    seed_states,
+)
 from gossipwatch.topology import (
     Graph,
     attacker_mask,
@@ -48,13 +54,19 @@ _EVENT_CODES = {EVENT_H0: 0, EVENT_NEXT: 1, EVENT_FAR: 2, "nl-" + EVENT_NEXT: 3}
 # Rejection-sampling draws place_attackers makes before it gives up.
 PLACEMENT_TRIES = 100
 
-# The cost of build_datasets in pair updates of one CPU (about 40 ns each):
-# a row's draws, placement and features cost about _ROW_WORK, and each of its
-# instances its T pair updates plus _INSTANCE_WORK to spawn and draw.  A
-# build of _FAN_OUT_WORK (about 100 ms) or more runs its chunks on forked
-# workers.  Below it the fan-out gains nothing measurable: in this process a
-# large batch already runs its kernel on every CPU, so the workers gain only
-# on the Python share, against their start-up and the columns sent back.
+# The cost of build_datasets in pair updates of one CPU, each about 18 ns at
+# d = 2 and 15 ns at d = 1 (one thread of a 2-vCPU x86-64 host): a row's
+# monitor draw, placement, seeding and features cost about _ROW_WORK, and
+# each of its instances its T pair updates plus _INSTANCE_WORK for its
+# seeding and problem draw.  A build of _FAN_OUT_WORK (about 45 ms) or more
+# runs its chunks on forked workers.  Below it the fan-out gains nothing
+# measurable: in this process a large batch already runs its kernel on every
+# CPU, so the workers gain only on the Python share, against their start-up
+# and the columns sent back.  On that host a row measures 24-45 us (1,300 to
+# 2,500 pair updates, more with attackers to place) and an instance about
+# 1.2 us beyond its pair updates (about 70).  The constants keep the values
+# they were first given, as no paired benchmark run has shown a gain from
+# moving them; tests/test_datagen.py pins which benchmark builds fan out.
 _ROW_WORK = 1000
 _INSTANCE_WORK = 500
 _FAN_OUT_WORK = 2_500_000
@@ -243,10 +255,13 @@ def _batch_samples(
     the inputs and self values differ between Ks.
 
     Stream use per row, frozen for reproducibility: the monitor draw and
-    attacker placement from the row generator, then one spawned child
-    generator per instance covering the problem draw and the injection
-    target (both drawn in C, by protocol.draw_problems) and the protocol run.
-    A row depends only on its own seed, not on the other rows of the batch;
+    attacker placement from the row generator, default_rng(seed), then per
+    instance k the PCG64 of child k of the seed's spawn(K), covering the
+    problem draw and the injection target (protocol.draw_problems) and the
+    protocol run.  The children are seeded in C (protocol.seed_states) from
+    the row's entropy words with k appended to its spawn key, so no child
+    generator object is made; the seeds must not have spawned before.  A
+    row depends only on its own seed, not on the other rows of the batch;
     spawning is prefix-stable, so its sample at K = k is the one of its
     first k instances.
     """
@@ -255,7 +270,13 @@ def _batch_samples(
     R = len(seeds)
     monitors = np.empty(R, dtype=np.int64)
     attacked = np.zeros((R, n), dtype=bool)  # attacker mask of each row
-    rngs = []
+    # Each row's child entropy words with k = 0, whose key word is the last.
+    words = np.repeat(
+        np.array([entropy_words(ss.entropy, (*ss.spawn_key, 0)) for ss in seeds], np.uint32),
+        K, axis=0,
+    )
+    words[:, -1] = np.tile(np.arange(K, dtype=np.uint32), R)
+    rngs = seed_states(words)
     if scenario.attackers is not None:
         attacker_mask(graph, scenario.attackers)  # validate once
     pools = {}  # monitor -> its placement pools
@@ -273,7 +294,6 @@ def _batch_samples(
         else:
             ids = ()
         attacked[r, list(ids)] = True
-        rngs += rng.spawn(K)
     hit = attacked.any(axis=1)
     flags = np.repeat(attacked, K, axis=0)
     thetas, phis, alphas = draw_problems(n, d, np.repeat(hit, K), rngs)

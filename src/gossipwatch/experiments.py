@@ -62,7 +62,15 @@ from .evaluation import (
 from .fanout import fan_out
 from .gossip_train import LearnerState, metrics_to_csv, run_gossip_training
 from .neural import Mlp, TrainConfig, init_mlp, load_model, save_model, train
-from .protocol import LeastSquaresProblem, ProtocolConfig, draw_problems, optimal_value, run_batch
+from .protocol import (
+    LeastSquaresProblem,
+    ProtocolConfig,
+    draw_problems,
+    entropy_words,
+    optimal_value,
+    run_batch,
+    seed_states,
+)
 from .topology import (
     attacker_mask,
     expected_transition_matrix,
@@ -216,15 +224,30 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
                 raise ConfigError(f"'{family}.{key}[{i}]' expects a JSON {kind}, got {entry!r}")
             if not valid(entry):
                 raise ConfigError(f"'{family}.{key}[{i}]' must be {what}, got {entry!r}")
+    if "mean_degree" in cfg and cfg["mean_degree"] >= cfg["n"]:
+        raise ConfigError(
+            f"'{family}.mean_degree' must be < n = {cfg['n']}, got {cfg['mean_degree']!r}"
+        )
     for key, count in _AGENT_FIELDS:
         if key in cfg:
-            value, n = cfg[key], count(cfg)
-            ids = value if json_type(value) == "list" else [value]
-            ints = all(json_type(i) == "integer" and 0 <= i < n for i in ids)
-            if not (ints and ids and len(set(ids)) == len(ids)):
-                what = "a non-empty list of distinct agent ids" if ids is value else "an agent id"
-                raise ConfigError(f"'{family}.{key}' must be {what} in [0, {n}), got {value!r}")
+            many = json_type(cfg[key]) == "list"
+            check_agent_ids(cfg[key], count(cfg), f"{family}.{key}", many=many)
     return cfg
+
+
+def check_agent_ids(value, n: int, path: str, many: bool = False, empty: bool = False) -> None:
+    """A ConfigError naming ``path`` unless ``value`` is an agent id in
+    [0, n) or, with ``many``, a list of distinct ones, non-empty unless
+    ``empty`` allows it."""
+    ids = value if many and json_type(value) == "list" else [value]
+    ints = all(json_type(i) == "integer" and 0 <= i < n for i in ids)
+    if many:
+        valid = ints and ids is value and (ids or empty) and len(set(ids)) == len(ids)
+        what = "a list of distinct agent ids" if empty else "a non-empty list of distinct agent ids"
+    else:
+        valid, what = ints, "an agent id"
+    if not valid:
+        raise ConfigError(f"'{path}' must be {what} in [0, {n}), got {value!r}")
 
 
 # Numeric and choice fields, wherever they appear in a config with a non-null
@@ -245,6 +268,13 @@ _DOMAINS = {
     "rounds": (lambda v: v >= 0, ">= 0"),
     "mu": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "mode": (lambda v: v in ("sync", "async"), "'sync' or 'async'"),
+    "policy": (
+        lambda v: v in ("uniform", "starved", "by-position"),
+        "'uniform', 'starved' or 'by-position'",
+    ),
+    "n": (lambda v: v >= 3, ">= 3"),
+    "mean_degree": (lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2"),
+    "rewire_prob": (lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
 
 # List fields whose entries each lie in the domain of a field of _DOMAINS:
@@ -486,15 +516,19 @@ def run_converge(cfg: dict, outdir) -> list[str]:
     master = cfg["master_seed"]
     S = cfg["seeds"]
 
-    thetas, phis, _ = draw_problems(n, d, np.zeros(S), [_rng(master, s, 0) for s in range(S)])
+    def states(key):
+        """The PCG64 states of _rng(master, s, key) for every seed s."""
+        return seed_states([entropy_words([master, s, key]) for s in range(S)])
+
+    thetas, phis, _ = draw_problems(n, d, np.zeros(S), states(0))
     alphas = np.array([_rng(master, s, 2).uniform(-0.5, 0.5, size=d) for s in range(S)])
     alphas = alphas.reshape(S, d)
 
     def trajectories(batch_flags, batch_alphas, lam_b, key):
         """(S, T+1, n, d) states of every seed's run."""
         stats = run_batch(
-            graph, batch_flags, thetas, phis, batch_alphas, lam_b, config,
-            [_rng(master, s, key) for s in range(S)], checkpoints=range(T + 1),
+            graph, batch_flags, thetas, phis, batch_alphas, lam_b, config, states(key),
+            checkpoints=range(T + 1),
         )
         return np.stack([stats.checkpoints[t] for t in range(T + 1)], axis=1)
 

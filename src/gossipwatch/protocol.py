@@ -4,8 +4,10 @@ optional insider data injection.
 One iteration wakes a uniformly random agent i, which pulls a uniformly
 random neighbor j.  Trustworthy pair members average their states and take a
 projected subgradient step on their own local least-squares objective;
-attacker members re-emit a fixed target plus decaying noise.  Everything is
-driven by caller-owned numpy generators so runs are reproducible.
+attacker members re-emit a fixed target plus decaying noise.  Every
+instance draws from its own numpy PCG64 generator, held as one row of a
+states array that the caller seeds from SeedSequence entropy, so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -126,13 +128,10 @@ class BatchStats:
     checkpoints: dict = field(default_factory=dict)  # t -> (B, n, d)
 
 
-# The bitgen_t pointer in the "BitGenerator" capsule of a numpy bit generator.
-_bitgen = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
-
-
-_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
+# -ffp-contract=off keeps every product and sum rounded as numpy rounds it;
+# no flag that reassociates, fuses or targets this host's CPU may join it,
+# since the bits and the portable cache key depend on the flags.
+_CC = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 
 @functools.cache
@@ -173,9 +172,11 @@ def _compiled_loop():
     def arr(dtype):
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
 
+    lib.seed_states.restype = None
+    lib.seed_states.argtypes = [i64, i64, arr(np.uint32), arr(np.uint64)]
     lib.gossip_loop.restype = ctypes.c_int
     lib.gossip_loop.argtypes = [
-        i64, i64, i64, i64, i64, arr(np.uintp),
+        i64, i64, i64, i64, i64, arr(np.uint64),
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.uint8),
         arr(np.int64), arr(np.int64), i64,
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64),
@@ -183,46 +184,93 @@ def _compiled_loop():
     ]
     lib.draw_problems.restype = None
     lib.draw_problems.argtypes = [
-        i64, i64, i64, arr(np.uintp), arr(np.uint8),
+        i64, i64, i64, arr(np.uint64), arr(np.uint8),
         arr(np.float64), arr(np.float64), arr(np.float64),
     ]
     return lib
 
 
-def _bitgens(rngs: list[np.random.Generator]) -> np.ndarray:
-    """The bitgen_t pointers of the generators, for the compiled entries."""
-    return np.array([_bitgen(r.bit_generator.capsule, b"BitGenerator") for r in rngs], np.uintp)
+def _words(value) -> list[int]:
+    """numpy's coercion of a seed value to 32-bit words: a non-negative int
+    as its little-endian words (0 as [0]), a sequence as its items' words
+    one after another."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"seed values must be non-negative, got {value}")
+        words = [value & 0xFFFFFFFF]
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+        return words
+    return [w for item in value for w in _words(item)]
 
 
-def draw_problems(n: int, d: int, attacked: np.ndarray, rngs: list[np.random.Generator]):
-    """Each instance's problem and injection target, drawn from its own
-    generator in C in the frozen stream order: theta ~ U[0.5, 2.5]^(n x d),
+def entropy_words(entropy, spawn_key=()) -> list[int]:
+    """The words SeedSequence(entropy, spawn_key=spawn_key) hashes: the run
+    entropy's, zero-padded to the pool's 4 words when the spawn key is not
+    empty, then the spawn key's.  Child k of a fresh SeedSequence, from its
+    spawn(), has the spawn key (*spawn_key, k)."""
+    run = _words(entropy)
+    if spawn_key:
+        run += [0] * (4 - len(run))
+    return run + _words(spawn_key)
+
+
+def seed_states(words) -> np.ndarray:
+    """(N, 6) uint64 PCG64 states, row b that of PCG64(SeedSequence(...))
+    for the entropy words of row b of words (N, E), each from
+    entropy_words: state high and low, increment high and low, has_uint32
+    and uinteger, the layout the compiled entries step in place.  Seeded in
+    C, bit for bit as numpy seeds it."""
+    words = np.ascontiguousarray(words, dtype=np.uint32)
+    if words.ndim != 2 or words.shape[1] < 1:
+        raise ValueError(f"words must be (N, E) with E >= 1, got {words.shape}")
+    states = np.empty((words.shape[0], 6), np.uint64)
+    _compiled_loop().seed_states(*words.shape, words, states)
+    return states
+
+
+def _check_states(rngs) -> int:
+    """The instance count of a states array from seed_states, which the
+    compiled entries advance in place."""
+    if not (
+        isinstance(rngs, np.ndarray) and rngs.dtype == np.uint64 and rngs.ndim == 2
+        and rngs.shape[1] == 6 and rngs.flags.c_contiguous and rngs.flags.writeable
+    ):
+        raise TypeError("rngs must be a writable C-contiguous (B, 6) uint64 array "
+                        "of PCG64 states from seed_states")
+    return rngs.shape[0]
+
+
+def draw_problems(n: int, d: int, attacked: np.ndarray, rngs: np.ndarray):
+    """Each instance's problem and injection target, drawn from its PCG64
+    states row in C in the frozen stream order: theta ~ U[0.5, 2.5]^(n x d),
     x* ~ U[0, 1]^d, then, where attacked[b], alpha ~ U[-0.5, 0.5]^d, as
-    Generator.uniform draws them.  Returns thetas (B, n, d), phis (B, n) and
-    alphas (B, d), zero where not attacked; phi = theta x* is one batched
-    matmul, which rounds as each instance's theta @ x_star."""
-    B = len(rngs)
+    Generator.uniform draws them.  rngs (B, 6), from seed_states, is
+    advanced in place, to the state those draws leave numpy's generator in.
+    Returns thetas (B, n, d), phis (B, n) and alphas (B, d), zero where not
+    attacked; phi = theta x* is one batched matmul, which rounds as each
+    instance's theta @ x_star."""
+    B = _check_states(rngs)
     attacked = np.ascontiguousarray(attacked, dtype=np.uint8)
     if attacked.shape != (B,):
         raise ValueError(f"attacked must be (B,) = {(B,)}, got {attacked.shape}")
     thetas, x_stars, alphas = np.empty((B, n, d)), np.empty((B, d)), np.zeros((B, d))
-    _compiled_loop().draw_problems(B, n, d, _bitgens(rngs), attacked, thetas, x_stars, alphas)
+    _compiled_loop().draw_problems(B, n, d, rngs, attacked, thetas, x_stars, alphas)
     return thetas, np.matmul(thetas, x_stars[..., None])[..., 0], alphas
 
 
-# The fewest pair updates (about 2 ms of one thread) worth a thread of its
-# own: waking an idle CPU for a smaller share costs more than it saves.
+# The fewest pair updates (about 1.2 ms of one thread, at 18 ns each for
+# d = 2 on a 2-vCPU x86-64 host) worth a thread of its own: waking an idle
+# CPU for a smaller share costs more than it saves.
 _THREAD_WORK = 1 << 16
 
 
-def _kernel_threads(gens: np.ndarray, T: int) -> int:
-    """Threads for one compiled run_batch call of T iterations over the
-    bitgen_t pointers gens: one per _THREAD_WORK pair updates, up to one per
-    instance and per CPU this process may run on.  One when two instances
-    share a bit generator, whose draws then form one sequential stream."""
-    if len(np.unique(gens)) < len(gens):
-        return 1
-    return max(1, min(len(gens), usable_cpus(), len(gens) * T // _THREAD_WORK))
+def _kernel_threads(B: int, T: int) -> int:
+    """Threads for one compiled run_batch call of B instances of T
+    iterations: one per _THREAD_WORK pair updates, up to one per instance
+    and per CPU this process may run on."""
+    return max(1, min(B, usable_cpus(), B * T // _THREAD_WORK))
 
 
 def usable_cpus() -> int:
@@ -242,7 +290,7 @@ def run_batch(
     alphas: np.ndarray | None,
     lambda_hat: float | None,
     config: ProtocolConfig,
-    rngs: list[np.random.Generator],
+    rngs: np.ndarray,
     checkpoints: tuple[int, ...] = (),
 ) -> BatchStats:
     """Runner for B instances on a shared graph, in the compiled loop of
@@ -250,27 +298,26 @@ def run_batch(
 
     flags is (B, n) attacker membership, thetas (B, n, d), phis (B, n),
     alphas (B, d) (ignored for rows without attackers; may be None when no
-    row has any).  rngs holds one generator per instance, consumed in the
-    frozen stream order that the numpy reference in tests/oracles.py writes
-    out and left in the state that order leaves.  checkpoints lists
+    row has any).  rngs (B, 6) holds each instance's PCG64 generator as a
+    states row from seed_states (or as draw_problems left it); the loop
+    draws from it in the frozen stream order that the numpy reference in
+    tests/oracles.py writes out, and advances it in place to the state that
+    order leaves numpy's generator in.  checkpoints lists
     iterations t whose full (B, n, d) states are kept; range(T + 1) records
     whole trajectories.
 
     Only the two agents of the sampled pair change state at an iteration.
     Trustworthy members move to the projected subgradient step from the pair
     average of the pre-iteration states; attacker members re-emit
-    alpha + lambda_hat^t U[-1, 1]^d.  The loop draws each instance's
-    randomness itself, through its generator's C interface (numpy's
-    bitgen_t) and without the generator's lock, so it is not thread-safe
-    against another user of the same generator.  A batch of enough work is
-    stepped on as many threads as there are CPUs this process may run on,
-    each extra thread bound to its own CPU (one thread when two instances
-    share a generator); the output does not depend on that count.  In a
+    alpha + lambda_hat^t U[-1, 1]^d.  A batch of enough work is stepped on
+    as many threads as there are CPUs this process may run on, each extra
+    thread bound to its own CPU; an instance touches only its own states
+    row, so the output does not depend on that count.  In a
     fan-out worker (fanout.fan_out) the process may run on one CPU, so the
     batch runs on one thread there.  Raises
     RuntimeError where the loop cannot be built (see _compiled_loop).
     """
-    B = len(rngs)
+    B = _check_states(rngs)
     n, d, T = graph.n, config.d, config.T
     if flags.shape != (B, n) or thetas.shape != (B, n, d) or phis.shape != (B, n):
         raise ValueError("batch array shapes are inconsistent")
@@ -293,9 +340,8 @@ def run_batch(
     snaps = np.empty((len(times), B, n, d))
     sched = config.stepsize.schedule(T)
     first, last, sums = (np.empty((B, n, d)) for _ in range(3))
-    gens = _bitgens(rngs)
     status = _compiled_loop().gossip_loop(
-        _kernel_threads(gens, T), B, n, d, T, gens, first, last, sums, flags,
+        _kernel_threads(B, T), B, n, d, T, rngs, first, last, sums, flags,
         graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
         thetas, phis, alphas, powers, sched,
         float(config.init_low), float(config.init_high),

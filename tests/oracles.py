@@ -300,12 +300,28 @@ def _draw_instance_randomness(graph, config, flags, rng):
     return beta, init_noise, i_seq, j_seq, event_noise
 
 
+def pcg64_row(rng: np.random.Generator) -> np.ndarray:
+    """The (6,) uint64 states row of a PCG64 generator, laid out as
+    protocol.seed_states lays it out."""
+    state = rng.bit_generator.state
+    assert state["bit_generator"] == "PCG64"
+    words = [state["state"]["state"], state["state"]["inc"]]
+    mask = (1 << 64) - 1
+    return np.array(
+        [w for v in words for w in (v >> 64, v & mask)]
+        + [state["has_uint32"], state["uinteger"]],
+        np.uint64,
+    )
+
+
 def numpy_run_batch(
     graph, flags, thetas, phis, alphas, lambda_hat, config, rngs, checkpoints=()
 ) -> BatchStats:
     """protocol.run_batch in numpy: the draws of _draw_instance_randomness
-    per instance, then _numpy_loop over the whole batch.  Same arguments,
-    same BatchStats, same bits, and the generators left in the same state."""
+    per instance, then _numpy_loop over the whole batch.  The same arguments,
+    except that rngs are numpy generators, not PCG64 states rows; the same
+    BatchStats and bits, and each generator left in the state that run_batch
+    leaves its row in (compare with pcg64_row)."""
     B = len(rngs)
     n, d, T = graph.n, config.d, config.T
     flags = np.ascontiguousarray(flags, dtype=np.uint8)

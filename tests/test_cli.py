@@ -197,7 +197,9 @@ def test_out_of_domain_train_gossip_values_are_config_errors(tmp_path, capsys, s
     "setting, message",
     [("T=0", "'gen-data.T' must be >= 1, got 0"),
      ("scale=-1", "'gen-data.scale' must be > 0, got -1"),
-     ("K=0", "'gen-data.K' must be >= 1, got 0")],
+     ("K=0", "'gen-data.K' must be >= 1, got 0"),
+     ("monitor=20", "'gen-data.monitor' must be an agent id in [0, 9), got 20"),
+     ("monitor=[4]", "'gen-data.monitor' must be an agent id in [0, 9), got [4]")],
 )
 def test_out_of_domain_gen_data_values_are_config_errors(tmp_path, capsys, setting, message):
     out = tmp_path / "data"
@@ -242,9 +244,17 @@ def test_out_of_domain_dataset_sizes_are_config_errors(tmp_path, capsys, section
      (["multi-attacker", "--set", "scale=0.00006"],
       "'multi-attacker.scale' must be > 1/12000, so that every split has a row, got 6e-05"),
      (["small-world", "--set", "scale=0.00004"],
-      "'small-world.scale' must be > 1/12000, so that every split has a row, got 4e-05")],
+      "'small-world.scale' must be > 1/12000, so that every split has a row, got 4e-05"),
+     (["small-world", "--set", "n=2"], "'small-world.n' must be >= 3, got 2"),
+     (["small-world", "--set", "mean_degree=30"],
+      "'small-world.mean_degree' must be < n = 20, got 30"),
+     (["small-world", "--set", "mean_degree=5"],
+      "'small-world.mean_degree' must be an even integer >= 2, got 5"),
+     (["small-world", "--set", "rewire_prob=1.5"],
+      "'small-world.rewire_prob' must be in [0, 1], got 1.5")],
     ids=["temporal_setups", "spatial_setups", "rows", "combos", "combos_fit",
-         "scale_no_train_row", "scale_no_test_row", "small_world_scale"],
+         "scale_no_train_row", "scale_no_test_row", "small_world_scale", "small_world_n",
+         "small_world_mean_degree", "small_world_odd_degree", "small_world_rewire_prob"],
 )
 def test_out_of_domain_grid_and_list_entries_fail_before_writing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
@@ -305,6 +315,37 @@ _IDS = "a non-empty list of distinct agent ids"
 def test_agent_ids_outside_their_graph_fail_before_writing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert cli.main(["experiment", *argv, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("starved_agent=30", "'train-gossip.starved_agent' must be an agent id in [0, 8), got 30"),
+     ("position_groups=[[0,99]]",
+      "'train-gossip.position_groups' expects a JSON object, got [[0, 99]]"),
+     ('position_groups={"h0":[0,99]}',
+      f"'train-gossip.position_groups.h0' must be {_IDS} in [0, 8), got [0, 99]"),
+     ("exclude=[1,1]",
+      "'train-gossip.exclude' must be a list of distinct agent ids in [0, 9), got [1, 1]"),
+     ("exclude=[0,1,2,3,4,5,6,7,8]",
+      "'train-gossip.exclude' must leave one or more of the 9 agents"),
+     ("policy=foo",
+      "'train-gossip.policy' must be 'uniform', 'starved' or 'by-position', got 'foo'"),
+     ("policy=by-position",
+      "'train-gossip.position_groups' must be set for the by-position policy")],
+    ids=["starved_agent", "position_groups_list", "position_groups_id", "exclude_twice",
+         "exclude_all", "policy", "by_position_without_groups"],
+)
+def test_train_gossip_agent_fields_fail_before_reading_or_writing(
+    tmp_path, capsys, setting, message
+):
+    """The agent fields are checked against the grid before the dataset
+    is read, so a missing dataset is not what fails."""
+    out = tmp_path / "g"
+    rc = cli.main(["train-gossip", "--set", f"data={tmp_path / 'missing.csv'}",
+                   "--set", setting, "--out", str(out)])
+    assert rc == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 

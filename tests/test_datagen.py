@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipwatch import cli, datagen, fanout, protocol
+from gossipwatch import cli, datagen, experiments, fanout, protocol
 from gossipwatch.datagen import (
     BETA_LAWS,
     Budget,
@@ -302,6 +302,37 @@ def test_build_datasets_fanned_out_equals_the_in_process_build(monkeypatch, atta
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):  # no worker is left, not even a zombie
         os.waitpid(-1, os.WNOHANG)
+
+
+def _gen_data(**fields):
+    return ["gen-data", *(f"--set={key}={value}" for key, value in fields.items())]
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (_gen_data(K=2, d=2, T=100, scale=0.002), [(2, (2,), False)]),
+    (_gen_data(scenario="S0", m=1, c=1, K=5, d=2, T=2000, scale=0.0256,
+               tasks='["nd","nl"]', events='["h0","next-to","far-from"]'), [(2, (5,), True)]),
+    (_gen_data(K=1, d=2, T=200, scale=0.1), [(2, (1,), True)]),
+    (["experiment", "one-attacker", "--set", "scale=0.01"],
+     [(2, (5, 2, 1), True), (1, (2,), True)]),
+], ids=["warm-up", "build-torus", "fit-eval-inputs", "one-attacker"])
+def test_which_builds_fan_out(tmp_path, monkeypatch, argv, builds):
+    """The (d, Ks, fork) of each build's fan_out call for the build shapes
+    of the benchmark: its warm-up gen-data stays in this process, while the
+    torus build, the fit-eval input build and both one-attacker builds at
+    scale 0.01 fan out.  The chunks return no rows and no network is fit,
+    so only the fork decision runs."""
+    seen = []
+
+    def record(jobs, fork):
+        scenario, Ks = jobs[0].args[:2]
+        seen.append((scenario.d, Ks, fork))
+        return [{k: datagen._no_rows(scenario.input_width()) for k in Ks} for _ in jobs]
+
+    monkeypatch.setattr(datagen, "fan_out", record)
+    monkeypatch.setattr(experiments, "_fit_and_test", lambda *args: [])
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert seen == builds
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")

@@ -160,7 +160,7 @@ def test_every_c_entry_is_bound_with_all_its_arguments():
             r"^(?!static\b)[A-Za-z_][\w *]*?\b(\w+)\(([^)]*)\)\s*\{", source, flags=re.M
         )
     }
-    assert {"gossip_loop", "draw_problems"} <= entries.keys()
+    assert {"gossip_loop", "draw_problems", "seed_states"} <= entries.keys()
     lib = protocol._compiled_loop()
     unbound = [
         f"{name} ({len(params)} parameters)"
@@ -168,6 +168,20 @@ def test_every_c_entry_is_bound_with_all_its_arguments():
         if len(getattr(lib, name).argtypes or ()) != len(params)
     ]
     assert not unbound, "without matching argtypes: " + ", ".join(unbound)
+
+
+def test_the_kernel_is_built_without_value_changing_flags():
+    """protocol._CC keeps -ffp-contract=off and holds no flag that lets the
+    compiler reassociate, fuse or approximate floating-point operations, or
+    that targets the building host's CPU: the kernel's bits, and the
+    portable cache key that names its library, depend on the flags."""
+    flags = set(protocol._CC)
+    assert [f for f in protocol._CC if f.startswith("-ffp-contract")] == ["-ffp-contract=off"]
+    changing = {
+        "-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
+        "-freciprocal-math", "-march=native", "-mtune=native", "-mcpu=native",
+    }
+    assert not flags & changing, sorted(flags & changing)
 
 
 def test_only_the_fan_out_module_starts_processes():

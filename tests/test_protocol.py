@@ -2,22 +2,27 @@
 parity of the compiled loop with the numpy reference of tests/oracles.py and
 a pure-Python reference stepper."""
 
+import ctypes
 import itertools
 import re
+import subprocess
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import generate_problem, numpy_run_batch
+from oracles import generate_problem, numpy_run_batch, pcg64_row
 
-from gossipwatch import cli, protocol
+from gossipwatch import cli, datagen, protocol
 from gossipwatch.protocol import (
     ProtocolConfig,
     Stepsize,
     draw_problems,
+    entropy_words,
     global_objective,
     optimal_value,
     run_batch,
+    seed_states,
 )
 from gossipwatch.topology import (
     attacker_mask,
@@ -26,6 +31,46 @@ from gossipwatch.topology import (
     second_largest_eigenvalue,
     small_world,
 )
+
+
+# SeedSequence(entropy, spawn_key=key) of instance b, for each entropy
+# shape the package seeds from: a single word (default_rng(b)), a master of
+# 2^32 or more with a row key (a dataset row seed), a master of 2^64 or
+# more, list entropy [master, seed, key] (experiments._rng), and a spawn key
+# that takes the words past 8.
+ENTROPIES = {
+    "word": lambda b: (b, ()),
+    "master-2^32": lambda b: (2**32 + 3, (0, 1, b)),
+    "master-2^64": lambda b: (2**64 + 7 * b, ()),
+    "list": lambda b: ([11, b, 2], ()),
+    "long-key": lambda b: (5, (0, 1, b, 3, 2**33)),
+}
+
+
+def _states(seeds):
+    """seed_states of default_rng(s) for each s, an int or a SeedSequence."""
+    seqs = [np.random.SeedSequence(s) if isinstance(s, int) else s for s in seeds]
+    return seed_states([entropy_words(ss.entropy, ss.spawn_key) for ss in seqs])
+
+
+def _seeded(shape, B):
+    """B instances of an entropy shape: their states from seed_states and
+    the numpy generators of the same seeds, PCG64(SeedSequence(...))."""
+    seqs = [np.random.SeedSequence(e, spawn_key=key) for e, key in map(ENTROPIES[shape], range(B))]
+    return _states(seqs), [np.random.default_rng(ss) for ss in seqs]
+
+
+def _generators(runner, seeds):
+    """What runner takes for the seeds: run_batch PCG64 states, its numpy
+    reference generators."""
+    if runner is numpy_run_batch:
+        return [np.random.default_rng(s) for s in seeds]
+    return _states(seeds)
+
+
+def _assert_same_generators(states, rngs):
+    for b, rng in enumerate(rngs):
+        assert np.array_equal(states[b], pcg64_row(rng)), b
 
 
 def _run(
@@ -40,7 +85,7 @@ def _run(
     return runner(
         graph, flags, np.stack([p.theta for p in problems]),
         np.stack([p.phi for p in problems]), alphas, lam, config,
-        [np.random.default_rng(s) for s in seeds], **kwargs,
+        _generators(runner, seeds), **kwargs,
     )
 
 
@@ -81,29 +126,124 @@ def test_generate_problem_laws():
     assert np.allclose(p.phi, p.theta @ p.x_star)
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("entropy", list(ENTROPIES))
+def test_seed_states_match_numpy_seeding(entropy):
+    """seed_states gives each row the state of PCG64(SeedSequence(...)) for
+    the entropy words of entropy_words, before any draw."""
+    states, rngs = _seeded(entropy, 6)
+    _assert_same_generators(states, rngs)
+
+
+def test_entropy_words_follow_numpy_coercion():
+    assert entropy_words(0) == [0]
+    assert entropy_words(2**32 + 3) == [3, 1]
+    assert entropy_words([7, 0, 2**64]) == [7, 0, 0, 0, 1]
+    assert entropy_words(7, (1, 2)) == [7, 0, 0, 0, 1, 2]
+    assert entropy_words(2**130, (1,)) == [0, 0, 0, 0, 4, 1]
+    with pytest.raises(ValueError, match="non-negative"):
+        entropy_words(-1)
+
+
+def test_spawned_children_seed_as_numpy_spawns_them():
+    """Child k of a fresh SeedSequence has the seed's entropy words with k
+    appended to its spawn key, for a plain and a keyed seed."""
+    for ss in (np.random.SeedSequence(2**40 + 3), np.random.SeedSequence(9, spawn_key=(1, 2))):
+        words = [entropy_words(ss.entropy, (*ss.spawn_key, k)) for k in range(4)]
+        _assert_same_generators(seed_states(words), np.random.default_rng(ss).spawn(4))
+
+
+def test_inline_pcg64_draws_match_numpy_draws(tmp_path):
+    """1,000 draws of _gossip_loop.c's next_uint32 and next_double, mixed at
+    random so that the buffered upper half of a 64-bit output is taken after
+    doubles as well as after 32-bit draws, equal those of numpy's PCG64 C
+    interface, and leave its state.  A harness that includes the source
+    compiles with the package's flags."""
+    source = Path(protocol.__file__).with_name("_gossip_loop.c")
+    harness = tmp_path / "harness.c"
+    harness.write_text(
+        f'#include "{source}"\n'
+        "void mixed_draws(uint64_t *row, const uint8_t *kinds, int64_t N, double *out)\n"
+        "{\n"
+        "    pcg64_t g = load_pcg64(row);\n"
+        "    for (int64_t i = 0; i < N; i++)\n"
+        "        out[i] = kinds[i] ? (double)next_uint32(&g) : next_double(&g);\n"
+        "    store_pcg64(row, &g);\n"
+        "}\n"
+    )
+    lib_path = tmp_path / "harness.so"
+    subprocess.run([*protocol._CC, "-o", str(lib_path), str(harness)], check=True)
+    lib = ctypes.CDLL(str(lib_path))
+    lib.mixed_draws.restype = None
+    lib.mixed_draws.argtypes = [
+        np.ctypeslib.ndpointer(np.uint64, flags="C_CONTIGUOUS"),
+        np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"), ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+    ]
+    kinds = (np.random.default_rng(1).random(1000) < 0.5).astype(np.uint8)
+    states, rngs = _seeded("master-2^32", 1)
+    out = np.empty(1000)
+    lib.mixed_draws(states[0], kinds, 1000, out)
+    bits = rngs[0].bit_generator.ctypes
+    expected = [
+        float(bits.next_uint32(bits.state)) if kind else bits.next_double(bits.state)
+        for kind in kinds
+    ]
+    assert np.array_equal(out, expected)
+    _assert_same_generators(states, rngs)
+
+
+def test_chunk_states_are_the_spawned_children_of_each_row(monkeypatch):
+    """The states a dataset chunk seeds for its K instances per row are those
+    of the spawn(K) children of each row's default_rng(row seed)."""
+    seeded = []
+
+    def keep(words):
+        states = seed_states(words)
+        seeded.append(states.copy())
+        return states
+
+    monkeypatch.setattr(datagen, "seed_states", keep)
+    scenario = datagen.scenario_from_tag("S0", manhattan_grid(3, 3), T=20)
+    seeds = [datagen._row_seed(2**33 + 1, "test", 2, r) for r in range(4)]
+    datagen._batch_samples(scenario, seeds, (1, 3))
+    children = [c for ss in seeds for c in np.random.default_rng(ss).spawn(3)]
+    (states,) = seeded
+    _assert_same_generators(states, children)
+
+
+@pytest.mark.parametrize("entropy", list(ENTROPIES))
 @pytest.mark.parametrize("n, d", [(9, 2), (20, 1), (50, 7)])
-def test_compiled_problem_draws_match_numpy_draws(bit_generator, n, d):
+def test_compiled_problem_draws_match_numpy_draws(entropy, n, d):
     """draw_problems returns, for attacked and clean instances alike, the
     bits of generate_problem followed, where attacked, by the target draw
-    uniform(-0.5, 0.5, d), and leaves every generator in the state those
-    draws leave it in; its batched phi equals each instance's theta @ x_star."""
+    uniform(-0.5, 0.5, d), and leaves every states row where those draws
+    leave numpy's generator; its batched phi equals each instance's
+    theta @ x_star."""
     B = 7
     attacked = np.arange(B) % 3 == 1
-
-    def rngs():
-        return [np.random.Generator(bit_generator(np.random.SeedSequence(b))) for b in range(B)]
-
-    compiled = rngs()
-    thetas, phis, alphas = draw_problems(n, d, attacked, compiled)
-    for b, rng in enumerate(rngs()):
+    states, rngs = _seeded(entropy, B)
+    thetas, phis, alphas = draw_problems(n, d, attacked, states)
+    for b, rng in enumerate(rngs):
         problem = generate_problem(n, d, rng)
         assert np.array_equal(thetas[b], problem.theta)
         assert np.array_equal(phis[b], problem.phi)
         assert np.array_equal(phis[b], problem.theta @ problem.x_star)
         target = rng.uniform(-0.5, 0.5, d) if attacked[b] else np.zeros(d)
         assert np.array_equal(alphas[b], target)
-        assert _same_state(compiled[b].bit_generator.state, rng.bit_generator.state)
+    _assert_same_generators(states, rngs)
+
+
+def test_compiled_entries_take_only_pcg64_states():
+    """A list of numpy generators, or a states array of another dtype or
+    shape, is refused before the C call."""
+    graph = manhattan_grid(3, 3)
+    flags, thetas, phis = np.zeros((2, 9), bool), np.ones((2, 9, 2)), np.zeros((2, 9))
+    for bad in ([np.random.default_rng(0)] * 2, np.zeros((2, 6), np.int64),
+                np.zeros((2, 5), np.uint64), np.zeros((6, 2), np.uint64).T):
+        with pytest.raises(TypeError, match="PCG64 states"):
+            draw_problems(9, 2, np.zeros(2), bad)
+        with pytest.raises(TypeError, match="PCG64 states"):
+            run_batch(graph, flags, thetas, phis, None, None, ProtocolConfig(T=5), bad)
 
 
 def test_optimal_value_matches_normal_equations():
@@ -327,10 +467,7 @@ def _attacked_torus_batch(B, T):
 
 def _run_seeded(args, checkpoints=(), runner=run_batch):
     B = len(args[1])
-    return runner(
-        *args, [np.random.default_rng(np.random.SeedSequence(b)) for b in range(B)],
-        checkpoints=checkpoints,
-    )
+    return runner(*args, _generators(runner, range(B)), checkpoints=checkpoints)
 
 
 def _assert_same(a, b):
@@ -357,86 +494,58 @@ def test_compiled_and_numpy_loops_agree_bitwise_at_datagen_size():
     _assert_same(compiled, reference)
 
 
-def _same_state(a, b):
-    """Equality of two bit_generator.state values, which may hold arrays."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("entropy", list(ENTROPIES))
 @pytest.mark.parametrize("T", [300, 301])
-def test_compiled_draws_match_numpy_draws_for_any_bit_generator(bit_generator, T):
-    """The compiled loop draws through each generator's C interface; it
-    returns the numpy reference's bits and leaves every generator in the
-    state the numpy reference leaves it in."""
+def test_compiled_draws_match_numpy_draws_for_any_entropy(entropy, T):
+    """The compiled loop steps each instance's PCG64 itself; it returns the
+    numpy reference's bits and leaves every states row where the numpy
+    reference leaves its generator (an odd T leaves a buffered 32-bit
+    half)."""
     args = _attacked_torus_batch(12, T)
-
-    def run(runner):
-        rngs = [np.random.Generator(bit_generator(np.random.SeedSequence(b))) for b in range(12)]
-        return runner(*args, rngs, checkpoints=(0, 7, T)), [r.bit_generator.state for r in rngs]
-
-    compiled, compiled_states = run(run_batch)
-    reference, reference_states = run(numpy_run_batch)
+    states, rngs = _seeded(entropy, 12)
+    compiled = run_batch(*args, states, checkpoints=(0, 7, T))
+    reference = numpy_run_batch(*args, rngs, checkpoints=(0, 7, T))
     _assert_same(compiled, reference)
-    for a, b in zip(compiled_states, reference_states):
-        assert _same_state(a, b), (a, b)
+    _assert_same_generators(states, rngs)
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("entropy", list(ENTROPIES))
 @pytest.mark.parametrize("B, T", [(1, 300), (1, 301), (5, 300), (5, 301), (5, 20000)])
-def test_compiled_output_does_not_depend_on_the_thread_count(monkeypatch, bit_generator, B, T):
-    """Every instance reads only its own generator and writes only its own
+def test_compiled_output_does_not_depend_on_the_thread_count(monkeypatch, entropy, B, T):
+    """Every instance reads and writes only its own states row and its own
     slices, so 1, 2, 3 and B + 1 kernel threads return the same bits and
-    leave every generator in the same state.  At T = 20000 an instance
-    outlasts a thread's start, so the threads overlap in time."""
+    leave every states row the same.  At T = 20000 an instance outlasts a
+    thread's start, so the threads overlap in time."""
     args = _attacked_torus_batch(B, T)
 
     def run(threads):
-        monkeypatch.setattr(protocol, "_kernel_threads", lambda gens, T: threads)
-        rngs = [np.random.Generator(bit_generator(np.random.SeedSequence(b))) for b in range(B)]
-        return run_batch(*args, rngs, checkpoints=(0, 7, T)), [r.bit_generator.state for r in rngs]
+        monkeypatch.setattr(protocol, "_kernel_threads", lambda B, T: threads)
+        states, _ = _seeded(entropy, B)
+        return run_batch(*args, states, checkpoints=(0, 7, T)), states
 
     serial, serial_states = run(1)
     for threads in (2, 3, B + 1):
         stats, states = run(threads)
         _assert_same(serial, stats)
-        for a, b in zip(serial_states, states):
-            assert _same_state(a, b), threads
+        assert np.array_equal(serial_states, states), threads
 
 
-def test_shared_generator_runs_on_one_thread(monkeypatch):
-    """Instances that share one generator draw from one sequential stream:
-    the kernel then runs them on one thread even where two CPUs are free,
-    and returns the one-thread and numpy-reference bits.  A batch too small
-    to give each thread _THREAD_WORK pair updates also runs on one."""
+def test_small_batches_run_on_one_thread(monkeypatch):
+    """A batch runs one kernel thread per _THREAD_WORK pair updates, up to
+    one per CPU: two CPUs take two threads, and a batch too small to give
+    each thread _THREAD_WORK pair updates runs on one."""
     B, T = 16, protocol._THREAD_WORK // 8
-    args = _attacked_torus_batch(B, T)
     monkeypatch.setattr(protocol.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    gens = np.arange(1, B + 1, dtype=np.uintp)
-    assert protocol._kernel_threads(gens, T) == 2
-    assert protocol._kernel_threads(gens, T // 2 - 1) == 1
-    gens[2] = gens[0]
-    assert protocol._kernel_threads(gens, T) == 1
-
-    def run(runner=run_batch):
-        rng = np.random.default_rng(9)
-        return runner(*args, [rng] * B, checkpoints=(0, T)), rng.bit_generator.state
-
-    shared, shared_state = run()
-    monkeypatch.setattr(protocol, "_kernel_threads", lambda gens, T: 1)
-    serial, serial_state = run()
-    reference, reference_state = run(numpy_run_batch)
-    for stats, state in ((serial, serial_state), (reference, reference_state)):
-        _assert_same(shared, stats)
-        assert _same_state(shared_state, state)
+    assert protocol._kernel_threads(B, T) == 2
+    assert protocol._kernel_threads(B, T // 2 - 1) == 1
+    assert protocol._kernel_threads(1, 10 * T) == 1
 
 
 def test_compiled_run_batch_allocates_no_per_step_arrays():
     """The compiled path keeps no (B, T) pair or noise arrays, which at
     B = 256, T = 2000 would take 8 MB for the pairs alone."""
     args = _attacked_torus_batch(256, 2000)
-    rngs = [np.random.default_rng(np.random.SeedSequence(b)) for b in range(256)]
+    rngs = _states(range(256))
     tracemalloc.start()
     try:
         stats = run_batch(*args, rngs)
