@@ -47,6 +47,29 @@ ENTROPIES = {
 }
 
 
+def _drawn_by(bit_generator):
+    """Entropy of instance b drawn at random by a numpy generator of the
+    given kind: a 128-bit master and a spawn key of two 64-bit values, each
+    with its top bit set, so every instance hashes 8 words."""
+
+    def entropy(b):
+        source = np.random.Generator(bit_generator(b))
+        top = source.integers(2**63, 2**64, size=3, dtype=np.uint64, endpoint=False)
+        low = int(source.integers(2**64, dtype=np.uint64))
+        return (int(top[0]) << 64) | low, (int(top[1]), int(top[2]))
+
+    return entropy
+
+
+# Random entropy drawn by each kind of numpy bit generator.  The kernel
+# steps PCG64 only; the kind names where its instances' seeds came from.
+DRAWN = {
+    bit_generator.__name__: _drawn_by(bit_generator)
+    for bit_generator in (np.random.PCG64, np.random.Philox, np.random.MT19937)
+}
+SEEDS = {**ENTROPIES, **DRAWN}
+
+
 def _states(seeds):
     """seed_states of default_rng(s) for each s, an int or a SeedSequence."""
     seqs = [np.random.SeedSequence(s) if isinstance(s, int) else s for s in seeds]
@@ -56,7 +79,7 @@ def _states(seeds):
 def _seeded(shape, B):
     """B instances of an entropy shape: their states from seed_states and
     the numpy generators of the same seeds, PCG64(SeedSequence(...))."""
-    seqs = [np.random.SeedSequence(e, spawn_key=key) for e, key in map(ENTROPIES[shape], range(B))]
+    seqs = [np.random.SeedSequence(e, spawn_key=key) for e, key in map(SEEDS[shape], range(B))]
     return _states(seqs), [np.random.default_rng(ss) for ss in seqs]
 
 
@@ -126,7 +149,7 @@ def test_generate_problem_laws():
     assert np.allclose(p.phi, p.theta @ p.x_star)
 
 
-@pytest.mark.parametrize("entropy", list(ENTROPIES))
+@pytest.mark.parametrize("entropy", list(SEEDS))
 def test_seed_states_match_numpy_seeding(entropy):
     """seed_states gives each row the state of PCG64(SeedSequence(...)) for
     the entropy words of entropy_words, before any draw."""
@@ -211,7 +234,7 @@ def test_chunk_states_are_the_spawned_children_of_each_row(monkeypatch):
     _assert_same_generators(states, children)
 
 
-@pytest.mark.parametrize("entropy", list(ENTROPIES))
+@pytest.mark.parametrize("entropy", list(SEEDS))
 @pytest.mark.parametrize("n, d", [(9, 2), (20, 1), (50, 7)])
 def test_compiled_problem_draws_match_numpy_draws(entropy, n, d):
     """draw_problems returns, for attacked and clean instances alike, the
@@ -501,15 +524,29 @@ def test_compiled_draws_match_numpy_draws_for_any_entropy(entropy, T):
     numpy reference's bits and leaves every states row where the numpy
     reference leaves its generator (an odd T leaves a buffered 32-bit
     half)."""
+    _check_draws_against_numpy(entropy, T)
+
+
+@pytest.mark.parametrize("bit_generator", list(DRAWN))
+@pytest.mark.parametrize("T", [300, 301])
+def test_compiled_draws_match_numpy_draws_for_any_bit_generator(bit_generator, T):
+    """As for any entropy shape, so for seeds drawn at random by a numpy
+    generator of any kind: the compiled loop returns the numpy reference's
+    bits and leaves every states row where the reference leaves its
+    generator."""
+    _check_draws_against_numpy(bit_generator, T)
+
+
+def _check_draws_against_numpy(seeds, T):
     args = _attacked_torus_batch(12, T)
-    states, rngs = _seeded(entropy, 12)
+    states, rngs = _seeded(seeds, 12)
     compiled = run_batch(*args, states, checkpoints=(0, 7, T))
     reference = numpy_run_batch(*args, rngs, checkpoints=(0, 7, T))
     _assert_same(compiled, reference)
     _assert_same_generators(states, rngs)
 
 
-@pytest.mark.parametrize("entropy", list(ENTROPIES))
+@pytest.mark.parametrize("entropy", list(SEEDS))
 @pytest.mark.parametrize("B, T", [(1, 300), (1, 301), (5, 300), (5, 301), (5, 20000)])
 def test_compiled_output_does_not_depend_on_the_thread_count(monkeypatch, entropy, B, T):
     """Every instance reads and writes only its own states row and its own
