@@ -29,8 +29,7 @@ from gossipwatch.neural import (
     TrainConfig,
     init_mlp,
     forward,
-    loss_and_grad,
-    sgd_epoch,
+    sgd_step,
     train,
     save_model,
     load_model,

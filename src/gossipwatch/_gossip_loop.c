@@ -1,4 +1,5 @@
-/* The three entries of gossipwatch.protocol.  Every instance owns one
+/* The three entries of gossipwatch.protocol, and at the end of the file the
+ * three of gossipwatch.neural's network step.  Every instance owns one
  * numpy PCG64 generator, kept as a row of a (B, 6) uint64 states array
  * that the entries advance in place.  seed_states: each row from its
  * instance's SeedSequence entropy words, as PCG64(SeedSequence(...)) seeds
@@ -20,6 +21,7 @@
  * which thread ran it.  Arrays are C-contiguous; protocol.py checks shapes
  * and dtypes before the call. */
 #define _GNU_SOURCE /* sched_getcpu, CPU_SET, pthread_attr_setaffinity_np */
+#include <math.h>
 #include <pthread.h>
 #include <sched.h>
 #include <stdint.h>
@@ -405,4 +407,259 @@ void draw_problems(int64_t B, int64_t n, int64_t d, uint64_t *states,
                 alphas[b * d + k] = uniform(g, -0.5, 1.0);
         store_pcg64(states + b * 6, g);
     }
+}
+
+/* ------------------------------------------------------------------------
+ * The SGD step and forward pass of gossipwatch.neural's networks: ReLU
+ * hidden layers, a sigmoid output, mean binary cross-entropy and a plain
+ * update, as the numpy reference in tests/oracles.py computes them.  Every
+ * matrix product calls numpy's bundled OpenBLAS (its addresses are passed
+ * in by neural.py) with the routine, transposes and leading dimensions
+ * that numpy's 2-D matmul picks for the operands, and every reduction sums
+ * in numpy's order, so the bits are numpy's.  The three transcendental
+ * calls, exp for the sigmoid and the two logs of the loss, stay in numpy:
+ * net_forward leaves -|z| in e for np.exp, and net_output leaves the
+ * clipped probabilities in lp and lq for np.log. */
+
+enum { ROW_MAJOR = 101, COL_MAJOR = 102, NO_TRANS = 111, TRANS = 112 };
+
+/* OpenBLAS's cblas entries, built with 64-bit integers. */
+typedef void (*dgemm_fn)(int, int, int, int64_t, int64_t, int64_t, double, const double *,
+                         int64_t, const double *, int64_t, double, double *, int64_t);
+typedef void (*dgemv_fn)(int, int, int64_t, int64_t, double, const double *, int64_t,
+                         const double *, int64_t, double, double *, int64_t);
+typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *, int64_t);
+
+/* The layer widths of a network shape and the work buffers of one step on
+ * up to neural._Step's cap rows, laid out as neural._Net; the parameters
+ * of the network at hand come with each call.  params and grad hold W (out
+ * x in, C order) then b for each layer; acts holds the rows x sizes[h]
+ * activations of hidden layers h = 1 .. layers - 1, one after another; z,
+ * e, p, lp, lq and w are rows x sizes[layers]; delta and back are rows x
+ * the widest layer but the input. */
+typedef struct {
+    void *gemm, *gemv, *dot;
+    int64_t layers;
+    const int64_t *sizes;
+    double *grad, *acts, *z, *e, *p, *lp, *lq, *w, *delta, *back;
+    double loss;
+} net_t;
+
+#define CLIP 1e-12 /* probability clip for the loss value; keeps BCE finite */
+
+/* numpy's is_blasable2d, on strides counted in elements. */
+static inline int blasable(int64_t s1, int64_t s2, int64_t d2)
+{
+    return s2 == 1 && s1 >= d2;
+}
+
+/* numpy's matmul loop without BLAS: each entry from 0, products added in
+ * order. */
+static void matmul_noblas(const double *A, int64_t am, int64_t an, const double *B, int64_t bn,
+                          int64_t bp, double *C, int64_t cm, int64_t cp, int64_t m, int64_t n,
+                          int64_t p)
+{
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t k = 0; k < p; k++) {
+            double s = 0.0;
+            for (int64_t j = 0; j < n; j++)
+                s += A[i * am + j * an] * B[j * bn + k * bp];
+            C[i * cm + k * cp] = s;
+        }
+}
+
+/* numpy's gemv: y (m) = A (m x n) @ x (n). */
+static void matmul_gemv(const net_t *net, const double *A, int64_t am, int64_t an,
+                        const double *x, int64_t incx, double *y, int64_t incy, int64_t m,
+                        int64_t n)
+{
+    const int col = blasable(am, an, n);
+    ((dgemv_fn)net->gemv)(col ? COL_MAJOR : ROW_MAJOR, TRANS, n, m, 1.0, A, col ? am : an, x,
+                          incx, 0.0, y, incy);
+}
+
+/* numpy's matrix-matrix product: C (m x p, rows cm apart) = A @ B. */
+static void matmul_gemm(const net_t *net, const double *A, int64_t am, int64_t an,
+                        const double *B, int64_t bn, int64_t bp, double *C, int64_t cm,
+                        int64_t m, int64_t n, int64_t p)
+{
+    const int ta = blasable(am, an, n), tb = blasable(bn, bp, p);
+    ((dgemm_fn)net->gemm)(ROW_MAJOR, ta ? NO_TRANS : TRANS, tb ? NO_TRANS : TRANS, m, p, n, 1.0,
+                          A, ta ? am : an, B, tb ? bn : bp, 0.0, C, cm);
+}
+
+/* C (m x p) = A (m x n) @ B (n x p), strides in elements, by the routine
+ * numpy's DOUBLE_matmul picks: ddot for a 1 x 1 result, gemv when a row
+ * count or the output width is 1, its own loop for an outer product, gemm
+ * otherwise.  The cases of numpy's that never arise here are left out: an
+ * output in Fortran order and syrk (A @ A.T on one buffer). */
+static void matmul(const net_t *net, const double *A, int64_t am, int64_t an, const double *B,
+                   int64_t bn, int64_t bp, double *C, int64_t cm, int64_t cp, int64_t m,
+                   int64_t n, int64_t p)
+{
+    const int a_ok = blasable(am, an, n) || blasable(an, am, m);
+    const int b_ok = blasable(bn, bp, p) || blasable(bp, bn, n);
+    if (m == 0 || n == 0 || p == 0) {
+        matmul_noblas(A, am, an, B, bn, bp, C, cm, cp, m, n, p);
+    } else if (m == 1 || n == 1 || p == 1) {
+        if (m == 1 && p == 1)
+            C[0] = 0.0 + ((ddot_fn)net->dot)(n, A, an, B, bn);
+        else if (n == 1)
+            matmul_noblas(A, am, an, B, bn, bp, C, cm, cp, m, n, p);
+        else if (m == 1 && b_ok && an >= 1)
+            matmul_gemv(net, B, bp, bn, A, an, C, cp, p, n);
+        else if (p == 1 && a_ok && bn >= 1)
+            matmul_gemv(net, A, am, an, B, bn, C, cm, m, n);
+        else
+            matmul_noblas(A, am, an, B, bn, bp, C, cm, cp, m, n, p);
+    } else if (a_ok && b_ok && blasable(cm, cp, p)) {
+        matmul_gemm(net, A, am, an, B, bn, bp, C, cm, m, n, p);
+    } else {
+        matmul_noblas(A, am, an, B, bn, bp, C, cm, cp, m, n, p);
+    }
+}
+
+/* np.add.reduce of n contiguous values: pairwise, from +0.0. */
+static double sum_row(const double *a, int64_t n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+/* np.add.reduce(a, axis=0) of a rows x cols C-order array: from +0.0,
+ * pairwise down a single column, row after row across several. */
+static void sum_columns(const double *a, int64_t rows, int64_t cols, double *out)
+{
+    if (cols == 1) {
+        out[0] = sum_row(a, rows);
+        return;
+    }
+    for (int64_t j = 0; j < cols; j++)
+        out[j] = 0.0;
+    for (int64_t i = 0; i < rows; i++)
+        for (int64_t j = 0; j < cols; j++)
+            out[j] += a[i * cols + j];
+}
+
+/* out (rows x cols) += b by rows, then with relu np.maximum(out, 0.0) as
+ * numpy's SIMD loop gives it: NaN kept, -0.0 and below to +0.0.  Written
+ * without a branch, so that the loop vectorizes. */
+static void add_bias(double *restrict out, const double *restrict b, int64_t rows, int64_t cols,
+                     int relu)
+{
+    for (int64_t i = 0; i < rows; i++)
+        for (int64_t j = 0; j < cols; j++)
+            out[i * cols + j] += b[j];
+    if (relu)
+        for (int64_t k = 0; k < rows * cols; k++)
+            out[k] = !(out[k] <= 0.0) ? out[k] : 0.0;
+}
+
+/* back *= (a > 0), the bool taken as 1.0 or 0.0 as numpy casts it: a
+ * product, so that -0.0 and NaN come out as numpy's, and no branch, which
+ * the signs of a would mispredict. */
+static void relu_gate(double *restrict back, const double *restrict a, int64_t n)
+{
+    for (int64_t k = 0; k < n; k++) {
+        const double g = a[k] > 0.0;
+        back[k] = back[k] * g;
+    }
+}
+
+/* Hidden layers, then the output layer's z and -|z| for np.exp, on rows
+ * rows of X (rows ldx apart). */
+void net_forward(net_t *net, const double *params, const double *X, int64_t ldx, int64_t rows)
+{
+    const int64_t L = net->layers, *s = net->sizes;
+    const double *in = X, *W = params;
+    double *acts = net->acts;
+    int64_t ld = ldx;
+    for (int64_t h = 0; h < L; h++) {
+        const int64_t fi = s[h], fo = s[h + 1];
+        const double *b = W + fo * fi;
+        double *out = h == L - 1 ? net->z : acts;
+        /* in (rows x fi) @ W.T (fi x fo) */
+        matmul(net, in, ld, 1, W, 1, fi, out, fo, 1, rows, fi, fo);
+        add_bias(out, b, rows, fo, h < L - 1);
+        in = out;
+        ld = fo;
+        acts += rows * fo;
+        W = b + fo;
+    }
+    const int64_t n = rows * s[L];
+    for (int64_t k = 0; k < n; k++)
+        net->e[k] = -fabs(net->z[k]);
+}
+
+/* The sigmoid from z and e = exp(-|z|); with clip, also the clipped
+ * probabilities and their complements for np.log. */
+void net_output(net_t *net, int64_t rows, int64_t clip)
+{
+    const int64_t n = rows * net->sizes[net->layers];
+    for (int64_t k = 0; k < n; k++) {
+        const double e = net->e[k], d = 1.0 + e;
+        const double p = net->z[k] >= 0.0 ? 1.0 / d : e / d;
+        net->p[k] = p;
+        if (clip) {
+            const double lo = p > CLIP || p != p ? p : CLIP;
+            const double c = lo < 1.0 - CLIP || lo != lo ? lo : 1.0 - CLIP;
+            net->lp[k] = c;
+            net->lq[k] = 1.0 - c;
+        }
+    }
+}
+
+/* The batch loss into net->loss (lp and lq hold the logs), the gradient
+ * into grad, then params -= eta * grad.  mask (rows x out, or NULL)
+ * weights each row's output slots by mask / (the row's mask sum).  Returns
+ * 1, before any change to params, where a row's mask sums to 0. */
+int64_t net_backward(net_t *net, double *params, const double *X, int64_t ldx, const double *Y,
+                     const double *mask, int64_t rows, double eta)
+{
+    const int64_t L = net->layers, *s = net->sizes, out = s[L], n = rows * out;
+    double *w = net->w, *lp = net->lp, *delta = net->delta, *back = net->back;
+    if (mask) {
+        for (int64_t i = 0; i < rows; i++) {
+            const double valid = sum_row(mask + i * out, out);
+            if (valid == 0.0)
+                return 1;
+            for (int64_t j = 0; j < out; j++)
+                w[i * out + j] = mask[i * out + j] / valid;
+        }
+    } else {
+        for (int64_t k = 0; k < n; k++)
+            w[k] = 1.0 / (double)out;
+    }
+    for (int64_t k = 0; k < n; k++) {
+        lp[k] = w[k] * -(Y[k] * lp[k] + (1.0 - Y[k]) * net->lq[k]);
+        delta[k] = w[k] * (net->p[k] - Y[k]) / (double)rows;
+    }
+    net->loss = sum_row(lp, n) / (double)rows;
+
+    int64_t P = 0, hidden = 0;
+    for (int64_t h = 0; h < L; h++)
+        P += s[h + 1] * s[h] + s[h + 1];
+    int64_t at = P;
+    for (int64_t h = 1; h < L; h++)
+        hidden += rows * s[h];
+    for (int64_t h = L - 1; h >= 0; h--) {
+        const int64_t fi = s[h], fo = s[h + 1];
+        at -= fo * fi + fo;
+        hidden -= h > 0 ? rows * fi : 0;
+        const double *a = h > 0 ? net->acts + hidden : X;
+        const int64_t lda = h > 0 ? fi : ldx;
+        /* delta.T (fo x rows) @ a (rows x fi), then delta's column sums */
+        matmul(net, delta, 1, fo, a, lda, 1, net->grad + at, fi, 1, fo, rows, fi);
+        sum_columns(delta, rows, fo, net->grad + at + fo * fi);
+        if (h > 0) {
+            /* (delta @ W) * (a > 0) */
+            matmul(net, delta, fo, 1, params + at, fi, 1, back, fi, 1, rows, fo, fi);
+            relu_gate(back, a, rows * fi);
+            double *t = delta;
+            delta = back;
+            back = t;
+        }
+    }
+    for (int64_t k = 0; k < P; k++)
+        params[k] -= net->grad[k] * eta;
+    return 0;
 }

@@ -47,7 +47,7 @@ from .evaluation import (
 from .experiments import ConfigError, apply_overrides
 from .gossip_train import metrics_to_csv, run_gossip_training
 from .neural import TrainConfig, load_model, save_model
-from .topology import induced_subgraph, manhattan_grid
+from .topology import induced_subgraph, manhattan_grid, subset_connected
 
 # --set values must have the JSON type of their default (a number field also
 # takes an integer) and lie in the domain experiments._DOMAINS gives their
@@ -284,6 +284,14 @@ def _cmd_gen_data(args) -> int:
         ex.check_desk_scale(cfg, "gen-data")
     if cfg["monitor"] is not None:
         ex.check_agent_ids(cfg["monitor"], cfg["rows"] * cfg["cols"], "gen-data.monitor")
+    # A next-to row places c of the m attackers beside the monitor, a
+    # far-from row none: each [m, c] must fit the torus as a family's combo.
+    for event, c in (("next-to", cfg["c"]), ("far-from", 0)):
+        if event in cfg["events"]:
+            try:
+                ex.check_pair("combos", [cfg["m"], c], cfg, "gen-data.m")
+            except ConfigError as err:
+                raise ConfigError(f"{err} for its {event} rows") from None
 
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     scenario = scenario_from_tag(
@@ -344,6 +352,13 @@ def _check_learner_fields(cfg: dict) -> None:
     learners = n - len(cfg["exclude"])
     if learners < 1:
         raise ConfigError(f"'train-gossip.exclude' must leave one or more of the {n} agents")
+    excluded = set(cfg["exclude"])
+    keep = [v for v in range(n) if v not in excluded]
+    if learners < 2 or not subset_connected(manhattan_grid(cfg["rows"], cfg["cols"]), keep):
+        raise ConfigError(
+            f"'train-gossip.exclude' must leave two or more agents that are connected on the "
+            f"{cfg['rows']}x{cfg['cols']} torus, got {cfg['exclude']!r}"
+        )
     if cfg["policy"] == "starved":
         ex.check_agent_ids(cfg["starved_agent"], learners, "train-gossip.starved_agent")
     groups = cfg["position_groups"]

@@ -210,13 +210,9 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
             f"'{family}.scale' must be > 1/12000, so that every split has a row, "
             f"got {cfg['scale']!r}"
         )
-    for key, valid, what in _PAIR_DOMAINS:
+    for key in dict.fromkeys(key for key, _, _ in _PAIR_DOMAINS):
         for i, entry in enumerate(cfg.get(key, ())):
-            pair = json_type(entry) == "list" and list(map(json_type, entry)) == ["integer"] * 2
-            if not (pair and valid(*entry, cfg)):
-                raise ConfigError(
-                    f"'{family}.{key}[{i}]' must be {what.format(**cfg)}, got {entry!r}"
-                )
+            check_pair(key, entry, cfg, f"{family}.{key}[{i}]")
     for key, (field, kind) in _LIST_DOMAINS.items():
         valid, what = _DOMAINS[field]
         for i, entry in enumerate(cfg.get(key, ())):
@@ -233,6 +229,15 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
             many = json_type(cfg[key]) == "list"
             check_agent_ids(cfg[key], count(cfg), f"{family}.{key}", many=many)
     return cfg
+
+
+def check_pair(key: str, entry, cfg: dict, path: str) -> None:
+    """A ConfigError naming ``path`` unless ``entry`` is a pair of integers
+    in every domain that _PAIR_DOMAINS gives the list field ``key``."""
+    pair = json_type(entry) == "list" and list(map(json_type, entry)) == ["integer"] * 2
+    for name, valid, what in _PAIR_DOMAINS:
+        if name == key and not (pair and valid(*entry, cfg)):
+            raise ConfigError(f"'{path}' must be {what.format(**cfg)}, got {entry!r}")
 
 
 def check_agent_ids(value, n: int, path: str, many: bool = False, empty: bool = False) -> None:
@@ -781,14 +786,15 @@ def run_gossip_learning(cfg: dict, outdir) -> list[str]:
 
 def _spawn_learners(shards, dataset, agents, tcfg, mu, key):
     """One learner per agent on its shard; agent a's network is seeded by
-    _rng(*key, a)."""
-    learners = []
+    _rng(*key, a).  The learners share one merge buffer."""
+    learners, scratch = [], None
     for a in agents:
         X, Y, mask = training_arrays(dataset, shards[a])
         mlp = init_mlp([dataset.M, *HIDDEN, _out_width(dataset)], seed=_rng(*key, a))
-        learners.append(
-            LearnerState(agent=a, model=mlp, X=X, Y=Y, mask=mask, mu=mu, config=tcfg)
-        )
+        scratch = np.empty_like(mlp.params) if scratch is None else scratch
+        learners.append(LearnerState(
+            agent=a, model=mlp, X=X, Y=Y, mask=mask, mu=mu, config=tcfg, scratch=scratch
+        ))
     return learners
 
 

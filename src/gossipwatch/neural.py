@@ -1,45 +1,70 @@
 """Feedforward binary detectors: ReLU hidden layers, sigmoid outputs,
 mean binary cross-entropy loss, plain mini-batch SGD.
 
-Implemented directly on numpy arrays.  A model owns one flat float64
-parameter vector, laid out W then b for each layer; the per-layer weight
-matrices and bias vectors are views into it, and backprop fills a gradient
-vector of the same layout, so an SGD step and a gossip merge are each one
-vector update.  The vector's little-endian bytes are both the saved blob
-(beside a JSON header) and the gossip message payload.  Importing the module
-runs numpy's bundled OpenBLAS on one thread, so trained bits do not depend
-on the BLAS thread count.
+A model owns one flat float64 parameter vector, laid out W then b for each
+layer; the per-layer weight matrices and bias vectors are views into it.
+The vector's little-endian bytes are both the saved blob (beside a JSON
+header) and the gossip message payload.
+
+The forward pass and the SGD step are compiled: net_forward, net_output and
+net_backward of the C library that protocol builds (_gossip_loop.c) run the
+layers, the loss, the backward pass and the update in place.  They call
+numpy's bundled OpenBLAS (``libscipy_openblas64_``, in numpy 2.0 and later
+wheels) for every matrix product exactly as numpy's matmul would, and only
+exp and the two logs of the loss run in numpy, on the step's own buffers,
+so the bits are those of the numpy reference in ``tests/oracles.py``.  A
+step's buffers and raw pointers are bound once per ``train`` call (once per
+``sgd_step`` call).  The OpenBLAS runs on one thread, set when the package
+is imported, so trained bits do not depend on the BLAS thread count.  Where
+numpy has no bundled OpenBLAS, the first fit or forward pass raises a
+RuntimeError that names the missing library or symbol.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import json
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_CLIP = 1e-12  # probability clip for the loss value; keeps BCE finite
+from gossipwatch.protocol import _compiled_loop
 
 
-def _pin_blas() -> None:
-    """One thread for numpy's bundled OpenBLAS: threads split a product's sums."""
+@functools.cache
+def _blas() -> tuple[int, int, int]:
+    """The addresses of numpy's bundled OpenBLAS dgemm, dgemv and ddot, with
+    the library set to one thread: threads split a product's sums.  A
+    RuntimeError names the library or the symbol where one is missing."""
     root = os.path.dirname(np.__file__)
     libs = glob.glob(root + ".libs/libscipy_openblas*")  # Linux and Windows wheels
-    for path in libs + glob.glob(root + "/.dylibs/libscipy_openblas*"):  # macOS wheels
-        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
-        if set_threads is not None:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
-            return
-    warnings.warn("numpy's BLAS has no scipy_openblas_set_num_threads64_; left at its own "
-                  "thread count, trained models may differ between thread counts", RuntimeWarning)
+    libs += glob.glob(root + "/.dylibs/libscipy_openblas*")  # macOS wheels
+    if not libs:
+        raise RuntimeError(
+            f"numpy's bundled OpenBLAS (libscipy_openblas64_) is not in {root}.libs or "
+            f"{root}/.dylibs; gossipwatch needs a numpy>=2.0 wheel"
+        )
+    lib = ctypes.CDLL(libs[0])
+    addresses = []
+    for name in (
+        "scipy_openblas_set_num_threads64_",
+        "scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_",
+    ):
+        try:
+            addresses.append(ctypes.cast(getattr(lib, name), ctypes.c_void_p).value)
+        except AttributeError:
+            raise RuntimeError(f"numpy's OpenBLAS {libs[0]} has no symbol {name}") from None
+    ctypes.CFUNCTYPE(None, ctypes.c_int)(addresses[0])(1)
+    return tuple(addresses[1:])
 
 
-_pin_blas()
+try:
+    _blas()
+except RuntimeError:
+    pass  # raised again by the first fit or forward pass, which need the library
 
 
 @dataclass
@@ -91,99 +116,124 @@ def init_mlp(sizes, seed) -> Mlp:
     return mlp
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+class _Net(ctypes.Structure):
+    """net_t of _gossip_loop.c: numpy's BLAS entries, the layer widths and
+    the work buffers of a step."""
+
+    _fields_ = (
+        [(name, ctypes.c_void_p) for name in ("gemm", "gemv", "dot")]
+        + [("layers", ctypes.c_int64)]
+        + [(name, ctypes.c_void_p) for name in (
+            "sizes", "grad", "acts", "z", "e", "p", "lp", "lq", "w", "delta", "back"
+        )]
+        + [("loss", ctypes.c_double)]
+    )
 
 
-def _forward_cached(mlp: Mlp, X: np.ndarray) -> list[np.ndarray]:
-    acts = [X]
-    last = len(mlp.weights) - 1
-    for h, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = acts[-1] @ W.T
-        z += b
-        acts.append(_sigmoid(z) if h == last else np.maximum(z, 0.0, out=z))
-    return acts
+class _Step:
+    """The compiled forward pass and, with ``training``, SGD step for
+    networks of layer ``sizes``, on batches of up to ``cap`` rows.  The work
+    buffers and the raw pointers to them are bound once, so a step is three
+    ctypes calls and the three numpy calls exp, log and log; the parameters
+    are those of the network at hand, passed by address."""
+
+    def __init__(self, sizes: tuple[int, ...], cap: int, training: bool):
+        lib = _compiled_loop()
+        self.c_forward, self.c_output, self.c_backward = (
+            lib.net_forward, lib.net_output, lib.net_backward
+        )
+        self.cap, self.out = cap, sizes[-1]
+        self.sizes = np.array(sizes, dtype=np.int64)
+        n, t = cap * self.out, int(training)
+        widest = cap * max(sizes[1:])
+        lengths = {
+            "grad": _n_params(sizes) * t, "acts": cap * sum(sizes[1:-1]),
+            "z": n, "e": n, "p": n, "lp": n * t, "lq": n * t, "w": n * t,
+            "delta": widest * t, "back": widest * t,
+        }
+        self.buf = {name: np.empty(length) for name, length in lengths.items()}
+        self.net = _Net(
+            *_blas(), len(sizes) - 1, self.sizes.ctypes.data,
+            *(b.ctypes.data for b in self.buf.values()),
+        )
+        self.ref = ctypes.addressof(self.net)
+
+    def forward(self, params: int, X: np.ndarray, ldx: int) -> np.ndarray:
+        """Output probabilities (rows, out) of X, whose rows lie ldx apart;
+        a view of this step's buffer."""
+        rows = X.shape[0]
+        e = self.buf["e"][: rows * self.out]
+        self.c_forward(self.ref, params, X.ctypes.data, ldx, rows)
+        np.exp(e, out=e)
+        self.c_output(self.ref, rows, 0)
+        return self.buf["p"][: rows * self.out].reshape(rows, self.out)
+
+    def sgd(self, params: int, x: int, ldx: int, y: int, mask: int | None, rows: int,
+            eta: float) -> float:
+        """One step in place on the parameters at address params, on the
+        rows at address x (ldx apart), with labels and mask weights (or
+        None) at addresses y and mask, rows x out each.  Returns the batch
+        loss before the update."""
+        n = rows * self.out
+        e, lp, lq = (self.buf[k][:n] for k in ("e", "lp", "lq"))
+        self.c_forward(self.ref, params, x, ldx, rows)
+        np.exp(e, out=e)
+        self.c_output(self.ref, rows, 1)
+        np.log(lp, out=lp)
+        np.log(lq, out=lq)
+        if self.c_backward(self.ref, params, x, ldx, y, mask, rows, eta):
+            raise ValueError("every row needs at least one unmasked output slot")
+        return self.net.loss
+
+
+def _params(mlp: Mlp) -> int:
+    """The address of mlp's parameters, which a step updates in place."""
+    params = mlp.params
+    if params.dtype != np.float64 or not (params.flags.c_contiguous and params.flags.writeable):
+        raise ValueError("network parameters must be a writeable contiguous float64 vector")
+    return params.ctypes.data
+
+
+def _inputs(mlp: Mlp, x) -> tuple[np.ndarray, int]:
+    """x as a float64 (rows, M) array and the element distance between its
+    rows, in a layout numpy's matmul hands to BLAS as it is (other layouts
+    are copied)."""
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != mlp.sizes[0]:
+        raise ValueError(f"inputs of shape {X.shape} for a network of {mlp.sizes[0]} inputs")
+    if X.shape[0] < 2:
+        return X, mlp.sizes[0]
+    row, col = X.strides
+    if not (col == 8 and row % 8 == 0 and row >= 8 * X.shape[1]):
+        X = X.copy()
+        row = X.strides[0]
+    return X, row // 8
+
+
+def _targets(mlp: Mlp, rows: int, Y, mask):
+    """Y and mask (or None) as contiguous float64 (rows, out) arrays."""
+    shape = (rows, mlp.sizes[-1])
+    Y = np.ascontiguousarray(Y, dtype=np.float64).reshape(shape)
+    return Y, None if mask is None else np.ascontiguousarray(mask, dtype=np.float64).reshape(shape)
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     """Network output for one input (M,) or a batch (B, M)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = _forward_cached(mlp, np.atleast_2d(x))[-1]
-    return out[0] if x.ndim == 1 else out
-
-
-def _bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    pc = np.minimum(np.maximum(p, _CLIP), 1.0 - _CLIP)
-    return -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
-
-
-def loss_and_grad(
-    mlp: Mlp, X: np.ndarray, Y: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
-    """Mean BCE over the batch and its exact gradient, laid out like ``mlp.params``.
-
-    ``mask`` (same shape as Y) weights output slots; a row's loss is the
-    mean over its unmasked slots, so padded localization slots drop out of
-    both the loss and the gradient.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.asarray(Y, dtype=np.float64).reshape(X.shape[0], -1)
-    B, out = Y.shape
-    if mask is None:
-        w = 1.0 / out
-    else:
-        mask = np.asarray(mask, dtype=np.float64).reshape(Y.shape)
-        valid = np.add.reduce(mask, axis=1, keepdims=True)
-        if (valid == 0).any():
-            raise ValueError("every row needs at least one unmasked output slot")
-        w = mask / valid
-    acts = _forward_cached(mlp, X)
-    p = acts[-1]
-    loss = float(np.add.reduce(w * _bce(p, Y), axis=None) / B)
-    delta = w * (p - Y) / B
-    grad = Mlp(mlp.sizes, np.empty_like(mlp.params))
-    for h in range(len(mlp.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[h], out=grad.weights[h])
-        np.add.reduce(delta, axis=0, out=grad.biases[h])
-        if h > 0:
-            delta = delta @ mlp.weights[h]
-            delta *= acts[h] > 0
-    return loss, grad.params
+    X, ldx = _inputs(mlp, x)
+    params = np.ascontiguousarray(mlp.params, dtype=np.float64)
+    out = _Step(mlp.sizes, X.shape[0], training=False).forward(params.ctypes.data, X, ldx)
+    return out[0] if np.ndim(x) == 1 else out
 
 
 def sgd_step(mlp: Mlp, X, Y, eta: float, mask=None) -> float:
-    """One gradient step on a mini batch, in place.  Returns the batch loss."""
-    loss, grad = loss_and_grad(mlp, X, Y, mask)
-    grad *= eta
-    mlp.params -= grad
-    return loss
-
-
-def sgd_epoch(
-    mlp: Mlp,
-    X: np.ndarray,
-    Y: np.ndarray,
-    config: TrainConfig,
-    rng: np.random.Generator,
-    mask: np.ndarray | None = None,
-) -> float:
-    """One shuffled pass over the data, gathered once, updating ``mlp`` in place.
-
-    Returns the per-sample mean loss of the epoch (batch losses weighted by
-    batch size).
-    """
-    B = X.shape[0]
-    perm = rng.permutation(B)
-    X, Y = X[perm], Y[perm]
-    mask = None if mask is None else mask[perm]
-    total = 0.0
-    for s in range(0, B, config.batch_size):
-        rows = slice(s, min(B, s + config.batch_size))
-        loss = sgd_step(mlp, X[rows], Y[rows], config.eta, None if mask is None else mask[rows])
-        total += loss * (rows.stop - s)
-    return total / B
+    """One gradient step on a mini batch, in place, with ``mask`` as in
+    ``train``.  Returns the batch loss before the step."""
+    X, ldx = _inputs(mlp, X)
+    rows = X.shape[0]
+    Y, mask = _targets(mlp, rows, Y, mask)
+    m = None if mask is None else mask.ctypes.data
+    step = _Step(mlp.sizes, rows, training=True)
+    return step.sgd(_params(mlp), X.ctypes.data, ldx, Y.ctypes.data, m, rows, eta)
 
 
 def train(
@@ -194,8 +244,36 @@ def train(
     rng: np.random.Generator,
     mask: np.ndarray | None = None,
 ) -> list[float]:
-    """Run config.epochs epochs in place; returns the epoch loss history."""
-    return [sgd_epoch(mlp, X, Y, config, rng, mask) for _ in range(config.epochs)]
+    """Run config.epochs shuffled epochs in place; returns the epoch loss
+    history, each the per-sample mean of its batch losses.
+
+    An epoch gathers the rows in a fresh ``rng.permutation`` order once,
+    then steps through consecutive batches of config.batch_size rows.
+    ``mask`` (same shape as Y) weights output slots: a row's loss is the
+    mean over its unmasked slots, so padded localization slots drop out of
+    both the loss and the gradient.
+    """
+    X, _ = _inputs(mlp, X)
+    B, M, out, size = X.shape[0], mlp.sizes[0], mlp.sizes[-1], config.batch_size
+    Y, mask = _targets(mlp, B, Y, mask)
+    step, params = _Step(mlp.sizes, min(size, B), training=True), _params(mlp)
+    losses = []
+    for _ in range(config.epochs):
+        perm = rng.permutation(B)
+        Xp, Yp = X[perm], Y[perm]
+        x, y = Xp.ctypes.data, Yp.ctypes.data
+        mp = None if mask is None else mask[perm]
+        m = None if mp is None else mp.ctypes.data
+        total = 0.0
+        for s in range(0, B, size):
+            rows = min(B, s + size) - s
+            loss = step.sgd(
+                params, x + 8 * s * M, M, y + 8 * s * out,
+                None if m is None else m + 8 * s * out, rows, config.eta,
+            )
+            total += loss * rows
+        losses.append(total / B)
+    return losses
 
 
 def params_to_blob(mlp: Mlp) -> bytes:

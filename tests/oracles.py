@@ -2,15 +2,17 @@
 
 Per-instance spatial aggregates and the score statistics over them, the
 score detector statistics of one dataset row, the pair-averaging matrix of
-one gossip step, the rates of a thresholded detector, the per-layer
-training path (one gradient array per layer and per bias, one row gather
-per SGD step, a gossip merge through a decoded model), the problem draw and
+one gossip step, the rates of a thresholded detector, the numpy training
+path (forward pass, loss, one gradient array per layer and per bias, one
+row gather per SGD step, a gossip merge through a decoded model), the
+problem draw and
 the gossip iteration in numpy, which write out the frozen stream order of
 every instance's draws, and the temporal and spatial scores of one dataset
 row.  The package computes the same quantities by other routes (row
 statistics over tailored slots reduced for a whole dataset at once, the
-expected transition matrix, the exact ROC sweep, one flat gradient and
-in-place merges, the compiled draws and gossip loop, scores over a whole
+expected transition matrix, the exact ROC sweep, the compiled SGD step
+and forward pass with in-place merges, the compiled draws and gossip loop,
+scores over a whole
 chunk's arrays); the tests check one against the other.
 """
 
@@ -199,6 +201,13 @@ def loss_and_grad(mlp: Mlp, X, Y, mask=None):
         if h > 0:
             delta = (delta @ mlp.weights[h]) * (acts[h] > 0)
     return loss, dWs, dbs
+
+
+def flat_loss_and_grad(mlp: Mlp, X, Y, mask=None):
+    """loss_and_grad with the gradient as one vector laid out like
+    ``mlp.params``."""
+    loss, dWs, dbs = loss_and_grad(mlp, X, Y, mask)
+    return loss, np.concatenate([g.ravel() for pair in zip(dWs, dbs) for g in pair])
 
 
 def sgd_step(mlp: Mlp, X, Y, eta: float, mask=None) -> float:

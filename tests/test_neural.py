@@ -12,7 +12,6 @@ from gossipwatch.neural import (
     forward,
     init_mlp,
     load_model,
-    loss_and_grad,
     mlp_from_blob,
     params_to_blob,
     save_model,
@@ -61,7 +60,7 @@ def _numeric_grad(mlp, X, Y, mask, h=1e-6):
     rng = np.random.default_rng(99)
 
     def loss():
-        return loss_and_grad(mlp, X, Y, mask)[0]
+        return oracles.flat_loss_and_grad(mlp, X, Y, mask)[0]
 
     probes = []
     for layer, W in enumerate(mlp.weights):
@@ -97,7 +96,7 @@ def test_analytic_gradient_matches_central_differences(masked):
     if masked:
         mask = rng.integers(0, 2, size=(6, 2)).astype(float)
         mask[:, 0] = 1.0  # every row keeps at least one live slot
-    grad = Mlp(mlp.sizes, loss_and_grad(mlp, X, Y, mask)[1])
+    grad = Mlp(mlp.sizes, oracles.flat_loss_and_grad(mlp, X, Y, mask)[1])
     for kind, layer, idx, numeric in _numeric_grad(mlp, X, Y, mask):
         analytic = grad.weights[layer][idx] if kind == "W" else grad.biases[layer][idx]
         assert abs(analytic - numeric) <= 1e-7 + 1e-5 * abs(numeric), (
@@ -111,7 +110,13 @@ def test_masked_rows_need_a_live_slot():
     Y = np.zeros((2, 2))
     mask = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        loss_and_grad(mlp, X, Y, mask)
+        oracles.flat_loss_and_grad(mlp, X, Y, mask)
+    start = mlp.params.copy()
+    with pytest.raises(ValueError, match="unmasked output slot"):
+        sgd_step(mlp, X, Y, eta=0.1, mask=mask)
+    with pytest.raises(ValueError, match="unmasked output slot"):
+        train(mlp, X, Y, TrainConfig(batch_size=2, epochs=1), np.random.default_rng(0), mask)
+    assert np.array_equal(mlp.params, start)
 
 
 def test_masked_slots_do_not_influence_loss_or_gradient():
@@ -121,10 +126,10 @@ def test_masked_slots_do_not_influence_loss_or_gradient():
     Y = rng.integers(0, 2, size=(4, 2)).astype(float)
     mask = np.ones((4, 2))
     mask[:, 1] = 0.0
-    base = loss_and_grad(mlp, X, Y, mask)
+    base = oracles.flat_loss_and_grad(mlp, X, Y, mask)
     Y2 = Y.copy()
     Y2[:, 1] = 1.0 - Y2[:, 1]  # flip only the masked slot labels
-    flipped = loss_and_grad(mlp, X, Y2, mask)
+    flipped = oracles.flat_loss_and_grad(mlp, X, Y2, mask)
     assert base[0] == pytest.approx(flipped[0], abs=1e-15)
     assert np.array_equal(base[1], flipped[1])
 
@@ -156,15 +161,7 @@ def test_toy_separable_problem_is_learned():
     assert acc >= 0.99
 
 
-@pytest.mark.parametrize(
-    "out, masked, rows",
-    [(1, False, 256), (4, True, 256), (1, False, 250)],
-    ids=["nd", "nl-masked", "partial-batch"],
-)
-def test_train_matches_per_layer_oracle_bitwise(out, masked, rows):
-    """One flat gradient, in-place forward and one gather per epoch give the
-    bytes of per-layer gradients and updates with one gather per step, on
-    the detector network's own layer shapes."""
+def _labeled(rows: int, out: int, masked: bool, nan_row: bool):
     rng = np.random.default_rng(21)
     X = rng.normal(size=(rows, 4))
     Y = rng.integers(0, 2, size=(rows, out)).astype(float)
@@ -172,12 +169,84 @@ def test_train_matches_per_layer_oracle_bitwise(out, masked, rows):
     if masked:
         mask = rng.integers(0, 2, size=(rows, out)).astype(float)
         mask[np.arange(rows), rng.integers(0, out, size=rows)] = 1.0
-    cfg = TrainConfig(eta=0.05, batch_size=32, epochs=3)
+    if nan_row:
+        X[rows // 2] = np.nan
+    return X, Y, mask
+
+
+def _same_bits(a, b) -> bool:
+    """NaN in the same places, every other value with the same bytes.  (A
+    NaN's sign is not part of the contract: the reference sigmoid takes exp
+    of z where the package takes it of -|z|.)"""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+# (output width, masked, rows, batch size, NaN input row)
+BITWISE_CASES = {
+    "nd": (1, False, 256, 32, False),
+    "nl-masked": (4, True, 256, 32, False),
+    "partial-batch": (1, False, 250, 32, False),
+    "last-batch-of-1": (1, False, 257, 32, False),
+    "last-batch-of-7-masked": (4, True, 263, 32, False),
+    "batch-size-1": (1, False, 40, 1, False),
+    "batch-size-1-masked": (4, True, 40, 1, False),
+    "nan-row": (1, False, 64, 32, True),
+    "nan-row-masked": (4, True, 64, 7, True),
+}
+
+
+@pytest.mark.parametrize(
+    "out, masked, rows, batch, nan_row", BITWISE_CASES.values(), ids=BITWISE_CASES.keys()
+)
+def test_train_matches_per_layer_oracle_bitwise(out, masked, rows, batch, nan_row):
+    """The compiled step, with one gather per epoch, gives the bytes of the
+    numpy per-layer gradients and updates with one gather per step, on the
+    detector network's own layer shapes: full and short last batches,
+    single-row batches, and a NaN input row, which numpy's maximum and
+    minimum carry through."""
+    X, Y, mask = _labeled(rows, out, masked, nan_row)
+    cfg = TrainConfig(eta=0.05, batch_size=batch, epochs=3)
     got, ref = (init_mlp([4, 200, 100, 50, out], seed=5) for _ in range(2))
-    losses = train(got, X, Y, cfg, np.random.default_rng(6), mask)
-    expect = oracles.train(ref, X, Y, cfg, np.random.default_rng(6), mask)
-    assert np.array_equal(got.params, ref.params)
-    assert losses == expect
+    with np.errstate(invalid="ignore"):
+        losses = train(got, X, Y, cfg, np.random.default_rng(6), mask)
+        expect = oracles.train(ref, X, Y, cfg, np.random.default_rng(6), mask)
+    assert _same_bits(got.params, ref.params)
+    assert _same_bits(losses, expect)
+    assert np.isnan(losses).any() == nan_row
+
+
+@pytest.mark.parametrize(
+    "out, masked, rows, batch, nan_row", BITWISE_CASES.values(), ids=BITWISE_CASES.keys()
+)
+def test_sgd_step_matches_per_layer_oracle_bitwise(out, masked, rows, batch, nan_row):
+    """One step after another on the case's consecutive batches, the last
+    one short where the rows do not fill it."""
+    X, Y, mask = _labeled(rows, out, masked, nan_row)
+    got, ref = (init_mlp([4, 200, 100, 50, out], seed=7) for _ in range(2))
+    for s in range(0, rows, batch):
+        rows_ = slice(s, s + batch)
+        m = None if mask is None else mask[rows_]
+        with np.errstate(invalid="ignore"):
+            loss = sgd_step(got, X[rows_], Y[rows_], 0.05, m)
+            expect = oracles.sgd_step(ref, X[rows_], Y[rows_], 0.05, m)
+        assert _same_bits(loss, expect)
+        assert _same_bits(got.params, ref.params)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 31, 32, 1800])
+@pytest.mark.parametrize("out", [1, 4])
+def test_forward_matches_numpy_forward_bitwise(rows, out):
+    """forward on whole test sets, single rows and a strided view of the
+    inputs gives the numpy forward pass's bytes."""
+    rng = np.random.default_rng([rows, out])
+    mlp = init_mlp([4, 200, 100, 50, out], seed=rng)
+    X = rng.normal(size=(rows, 6))[:, 1:5]
+    expect = oracles._forward_cached(mlp, X)[-1]
+    assert forward(mlp, X).tobytes() == expect.tobytes()
+    assert forward(mlp, np.ascontiguousarray(X)).tobytes() == expect.tobytes()
+    assert forward(mlp, X[0]).tobytes() == oracles._forward_cached(mlp, X[:1])[-1][0].tobytes()
 
 
 def test_forward_and_sgd_step_leave_caller_arrays_alone():
@@ -201,10 +270,10 @@ def test_sgd_step_returns_pre_update_loss():
     mlp = init_mlp([2, 3, 1], seed=0)
     X = np.array([[1.0, -1.0]])
     Y = np.array([[1.0]])
-    before = loss_and_grad(mlp, X, Y)[0]
+    before = oracles.flat_loss_and_grad(mlp, X, Y)[0]
     reported = sgd_step(mlp, X, Y, eta=0.1)
     assert reported == pytest.approx(before, abs=1e-15)
-    after = loss_and_grad(mlp, X, Y)[0]
+    after = oracles.flat_loss_and_grad(mlp, X, Y)[0]
     assert after < before
 
 
