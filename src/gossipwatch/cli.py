@@ -343,21 +343,20 @@ def _cmd_train(args) -> int:
 
 def _check_learner_fields(cfg: dict) -> None:
     """train-gossip's agent fields against the grid: ``exclude`` lists
-    distinct grid agents and leaves one or more learners, numbered anew;
-    ``starved_agent`` (for the starved policy) and every group of
-    ``position_groups`` (an object of event tag to learner ids, which the
-    by-position policy needs) name learners."""
+    distinct grid agents and leaves two or more learners, connected on the
+    torus and numbered anew; ``starved_agent`` (for the starved policy) and
+    every group of ``position_groups`` (an object of event tag to learner
+    ids, which the by-position policy needs) name learners."""
     n = cfg["rows"] * cfg["cols"]
     ex.check_agent_ids(cfg["exclude"], n, "train-gossip.exclude", many=True, empty=True)
-    learners = n - len(cfg["exclude"])
-    if learners < 1:
-        raise ConfigError(f"'train-gossip.exclude' must leave one or more of the {n} agents")
     excluded = set(cfg["exclude"])
     keep = [v for v in range(n) if v not in excluded]
+    learners = len(keep)
     if learners < 2 or not subset_connected(manhattan_grid(cfg["rows"], cfg["cols"]), keep):
         raise ConfigError(
-            f"'train-gossip.exclude' must leave two or more agents that are connected on the "
-            f"{cfg['rows']}x{cfg['cols']} torus, got {cfg['exclude']!r}"
+            f"'train-gossip.exclude' must leave one or more of the {n} agents, and the learners "
+            f"left must be two or more that are connected on the {cfg['rows']}x{cfg['cols']} "
+            f"torus, got {cfg['exclude']!r}"
         )
     if cfg["policy"] == "starved":
         ex.check_agent_ids(cfg["starved_agent"], learners, "train-gossip.starved_agent")

@@ -786,15 +786,14 @@ def run_gossip_learning(cfg: dict, outdir) -> list[str]:
 
 def _spawn_learners(shards, dataset, agents, tcfg, mu, key):
     """One learner per agent on its shard; agent a's network is seeded by
-    _rng(*key, a).  The learners share one merge buffer."""
-    learners, scratch = [], None
+    _rng(*key, a)."""
+    learners = []
     for a in agents:
         X, Y, mask = training_arrays(dataset, shards[a])
         mlp = init_mlp([dataset.M, *HIDDEN, _out_width(dataset)], seed=_rng(*key, a))
-        scratch = np.empty_like(mlp.params) if scratch is None else scratch
-        learners.append(LearnerState(
-            agent=a, model=mlp, X=X, Y=Y, mask=mask, mu=mu, config=tcfg, scratch=scratch
-        ))
+        learners.append(
+            LearnerState(agent=a, model=mlp, X=X, Y=Y, mask=mask, mu=mu, config=tcfg)
+        )
     return learners
 
 

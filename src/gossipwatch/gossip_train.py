@@ -35,10 +35,6 @@ class LearnerState:
     mu: float = 0.5
     config: TrainConfig = field(default_factory=TrainConfig)
     inbox: bytes | None = None
-    # merge_model's buffer for mu * received, a float64 vector of the
-    # model's size; learners that act one at a time may share one.  Where it
-    # is None, each merge allocates its own.
-    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.mu <= 1.0:
@@ -54,19 +50,15 @@ class RoundMetrics:
     dispersion: float  # max over model pairs of the max-abs parameter gap
 
 
-def merge_model(
-    own: Mlp, received: np.ndarray, mu: float, scratch: np.ndarray | None = None
-) -> None:
+def merge_model(own: Mlp, received: np.ndarray, mu: float) -> None:
     """Convex parameter merge in place: own <- (1 - mu) own + mu received,
-    where ``received`` is a parameter vector laid out like ``own.params``.
-    mu * received is formed in ``scratch``, a float64 vector of the same
-    size, or in a new one where that is None."""
+    where ``received`` is a parameter vector laid out like ``own.params``."""
     if received.shape != own.params.shape:
         raise ValueError(f"cannot merge {received.size} parameters into {own.params.size}")
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"merge weight mu must be in [0, 1], got {mu}")
     own.params *= 1.0 - mu
-    own.params += np.multiply(mu, received, out=scratch)
+    own.params += mu * received
 
 
 def _check_learners(learners, graph):
@@ -81,7 +73,7 @@ def _act(lr: LearnerState, graph: Graph, rng: np.random.Generator):
     """Merge inbox, take one local SGD step, pick a recipient.  Returns the
     (recipient, payload) message and the batch loss (nan on an empty shard)."""
     if lr.inbox is not None:
-        merge_model(lr.model, np.frombuffer(lr.inbox, dtype="<f8"), lr.mu, lr.scratch)
+        merge_model(lr.model, np.frombuffer(lr.inbox, dtype="<f8"), lr.mu)
         lr.inbox = None
     rows, loss = lr.X.shape[0], float("nan")
     if rows:

@@ -45,7 +45,8 @@ def _blas() -> tuple[int, int, int]:
     if not libs:
         raise RuntimeError(
             f"numpy's bundled OpenBLAS (libscipy_openblas64_) is not in {root}.libs or "
-            f"{root}/.dylibs; gossipwatch needs a numpy>=2.0 wheel"
+            f"{root}/.dylibs; gossipwatch needs a numpy>=2.0 wheel that bundles "
+            "scipy-openblas (the Linux, Windows and x86-64 macOS wheels)"
         )
     lib = ctypes.CDLL(libs[0])
     addresses = []
@@ -196,18 +197,16 @@ def _params(mlp: Mlp) -> int:
 
 def _inputs(mlp: Mlp, x) -> tuple[np.ndarray, int]:
     """x as a float64 (rows, M) array and the element distance between its
-    rows, in a layout numpy's matmul hands to BLAS as it is (other layouts
-    are copied)."""
+    rows: adjacent columns, rows a whole row or more apart (other layouts
+    are copied), as the C step reads them."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if X.ndim != 2 or X.shape[1] != mlp.sizes[0]:
         raise ValueError(f"inputs of shape {X.shape} for a network of {mlp.sizes[0]} inputs")
-    if X.shape[0] < 2:
-        return X, mlp.sizes[0]
     row, col = X.strides
-    if not (col == 8 and row % 8 == 0 and row >= 8 * X.shape[1]):
+    rows_apart = X.shape[0] < 2 or (row % 8 == 0 and row >= 8 * X.shape[1])
+    if not (col == 8 and rows_apart and X.flags.aligned):
         X = X.copy()
-        row = X.strides[0]
-    return X, row // 8
+    return X, X.strides[0] // 8 if X.shape[0] > 1 else mlp.sizes[0]
 
 
 def _targets(mlp: Mlp, rows: int, Y, mask):

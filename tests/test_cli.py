@@ -336,11 +336,11 @@ def test_agent_ids_outside_their_graph_fail_before_writing(tmp_path, capsys, arg
      ("exclude=[0,1,2,3,4,5,6,7,8]",
       "'train-gossip.exclude' must leave one or more of the 9 agents"),
      ("exclude=[1,3,5,7]",
-      "'train-gossip.exclude' must leave two or more agents that are connected on the 3x3 "
-      "torus, got [1, 3, 5, 7]"),
+      "'train-gossip.exclude' must leave one or more of the 9 agents, and the learners left "
+      "must be two or more that are connected on the 3x3 torus, got [1, 3, 5, 7]"),
      ("exclude=[0,1,2,3,4,5,6,7]",
-      "'train-gossip.exclude' must leave two or more agents that are connected on the 3x3 "
-      "torus, got [0, 1, 2, 3, 4, 5, 6, 7]"),
+      "'train-gossip.exclude' must leave one or more of the 9 agents, and the learners left "
+      "must be two or more that are connected on the 3x3 torus, got [0, 1, 2, 3, 4, 5, 6, 7]"),
      ("policy=foo",
       "'train-gossip.policy' must be 'uniform', 'starved' or 'by-position', got 'foo'"),
      ("policy=by-position",

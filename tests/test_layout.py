@@ -218,8 +218,9 @@ def test_the_blas_symbols_are_looked_up_in_one_place():
 
 
 def test_the_numpy_floor_ships_the_bundled_openblas():
-    """numpy wheels bundle libscipy_openblas64_ from 2.0 on: the declared
-    floor must not go below it."""
+    """numpy's Linux, Windows and x86-64 macOS wheels bundle
+    libscipy_openblas64_ from 2.0 on: the declared floor must not go below
+    it."""
     text = (TESTS.parent / "pyproject.toml").read_text()
     floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
     assert floor and (int(floor[1]), int(floor[2])) >= (2, 0)

@@ -233,20 +233,33 @@ def test_sgd_step_matches_per_layer_oracle_bitwise(out, masked, rows, batch, nan
             expect = oracles.sgd_step(ref, X[rows_], Y[rows_], 0.05, m)
         assert _same_bits(loss, expect)
         assert _same_bits(got.params, ref.params)
+    # single rows whose columns are not adjacent in memory
+    for row in (np.asfortranarray(X)[:1], np.ascontiguousarray(X.T).T[-1:]):
+        with np.errstate(invalid="ignore"):
+            loss = sgd_step(got, row, Y[:1], 0.05, None if mask is None else mask[:1])
+            expect = oracles.sgd_step(ref, row, Y[:1], 0.05, None if mask is None else mask[:1])
+        assert _same_bits(loss, expect)
+        assert _same_bits(got.params, ref.params)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 31, 32, 1800])
 @pytest.mark.parametrize("out", [1, 4])
 def test_forward_matches_numpy_forward_bitwise(rows, out):
-    """forward on whole test sets, single rows and a strided view of the
-    inputs gives the numpy forward pass's bytes."""
+    """forward on whole test sets, single rows, a strided view of the
+    inputs and inputs in Fortran order, whose columns are not adjacent in
+    memory (whole, one row of them, and a column of the transposed inputs),
+    gives the numpy forward pass's bytes."""
     rng = np.random.default_rng([rows, out])
     mlp = init_mlp([4, 200, 100, 50, out], seed=rng)
     X = rng.normal(size=(rows, 6))[:, 1:5]
     expect = oracles._forward_cached(mlp, X)[-1]
     assert forward(mlp, X).tobytes() == expect.tobytes()
     assert forward(mlp, np.ascontiguousarray(X)).tobytes() == expect.tobytes()
-    assert forward(mlp, X[0]).tobytes() == oracles._forward_cached(mlp, X[:1])[-1][0].tobytes()
+    assert forward(mlp, np.asfortranarray(X)).tobytes() == expect.tobytes()
+    first = oracles._forward_cached(mlp, X[:1])[-1][0].tobytes()
+    for row in (X[0], np.asfortranarray(X)[0], np.ascontiguousarray(X.T)[:, 0]):
+        assert forward(mlp, row).tobytes() == first
+        assert oracles._forward_cached(mlp, row[None])[-1][0].tobytes() == first
 
 
 def test_forward_and_sgd_step_leave_caller_arrays_alone():
