@@ -6,10 +6,8 @@
  * itself.  draw_problems: each instance's least-squares problem and
  * injection target, drawn before its run (phi = theta x* stays in numpy,
  * whose BLAS product the C build does not reproduce).  gossip_loop, one
- * call of run_batch: each instance's draws, then its t = 1..T loop, on up
- * to nthreads threads.  protocol.py asks for at most one per CPU of the
- * caller's affinity set, which in a forked fan-out worker (fanout.py) is
- * one CPU, so there the loop runs on the calling thread alone.  Built with
+ * call of run_batch: each instance's draws, then its t = 1..T loop, one
+ * instance after another on the calling thread.  Built with
  * -O3 -ffp-contract=off, every expression rounds exactly as the numpy
  * reference in tests/oracles.py does, operation for operation (no
  * reduction is reassociated and no multiply-add fused), and every draw is
@@ -17,13 +15,10 @@
  * conversions, in the frozen stream order that the reference writes out,
  * so both return the same bits and leave the generators in the same state.
  * An instance reads and writes only its own states row and its own slices
- * of the outputs, so the bits do not depend on the number of threads or on
- * which thread ran it.  Arrays are C-contiguous; protocol.py checks shapes
- * and dtypes before the call. */
-#define _GNU_SOURCE /* sched_getcpu, CPU_SET, pthread_attr_setaffinity_np */
+ * of the outputs, so its bits do not depend on the batch it runs in.
+ * Arrays are C-contiguous; protocol.py checks shapes and dtypes before the
+ * call. */
 #include <math.h>
-#include <pthread.h>
-#include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -197,10 +192,9 @@ static inline double reduce_sum(const double *a, int64_t n)
     return res;
 }
 
-/* The arguments of one gossip_loop call, shared read-only by its threads
- * except for next, the index of the next instance not yet taken. */
+/* The arguments of one gossip_loop call. */
 typedef struct {
-    int64_t B, n, d, T, width, next;
+    int64_t B, n, d, T, width;
     uint64_t *states;
     double *first, *x, *sums, *snaps;
     const uint8_t *flags;
@@ -209,27 +203,12 @@ typedef struct {
     double init_low, init_range, lo, hi;
 } job_t;
 
-/* One thread: its job and its work buffer, which holds wake and pull (T
- * entries each), the running state x and sum (n * d each), then xbar and
- * prod (d each).  Each buffer starts on its own 64-byte cache line, so that
- * the threads' per-step writes do not contend for a line. */
-typedef struct {
-    job_t *job;
-    pthread_t tid;
-    double *buf;
-} worker_t;
-
-#define LINE 64
-
-static size_t round_up(size_t bytes)
-{
-    return (bytes + LINE - 1) / LINE * LINE;
-}
-
-/* Instance b: its draws from states row b, then its t = 1..T loop in buf, whose
- * states at t = 0 and t = T and sum over t = 0..T go to first, x and sums.
- * Agent i's neighbors are nbr_table[i * width .. i * width + degrees[i]).
- * An attacker member's noise row is drawn at its event, in (t,
+/* Instance b: its draws from states row b, then its t = 1..T loop in buf,
+ * which holds wake and pull (T entries each), the running state x and sum
+ * (n * d each), then xbar and prod (d each).  Its states at t = 0 and
+ * t = T and its sum over t = 0..T go to first, x and sums.  Agent i's
+ * neighbors are nbr_table[i * width .. i * width + degrees[i]).  An
+ * attacker member's noise row is drawn at its event, in (t,
  * waking-then-pulled) order, which continues the stream where the pair
  * draws end.  snap_of[t] is the slot of iteration t in snaps (slot, B, n,
  * d), or -1. */
@@ -304,87 +283,32 @@ static void run_instance(const job_t *j, int64_t b, double *buf)
         run_instance_d(j, b, buf, j->d);
 }
 
-/* Run instances until none is left, each taken from the shared counter. */
-static void *work(void *arg)
+/* Every instance, one after another, in the one work buffer buf.  Kept out
+ * of line: inlined into gossip_loop, the loop ran 12% or more slower per
+ * pair update (one CPU of a 2-vCPU x86-64 host). */
+static __attribute__((noinline)) void run_instances(const job_t *j, double *buf)
 {
-    worker_t *w = arg;
-    job_t *j = w->job;
-    for (int64_t b; (b = __atomic_fetch_add(&j->next, 1, __ATOMIC_RELAXED)) < j->B;)
-        run_instance(j, b, w->buf);
-    return NULL;
+    for (int64_t b = 0; b < j->B; b++)
+        run_instance(j, b, buf);
 }
 
-/* Start workers 1 .. nthreads - 1 and return how many threads run, the
- * caller included; a worker that cannot be started is left out.  On Linux
- * each worker is bound to its own CPU of the caller's affinity set, other
- * than the one the caller is on: in a cpuset without load balancing the
- * scheduler would otherwise keep every new thread on the caller's CPU.  A
- * worker for which no CPU is left runs unbound. */
-static int64_t start_workers(worker_t *w, int64_t nthreads)
-{
-    int64_t started = 1;
-#ifdef __linux__
-    cpu_set_t allowed;
-    const int here = sched_getcpu();
-    int cpu = -1;
-    if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
-        CPU_ZERO(&allowed);
-#endif
-    for (; started < nthreads; started++) {
-        pthread_attr_t attr;
-        if (pthread_attr_init(&attr) != 0)
-            break;
-#ifdef __linux__
-        do
-            cpu++;
-        while (cpu < CPU_SETSIZE && (cpu == here || !CPU_ISSET(cpu, &allowed)));
-        if (cpu < CPU_SETSIZE) {
-            cpu_set_t one;
-            CPU_ZERO(&one);
-            CPU_SET(cpu, &one);
-            pthread_attr_setaffinity_np(&attr, sizeof one, &one);
-        }
-#endif
-        const int failed = pthread_create(&w[started].tid, &attr, work, &w[started]);
-        pthread_attr_destroy(&attr);
-        if (failed)
-            break;
-    }
-    return started;
-}
-
-/* states (B, 6) holds each instance's PCG64, advanced in place.  The B
- * instances run on min(nthreads, B) threads, the calling one included;
- * when a thread cannot be started, the others do its share.  See
+/* states (B, 6) holds each instance's PCG64, advanced in place.  See
  * run_instance for the arrays.  Returns 0, or -1 when out of memory. */
-int gossip_loop(int64_t nthreads, int64_t B, int64_t n, int64_t d, int64_t T,
-                uint64_t *states, double *first, double *x, double *sums,
-                const uint8_t *flags, const int64_t *degrees, const int64_t *nbr_table,
-                int64_t width, const double *thetas, const double *phis,
-                const double *alphas, const double *powers, const double *sched,
-                double init_low, double init_high, double lo, double hi,
+int gossip_loop(int64_t B, int64_t n, int64_t d, int64_t T, uint64_t *states, double *first,
+                double *x, double *sums, const uint8_t *flags, const int64_t *degrees,
+                const int64_t *nbr_table, int64_t width, const double *thetas,
+                const double *phis, const double *alphas, const double *powers,
+                const double *sched, double init_low, double init_high, double lo, double hi,
                 const int64_t *snap_of, double *snaps)
 {
-    job_t job = {B, n, d, T, width, 0, states, first, x, sums, snaps, flags, degrees,
-                 nbr_table, snap_of, thetas, phis, alphas, powers, sched,
-                 init_low, init_high - init_low, lo, hi};
-    if (nthreads > B)
-        nthreads = B;
-    if (nthreads < 1)
-        nthreads = 1;
-    /* The workers, then each one's work buffer, in one block. */
-    const size_t head = round_up(nthreads * sizeof(worker_t));
-    const size_t stride = round_up((2 * T + 2 * n * d + 2 * d) * sizeof(double));
-    worker_t *w = aligned_alloc(LINE, head + nthreads * stride);
-    if (w == NULL)
+    const job_t job = {B, n, d, T, width, states, first, x, sums, snaps, flags, degrees,
+                       nbr_table, snap_of, thetas, phis, alphas, powers, sched,
+                       init_low, init_high - init_low, lo, hi};
+    double *buf = malloc((2 * T + 2 * n * d + 2 * d) * sizeof *buf);
+    if (buf == NULL)
         return -1;
-    for (int64_t k = 0; k < nthreads; k++)
-        w[k] = (worker_t){&job, 0, (double *)((char *)w + head + k * stride)};
-    const int64_t started = start_workers(w, nthreads);
-    work(&w[0]);
-    for (int64_t k = 1; k < started; k++)
-        pthread_join(w[k].tid, NULL);
-    free(w);
+    run_instances(&job, buf);
+    free(buf);
     return 0;
 }
 

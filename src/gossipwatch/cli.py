@@ -50,10 +50,10 @@ from .neural import TrainConfig, load_model, save_model
 from .topology import induced_subgraph, manhattan_grid, subset_connected
 
 # --set values must have the JSON type of their default (a number field also
-# takes an integer) and lie in the domain experiments._DOMAINS gives their
+# takes an integer) and lie in the domain experiments.DOMAINS gives their
 # name.  A null default takes any value and is checked where it is read:
 # task, kind, K and d come from the gen-data manifest beside the CSV when
-# unset, and K and d must be integers in their _DOMAINS domain.
+# unset, and K and d must be integers in their DOMAINS domain.
 GEN_DATA_DEFAULTS = {
     "scenario": "S0",
     "rows": 3,
@@ -77,7 +77,7 @@ TRAIN_DEFAULTS = {
     "kind": None,
     "K": None,
     "d": None,
-    **ex._TRAIN_DEFAULTS,
+    **ex.TRAIN_DEFAULTS,
     "seed": 0,
     "name": "model",
 }
@@ -232,8 +232,8 @@ def _size_problem(field, value) -> str | None:
     """What is wrong with ``value`` as a dataset's K or d, or None."""
     if ex.json_type(value) != "integer":
         return f"expects a JSON integer, got {value!r}"
-    if not ex._DOMAINS[field][0](value):
-        return f"must be {ex._DOMAINS[field][1]}, got {value!r}"
+    if not ex.DOMAINS[field][0](value):
+        return f"must be {ex.DOMAINS[field][1]}, got {value!r}"
     return None
 
 
@@ -264,7 +264,10 @@ def _load_dataset(path, cfg, section, expected_kind=None):
         raise ConfigError(
             f"{path} holds {fields['kind']} features, expected {expected_kind}"
         )
-    return read_dataset_csv(path, fields["task"], fields["kind"], fields["K"], fields["d"])
+    dataset = read_dataset_csv(path, fields["task"], fields["kind"], fields["K"], fields["d"])
+    if dataset.n_rows == 0:
+        raise ValueError(f"{path}: no data rows")
+    return dataset
 
 
 # --- subcommand bodies ------------------------------------------------------
@@ -325,7 +328,7 @@ def _cmd_train(args) -> int:
     cfg = apply_overrides(TRAIN_DEFAULTS, _collect_overrides(args), "train")
     dataset = _load_dataset(cfg["data"], cfg, "train")
     config = TrainConfig(eta=cfg["eta"], batch_size=cfg["batch_size"], epochs=cfg["epochs"])
-    mlp, losses = ex._fit(dataset, config, np.random.default_rng(cfg["seed"]))
+    mlp, losses = ex.fit(dataset, config, np.random.default_rng(cfg["seed"]))
 
     outdir = _outdir(args, "train")
     os.makedirs(outdir, exist_ok=True)
@@ -334,7 +337,7 @@ def _cmd_train(args) -> int:
         mlp, os.path.join(outdir, name + ".json"),
         meta={"task": dataset.task, "kind": dataset.kind, "K": dataset.K, "d": dataset.d},
     )
-    ex._write_csv(os.path.join(outdir, "losses.csv"), ["epoch", "loss"], list(enumerate(losses)))
+    ex.write_csv(os.path.join(outdir, "losses.csv"), ["epoch", "loss"], list(enumerate(losses)))
     ex.write_manifest(
         outdir, "train", cfg, [name + ".json", name + ".json.bin", "losses.csv"]
     )
@@ -396,7 +399,7 @@ def _cmd_train_gossip(args) -> int:
     )
     shards = shard_for_gossip(dataset, policy)
     config = TrainConfig(eta=cfg["eta"], batch_size=cfg["batch_size"], epochs=1)
-    learners = ex._spawn_learners(shards, dataset, agents, config, cfg["mu"], (cfg["seed"],))
+    learners = ex.spawn_learners(shards, dataset, agents, config, cfg["mu"], (cfg["seed"],))
     metrics = run_gossip_training(
         learners, learner_graph, cfg["rounds"],
         np.random.default_rng([cfg["seed"], len(agents)]), mode=cfg["mode"],

@@ -59,14 +59,15 @@ PLACEMENT_TRIES = 100
 # monitor draw, placement, seeding and features cost about _ROW_WORK, and
 # each of its instances its T pair updates plus _INSTANCE_WORK for its
 # seeding and problem draw.  A build of _FAN_OUT_WORK (about 45 ms) or more
-# runs its chunks on forked workers.  Below it the fan-out gains nothing
-# measurable: in this process a large batch already runs its kernel on every
-# CPU, so the workers gain only on the Python share, against their start-up
-# and the columns sent back.  On that host a row measures 24-45 us (1,300 to
-# 2,500 pair updates, more with attackers to place) and an instance about
-# 1.2 us beyond its pair updates (about 70).  The constants keep the values
-# they were first given, as no paired benchmark run has shown a gain from
-# moving them; tests/test_datagen.py pins which benchmark builds fan out.
+# runs its chunks on forked workers.  Below it the workers' start-up, about
+# 10 ms each, and the pickled columns they send back are a share of the
+# build that the other CPUs are not shown to win back.  On that host a row
+# measures 24-45 us (1,300 to 2,500 pair updates, more with attackers to
+# place) and an instance about 1.2 us beyond its pair updates (about 70).
+# The constants keep the values they were first given: no benchmark build
+# lies between the warm-up gen-data (about 280,000) and _FAN_OUT_WORK, so
+# no paired run could show a gain from moving them; tests/test_datagen.py
+# pins which benchmark builds fan out.
 _ROW_WORK = 1000
 _INSTANCE_WORK = 500
 _FAN_OUT_WORK = 2_500_000

@@ -85,7 +85,7 @@ HIDDEN = (200, 100, 50)
 
 _ALL_EVENTS = (EVENT_H0, EVENT_NEXT, EVENT_FAR)
 
-_TRAIN_DEFAULTS = {"eta": 0.01, "batch_size": 32, "epochs": 30}
+TRAIN_DEFAULTS = {"eta": 0.01, "batch_size": 32, "epochs": 30}
 
 _METHODS = {"temporal": "td", "spatial": "sd"}  # score detector of each feature kind
 
@@ -113,7 +113,7 @@ DEFAULTS: dict[str, dict] = {
         "cols": 3,
         "temporal_setups": [[5, 2], [2, 2], [1, 2], [2, 1]],
         "spatial_setups": [[2, 2], [1, 2]],
-        "train": dict(_TRAIN_DEFAULTS),
+        "train": dict(TRAIN_DEFAULTS),
     },
     "multi-attacker": {
         "master_seed": 0,
@@ -125,7 +125,7 @@ DEFAULTS: dict[str, dict] = {
         "temporal_K": 5,
         "spatial_K": 2,
         "d": 2,
-        "train": dict(_TRAIN_DEFAULTS),
+        "train": dict(TRAIN_DEFAULTS),
     },
     "degree-tailor": {
         "master_seed": 0,
@@ -138,7 +138,7 @@ DEFAULTS: dict[str, dict] = {
         "temporal_K": 5,
         "spatial_K": 2,
         "d": 2,
-        "train": dict(_TRAIN_DEFAULTS),
+        "train": dict(TRAIN_DEFAULTS),
     },
     "mismatch": {
         "master_seed": 0,
@@ -150,7 +150,7 @@ DEFAULTS: dict[str, dict] = {
         "temporal_K": 5,
         "spatial_Ks": [2, 1],
         "d": 2,
-        "train": dict(_TRAIN_DEFAULTS),
+        "train": dict(TRAIN_DEFAULTS),
     },
     "gossip-learning": {
         "master_seed": 0,
@@ -168,7 +168,7 @@ DEFAULTS: dict[str, dict] = {
         "starved_fraction": 0.02,
         "next_group": [0, 1, 2, 3],
         "far_group": [4, 5, 6, 7],
-        "train": dict(_TRAIN_DEFAULTS),
+        "train": dict(TRAIN_DEFAULTS),
     },
     "small-world": {
         "master_seed": 0,
@@ -185,7 +185,7 @@ DEFAULTS: dict[str, dict] = {
         "temporal_K": 5,
         "spatial_K": 2,
         "d": 2,
-        "train": dict(_TRAIN_DEFAULTS),
+        "train": dict(TRAIN_DEFAULTS),
     },
 }
 
@@ -214,7 +214,7 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
         for i, entry in enumerate(cfg.get(key, ())):
             check_pair(key, entry, cfg, f"{family}.{key}[{i}]")
     for key, (field, kind) in _LIST_DOMAINS.items():
-        valid, what = _DOMAINS[field]
+        valid, what = DOMAINS[field]
         for i, entry in enumerate(cfg.get(key, ())):
             if json_type(entry) != kind:
                 raise ConfigError(f"'{family}.{key}[{i}]' expects a JSON {kind}, got {entry!r}")
@@ -257,7 +257,7 @@ def check_agent_ids(value, n: int, path: str, many: bool = False, empty: bool = 
 
 # Numeric and choice fields, wherever they appear in a config with a non-null
 # default: (valid, what a value must be).
-_DOMAINS = {
+DOMAINS = {
     **dict.fromkeys(
         ("T", "K", "d", "temporal_K", "spatial_K", "M", "batch_size"), (lambda v: v >= 1, ">= 1")
     ),
@@ -282,7 +282,7 @@ _DOMAINS = {
     "rewire_prob": (lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
 
-# List fields whose entries each lie in the domain of a field of _DOMAINS:
+# List fields whose entries each lie in the domain of a field of DOMAINS:
 # (that field, the JSON type of an entry).
 _LIST_DOMAINS = {"spatial_Ks": ("spatial_K", "integer"), "test_scenarios": ("scenario", "string")}
 
@@ -333,7 +333,7 @@ def apply_overrides(defaults: dict, overrides: dict, path: str) -> dict:
 def _merge(base: dict, overrides: dict, path: str) -> None:
     """Overlay ``overrides`` on ``base`` in place.  Each value must have the
     JSON type of its default, except that a number field takes an integer,
-    and a field of ``_DOMAINS`` its domain; a field whose default is null
+    and a field of ``DOMAINS`` its domain; a field whose default is null
     takes any value and is checked where it is used."""
     for key, value in overrides.items():
         here = f"{path}.{key}"
@@ -344,8 +344,8 @@ def _merge(base: dict, overrides: dict, path: str) -> None:
             raise ConfigError(f"{here!r} expects a JSON {expected}, got {value!r}")
         if expected == "object":
             _merge(base[key], value, here)
-        elif expected != "null" and key in _DOMAINS and not _DOMAINS[key][0](value):
-            raise ConfigError(f"{here!r} must be {_DOMAINS[key][1]}, got {value!r}")
+        elif expected != "null" and key in DOMAINS and not DOMAINS[key][0](value):
+            raise ConfigError(f"{here!r} must be {DOMAINS[key][1]}, got {value!r}")
         else:
             base[key] = value
 
@@ -393,7 +393,7 @@ def write_manifest(
     return manifest
 
 
-def _write_csv(path, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path, header: list[str], rows: list[tuple]) -> None:
     """Floats via repr (round-trip exact), everything else via str."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -415,7 +415,7 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(**cfg["train"])
 
 
-def _fit(
+def fit(
     dataset, config: TrainConfig, rng: np.random.Generator
 ) -> tuple[Mlp, list[float]]:
     """Train a fresh [M, 200, 100, 50, out] network on a labeled dataset;
@@ -429,7 +429,7 @@ def _fit(
 def _fit_job(dataset, config: TrainConfig, key: tuple, outdir, name: str) -> None:
     """One job of _fit_all: fit a network on dataset, seeded by _rng(*key),
     and save it as ``name`` in outdir, where _fit_and_test reads it back."""
-    mlp, _ = _fit(dataset, config, _rng(*key))
+    mlp, _ = fit(dataset, config, _rng(*key))
     save_model(mlp, os.path.join(outdir, name + ".json"))
 
 
@@ -550,19 +550,19 @@ def run_converge(cfg: dict, outdir) -> list[str]:
         rows.append((s, f_gap_t[-1], spread_t[-1], dist_t[-1]))
 
         if s == cfg["trace_seed"]:
-            _write_csv(
+            write_csv(
                 os.path.join(outdir, "trajectory_clean.csv"),
                 ["t", "f_gap", "disagreement"],
                 [(t, f_gap_t[t], spread_t[t]) for t in range(T + 1)],
             )
-            _write_csv(
+            write_csv(
                 os.path.join(outdir, "trajectory_attack.csv"),
                 ["t", "attack_distance"],
                 [(t, dist_t[t]) for t in range(T + 1)],
             )
             artifacts.extend(["trajectory_clean.csv", "trajectory_attack.csv"])
 
-    _write_csv(
+    write_csv(
         os.path.join(outdir, "report.csv"),
         ["seed", "f_gap", "disagreement", "attack_distance"],
         rows,
@@ -784,7 +784,7 @@ def run_gossip_learning(cfg: dict, outdir) -> list[str]:
     return _gossip_case1(cfg, case, agents, outdir) + _gossip_case2(cfg, case, agents, outdir)
 
 
-def _spawn_learners(shards, dataset, agents, tcfg, mu, key):
+def spawn_learners(shards, dataset, agents, tcfg, mu, key):
     """One learner per agent on its shard; agent a's network is seeded by
     _rng(*key, a)."""
     learners = []
@@ -821,7 +821,7 @@ def _gossip_case(cfg, graph, learner_graph, tcfg, policy, offset, key, events, i
         X, Y, mask = training_arrays(data.train, shards[a])
         iso[a] = init_mlp([data.train.M, *HIDDEN, 1], seed=_rng(master, key, a))
         train(iso[a], X, Y, tcfg, rng=_rng(master, key + 1, a), mask=mask)
-    learners = _spawn_learners(shards, data.train, policy.agents, tcfg, cfg["mu"], (master, key))
+    learners = spawn_learners(shards, data.train, policy.agents, tcfg, cfg["mu"], (master, key))
     metrics = run_gossip_training(
         learners, learner_graph, cfg["rounds"], _rng(master, key + 2), mode="sync"
     )
@@ -852,7 +852,7 @@ def _gossip_case1(cfg, case, agents, outdir):
         artifacts.append(f"roc_case1_{name}.csv")
         _save(mlp, outdir, f"model_case1_{name}", artifacts)
 
-    _write_csv(
+    write_csv(
         os.path.join(outdir, "case1_report.csv"),
         ["model", "starved_rows", "auc"],
         summaries,
@@ -893,7 +893,7 @@ def _gossip_case2(cfg, case, agents, outdir):
                 _, summary = evaluate_detector(det, subset)
                 rows.append((label, agent, subset_label, summary["auc"]))
 
-    _write_csv(
+    write_csv(
         os.path.join(outdir, "case2_report.csv"),
         ["model", "agent", "test_events", "auc"],
         rows,

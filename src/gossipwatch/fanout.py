@@ -13,8 +13,6 @@ import selectors
 import signal
 import sys
 
-from gossipwatch import protocol
-
 
 def fan_out(jobs: list, fork: bool) -> list:
     """Call every job (a function of no arguments) once and return the
@@ -28,26 +26,20 @@ def fan_out(jobs: list, fork: bool) -> list:
     the bytes do not depend on the worker count or the order.  The workers
     inherit the jobs and their data through the fork.  Through one pair of
     pipes per worker, job indices go out, one at a time to whichever worker
-    is free, and the pickled results come back.  Each worker binds itself to
-    its own CPU of this process's affinity set, round-robin when there are
-    more workers than CPUs: in a cpuset without load balancing the
-    scheduler would otherwise keep new processes on the CPU they forked on.
-    Inside a worker, protocol.usable_cpus() is then 1, so its gossip kernel
-    runs one thread and a fan_out there runs in-process.  A failing job's
-    exception is re-raised here, chained to its traceback in the worker,
-    after the other workers are stopped; no worker outlives the call.
-    Forking is safe because no other thread is at work: the gossip kernel
-    joins its threads before it returns, BLAS computes on one thread
-    (OpenBLAS stops its idle pool at a fork), and no helper thread is
-    started here.
+    is free, and the pickled results come back.  Worker w binds itself to
+    usable_cpus()[w]: in a cpuset without load balancing the scheduler
+    would otherwise keep new processes on the CPU they forked on.  Inside a
+    worker, usable_cpus() is then that one CPU, so a fan_out there runs
+    in-process.  A failing job's exception is re-raised here, chained to its
+    traceback in the worker, after the other workers are stopped; no worker
+    outlives the call.  Forking is safe because no other thread is at work:
+    the package starts none, and BLAS computes on one thread (OpenBLAS stops
+    its idle pool at a fork).
     """
-    workers = min(protocol.usable_cpus(), len(jobs))
+    cpus = usable_cpus()
+    workers = min(len(cpus), len(jobs))
     if not fork or workers <= 1 or not hasattr(os, "fork"):
         return [job() for job in jobs]
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform: workers stay unbound
-        cpus = [None]
     results, pipes, pids = [None] * len(jobs), {}, []  # pipes: reader -> writer
     try:
         for w in range(workers):
@@ -55,7 +47,7 @@ def fan_out(jobs: list, fork: bool) -> list:
             _flush_std_streams()  # or the worker writes them out a second time
             pid = os.fork()
             if pid == 0:
-                _worker(jobs, cpus[w % len(cpus)], down, up, pipes)
+                _worker(jobs, cpus[w], down, up, pipes)
             pids.append(pid)
             os.close(down[0])
             os.close(up[1])
@@ -92,6 +84,16 @@ def fan_out(jobs: list, fork: bool) -> list:
         for pid in pids:
             os.waitpid(pid, 0)
     return results
+
+
+def usable_cpus() -> list:
+    """The CPUs this process may run on, in order, one fan_out worker for
+    each; where the platform has no CPU affinity, None for each of
+    os.cpu_count(), and the workers stay unbound."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return [None] * (os.cpu_count() or 1)
 
 
 def _worker(jobs: list, cpu: int | None, down, up, others: dict) -> None:

@@ -131,7 +131,7 @@ class BatchStats:
 # -ffp-contract=off keeps every product and sum rounded as numpy rounds it;
 # no flag that reassociates, fuses or targets this host's CPU may join it,
 # since the bits and the portable cache key depend on the flags.
-_CC = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
+_CC = ("cc", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 @functools.cache
@@ -176,7 +176,7 @@ def _compiled_loop():
     lib.seed_states.argtypes = [i64, i64, arr(np.uint32), arr(np.uint64)]
     lib.gossip_loop.restype = ctypes.c_int
     lib.gossip_loop.argtypes = [
-        i64, i64, i64, i64, i64, arr(np.uint64),
+        i64, i64, i64, i64, arr(np.uint64),
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.uint8),
         arr(np.int64), arr(np.int64), i64,
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64),
@@ -268,28 +268,6 @@ def draw_problems(n: int, d: int, attacked: np.ndarray, rngs: np.ndarray):
     return thetas, np.matmul(thetas, x_stars[..., None])[..., 0], alphas
 
 
-# The fewest pair updates (about 1.2 ms of one thread, at 18 ns each for
-# d = 2 on a 2-vCPU x86-64 host) worth a thread of its own: waking an idle
-# CPU for a smaller share costs more than it saves.
-_THREAD_WORK = 1 << 16
-
-
-def _kernel_threads(B: int, T: int) -> int:
-    """Threads for one compiled run_batch call of B instances of T
-    iterations: one per _THREAD_WORK pair updates, up to one per instance
-    and per CPU this process may run on."""
-    return max(1, min(B, usable_cpus(), B * T // _THREAD_WORK))
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: the kernel's thread count and the
-    number of fanout.fan_out workers are both bounded by it."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def run_batch(
     graph: Graph,
     flags: np.ndarray,
@@ -317,12 +295,9 @@ def run_batch(
     Only the two agents of the sampled pair change state at an iteration.
     Trustworthy members move to the projected subgradient step from the pair
     average of the pre-iteration states; attacker members re-emit
-    alpha + lambda_hat^t U[-1, 1]^d.  A batch of enough work is stepped on
-    as many threads as there are CPUs this process may run on, each extra
-    thread bound to its own CPU; an instance touches only its own states
-    row, so the output does not depend on that count.  In a
-    fan-out worker (fanout.fan_out) the process may run on one CPU, so the
-    batch runs on one thread there.  Raises
+    alpha + lambda_hat^t U[-1, 1]^d.  The instances run one after another
+    on the calling thread; an instance touches only its own states row, so
+    its output does not depend on the batch it runs in.  Raises
     RuntimeError where the loop cannot be built (see _compiled_loop).
     """
     B = _check_states(rngs)
@@ -349,7 +324,7 @@ def run_batch(
     sched = config.stepsize.schedule(T)
     first, last, sums = (np.empty((B, n, d)) for _ in range(3))
     status = _compiled_loop().gossip_loop(
-        _kernel_threads(B, T), B, n, d, T, rngs, first, last, sums, flags,
+        B, n, d, T, rngs, first, last, sums, flags,
         graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
         thetas, phis, alphas, powers, sched,
         float(config.init_low), float(config.init_high),

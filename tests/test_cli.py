@@ -233,6 +233,25 @@ def test_out_of_domain_dataset_sizes_are_config_errors(tmp_path, capsys, section
 
 
 @pytest.mark.parametrize(
+    "section, data_field",
+    [("train", "data"), ("train-gossip", "data"), ("eval-roc", "temporal_data")],
+)
+def test_a_dataset_with_no_rows_fails_before_writing(tmp_path, capsys, section, data_field):
+    """A CSV with its header and no rows is an error naming the file, not a
+    division by zero, an empty sweep or untrained models."""
+    csv = _gen(tmp_path) / "nd_temporal_train.csv"
+    csv.write_text(csv.read_text().splitlines(keepends=True)[0])
+    out = tmp_path / "o"
+    run = [section, "--set", f"{data_field}={csv}", "--out", str(out)]
+    if section == "eval-roc":
+        run += ["--set", 'detectors=["td"]']
+    capsys.readouterr()
+    assert cli.main(run) == 2
+    assert f"error: {csv}: no data rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [(["one-attacker", "--set", "temporal_setups=[[5, 0]]"],
       "'one-attacker.temporal_setups[0]' must be [K, d] with K, d >= 1, got [5, 0]"),

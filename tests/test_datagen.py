@@ -260,11 +260,18 @@ def test_build_datasets_simulates_only_the_largest_K(monkeypatch):
     assert shared == calls and len(calls) > 1
 
 
+def _use_cpus(monkeypatch, k):
+    """fan_out sees k CPUs: this process's own, each taken again where
+    there are fewer, so that k workers start on any machine."""
+    cpus = fanout.usable_cpus()
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: (cpus * k)[:k])
+
+
 def _fan_out_everything(monkeypatch):
     """Every build of this test fans its chunks out to two forked workers,
     whatever its work and however many CPUs the machine has."""
     monkeypatch.setattr(datagen, "_FAN_OUT_WORK", 0)
-    monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+    _use_cpus(monkeypatch, 2)
 
 
 @pytest.mark.parametrize("chunk", [3, 256])
@@ -275,7 +282,7 @@ def test_build_datasets_fanned_out_equals_the_in_process_build(monkeypatch, atta
     scn = _scenario(T=30) if attacked else _scenario(m=0, c=0, T=30)
     tasks = ("nd", "nl") if attacked else ("nd",)
     budget = Budget(4, 2, 3, 2)
-    monkeypatch.setattr(protocol, "usable_cpus", lambda: 1)
+    _use_cpus(monkeypatch, 1)
     alone = build_datasets(scn, (5, 2, 1), budget, 7, tasks=tasks, chunk=chunk)
     _fan_out_everything(monkeypatch)
     here, chunk_columns = os.getpid(), datagen._chunk_columns
@@ -338,16 +345,16 @@ def test_which_builds_fan_out(tmp_path, monkeypatch, argv, builds):
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
 def test_a_fanned_out_job_runs_on_one_cpu(monkeypatch):
     """Each worker binds itself to its own CPU of this process's set (the
-    same one where the set has fewer CPUs than workers), so its gossip
-    kernel runs one thread; this process keeps its own set."""
-    usable_cpus, mine = protocol.usable_cpus, os.sched_getaffinity(0)
+    same one where the set has fewer CPUs than workers), so a fan_out in it
+    runs in-process; this process keeps its own set."""
+    usable_cpus, mine = fanout.usable_cpus, os.sched_getaffinity(0)
     both = multiprocessing.get_context("fork").Barrier(2)  # one job per worker
 
     def job():
         both.wait(timeout=30)
-        return usable_cpus(), os.sched_getaffinity(0), os.getpid()
+        return len(usable_cpus()), os.sched_getaffinity(0), os.getpid()
 
-    monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+    _use_cpus(monkeypatch, 2)
     seen = fanout.fan_out([job, job], fork=True)
     assert [cpus for cpus, _, _ in seen] == [1, 1]
     assert all(len(cpus) == 1 and cpus <= mine for _, cpus, _ in seen)
@@ -360,7 +367,7 @@ def test_a_fanned_out_job_runs_on_one_cpu(monkeypatch):
 
 
 def test_a_worker_that_dies_fails_the_fan_out_and_leaves_no_worker(monkeypatch):
-    monkeypatch.setattr(protocol, "usable_cpus", lambda: 2)
+    _use_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="fan-out worker exited unexpectedly"):
         fanout.fan_out([lambda: os._exit(3), lambda: 1], fork=True)
     with pytest.raises(ChildProcessError):
@@ -379,7 +386,7 @@ def test_a_failing_chunk_fails_the_build_and_leaves_no_worker(
         raise ValueError("no placement today")
 
     _fan_out_everything(monkeypatch)
-    monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
+    _use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(datagen, "place_attackers", fail)  # forked workers inherit it
     with pytest.raises(ValueError) as err:
         build_datasets(_scenario(), (2, 1), _tiny_budget(), 0)

@@ -143,14 +143,15 @@ def test_a_failing_fit_fails_the_family_and_leaves_no_worker(
     """A fit that raises, in this process on one CPU or in a forked worker
     on two, fails run_family with its own exception type and message and the
     CLI with exit code 2; no worker process is left running."""
-    from gossipwatch import cli, experiments, protocol
+    from gossipwatch import cli, experiments, fanout
 
     def fail(*args, **kwargs):
         raise ValueError("no fit today")
 
-    monkeypatch.setattr(experiments, "_fit", fail)  # forked workers inherit it
+    monkeypatch.setattr(experiments, "fit", fail)  # forked workers inherit it
     monkeypatch.setattr(experiments, "_FIT_WORK", 0)  # tiny fits fan out too
-    monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
+    here = fanout.usable_cpus()  # taken again where the machine has fewer
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: (here * cpus)[:cpus])
     overrides = {**overrides, "train": {"epochs": 1}}
     with pytest.raises(ValueError) as err:
         run_family(family, tmp_path / "a", overrides)

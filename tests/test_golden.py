@@ -10,9 +10,9 @@ output bytes on purpose re-pins the file and says why:
 The families run in a child process with one BLAS thread: multi-threaded
 BLAS splits matrix products differently by thread count, which changes the
 low bits of trained weights and so the bytes of every model artifact.  The
-CPU count, by contrast, changes no byte: it sets the gossip kernel's thread
-count and the number of processes that build a dataset's chunks and fit an
-experiment's networks, which further runs with one and with two CPUs check.
+CPU count, by contrast, changes no byte: it sets the number of processes
+that build a dataset's chunks and fit an experiment's networks, which
+further runs with one and with two CPUs check.
 """
 
 from __future__ import annotations
@@ -71,15 +71,15 @@ def test_golden_digests():
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_golden_digests_hold_with_one_kernel_thread(monkeypatch, cpus):
-    """The gossip kernel steps a large batch on every CPU the process may
-    use, and dataset builds and the families' fits of enough work run on one
-    forked worker per CPU; on one CPU (one kernel thread, everything in this
-    process) and on two (every build's chunks and every family's fits on two
-    workers, even on a one-CPU machine) they write the same bytes."""
-    from gossipwatch import datagen, experiments, protocol
+def test_golden_digests_hold_on_one_and_two_cpus(monkeypatch, cpus):
+    """Dataset builds and the families' fits of enough work run on one
+    forked worker per CPU; on one CPU (everything in this process) and on
+    two (every build's chunks and every family's fits on two workers, even
+    on a one-CPU machine) they write the same bytes."""
+    from gossipwatch import datagen, experiments, fanout
 
-    monkeypatch.setattr(protocol, "usable_cpus", lambda: cpus)
+    here = fanout.usable_cpus()  # taken again where the machine has fewer
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: (here * cpus)[:cpus])
     monkeypatch.setattr(datagen, "_FAN_OUT_WORK", 0)
     monkeypatch.setattr(experiments, "_FIT_WORK", 0)
     _assert_pinned(_compute())

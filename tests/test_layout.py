@@ -7,7 +7,8 @@ some test.  Every C entry of ``_gossip_loop.c`` is bound with its full
 argument list, that file is the one C source and protocol alone builds it,
 numpy's OpenBLAS is named and opened only in ``neural._blas``, the declared
 numpy floor bundles that library, one module alone forks worker processes,
-and the README's module table lists exactly the package's modules."""
+none starts a thread, and the README's module table lists exactly the
+package's modules."""
 
 import ast
 import re
@@ -257,6 +258,27 @@ def test_only_the_fan_out_module_starts_processes():
             if forks:
                 forking.add(path.name)
     assert forking == {"fanout.py"}
+
+
+def test_nothing_in_the_package_starts_a_thread():
+    """fanout.fan_out is the one way the package uses more than one CPU:
+    the gossip kernel runs on its caller's thread, so its C source names no
+    pthread, protocol._CC does not link it, and no module imports
+    threading."""
+    assert "pthread" not in (PACKAGE / "_gossip_loop.c").read_text()
+    assert "-pthread" not in protocol._CC
+    threading = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("threading", "_thread") for name in names):
+                threading.add(path.name)
+    assert not threading, sorted(threading)
 
 
 def test_the_readme_module_table_lists_exactly_the_package_modules():

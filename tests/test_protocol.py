@@ -15,6 +15,7 @@ from oracles import generate_problem, numpy_run_batch, pcg64_row
 
 from gossipwatch import cli, datagen, protocol
 from gossipwatch.protocol import (
+    BatchStats,
     ProtocolConfig,
     Stepsize,
     draw_problems,
@@ -548,34 +549,27 @@ def _check_draws_against_numpy(seeds, T):
 
 @pytest.mark.parametrize("entropy", list(SEEDS))
 @pytest.mark.parametrize("B, T", [(1, 300), (1, 301), (5, 300), (5, 301), (5, 20000)])
-def test_compiled_output_does_not_depend_on_the_thread_count(monkeypatch, entropy, B, T):
+def test_compiled_output_does_not_depend_on_the_thread_count(entropy, B, T):
     """Every instance reads and writes only its own states row and its own
-    slices, so 1, 2, 3 and B + 1 kernel threads return the same bits and
-    leave every states row the same.  At T = 20000 an instance outlasts a
-    thread's start, so the threads overlap in time."""
+    slices, and starts afresh in the work buffer that the instance before
+    it used, so its bits do not depend on the batch it runs in, nor on how
+    the instances are split over threads or processes: one call of B
+    instances returns each instance's bits, and leaves its states row, as
+    B calls of one instance each do."""
     args = _attacked_torus_batch(B, T)
-
-    def run(threads):
-        monkeypatch.setattr(protocol, "_kernel_threads", lambda B, T: threads)
-        states, _ = _seeded(entropy, B)
-        return run_batch(*args, states, checkpoints=(0, 7, T)), states
-
-    serial, serial_states = run(1)
-    for threads in (2, 3, B + 1):
-        stats, states = run(threads)
-        _assert_same(serial, stats)
-        assert np.array_equal(serial_states, states), threads
-
-
-def test_small_batches_run_on_one_thread(monkeypatch):
-    """A batch runs one kernel thread per _THREAD_WORK pair updates, up to
-    one per CPU: two CPUs take two threads, and a batch too small to give
-    each thread _THREAD_WORK pair updates runs on one."""
-    B, T = 16, protocol._THREAD_WORK // 8
-    monkeypatch.setattr(protocol.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert protocol._kernel_threads(B, T) == 2
-    assert protocol._kernel_threads(B, T // 2 - 1) == 1
-    assert protocol._kernel_threads(1, 10 * T) == 1
+    graph, flags, thetas, phis, alphas, lam, config = args
+    states, _ = _seeded(entropy, B)
+    batch = run_batch(*args, states, checkpoints=(0, 7, T))
+    alone_states, _ = _seeded(entropy, B)
+    for b in range(B):
+        one = slice(b, b + 1)
+        alone = run_batch(graph, flags[one], thetas[one], phis[one], alphas[one], lam, config,
+                          alone_states[one], checkpoints=(0, 7, T))
+        _assert_same(alone, BatchStats(
+            batch.first[one], batch.last[one], batch.sums[one],
+            {t: snaps[one] for t, snaps in batch.checkpoints.items()},
+        ))
+    assert np.array_equal(states, alone_states)
 
 
 def test_compiled_run_batch_allocates_no_per_step_arrays():
