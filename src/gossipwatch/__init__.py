@@ -13,7 +13,6 @@ from gossipwatch.topology import (
 )
 from gossipwatch.protocol import (
     LeastSquaresProblem,
-    Stepsize,
     ProtocolConfig,
     BatchStats,
     draw_problems,

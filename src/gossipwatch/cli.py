@@ -47,13 +47,12 @@ from .evaluation import (
 from .experiments import ConfigError, apply_overrides
 from .gossip_train import metrics_to_csv, run_gossip_training
 from .neural import TrainConfig, load_model, save_model
-from .topology import induced_subgraph, manhattan_grid, subset_connected
+from .topology import induced_subgraph, manhattan_grid
 
-# --set values must have the JSON type of their default (a number field also
-# takes an integer) and lie in the domain experiments.DOMAINS gives their
-# name.  A null default takes any value and is checked where it is read:
-# task, kind, K and d come from the gen-data manifest beside the CSV when
-# unset, and K and d must be integers in their DOMAINS domain.
+# Every config passes experiments.check_config (through apply_overrides).
+# A null default takes any value and is checked where it is read: task,
+# kind, K and d come from the gen-data manifest beside the CSV when unset,
+# and lie in their experiments.DOMAINS domain either way.
 GEN_DATA_DEFAULTS = {
     "scenario": "S0",
     "rows": 3,
@@ -206,6 +205,9 @@ def _outdir(args, name: str) -> str:
     return os.path.join(root, name)
 
 
+_DATASET_FIELDS = ("task", "kind", "K", "d")
+
+
 def _dataset_meta(path) -> dict:
     """Per-file metadata from a manifest.json sitting next to the CSV."""
     manifest = os.path.join(os.path.dirname(os.path.abspath(str(path))), "manifest.json")
@@ -221,20 +223,14 @@ def _dataset_meta(path) -> dict:
     entry = datasets.get(name, {})
     if not isinstance(entry, dict):
         raise ValueError(f"{manifest}: field 'datasets.{name}': not an object")
-    for field in ("K", "d"):
-        problem = entry.get(field) is not None and _size_problem(field, entry[field])
-        if problem:
-            raise ValueError(f"{manifest}: field 'datasets.{name}.{field}': {problem}")
+    for field in _DATASET_FIELDS:
+        path = f"datasets.{name}.{field}"
+        try:
+            ex.check_value(field, entry.get(field), path)
+        except ConfigError as err:  # a file error, naming the manifest field
+            problem = str(err).removeprefix(f"'{path}' ")
+            raise ValueError(f"{manifest}: field '{path}': {problem}") from None
     return entry
-
-
-def _size_problem(field, value) -> str | None:
-    """What is wrong with ``value`` as a dataset's K or d, or None."""
-    if ex.json_type(value) != "integer":
-        return f"expects a JSON integer, got {value!r}"
-    if not ex.DOMAINS[field][0](value):
-        return f"must be {ex.DOMAINS[field][1]}, got {value!r}"
-    return None
 
 
 def _load_dataset(path, cfg, section, expected_kind=None):
@@ -242,17 +238,15 @@ def _load_dataset(path, cfg, section, expected_kind=None):
     ``section`` config ``cfg`` or else from the gen-data manifest beside it."""
     if path is None:
         raise ConfigError("no dataset file configured; pass --set data=PATH")
-    for field in ("K", "d"):
-        problem = cfg.get(field) is not None and _size_problem(field, cfg[field])
-        if problem:
-            raise ConfigError(f"'{section}.{field}' {problem}")
+    for field in _DATASET_FIELDS:
+        ex.check_value(field, cfg.get(field), f"{section}.{field}")
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"dataset file not found: {path}; produce it with the gen-data subcommand"
         )
     meta = _dataset_meta(path)
     fields = {}
-    for field in ("task", "kind", "K", "d"):
+    for field in _DATASET_FIELDS:
         value = cfg[field] if cfg.get(field) is not None else meta.get(field)
         if value is None:
             raise ConfigError(
@@ -283,10 +277,6 @@ def _cmd_gen_data(args) -> int:
     if getattr(args, "full", False):
         overrides["full"] = True
     cfg = apply_overrides(GEN_DATA_DEFAULTS, overrides, "gen-data")
-    if not cfg["full"]:
-        ex.check_desk_scale(cfg, "gen-data")
-    if cfg["monitor"] is not None:
-        ex.check_agent_ids(cfg["monitor"], cfg["rows"] * cfg["cols"], "gen-data.monitor")
     # A next-to row places c of the m attackers beside the monitor, a
     # far-from row none: each [m, c] must fit the torus as a family's combo.
     for event, c in (("next-to", cfg["c"]), ("far-from", 0)):
@@ -344,25 +334,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _check_learner_fields(cfg: dict) -> None:
-    """train-gossip's agent fields against the grid: ``exclude`` lists
-    distinct grid agents and leaves two or more learners, connected on the
-    torus and numbered anew; ``starved_agent`` (for the starved policy) and
-    every group of ``position_groups`` (an object of event tag to learner
-    ids, which the by-position policy needs) name learners."""
-    n = cfg["rows"] * cfg["cols"]
-    ex.check_agent_ids(cfg["exclude"], n, "train-gossip.exclude", many=True, empty=True)
-    excluded = set(cfg["exclude"])
-    keep = [v for v in range(n) if v not in excluded]
-    learners = len(keep)
-    if learners < 2 or not subset_connected(manhattan_grid(cfg["rows"], cfg["cols"]), keep):
-        raise ConfigError(
-            f"'train-gossip.exclude' must leave one or more of the {n} agents, and the learners "
-            f"left must be two or more that are connected on the {cfg['rows']}x{cfg['cols']} "
-            f"torus, got {cfg['exclude']!r}"
-        )
-    if cfg["policy"] == "starved":
-        ex.check_agent_ids(cfg["starved_agent"], learners, "train-gossip.starved_agent")
+def _cmd_train_gossip(args) -> int:
+    cfg = apply_overrides(TRAIN_GOSSIP_DEFAULTS, _collect_overrides(args), "train-gossip")
+    graph = manhattan_grid(cfg["rows"], cfg["cols"])
+    keep = [v for v in range(graph.n) if v not in cfg["exclude"]]
+    # position_groups, which the by-position policy needs, maps event tags
+    # to lists of learner ids.
     groups = cfg["position_groups"]
     if groups is None and cfg["policy"] == "by-position":
         raise ConfigError("'train-gossip.position_groups' must be set for the by-position policy")
@@ -372,15 +349,10 @@ def _check_learner_fields(cfg: dict) -> None:
                 f"'train-gossip.position_groups' expects a JSON object, got {groups!r}"
             )
         for tag, group in groups.items():
-            ex.check_agent_ids(group, learners, f"train-gossip.position_groups.{tag}", many=True)
-
-
-def _cmd_train_gossip(args) -> int:
-    cfg = apply_overrides(TRAIN_GOSSIP_DEFAULTS, _collect_overrides(args), "train-gossip")
-    _check_learner_fields(cfg)
+            here = f"train-gossip.position_groups.{tag}"
+            ex.check_value("event", tag, here)
+            ex.check_agent_ids(group, len(keep), here, many=True)
     dataset = _load_dataset(cfg["data"], cfg, "train-gossip")
-    graph = manhattan_grid(cfg["rows"], cfg["cols"])
-    keep = [v for v in range(graph.n) if v not in set(cfg["exclude"])]
     learner_graph = induced_subgraph(graph, keep)
     agents = tuple(range(learner_graph.n))
 
@@ -390,11 +362,7 @@ def _cmd_train_gossip(args) -> int:
         starved_agent=cfg["starved_agent"],
         starved_fraction=cfg["starved_fraction"],
         starved_events=tuple(cfg["starved_events"]) if cfg["starved_events"] else None,
-        position_groups=(
-            {k: tuple(v) for k, v in cfg["position_groups"].items()}
-            if cfg["position_groups"]
-            else None
-        ),
+        position_groups={k: tuple(v) for k, v in groups.items()} if groups else None,
         seed=cfg["policy_seed"],
     )
     shards = shard_for_gossip(dataset, policy)
@@ -423,15 +391,10 @@ def _cmd_train_gossip(args) -> int:
 
 def _cmd_eval_roc(args) -> int:
     cfg = apply_overrides(EVAL_ROC_DEFAULTS, _collect_overrides(args), "eval-roc")
-    known = {"td": "temporal", "tdnn": "temporal", "sd": "spatial", "sdnn": "spatial"}
-    for det in cfg["detectors"]:
-        if det not in known:
-            raise ConfigError(f"unknown detector {det!r}; known: {sorted(known)}")
-
     datasets: dict[str, object] = {}
     detectors = []
     for det in cfg["detectors"]:
-        kind = known[det]
+        kind = ex.DETECTOR_KINDS[det]
         if kind not in datasets:
             path = cfg[f"{kind}_data"]
             if path is None:

@@ -407,9 +407,11 @@ def build_datasets(
     depend on ``chunk``, nor on whether the chunks run in this process or,
     for a build of _FAN_OUT_WORK or more, on forked workers (fanout.fan_out).
     """
-    for task in tasks:
+    for at, task in enumerate(tasks):
         if task not in ("nd", "nl"):
             raise ValueError(f"unknown task {task!r}; known: 'nd', 'nl'")
+        if task in tasks[:at]:
+            raise ValueError(f"task {task!r} is listed twice")
     Ks = tuple(dict.fromkeys(Ks))
     if not Ks or min(Ks) < 1:
         raise ValueError(f"need one or more Ks, each >= 1, got {list(Ks)}")

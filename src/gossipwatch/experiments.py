@@ -79,6 +79,7 @@ from .topology import (
     remove_edge,
     second_largest_eigenvalue,
     small_world,
+    subset_connected,
 )
 
 HIDDEN = (200, 100, 50)
@@ -89,9 +90,18 @@ TRAIN_DEFAULTS = {"eta": 0.01, "batch_size": 32, "epochs": 30}
 
 _METHODS = {"temporal": "td", "spatial": "sd"}  # score detector of each feature kind
 
+# The feature kind of each detector: a score detector, or its network.
+DETECTOR_KINDS = {method + nn: kind for kind, method in _METHODS.items() for nn in ("", "nn")}
+
 
 class ConfigError(ValueError):
     """Bad experiment configuration (unknown field, invalid value)."""
+
+
+def _family_defaults(**fields) -> dict:
+    """The defaults of a ROC or gossip family: those the six share, and its own."""
+    return {"master_seed": 0, "scale": 0.1, "rows": 3, "cols": 3, **fields,
+            "train": dict(TRAIN_DEFAULTS)}
 
 
 DEFAULTS: dict[str, dict] = {
@@ -105,93 +115,35 @@ DEFAULTS: dict[str, dict] = {
         "attacker": 1,
         "trace_seed": 0,
     },
-    "one-attacker": {
-        "master_seed": 0,
-        "scenario": "S0",
-        "scale": 0.1,
-        "rows": 3,
-        "cols": 3,
-        "temporal_setups": [[5, 2], [2, 2], [1, 2], [2, 1]],
-        "spatial_setups": [[2, 2], [1, 2]],
-        "train": dict(TRAIN_DEFAULTS),
-    },
-    "multi-attacker": {
-        "master_seed": 0,
-        "scenario": "S0",
-        "scale": 0.1,
-        "rows": 3,
-        "cols": 3,
-        "combos": [[1, 1], [2, 1], [2, 2], [5, 1], [5, 3]],
-        "temporal_K": 5,
-        "spatial_K": 2,
-        "d": 2,
-        "train": dict(TRAIN_DEFAULTS),
-    },
-    "degree-tailor": {
-        "master_seed": 0,
-        "scenario": "S0",
-        "scale": 0.1,
-        "rows": 3,
-        "cols": 3,
-        "monitor": 2,
-        "cuts": [[2, 5], [2, 8]],
-        "temporal_K": 5,
-        "spatial_K": 2,
-        "d": 2,
-        "train": dict(TRAIN_DEFAULTS),
-    },
-    "mismatch": {
-        "master_seed": 0,
-        "train_scenario": "S0",
-        "test_scenarios": ["S0", "S1", "S2", "S3", "S4"],
-        "scale": 0.1,
-        "rows": 3,
-        "cols": 3,
-        "temporal_K": 5,
-        "spatial_Ks": [2, 1],
-        "d": 2,
-        "train": dict(TRAIN_DEFAULTS),
-    },
-    "gossip-learning": {
-        "master_seed": 0,
-        "scenario": "S0",
-        "scale": 0.1,
-        "rows": 3,
-        "cols": 3,
-        "excluded_agent": 1,
-        "K": 1,
-        "d": 2,
-        "rounds": 200,
-        "mu": 0.5,
-        "policy_seed": 0,
-        "starved_agent": 1,
-        "starved_fraction": 0.02,
-        "next_group": [0, 1, 2, 3],
-        "far_group": [4, 5, 6, 7],
-        "train": dict(TRAIN_DEFAULTS),
-    },
-    "small-world": {
-        "master_seed": 0,
-        "scenario": "S0",
-        "scale": 0.1,
-        "rows": 3,
-        "cols": 3,
-        "n": 20,
-        "mean_degree": 8,
-        "rewire_prob": 0.2,
-        "graph_seed": 5,
-        "attackers": [3, 10, 17],
-        "M": 4,
-        "temporal_K": 5,
-        "spatial_K": 2,
-        "d": 2,
-        "train": dict(TRAIN_DEFAULTS),
-    },
+    "one-attacker": _family_defaults(
+        scenario="S0", temporal_setups=[[5, 2], [2, 2], [1, 2], [2, 1]],
+        spatial_setups=[[2, 2], [1, 2]],
+    ),
+    "multi-attacker": _family_defaults(
+        scenario="S0", combos=[[1, 1], [2, 1], [2, 2], [5, 1], [5, 3]],
+        temporal_K=5, spatial_K=2, d=2,
+    ),
+    "degree-tailor": _family_defaults(
+        scenario="S0", monitor=2, cuts=[[2, 5], [2, 8]], temporal_K=5, spatial_K=2, d=2,
+    ),
+    "mismatch": _family_defaults(
+        train_scenario="S0", test_scenarios=["S0", "S1", "S2", "S3", "S4"],
+        temporal_K=5, spatial_Ks=[2, 1], d=2,
+    ),
+    "gossip-learning": _family_defaults(
+        scenario="S0", excluded_agent=1, K=1, d=2, rounds=200, mu=0.5, policy_seed=0,
+        starved_agent=1, starved_fraction=0.02, next_group=[0, 1, 2, 3], far_group=[4, 5, 6, 7],
+    ),
+    "small-world": _family_defaults(
+        scenario="S0", n=20, mean_degree=8, rewire_prob=0.2, graph_seed=5, attackers=[3, 10, 17],
+        M=4, temporal_K=5, spatial_K=2, d=2,
+    ),
 }
 
 
 def resolve_config(family: str, overrides: dict | None = None) -> dict:
-    """Defaults for ``family`` with ``overrides`` merged in.
+    """Defaults for ``family`` with ``overrides`` merged in and checked, by
+    apply_overrides.
 
     Unknown fields raise ConfigError with the full field path, so a typo in
     a config file fails loudly instead of being ignored.
@@ -200,35 +152,74 @@ def resolve_config(family: str, overrides: dict | None = None) -> dict:
         raise ConfigError(
             f"unknown experiment family {family!r}; known: {sorted(DEFAULTS)}"
         )
-    cfg = apply_overrides(DEFAULTS[family], overrides or {}, family)
-    if family in _DESK_FAMILIES:
-        check_desk_scale(cfg, family)
-    elif family in _SWEEP_FAMILIES and _test_budget(cfg["scale"]).nl_test < 1:
+    return apply_overrides(DEFAULTS[family], overrides or {}, family)
+
+
+def apply_overrides(defaults: dict, overrides: dict, path: str) -> dict:
+    """Deep-copied ``defaults`` with ``overrides`` merged, unknown keys
+    failing, and the result passed through check_config."""
+    cfg = json.loads(json.dumps(defaults))
+    _merge(cfg, overrides, path)
+    check_config(cfg, path)
+    return cfg
+
+
+def check_config(cfg: dict, section: str) -> None:
+    """The check of every merged config, of an experiment family or a CLI
+    subcommand: a ConfigError naming the field path under ``section``, so
+    that a bad value fails before any output is made.  Checks the row
+    budgets' scale, each list field's entries against its row of
+    _LIST_DOMAINS or _PAIR_DOMAINS and for repeats (each entry names its
+    own artifacts), and each agent id against the graph it indexes."""
+    if section in _DESK_SECTIONS and not cfg.get("full"):
+        if cfg["scale"] > 1:
+            raise ConfigError(f"'{section}.scale' must be in (0, 1], got {cfg['scale']!r}")
+    elif section in _SWEEP_FAMILIES and _test_budget(cfg["scale"]).nl_test < 1:
         # The test split is _sweep's smallest: a scale that gives it no row
         # would fail only after fitting on the training split, or in the fit.
         raise ConfigError(
-            f"'{family}.scale' must be > 1/12000, so that every split has a row, "
+            f"'{section}.scale' must be > 1/12000, so that every split has a row, "
             f"got {cfg['scale']!r}"
         )
-    for key in dict.fromkeys(key for key, _, _ in _PAIR_DOMAINS):
+    for key in (*_LIST_DOMAINS, *dict.fromkeys(key for key, _, _ in _PAIR_DOMAINS)):
+        seen = []
         for i, entry in enumerate(cfg.get(key, ())):
-            check_pair(key, entry, cfg, f"{family}.{key}[{i}]")
-    for key, (field, kind) in _LIST_DOMAINS.items():
-        valid, what = DOMAINS[field]
-        for i, entry in enumerate(cfg.get(key, ())):
-            if json_type(entry) != kind:
-                raise ConfigError(f"'{family}.{key}[{i}]' expects a JSON {kind}, got {entry!r}")
-            if not valid(entry):
-                raise ConfigError(f"'{family}.{key}[{i}]' must be {what}, got {entry!r}")
+            here = f"{section}.{key}[{i}]"
+            if key in _LIST_DOMAINS:
+                check_value(_LIST_DOMAINS[key], entry, here)
+            else:
+                check_pair(key, entry, cfg, here)
+            same = sorted(entry) if key == "cuts" else entry  # an edge either way round
+            if same in seen:
+                raise ConfigError(f"'{here}' repeats an earlier entry, got {entry!r}")
+            seen.append(same)
     if "mean_degree" in cfg and cfg["mean_degree"] >= cfg["n"]:
         raise ConfigError(
-            f"'{family}.mean_degree' must be < n = {cfg['n']}, got {cfg['mean_degree']!r}"
+            f"'{section}.mean_degree' must be < n = {cfg['n']}, got {cfg['mean_degree']!r}"
         )
-    for key, count in _AGENT_FIELDS:
-        if key in cfg:
-            many = json_type(cfg[key]) == "list"
-            check_agent_ids(cfg[key], count(cfg), f"{family}.{key}", many=many)
-    return cfg
+    if "exclude" in cfg:  # the learners it leaves, which _AGENT_FIELDS counts
+        keep = [v for v in range(_grid(cfg)) if v not in cfg["exclude"]]
+        if len(keep) < 2 or not subset_connected(_torus(cfg), keep):
+            raise ConfigError(
+                f"'{section}.exclude' must leave one or more of the {_grid(cfg)} agents, and the "
+                f"learners left must be two or more that are connected on the "
+                f"{cfg['rows']}x{cfg['cols']} torus, got {cfg['exclude']!r}"
+            )
+    for key, count, many in _AGENT_FIELDS:
+        if cfg.get(key) is not None:
+            check_agent_ids(cfg[key], count(cfg), f"{section}.{key}", many, key == "exclude")
+
+
+def check_value(field: str, value, path: str) -> None:
+    """A ConfigError naming ``path`` unless ``value`` has the JSON type and
+    lies in the domain that DOMAINS gives ``field``; null, and any value of
+    a field without a row there, passes."""
+    if value is not None and field in DOMAINS:
+        kind, valid, what = DOMAINS[field]
+        if not _typed(kind, value):
+            raise ConfigError(f"'{path}' expects a JSON {kind}, got {value!r}")
+        if not valid(value):
+            raise ConfigError(f"'{path}' must be {what}, got {value!r}")
 
 
 def check_pair(key: str, entry, cfg: dict, path: str) -> None:
@@ -255,47 +246,75 @@ def check_agent_ids(value, n: int, path: str, many: bool = False, empty: bool = 
         raise ConfigError(f"'{path}' must be {what} in [0, {n}), got {value!r}")
 
 
-# Numeric and choice fields, wherever they appear in a config with a non-null
-# default: (valid, what a value must be).
+def _choice(values) -> tuple:
+    return ("string", lambda v: v in values, f"one of {sorted(values)}")
+
+
+# Fields, wherever they appear in a config, and entry domains of list
+# fields: (JSON type, valid, what a value must be).  A field whose default
+# is null is checked where it is read.
 DOMAINS = {
     **dict.fromkeys(
-        ("T", "K", "d", "temporal_K", "spatial_K", "M", "batch_size"), (lambda v: v >= 1, ">= 1")
+        ("T", "K", "d", "temporal_K", "spatial_K", "M", "batch_size"),
+        ("integer", lambda v: v >= 1, ">= 1"),
     ),
-    **dict.fromkeys(
-        ("scenario", "train_scenario"), (lambda v: v in BETA_LAWS, f"one of {sorted(BETA_LAWS)}")
-    ),
-    "rows": (lambda v: v >= 3, ">= 3"),
-    "cols": (lambda v: v >= 3, ">= 3"),
-    "scale": (lambda v: v > 0, "> 0"),
-    "starved_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "eta": (lambda v: v > 0, "> 0"),
-    "epochs": (lambda v: v >= 0, ">= 0"),
-    "rounds": (lambda v: v >= 0, ">= 0"),
-    "mu": (lambda v: 0 <= v <= 1, "in [0, 1]"),
-    "mode": (lambda v: v in ("sync", "async"), "'sync' or 'async'"),
+    **dict.fromkeys(("rows", "cols", "n"), ("integer", lambda v: v >= 3, ">= 3")),
+    **dict.fromkeys(("scenario", "train_scenario"), _choice(BETA_LAWS)),
+    "task": _choice(("nd", "nl")),
+    "kind": _choice(_METHODS),
+    "event": _choice(_ALL_EVENTS),
+    "detector": _choice(DETECTOR_KINDS),
+    "scale": ("number", lambda v: v > 0, "> 0"),
+    "starved_fraction": ("number", lambda v: 0 < v < 1, "in (0, 1)"),
+    "eta": ("number", lambda v: v > 0, "> 0"),
+    "epochs": ("integer", lambda v: v >= 0, ">= 0"),
+    "rounds": ("integer", lambda v: v >= 0, ">= 0"),
+    "mu": ("number", lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "mode": ("string", lambda v: v in ("sync", "async"), "'sync' or 'async'"),
     "policy": (
+        "string",
         lambda v: v in ("uniform", "starved", "by-position"),
         "'uniform', 'starved' or 'by-position'",
     ),
-    "n": (lambda v: v >= 3, ">= 3"),
-    "mean_degree": (lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2"),
-    "rewire_prob": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "mean_degree": ("integer", lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2"),
+    "rewire_prob": ("number", lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
 
-# List fields whose entries each lie in the domain of a field of DOMAINS:
-# (that field, the JSON type of an entry).
-_LIST_DOMAINS = {"spatial_Ks": ("spatial_K", "integer"), "test_scenarios": ("scenario", "string")}
+# List fields whose entries each lie in a domain of DOMAINS: that domain.
+_LIST_DOMAINS = {
+    "spatial_Ks": "spatial_K",
+    "test_scenarios": "scenario",
+    "tasks": "task",
+    "events": "event",
+    "starved_events": "event",
+    "detectors": "detector",
+}
 
-# Agent-id fields, one id or a list of distinct ids, with the agent count of
-# the graph they index.  The gossip learners are the grid without its
-# excluded agent, numbered anew.
+
+def _grid(cfg: dict) -> int:
+    return cfg["rows"] * cfg["cols"]
+
+
+def _torus(cfg: dict):
+    return manhattan_grid(cfg["rows"], cfg["cols"])
+
+
+def _learners(cfg: dict) -> int:
+    """The gossip learners: the grid without its excluded agent or agents."""
+    return _grid(cfg) - len(cfg.get("exclude", [cfg.get("excluded_agent")]))
+
+
+# Agent-id fields, one id or a list of distinct ids (exclude's may be
+# empty): (field, agent count of the graph it indexes, a list?).  The gossip
+# learners are numbered anew.
 _AGENT_FIELDS = [
-    ("attackers", lambda cfg: cfg["n"]),
-    ("monitor", lambda cfg: cfg["rows"] * cfg["cols"]),
-    ("excluded_agent", lambda cfg: cfg["rows"] * cfg["cols"]),
-    ("starved_agent", lambda cfg: cfg["rows"] * cfg["cols"] - 1),
-    ("next_group", lambda cfg: cfg["rows"] * cfg["cols"] - 1),
-    ("far_group", lambda cfg: cfg["rows"] * cfg["cols"] - 1),
+    ("attackers", lambda cfg: cfg["n"], True),
+    ("monitor", _grid, False),
+    ("excluded_agent", _grid, False),
+    ("exclude", _grid, True),
+    ("starved_agent", _learners, False),
+    ("next_group", _learners, True),
+    ("far_group", _learners, True),
 ]
 
 # List fields of integer pairs: (field, valid given the config, what an entry
@@ -304,50 +323,46 @@ _PAIR_DOMAINS = [
     ("temporal_setups", lambda K, d, cfg: K >= 1 and d >= 1, "[K, d] with K, d >= 1"),
     ("spatial_setups", lambda K, d, cfg: K >= 1 and d >= 1, "[K, d] with K, d >= 1"),
     ("combos", lambda m, c, cfg: 0 <= c <= m, "[m, c] with 0 <= c <= m"),
-    ("combos", lambda m, c, cfg: c <= 4 and m - c <= cfg["rows"] * cfg["cols"] - 5,
+    ("combos", lambda m, c, cfg: c <= 4 and m - c <= _grid(cfg) - 5,
      "[m, c] that fits the {rows}x{cols} torus, c <= 4 and m - c <= rows * cols - 5"),
+    ("cuts", lambda u, v, cfg: (min(u, v), max(u, v)) in _torus(cfg).edges,
+     "an edge [u, v] of the {rows}x{cols} torus"),
 ]
 
 
-# Families whose row budgets come from Budget.desk, which takes a scale in
-# (0, 1] and gives every split at least one row; the sweep families scale
-# their row counts by any scale large enough that no split is empty.
-_DESK_FAMILIES = ("one-attacker", "gossip-learning")
+# Sections whose row budgets come from Budget.desk, which takes a scale in
+# (0, 1] and gives every split at least one row (gen-data's unless full);
+# the sweep families scale their row counts by any scale large enough that
+# no split is empty.
+_DESK_SECTIONS = ("one-attacker", "gossip-learning", "gen-data")
 _SWEEP_FAMILIES = ("multi-attacker", "degree-tailor", "mismatch", "small-world")
-
-
-def check_desk_scale(cfg: dict, path: str) -> None:
-    """Budget.desk's domain of cfg["scale"], as a config error naming the
-    field path, so that it fails before any output is made."""
-    if cfg["scale"] > 1:
-        raise ConfigError(f"'{path}.scale' must be in (0, 1], got {cfg['scale']!r}")
-
-
-def apply_overrides(defaults: dict, overrides: dict, path: str) -> dict:
-    """Deep-copied ``defaults`` with ``overrides`` merged; unknown keys fail."""
-    cfg = json.loads(json.dumps(defaults))
-    _merge(cfg, overrides, path)
-    return cfg
 
 
 def _merge(base: dict, overrides: dict, path: str) -> None:
     """Overlay ``overrides`` on ``base`` in place.  Each value must have the
-    JSON type of its default, except that a number field takes an integer,
-    and a field of ``DOMAINS`` its domain; a field whose default is null
-    takes any value and is checked where it is used."""
+    JSON type of its default (_typed), and a field of ``DOMAINS`` its
+    domain; a field whose default is null takes any value and is checked
+    where it is used."""
     for key, value in overrides.items():
         here = f"{path}.{key}"
         if key not in base:
             raise ConfigError(f"unknown config field {here!r}")
-        expected, got = json_type(base[key]), json_type(value)
-        if expected not in ("null", got) and (expected, got) != ("number", "integer"):
+        expected = json_type(base[key])
+        if not _typed(expected, value):
             raise ConfigError(f"{here!r} expects a JSON {expected}, got {value!r}")
         if expected == "object":
             _merge(base[key], value, here)
-        elif expected != "null" and key in DOMAINS and not DOMAINS[key][0](value):
-            raise ConfigError(f"{here!r} must be {DOMAINS[key][1]}, got {value!r}")
         else:
+            if expected != "null":
+                check_value(key, value, here)
             base[key] = value
+
+
+def _typed(kind: str, value) -> bool:
+    """Whether ``value`` may stand where JSON type ``kind`` is expected: a
+    number also as an integer, and null as any value."""
+    got = json_type(value)
+    return kind in ("null", got) or (kind, got) == ("number", "integer")
 
 
 def json_type(value) -> str:
@@ -427,8 +442,9 @@ def fit(
 
 
 def _fit_job(dataset, config: TrainConfig, key: tuple, outdir, name: str) -> None:
-    """One job of _fit_all: fit a network on dataset, seeded by _rng(*key),
-    and save it as ``name`` in outdir, where _fit_and_test reads it back."""
+    """One job of _fit_and_test: fit a network on dataset, seeded by
+    _rng(*key), and save it as ``name`` in outdir, where _fit_and_test
+    reads it back."""
     mlp, _ = fit(dataset, config, _rng(*key))
     save_model(mlp, os.path.join(outdir, name + ".json"))
 
@@ -436,24 +452,6 @@ def _fit_job(dataset, config: TrainConfig, key: tuple, outdir, name: str) -> Non
 def _fit_key(master: int, K: int, d: int, task: str, kind: str) -> tuple:
     """Seed key of the network fit for one (K, d, task, feature kind) setup."""
     return (master, 11, K, d, task == "nl", kind == "spatial")
-
-
-# The fewest row-epochs (one dataset row through one epoch, about 10 us of
-# one CPU for a [4, 200, 100, 50, 1] network) worth fanning fits out: below
-# it starting the workers and reading the models back cost about as much as
-# the second CPU saves.
-_FIT_WORK = 10_000
-
-
-def _fit_all(fits: list, config: TrainConfig, outdir) -> None:
-    """Fit and save one network per (dataset, key, name) of fits with
-    _fit_job: on forked workers (fanout.fan_out) when their row-epochs come
-    to _FIT_WORK or more, else in this process."""
-    work = sum(dataset.n_rows for dataset, _, _ in fits) * config.epochs
-    fan_out([
-        functools.partial(_fit_job, dataset, config, key, outdir, name)
-        for dataset, key, name in fits
-    ], fork=work >= _FIT_WORK)
 
 
 def _out_width(dataset) -> int:
@@ -468,13 +466,17 @@ def _save(mlp, outdir, name, artifacts) -> None:
 def _fit_and_test(
     fits: list, tests: list, tcfg: TrainConfig, outdir, extra_cols=()
 ) -> list[str]:
-    """Fit and save the networks of ``fits`` with _fit_all, then score each
-    (test set, model name, ROC stem tail, extra columns) of ``tests`` in
+    """Fit and save one network per (dataset, seed key, model name) of
+    ``fits`` with _fit_job, on forked workers (fanout.fan_out), then score
+    each (test set, model name, ROC stem tail, extra columns) of ``tests`` in
     order: the score detector of the set's feature kind, then the network
     saved as ``model name``, read back for this test alone.  Writes one ROC
     curve per detector and test, and aucs.csv with ``extra_cols`` after the
     summary columns; returns every artifact name."""
-    _fit_all(fits, tcfg, outdir)
+    fan_out([
+        functools.partial(_fit_job, dataset, tcfg, key, outdir, name)
+        for dataset, key, name in fits
+    ], fork=True)
     artifacts = [name + ext for _, _, name in fits for ext in (".json", ".json.bin")]
     summaries: list[dict] = []
     for ds, name, tail, extra in tests:

@@ -18,9 +18,10 @@ def fan_out(jobs: list, fork: bool) -> list:
     """Call every job (a function of no arguments) once and return the
     results in job order: on min(CPUs, len(jobs)) forked worker processes
     where ``fork`` is true, or in order in this process where it is false,
-    where that count is one, or where the platform has no fork.  Callers
-    pass ``fork`` from the jobs' work against the workers' start-up, about
-    10 ms, and the cost of pickling the results back.
+    where that count is one, or where the platform has no fork.  A dataset
+    build passes ``fork`` from its work against the workers' start-up, about
+    10 ms, and the cost of pickling the results back; a family's fits always
+    pay for it.
 
     Each job must seed its own generator and write only its own files, so
     the bytes do not depend on the worker count or the order.  The workers

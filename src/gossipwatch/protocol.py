@@ -66,52 +66,26 @@ def optimal_value(problem: LeastSquaresProblem) -> tuple[np.ndarray, float]:
     return x_hat, global_objective(problem, x_hat)
 
 
-@dataclass(frozen=True)
-class Stepsize:
-    """Stepsize schedule gamma(t) for t = 1, 2, ...
+# The box [BOX_LO, BOX_HI]^d that every trustworthy step is projected onto.
+BOX_LO, BOX_HI = -10.0, 10.0
 
-    family "harmonic": gamma(t) = c0 / (c1 + t), the divergent-sum
-    square-summable choice used in all default experiments.  family
-    "constant": gamma(t) = c0, admitted for fixed-point tests (c0 = 0 turns
-    the protocol into pure pairwise averaging).
-    """
 
-    family: str = "harmonic"
-    c0: float = 1.0
-    c1: float = 10.0
-
-    def __post_init__(self):
-        if self.family == "harmonic":
-            if self.c0 <= 0 or self.c1 < 0:
-                raise ValueError("harmonic stepsize needs c0 > 0 and c1 >= 0")
-        elif self.family == "constant":
-            if self.c0 < 0:
-                raise ValueError("constant stepsize needs c0 >= 0")
-        else:
-            raise ValueError(f"unknown stepsize family: {self.family!r}")
-
-    def schedule(self, T: int) -> np.ndarray:
-        """gamma(1..T) as an array (index t-1)."""
-        if self.family == "harmonic":
-            return self.c0 / (self.c1 + np.arange(1, T + 1, dtype=np.float64))
-        return np.full(T, self.c0, dtype=np.float64)
+def stepsizes(T: int) -> np.ndarray:
+    """gamma(1..T) (index t-1) of the harmonic schedule gamma(t) = 1 / (10 + t),
+    whose sum diverges and whose sum of squares does not."""
+    return 1.0 / (10.0 + np.arange(1, T + 1))
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     d: int = 2
     T: int = 2000
-    stepsize: Stepsize = field(default_factory=Stepsize)
-    box_lo: float = -10.0
-    box_hi: float = 10.0
     init_low: float = 0.0  # trustworthy initial states ~ U[init_low, init_high]^d
     init_high: float = 1.0
 
     def __post_init__(self):
         if self.d < 1 or self.T < 1:
             raise ValueError(f"need d, T >= 1, got d={self.d}, T={self.T}")
-        if not self.box_lo < self.box_hi:
-            raise ValueError(f"box requires lo < hi, got [{self.box_lo}, {self.box_hi}]")
         if not self.init_low <= self.init_high:
             raise ValueError("init_low must be <= init_high")
 
@@ -321,14 +295,12 @@ def run_batch(
     snap_of = np.full(T + 1, -1, dtype=np.int64)
     snap_of[times] = np.arange(len(times))
     snaps = np.empty((len(times), B, n, d))
-    sched = config.stepsize.schedule(T)
     first, last, sums = (np.empty((B, n, d)) for _ in range(3))
     status = _compiled_loop().gossip_loop(
         B, n, d, T, rngs, first, last, sums, flags,
         graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
-        thetas, phis, alphas, powers, sched,
-        float(config.init_low), float(config.init_high),
-        float(config.box_lo), float(config.box_hi), snap_of, snaps,
+        thetas, phis, alphas, powers, stepsizes(T),
+        float(config.init_low), float(config.init_high), BOX_LO, BOX_HI, snap_of, snaps,
     )
     if status != 0:
         raise MemoryError("gossip loop could not allocate its work buffer")

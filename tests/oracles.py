@@ -24,7 +24,7 @@ import numpy as np
 
 from gossipwatch.evaluation import GREATER_IS_H1, SMALLER_IS_H1, _validate_scores_labels
 from gossipwatch.neural import Mlp, mlp_from_blob, params_to_blob
-from gossipwatch.protocol import BatchStats, LeastSquaresProblem
+from gossipwatch.protocol import BOX_HI, BOX_LO, BatchStats, LeastSquaresProblem, stepsizes
 from gossipwatch.topology import Graph
 
 
@@ -366,7 +366,7 @@ def numpy_run_batch(
     _numpy_loop(
         x, sums, i_seq, j_seq, flags, np.asarray(thetas, dtype=np.float64),
         np.asarray(phis, dtype=np.float64), alphas, powers, noise, start,
-        config.stepsize.schedule(T), float(config.box_lo), float(config.box_hi), snap_of, snaps,
+        stepsizes(T), BOX_LO, BOX_HI, snap_of, snaps,
     )
     return BatchStats(
         first=first, last=x, sums=sums, checkpoints={t: snaps[k] for k, t in enumerate(times)}

@@ -98,17 +98,20 @@ def test_unknown_task_writes_nothing(tmp_path, capsys):
     rc = cli.main(
         ["gen-data", *TINY_GEN, "--set", 'tasks=["detect"]', "--out", str(out)]
     )
-    assert rc == 2
+    assert rc == 1
     err = capsys.readouterr().err
-    assert "unknown task 'detect'" in err and "'nd', 'nl'" in err
+    assert "config error: 'gen-data.tasks[0]' must be one of ['nd', 'nl'], got 'detect'" in err
     assert not out.exists()
 
 
 def test_bad_events_write_nothing(tmp_path, capsys):
     out = tmp_path / "data"
-    for events, what in (("[]", "one or more events"), ('["h0","h0","next-to"]', "twice")):
-        rc = cli.main(["gen-data", *TINY_GEN, "--set", f"events={events}", "--out", str(out)])
-        assert rc == 2
+    for events, rc, what in (
+        ("[]", 2, "one or more events"),
+        ('["h0","h0","next-to"]', 1, "'gen-data.events[1]' repeats an earlier entry, got 'h0'"),
+    ):
+        argv = ["gen-data", *TINY_GEN, "--set", f"events={events}", "--out", str(out)]
+        assert cli.main(argv) == rc
         assert what in capsys.readouterr().err
         assert not out.exists()
 
@@ -377,6 +380,52 @@ def test_train_gossip_agent_fields_fail_before_reading_or_writing(
     rc = cli.main(["train-gossip", "--set", f"data={tmp_path / 'missing.csv'}",
                    "--set", setting, "--out", str(out)])
     assert rc == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_EVENT_TAGS = "one of ['far-from', 'h0', 'next-to']"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["gen-data", "--set", 'tasks=["nd","nd"]'],
+      "'gen-data.tasks[1]' repeats an earlier entry, got 'nd'"),
+     (["gen-data", "--set", 'tasks=["xx"]'],
+      "'gen-data.tasks[0]' must be one of ['nd', 'nl'], got 'xx'"),
+     (["gen-data", "--set", 'events=["boom"]'],
+      f"'gen-data.events[0]' must be {_EVENT_TAGS}, got 'boom'"),
+     (["train", "--set", "kind=bar"],
+      "'train.kind' must be one of ['spatial', 'temporal'], got 'bar'"),
+     (["train", "--set", "task=foo"], "'train.task' must be one of ['nd', 'nl'], got 'foo'"),
+     (["eval-roc", "--set", 'detectors=["td","td"]'],
+      "'eval-roc.detectors[1]' repeats an earlier entry, got 'td'"),
+     (["train-gossip", "--set", 'starved_events=["bogus"]'],
+      f"'train-gossip.starved_events[0]' must be {_EVENT_TAGS}, got 'bogus'"),
+     (["train-gossip", "--set", "policy=by-position", "--set", 'position_groups={"bogus":[0,1]}'],
+      f"'train-gossip.position_groups.bogus' must be {_EVENT_TAGS}, got 'bogus'"),
+     (["experiment", "mismatch", "--set", 'test_scenarios=["S1","S1"]'],
+      "'mismatch.test_scenarios[1]' repeats an earlier entry, got 'S1'"),
+     (["experiment", "one-attacker", "--set", "temporal_setups=[[1,1],[1,1]]"],
+      "'one-attacker.temporal_setups[1]' repeats an earlier entry, got [1, 1]"),
+     (["experiment", "degree-tailor", "--set", "cuts=[[0,4]]"],
+      "'degree-tailor.cuts[0]' must be an edge [u, v] of the 3x3 torus, got [0, 4]"),
+     (["experiment", "degree-tailor", "--set", "cuts=[[2,5],[2,5]]"],
+      "'degree-tailor.cuts[1]' repeats an earlier entry, got [2, 5]"),
+     (["experiment", "degree-tailor", "--set", "cuts=[[2,5],[5,2]]"],
+      "'degree-tailor.cuts[1]' repeats an earlier entry, got [5, 2]")],
+    ids=["tasks_twice", "unknown_task", "unknown_event", "kind", "task", "detectors_twice",
+         "starved_events", "position_groups_key", "test_scenarios_twice", "setups_twice",
+         "cut_not_an_edge", "cuts_twice", "cut_reversed"],
+)
+def test_list_entries_and_dataset_fields_fail_before_writing(tmp_path, capsys, argv, message):
+    """Every list entry lies in its field's domain and differs from the
+    entries before it, and the task and kind of train's dataset lie in
+    theirs, whatever subcommand or family reads them; a bad one is a config
+    error naming its field path, before any dataset is read."""
+    out = tmp_path / "o"
+    data = ["--set", f"data={tmp_path / 'missing.csv'}"] if argv[0].startswith("train") else []
+    assert cli.main([*argv, *data, "--out", str(out)]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 

@@ -408,6 +408,8 @@ def test_build_datasets_rejects_bad_tasks_and_Ks():
     scn, budget = _scenario(), _tiny_budget()
     with pytest.raises(ValueError, match="'detect'.*'nd', 'nl'"):
         build_datasets(scn, (1,), budget, 0, tasks=("nd", "detect"))
+    with pytest.raises(ValueError, match="task 'nd' is listed twice"):
+        build_datasets(scn, (1,), budget, 0, tasks=("nd", "nd"))
     with pytest.raises(ValueError, match="one or more Ks"):
         build_datasets(scn, (), budget, 0)
     with pytest.raises(ValueError, match=r"each >= 1, got \[2, 0\]"):

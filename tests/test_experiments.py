@@ -95,6 +95,20 @@ def test_training_fields_outside_their_domain_raise_with_the_field_path():
     assert resolve_config("gossip-learning", {"mu": 0})["mu"] == 0
 
 
+def test_every_list_field_has_a_row_of_the_entry_check():
+    """Each list-valued default, of a family or of a CLI subcommand, has a
+    row in a table of check_config, so that no list field skips the entry
+    check."""
+    from gossipwatch import cli, experiments
+
+    tables = (*DEFAULTS.values(), cli.GEN_DATA_DEFAULTS, cli.TRAIN_DEFAULTS,
+              cli.TRAIN_GOSSIP_DEFAULTS, cli.EVAL_ROC_DEFAULTS)
+    checked = {*experiments._LIST_DOMAINS, *(row[0] for row in experiments._PAIR_DOMAINS),
+               *(row[0] for row in experiments._AGENT_FIELDS)}
+    lists = {key for table in tables for key, value in table.items() if isinstance(value, list)}
+    assert lists and lists <= checked, sorted(lists - checked)
+
+
 def test_config_digest_is_order_insensitive_and_value_sensitive():
     a = {"x": 1, "y": {"z": [1, 2]}}
     b = {"y": {"z": [1, 2]}, "x": 1}
@@ -149,7 +163,6 @@ def test_a_failing_fit_fails_the_family_and_leaves_no_worker(
         raise ValueError("no fit today")
 
     monkeypatch.setattr(experiments, "fit", fail)  # forked workers inherit it
-    monkeypatch.setattr(experiments, "_FIT_WORK", 0)  # tiny fits fan out too
     here = fanout.usable_cpus()  # taken again where the machine has fewer
     monkeypatch.setattr(fanout, "usable_cpus", lambda: (here * cpus)[:cpus])
     overrides = {**overrides, "train": {"epochs": 1}}

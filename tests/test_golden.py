@@ -72,16 +72,15 @@ def test_golden_digests():
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_golden_digests_hold_on_one_and_two_cpus(monkeypatch, cpus):
-    """Dataset builds and the families' fits of enough work run on one
+    """Dataset builds of enough work and the families' fits run on one
     forked worker per CPU; on one CPU (everything in this process) and on
     two (every build's chunks and every family's fits on two workers, even
     on a one-CPU machine) they write the same bytes."""
-    from gossipwatch import datagen, experiments, fanout
+    from gossipwatch import datagen, fanout
 
     here = fanout.usable_cpus()  # taken again where the machine has fewer
     monkeypatch.setattr(fanout, "usable_cpus", lambda: (here * cpus)[:cpus])
     monkeypatch.setattr(datagen, "_FAN_OUT_WORK", 0)
-    monkeypatch.setattr(experiments, "_FIT_WORK", 0)
     _assert_pinned(_compute())
 
 

@@ -16,14 +16,17 @@ from oracles import generate_problem, numpy_run_batch, pcg64_row
 from gossipwatch import cli, datagen, protocol
 from gossipwatch.protocol import (
     BatchStats,
+    BOX_HI,
+    BOX_LO,
+    LeastSquaresProblem,
     ProtocolConfig,
-    Stepsize,
     draw_problems,
     entropy_words,
     global_objective,
     optimal_value,
     run_batch,
     seed_states,
+    stepsizes,
 )
 from gossipwatch.topology import (
     attacker_mask,
@@ -119,17 +122,10 @@ def _trajectory(stats, b, T):
 
 
 def test_harmonic_stepsize_values():
-    gamma = Stepsize().schedule(5)
+    gamma = stepsizes(5)
     for t in range(1, 6):
         assert gamma[t - 1] == 1.0 / (10.0 + t)
     assert np.array_equal(gamma, 1.0 / (10.0 + np.arange(1, 6)))
-    flat = Stepsize(family="constant", c0=0.25).schedule(999)
-    assert flat.shape == (999,) and np.all(flat == 0.25)
-
-
-def test_stepsize_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        Stepsize(family="geometric")
 
 
 def test_protocol_config_validation():
@@ -137,8 +133,6 @@ def test_protocol_config_validation():
         ProtocolConfig(d=0)
     with pytest.raises(ValueError):
         ProtocolConfig(T=0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(box_lo=1.0, box_hi=-1.0)
 
 
 def test_generate_problem_laws():
@@ -283,12 +277,12 @@ def test_optimal_value_matches_normal_equations():
 
 def test_subgradient_matches_finite_differences():
     """A one-iteration run moves each pair member from the pair average by
-    gamma times the gradient of its local objective."""
+    gamma(1) = 1/11 times the gradient of its local objective."""
     graph = manhattan_grid(3, 3)
     rng = np.random.default_rng(4)
     problems = [generate_problem(9, 3, rng) for _ in range(6)]
-    gam = 0.01
-    config = ProtocolConfig(d=3, T=1, stepsize=Stepsize(family="constant", c0=gam))
+    gam = 1.0 / 11.0
+    config = ProtocolConfig(d=3, T=1)
     stats = _run(graph, problems, config, range(6), checkpoints=(0,))
     for b, p in enumerate(problems):
         x0, x1 = stats.checkpoints[0][b], stats.last[b]
@@ -334,14 +328,14 @@ def test_batch_sums_match_checkpoints():
 
 
 def test_run_batch_respects_box():
+    """A large phi pushes the steps past the box on both sides; every state
+    stays in it, and the steps that leave it end on its faces."""
     graph = manhattan_grid(3, 3)
     problem = generate_problem(9, 2, np.random.default_rng(5))
-    config = ProtocolConfig(
-        d=2, T=200, stepsize=Stepsize(family="constant", c0=50.0), box_lo=-1.5, box_hi=1.5,
-    )
-    stats = _run(graph, [problem], config, (6,), checkpoints=range(201))
+    problem = LeastSquaresProblem(theta=problem.theta, phi=np.resize([1e4, -1e4], 9))
+    stats = _run(graph, [problem], ProtocolConfig(d=2, T=200), (6,), checkpoints=range(201))
     states = _trajectory(stats, 0, 200)
-    assert states.min() >= -1.5 and states.max() <= 1.5
+    assert states.min() == BOX_LO and states.max() == BOX_HI
 
 
 def test_run_batch_determinism():
@@ -361,7 +355,9 @@ def test_run_batch_determinism():
 def test_pure_averaging_keeps_mean_and_contracts_range():
     graph = manhattan_grid(3, 3)
     problem = generate_problem(9, 1, np.random.default_rng(2))
-    config = ProtocolConfig(d=1, T=400, stepsize=Stepsize(family="constant", c0=0.0))
+    # theta = 0 makes every subgradient step exactly the pair average
+    problem = LeastSquaresProblem(theta=np.zeros_like(problem.theta), phi=problem.phi)
+    config = ProtocolConfig(d=1, T=400)
     states = _trajectory(_run(graph, [problem], config, (3,), checkpoints=range(401)), 0, 400)
     means = states.mean(axis=1)
     assert np.allclose(means, means[0], atol=1e-12)
@@ -404,7 +400,7 @@ def _reference_run(graph, flags, theta, phi, alpha, lam, config, rng):
     pull = [a[int(u * len(a))] for a, u in zip(nbrs, rng.random(T).tolist())]
     events = sum(int(flags[i]) + int(flags[j]) for i, j in zip(wake, pull))
     noise = iter(rng.uniform(-1.0, 1.0, size=(events, d)).tolist())
-    gammas = config.stepsize.schedule(T).tolist()
+    gammas = stepsizes(T).tolist()
     # numpy's vectorized power can differ from scalar pow in the last bit, so
     # the noise decay factors are taken from it, as the kernel does
     decay = (lam ** np.arange(T + 1, dtype=np.float64)).tolist()
@@ -422,7 +418,7 @@ def _reference_run(graph, flags, theta, phi, alpha, lam, config, rng):
                 resid += theta[v][c] * xbar[c]
             resid -= phi[v]
             step = [xbar[c] - gam * (2.0 * theta[v][c] * resid) for c in range(d)]
-            x[v] = [min(max(s, config.box_lo), config.box_hi) for s in step]
+            x[v] = [min(max(s, BOX_LO), BOX_HI) for s in step]
         states.append([row[:] for row in x])
     return np.array(states)
 
