@@ -25,6 +25,7 @@ from gossipwatch.protocol import (
 from gossipwatch.features import tailor_inputs
 from gossipwatch.neural import (
     Mlp,
+    Step,
     TrainConfig,
     init_mlp,
     forward,

@@ -45,7 +45,7 @@ from .evaluation import (
     roc_to_csv,
 )
 from .experiments import ConfigError, apply_overrides
-from .gossip_train import metrics_to_csv, run_gossip_training
+from .gossip_train import RoundMetrics, run_gossip_training
 from .neural import TrainConfig, load_model, save_model
 from .topology import induced_subgraph, manhattan_grid
 
@@ -100,8 +100,7 @@ TRAIN_GOSSIP_DEFAULTS = {
     "mode": "sync",
     "policy_seed": 0,
     "seed": 0,
-    "eta": 0.01,
-    "batch_size": 32,
+    **{key: ex.TRAIN_DEFAULTS[key] for key in ("eta", "batch_size")},
 }
 
 EVAL_ROC_DEFAULTS = {
@@ -158,10 +157,9 @@ def _collect_overrides(args) -> dict:
     if args.config:
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"config file not found: {args.config}")
-        loaded = _read_json(args.config, ConfigError)
-        if not isinstance(loaded, dict):
+        overrides = _read_json(args.config, ConfigError)
+        if not isinstance(overrides, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
-        _deep_update(overrides, loaded)
     for item in args.sets:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -188,14 +186,6 @@ def _read_json(path, error):
             return json.load(fh)
         except json.JSONDecodeError as err:
             raise error(f"{path}:{err.lineno}: column {err.colno}: not JSON: {err.msg}") from None
-
-
-def _deep_update(base: dict, extra: dict) -> None:
-    for k, v in extra.items():
-        if isinstance(v, dict) and isinstance(base.get(k), dict):
-            _deep_update(base[k], v)
-        else:
-            base[k] = v
 
 
 def _outdir(args, name: str) -> str:
@@ -366,17 +356,16 @@ def _cmd_train_gossip(args) -> int:
         seed=cfg["policy_seed"],
     )
     shards = shard_for_gossip(dataset, policy)
-    config = TrainConfig(eta=cfg["eta"], batch_size=cfg["batch_size"], epochs=1)
-    learners = ex.spawn_learners(shards, dataset, agents, config, cfg["mu"], (cfg["seed"],))
+    learners = ex.spawn_learners(shards, dataset, agents, (cfg["seed"],))
     metrics = run_gossip_training(
-        learners, learner_graph, cfg["rounds"],
-        np.random.default_rng([cfg["seed"], len(agents)]), mode=cfg["mode"],
+        learners, learner_graph, cfg["rounds"], np.random.default_rng([cfg["seed"], len(agents)]),
+        cfg["eta"], cfg["batch_size"], cfg["mu"], mode=cfg["mode"],
     )
 
     outdir = _outdir(args, "train-gossip")
     os.makedirs(outdir, exist_ok=True)
     artifacts = ["telemetry.csv"]
-    metrics_to_csv(metrics, os.path.join(outdir, "telemetry.csv"))
+    ex.write_csv(os.path.join(outdir, "telemetry.csv"), RoundMetrics._fields, metrics)
     for state in learners:
         name = f"model_agent{state.agent}"
         save_model(

@@ -60,7 +60,7 @@ from .evaluation import (
     roc_to_csv,
 )
 from .fanout import fan_out
-from .gossip_train import LearnerState, metrics_to_csv, run_gossip_training
+from .gossip_train import LearnerState, RoundMetrics, run_gossip_training
 from .neural import Mlp, TrainConfig, init_mlp, load_model, save_model, train
 from .protocol import (
     LeastSquaresProblem,
@@ -182,6 +182,8 @@ def check_config(cfg: dict, section: str) -> None:
             f"got {cfg['scale']!r}"
         )
     for key in (*_LIST_DOMAINS, *dict.fromkeys(key for key, _, _ in _PAIR_DOMAINS)):
+        if key in ("tasks", "detectors") and cfg.get(key) == []:  # would select nothing
+            raise ConfigError(f"'{section}.{key}' must list at least one entry, got []")
         seen = []
         for i, entry in enumerate(cfg.get(key, ())):
             here = f"{section}.{key}[{i}]"
@@ -193,6 +195,13 @@ def check_config(cfg: dict, section: str) -> None:
             if same in seen:
                 raise ConfigError(f"'{here}' repeats an earlier entry, got {entry!r}")
             seen.append(same)
+    graph = _torus(cfg) if "cuts" in cfg else None
+    for i, (u, v) in enumerate(cfg.get("cuts", ())):  # in order, as degree-tailor cuts
+        try:
+            graph = remove_edge(graph, u, v)
+        except ValueError as err:
+            raise ConfigError(f"'{section}.cuts[{i}]' must leave the torus connected after the "
+                              f"cuts before it, got {[u, v]!r}: {err}") from None
     if "mean_degree" in cfg and cfg["mean_degree"] >= cfg["n"]:
         raise ConfigError(
             f"'{section}.mean_degree' must be < n = {cfg['n']}, got {cfg['mean_degree']!r}"
@@ -408,7 +417,7 @@ def write_manifest(
     return manifest
 
 
-def write_csv(path, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path, header: list[str] | tuple[str, ...], rows: list[tuple]) -> None:
     """Floats via repr (round-trip exact), everything else via str."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -424,10 +433,6 @@ def write_csv(path, header: list[str], rows: list[tuple]) -> None:
 
 def _rng(*key) -> np.random.Generator:
     return np.random.default_rng(list(int(k) for k in key))
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(**cfg["train"])
 
 
 def fit(
@@ -602,7 +607,7 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     master = cfg["master_seed"]
     budget = Budget.desk(cfg["scale"])
-    tcfg = _train_config(cfg)
+    tcfg = TrainConfig(**cfg["train"])
 
     setups = [tuple(s) for s in cfg["temporal_setups"]]
     for s in cfg["spatial_setups"]:
@@ -652,7 +657,7 @@ def _sweep(
     and every dataset is built before the first fit.
     """
     master, d = cfg["master_seed"], cfg["d"]
-    tcfg = _train_config(cfg)
+    tcfg = TrainConfig(**cfg["train"])
     rows = round(10000 * cfg["scale"])
     budget = Budget(nd_train_per_event=rows, nd_test_per_event=0, nl_train=rows, nl_test=0)
 
@@ -777,7 +782,7 @@ def run_gossip_learning(cfg: dict, outdir) -> list[str]:
     against collaborative ones on matched and mismatched test subsets.
     """
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
-    tcfg = _train_config(cfg)
+    tcfg = TrainConfig(**cfg["train"])
     learner_graph = induced_subgraph(
         graph, [v for v in range(graph.n) if v != cfg["excluded_agent"]]
     )
@@ -786,16 +791,14 @@ def run_gossip_learning(cfg: dict, outdir) -> list[str]:
     return _gossip_case1(cfg, case, agents, outdir) + _gossip_case2(cfg, case, agents, outdir)
 
 
-def spawn_learners(shards, dataset, agents, tcfg, mu, key):
+def spawn_learners(shards, dataset, agents, key):
     """One learner per agent on its shard; agent a's network is seeded by
     _rng(*key, a)."""
     learners = []
     for a in agents:
         X, Y, mask = training_arrays(dataset, shards[a])
         mlp = init_mlp([dataset.M, *HIDDEN, _out_width(dataset)], seed=_rng(*key, a))
-        learners.append(
-            LearnerState(agent=a, model=mlp, X=X, Y=Y, mask=mask, mu=mu, config=tcfg)
-        )
+        learners.append(LearnerState(agent=a, model=mlp, X=X, Y=Y, mask=mask))
     return learners
 
 
@@ -803,11 +806,12 @@ def _gossip_case(cfg, graph, learner_graph, tcfg, policy, offset, key, events, i
     """The steps both gossip-learning cases share.
 
     Builds the spatial detection dataset of ``events``, seeded by master +
-    ``offset``, and shards its training rows by ``policy``.  Fits an isolated
-    network on the shard of each agent in ``isolated``, initialized by
-    _rng(master, key, a) and trained with _rng(master, key + 1, a), then
-    gossips one learner per agent, initialized like the isolated networks,
-    for cfg["rounds"] sync rounds drawn from _rng(master, key + 2).  Returns
+    ``offset``, and shards its training rows by ``policy``.  Spawns one
+    learner per agent, its network initialized by _rng(master, key, a).
+    Fits an isolated network for each agent in ``isolated``, from a copy of
+    its learner's initial network, on its learner's shard, with
+    _rng(master, key + 1, a); then gossips the learners for cfg["rounds"]
+    sync rounds drawn from _rng(master, key + 2).  Returns
     the test split, the shards, the isolated networks by agent, the learners
     and the round metrics.
     """
@@ -818,14 +822,15 @@ def _gossip_case(cfg, graph, learner_graph, tcfg, policy, offset, key, events, i
         tasks=("nd",), events=events,
     )["nd_spatial"]
     shards = shard_for_gossip(data.train, policy)
+    learners = spawn_learners(shards, data.train, policy.agents, (master, key))
     iso = {}
     for a in isolated:
-        X, Y, mask = training_arrays(data.train, shards[a])
-        iso[a] = init_mlp([data.train.M, *HIDDEN, 1], seed=_rng(master, key, a))
-        train(iso[a], X, Y, tcfg, rng=_rng(master, key + 1, a), mask=mask)
-    learners = spawn_learners(shards, data.train, policy.agents, tcfg, cfg["mu"], (master, key))
+        lr = learners[a]
+        iso[a] = Mlp(lr.model.sizes, lr.model.params.copy())
+        train(iso[a], lr.X, lr.Y, tcfg, rng=_rng(master, key + 1, a), mask=lr.mask)
     metrics = run_gossip_training(
-        learners, learner_graph, cfg["rounds"], _rng(master, key + 2), mode="sync"
+        learners, learner_graph, cfg["rounds"], _rng(master, key + 2),
+        tcfg.eta, tcfg.batch_size, cfg["mu"], mode="sync",
     )
     return data.test, shards, iso, learners, metrics
 
@@ -859,7 +864,7 @@ def _gossip_case1(cfg, case, agents, outdir):
         ["model", "starved_rows", "auc"],
         summaries,
     )
-    metrics_to_csv(metrics, os.path.join(outdir, "case1_telemetry.csv"))
+    write_csv(os.path.join(outdir, "case1_telemetry.csv"), RoundMetrics._fields, metrics)
     artifacts += ["case1_report.csv", "case1_telemetry.csv"]
     return artifacts
 
@@ -900,7 +905,7 @@ def _gossip_case2(cfg, case, agents, outdir):
         ["model", "agent", "test_events", "auc"],
         rows,
     )
-    metrics_to_csv(metrics, os.path.join(outdir, "case2_telemetry.csv"))
+    write_csv(os.path.join(outdir, "case2_telemetry.csv"), RoundMetrics._fields, metrics)
     return ["case2_report.csv", "case2_telemetry.csv"]
 
 

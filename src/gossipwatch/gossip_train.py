@@ -3,48 +3,45 @@
 Each agent keeps a private model and a private data shard.  A round lets
 every agent (in id order) merge any model received since its last turn,
 take one mini-batch SGD step on its own shard, and push its parameters to a
-uniformly chosen neighbor.  A message is the sender's whole parameter vector
-as little-endian float64 bytes (``neural.params_to_blob``, the same bytes a
-saved model's blob holds); the recipient reads the bytes in place and merges
-them into its own vector in place.  Inboxes hold one message; a newer
-arrival overwrites an unread one.  Synchronous rounds stage all sends and
-deliver them after every agent has acted, so the serial loop matches a
-barrier-synchronized parallel execution; the asynchronous mode wakes one
-random agent per tick with immediate delivery.
+uniformly chosen neighbor.  A message is a copy of the sender's whole
+parameter vector, which the recipient merges into its own vector in place.
+The learning rate, batch size and merge weight belong to the run, and the
+run binds one compiled ``neural.Step`` that every learner's steps share.
+Inboxes hold one message; a newer arrival overwrites an unread one.
+Synchronous rounds stage all sends and deliver them after every agent has
+acted, so the serial loop matches a barrier-synchronized parallel
+execution; the asynchronous mode wakes one random agent per tick with
+immediate delivery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from gossipwatch.neural import Mlp, TrainConfig, params_to_blob, sgd_step
+from gossipwatch.neural import Mlp, Step, sgd_step
 from gossipwatch.topology import Graph
 
 
 @dataclass
 class LearnerState:
-    """One agent's training state: model, local shard, merge weight, inbox."""
+    """One agent's training state: model, local shard, inbox."""
 
     agent: int
     model: Mlp
     X: np.ndarray
     Y: np.ndarray
     mask: np.ndarray | None = None
-    mu: float = 0.5
-    config: TrainConfig = field(default_factory=TrainConfig)
-    inbox: bytes | None = None
+    inbox: np.ndarray | None = None  # the last parameter vector received
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"merge weight mu must be in [0, 1], got {self.mu}")
         if self.X.shape[0] != self.Y.shape[0]:
             raise ValueError("shard X and Y row counts differ")
 
 
-@dataclass(frozen=True)
-class RoundMetrics:
+class RoundMetrics(NamedTuple):
     round: int
     mean_loss: float  # mean batch loss over agents that trained (nan if none)
     dispersion: float  # max over model pairs of the max-abs parameter gap
@@ -61,28 +58,21 @@ def merge_model(own: Mlp, received: np.ndarray, mu: float) -> None:
     own.params += mu * received
 
 
-def _check_learners(learners, graph):
-    if len(learners) != graph.n:
-        raise ValueError(f"{len(learners)} learners for a graph of {graph.n} agents")
-    for pos, lr in enumerate(learners):
-        if lr.agent != pos:
-            raise ValueError("learners must be listed in ascending agent id order")
-
-
-def _act(lr: LearnerState, graph: Graph, rng: np.random.Generator):
+def _act(lr: LearnerState, graph: Graph, rng: np.random.Generator, step: Step, eta: float,
+         batch_size: int, mu: float):
     """Merge inbox, take one local SGD step, pick a recipient.  Returns the
     (recipient, payload) message and the batch loss (nan on an empty shard)."""
     if lr.inbox is not None:
-        merge_model(lr.model, np.frombuffer(lr.inbox, dtype="<f8"), lr.mu)
+        merge_model(lr.model, lr.inbox, mu)
         lr.inbox = None
     rows, loss = lr.X.shape[0], float("nan")
     if rows:
-        idx = rng.choice(rows, size=min(lr.config.batch_size, rows), replace=False)
+        idx = rng.choice(rows, size=min(batch_size, rows), replace=False)
         mask = None if lr.mask is None else lr.mask[idx]
-        loss = sgd_step(lr.model, lr.X[idx], lr.Y[idx], lr.config.eta, mask)
+        loss = sgd_step(step, lr.model, lr.X[idx], lr.Y[idx], eta, mask)
     nbrs = graph.neighbors[lr.agent]
     recipient = int(nbrs[int(rng.random() * len(nbrs))])
-    return recipient, params_to_blob(lr.model), loss
+    return recipient, lr.model.params.copy(), loss
 
 
 def _dispersion(learners) -> float:
@@ -101,16 +91,30 @@ def run_gossip_training(
     graph: Graph,
     rounds: int,
     rng: np.random.Generator,
+    eta: float,
+    batch_size: int,
+    mu: float,
     mode: str = "sync",
 ) -> list[RoundMetrics]:
     """Run ``rounds`` of collaborative training in place, with telemetry.
 
-    mode "sync" sweeps every agent per round; "async" wakes one uniformly
-    random agent per round and delivers its message immediately.
+    Every step takes a batch of up to ``batch_size`` rows of its learner's
+    shard at learning rate ``eta``, and every merge weighs the message by
+    ``mu``.  mode "sync" sweeps every agent per round; "async" wakes one
+    uniformly random agent per round and delivers its message immediately.
     """
     if mode not in ("sync", "async"):
         raise ValueError(f"unknown mode: {mode!r}")
-    _check_learners(learners, graph)
+    if not (0.0 <= mu <= 1.0 and eta > 0 and batch_size >= 1):
+        raise ValueError(f"need a merge weight mu in [0, 1], eta > 0 and batch_size >= 1, "
+                         f"got mu={mu}, eta={eta}, batch_size={batch_size}")
+    agents = [lr.agent for lr in learners]
+    if agents != list(range(graph.n)):
+        raise ValueError(f"need one learner per agent of the graph's {graph.n}, in agent id "
+                         f"order, got learners of agents {agents}")
+    # One step for the whole run, with buffers for its largest batch.
+    cap = min(batch_size, max(lr.X.shape[0] for lr in learners))
+    step = Step(learners[0].model.sizes, cap, training=True)
     metrics = []
     for r in range(rounds):
         if mode == "sync":
@@ -118,7 +122,7 @@ def run_gossip_training(
         else:
             acting = [learners[int(rng.integers(len(learners)))]]
         # Sends are staged until every acting agent has acted.
-        staged = [_act(lr, graph, rng) for lr in acting]
+        staged = [_act(lr, graph, rng, step, eta, batch_size, mu) for lr in acting]
         for recipient, payload, _ in staged:
             learners[recipient].inbox = payload
         arr = np.array([loss for _, _, loss in staged], dtype=np.float64)
@@ -127,10 +131,3 @@ def run_gossip_training(
             RoundMetrics(round=r, mean_loss=mean_loss, dispersion=_dispersion(learners))
         )
     return metrics
-
-
-def metrics_to_csv(metrics: list[RoundMetrics], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("round,mean_loss,dispersion\n")
-        for m in metrics:
-            fh.write(f"{m.round},{repr(m.mean_loss)},{repr(m.dispersion)}\n")

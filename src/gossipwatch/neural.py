@@ -3,8 +3,7 @@ mean binary cross-entropy loss, plain mini-batch SGD.
 
 A model owns one flat float64 parameter vector, laid out W then b for each
 layer; the per-layer weight matrices and bias vectors are views into it.
-The vector's little-endian bytes are both the saved blob (beside a JSON
-header) and the gossip message payload.
+The vector's little-endian bytes are the saved blob (beside a JSON header).
 
 The forward pass and the SGD step are compiled: net_forward, net_output and
 net_backward of the C library that protocol builds (_gossip_loop.c) run the
@@ -13,9 +12,10 @@ numpy's bundled OpenBLAS (``libscipy_openblas64_``, in numpy 2.0 and later
 wheels) for every matrix product exactly as numpy's matmul would, and only
 exp and the two logs of the loss run in numpy, on the step's own buffers,
 so the bits are those of the numpy reference in ``tests/oracles.py``.  A
-step's buffers and raw pointers are bound once per ``train`` call (once per
-``sgd_step`` call).  The OpenBLAS runs on one thread, set when the package
-is imported, so trained bits do not depend on the BLAS thread count.  Where
+``Step`` binds a step's buffers and raw pointers: once per ``train`` or
+``forward`` call, and once per gossip run, whose ``sgd_step`` calls take
+that step.  The OpenBLAS runs on one thread, set when the package is
+imported, so trained bits do not depend on the BLAS thread count.  Where
 numpy has no bundled OpenBLAS, the first fit or forward pass raises a
 RuntimeError that names the missing library or symbol.
 """
@@ -131,7 +131,7 @@ class _Net(ctypes.Structure):
     )
 
 
-class _Step:
+class Step:
     """The compiled forward pass and, with ``training``, SGD step for
     networks of layer ``sizes``, on batches of up to ``cap`` rows.  The work
     buffers and the raw pointers to them are bound once, so a step is three
@@ -143,8 +143,8 @@ class _Step:
         self.c_forward, self.c_output, self.c_backward = (
             lib.net_forward, lib.net_output, lib.net_backward
         )
-        self.cap, self.out = cap, sizes[-1]
-        self.sizes = np.array(sizes, dtype=np.int64)
+        self.sizes, self.cap, self.out, self.training = tuple(sizes), cap, sizes[-1], training
+        self.widths = np.array(sizes, dtype=np.int64)
         n, t = cap * self.out, int(training)
         widest = cap * max(sizes[1:])
         lengths = {
@@ -154,7 +154,7 @@ class _Step:
         }
         self.buf = {name: np.empty(length) for name, length in lengths.items()}
         self.net = _Net(
-            *_blas(), len(sizes) - 1, self.sizes.ctypes.data,
+            *_blas(), len(sizes) - 1, self.widths.ctypes.data,
             *(b.ctypes.data for b in self.buf.values()),
         )
         self.ref = ctypes.addressof(self.net)
@@ -220,18 +220,23 @@ def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     """Network output for one input (M,) or a batch (B, M)."""
     X, ldx = _inputs(mlp, x)
     params = np.ascontiguousarray(mlp.params, dtype=np.float64)
-    out = _Step(mlp.sizes, X.shape[0], training=False).forward(params.ctypes.data, X, ldx)
+    out = Step(mlp.sizes, X.shape[0], training=False).forward(params.ctypes.data, X, ldx)
     return out[0] if np.ndim(x) == 1 else out
 
 
-def sgd_step(mlp: Mlp, X, Y, eta: float, mask=None) -> float:
+def sgd_step(step: Step, mlp: Mlp, X, Y, eta: float, mask=None) -> float:
     """One gradient step on a mini batch, in place, with ``mask`` as in
-    ``train``.  Returns the batch loss before the step."""
+    ``train``, through the training ``step`` bound for mlp's layer sizes.
+    Returns the batch loss before the step.  A batch of more than the
+    step's ``cap`` rows, which would overrun its buffers, is a ValueError."""
     X, ldx = _inputs(mlp, X)
     rows = X.shape[0]
+    if not (step.training and step.sizes == tuple(mlp.sizes) and rows <= step.cap):
+        raise ValueError(f"a batch of {rows} rows for layer sizes {list(mlp.sizes)} needs a "
+                         f"training step of those sizes and a cap of {rows} or more, got sizes "
+                         f"{list(step.sizes)}, cap {step.cap}, training {step.training}")
     Y, mask = _targets(mlp, rows, Y, mask)
     m = None if mask is None else mask.ctypes.data
-    step = _Step(mlp.sizes, rows, training=True)
     return step.sgd(_params(mlp), X.ctypes.data, ldx, Y.ctypes.data, m, rows, eta)
 
 
@@ -255,7 +260,7 @@ def train(
     X, _ = _inputs(mlp, X)
     B, M, out, size = X.shape[0], mlp.sizes[0], mlp.sizes[-1], config.batch_size
     Y, mask = _targets(mlp, B, Y, mask)
-    step, params = _Step(mlp.sizes, min(size, B), training=True), _params(mlp)
+    step, params = Step(mlp.sizes, min(size, B), training=True), _params(mlp)
     losses = []
     for _ in range(config.epochs):
         perm = rng.permutation(B)

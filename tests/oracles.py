@@ -236,20 +236,22 @@ def train(mlp: Mlp, X, Y, config, rng, mask=None) -> list[float]:
     return losses
 
 
-def gossip_act(lr, graph: Graph, rng: np.random.Generator):
-    """One learner's turn of gossip training: decode the inbox into a model,
-    merge it into a new parameter vector, then step and pick a recipient."""
+def gossip_act(lr, graph: Graph, rng: np.random.Generator, step, eta: float, batch_size: int,
+               mu: float):
+    """One learner's turn of gossip training, without the run's compiled
+    ``step``: send the model's blob bytes, decode a received blob into a
+    model, merge it into a new parameter vector, then step layer by layer
+    and pick a recipient."""
     if lr.inbox is not None:
         received = mlp_from_blob(lr.model.sizes, lr.inbox)
-        lr.model = Mlp(lr.model.sizes, (1.0 - lr.mu) * lr.model.params + lr.mu * received.params)
+        lr.model = Mlp(lr.model.sizes, (1.0 - mu) * lr.model.params + mu * received.params)
         lr.inbox = None
     rows = lr.X.shape[0]
     if rows:
-        take = min(lr.config.batch_size, rows)
+        take = min(batch_size, rows)
         idx = rng.choice(rows, size=take, replace=False)
         loss = sgd_step(
-            lr.model, lr.X[idx], lr.Y[idx], lr.config.eta,
-            None if lr.mask is None else lr.mask[idx],
+            lr.model, lr.X[idx], lr.Y[idx], eta, None if lr.mask is None else lr.mask[idx],
         )
     else:
         loss = float("nan")

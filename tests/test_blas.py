@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from gossipwatch import cli, neural
-from gossipwatch.neural import forward, init_mlp, sgd_step
+from gossipwatch.neural import Step, forward, init_mlp
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -79,7 +79,7 @@ def test_a_missing_openblas_is_a_runtime_error_naming_it(tmp_path):
         with pytest.raises(RuntimeError, match=r"libscipy_openblas64_.*numpy>=2\.0"):
             forward(mlp, np.zeros(2))
         with pytest.raises(RuntimeError, match="libscipy_openblas64_"):
-            sgd_step(mlp, np.zeros((1, 2)), np.zeros((1, 1)), 0.1)
+            Step(mlp.sizes, 1, training=True)
     assert forward(mlp, np.zeros(2)).shape == (1,)
 
 

@@ -413,10 +413,17 @@ _EVENT_TAGS = "one of ['far-from', 'h0', 'next-to']"
      (["experiment", "degree-tailor", "--set", "cuts=[[2,5],[2,5]]"],
       "'degree-tailor.cuts[1]' repeats an earlier entry, got [2, 5]"),
      (["experiment", "degree-tailor", "--set", "cuts=[[2,5],[5,2]]"],
-      "'degree-tailor.cuts[1]' repeats an earlier entry, got [5, 2]")],
+      "'degree-tailor.cuts[1]' repeats an earlier entry, got [5, 2]"),
+     (["experiment", "degree-tailor", "--set", "cuts=[[2,0],[2,1],[2,5],[2,8]]"],
+      "'degree-tailor.cuts[3]' must leave the torus connected after the cuts before it, "
+      "got [2, 8]: graph has an isolated agent"),
+     (["gen-data", "--set", "tasks=[]"], "'gen-data.tasks' must list at least one entry, got []"),
+     (["eval-roc", "--set", "detectors=[]"],
+      "'eval-roc.detectors' must list at least one entry, got []")],
     ids=["tasks_twice", "unknown_task", "unknown_event", "kind", "task", "detectors_twice",
          "starved_events", "position_groups_key", "test_scenarios_twice", "setups_twice",
-         "cut_not_an_edge", "cuts_twice", "cut_reversed"],
+         "cut_not_an_edge", "cuts_twice", "cut_reversed", "cuts_isolating", "no_tasks",
+         "no_detectors"],
 )
 def test_list_entries_and_dataset_fields_fail_before_writing(tmp_path, capsys, argv, message):
     """Every list entry lies in its field's domain and differs from the

@@ -6,9 +6,10 @@ implementations), and every top-level function and class there is used by
 some test.  Every C entry of ``_gossip_loop.c`` is bound with its full
 argument list, that file is the one C source and protocol alone builds it,
 numpy's OpenBLAS is named and opened only in ``neural._blas``, the declared
-numpy floor bundles that library, one module alone forks worker processes,
-none starts a thread, and the README's module table lists exactly the
-package's modules."""
+numpy floor bundles that library, compiled steps are bound once per fit and
+per gossip run, one module alone forks worker processes, none starts a
+thread, and the README's module table lists exactly the package's
+modules."""
 
 import ast
 import re
@@ -258,6 +259,29 @@ def test_only_the_fan_out_module_starts_processes():
             if forks:
                 forking.add(path.name)
     assert forking == {"fanout.py"}
+
+
+def test_compiled_steps_are_bound_once_per_fit_and_per_gossip_run():
+    """neural.Step binds a compiled step's buffers and pointers.  It is
+    called only inside functions of neural (once per train or forward call)
+    and in gossip_train.run_gossip_training outside its loops (once per
+    run), so neither binding per gossip step nor a module-level step cache
+    creeps back."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    binds = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            looped = {id(n) for loop in ast.walk(top) if isinstance(loop, loops)
+                      for n in ast.walk(loop)}
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and "Step" in (
+                    getattr(func, "id", None), getattr(func, "attr", None)
+                ):
+                    binds.add((path.name, getattr(top, "name", None), id(node) in looped))
+    assert binds - {("neural.py", name, False) for name in ("forward", "train")} == {
+        ("gossip_train.py", "run_gossip_training", False)
+    }
 
 
 def test_nothing_in_the_package_starts_a_thread():

@@ -8,6 +8,7 @@ import pytest
 
 from gossipwatch.neural import (
     Mlp,
+    Step,
     TrainConfig,
     forward,
     init_mlp,
@@ -113,7 +114,7 @@ def test_masked_rows_need_a_live_slot():
         oracles.flat_loss_and_grad(mlp, X, Y, mask)
     start = mlp.params.copy()
     with pytest.raises(ValueError, match="unmasked output slot"):
-        sgd_step(mlp, X, Y, eta=0.1, mask=mask)
+        sgd_step(Step(mlp.sizes, 2, training=True), mlp, X, Y, eta=0.1, mask=mask)
     with pytest.raises(ValueError, match="unmasked output slot"):
         train(mlp, X, Y, TrainConfig(batch_size=2, epochs=1), np.random.default_rng(0), mask)
     assert np.array_equal(mlp.params, start)
@@ -222,21 +223,23 @@ def test_train_matches_per_layer_oracle_bitwise(out, masked, rows, batch, nan_ro
 )
 def test_sgd_step_matches_per_layer_oracle_bitwise(out, masked, rows, batch, nan_row):
     """One step after another on the case's consecutive batches, the last
-    one short where the rows do not fill it."""
+    one short where the rows do not fill it, all through one step bound for
+    the batch size."""
     X, Y, mask = _labeled(rows, out, masked, nan_row)
     got, ref = (init_mlp([4, 200, 100, 50, out], seed=7) for _ in range(2))
+    step = Step(got.sizes, batch, training=True)
     for s in range(0, rows, batch):
         rows_ = slice(s, s + batch)
         m = None if mask is None else mask[rows_]
         with np.errstate(invalid="ignore"):
-            loss = sgd_step(got, X[rows_], Y[rows_], 0.05, m)
+            loss = sgd_step(step, got, X[rows_], Y[rows_], 0.05, m)
             expect = oracles.sgd_step(ref, X[rows_], Y[rows_], 0.05, m)
         assert _same_bits(loss, expect)
         assert _same_bits(got.params, ref.params)
     # single rows whose columns are not adjacent in memory
     for row in (np.asfortranarray(X)[:1], np.ascontiguousarray(X.T).T[-1:]):
         with np.errstate(invalid="ignore"):
-            loss = sgd_step(got, row, Y[:1], 0.05, None if mask is None else mask[:1])
+            loss = sgd_step(step, got, row, Y[:1], 0.05, None if mask is None else mask[:1])
             expect = oracles.sgd_step(ref, row, Y[:1], 0.05, None if mask is None else mask[:1])
         assert _same_bits(loss, expect)
         assert _same_bits(got.params, ref.params)
@@ -272,8 +275,9 @@ def test_forward_and_sgd_step_leave_caller_arrays_alone():
     kept = [a.copy() for a in (X, Y, mask)]
     forward(mlp, X)
     forward(mlp, X[0])
-    sgd_step(mlp, X, Y, eta=0.1, mask=mask)
-    sgd_step(mlp, X, Y, eta=0.1)
+    step = Step(mlp.sizes, 10, training=True)
+    sgd_step(step, mlp, X, Y, eta=0.1, mask=mask)
+    sgd_step(step, mlp, X, Y, eta=0.1)
     train(mlp, X, Y, TrainConfig(batch_size=4, epochs=2), np.random.default_rng(0), mask)
     for a, b in zip((X, Y, mask), kept):
         assert np.array_equal(a, b)
@@ -284,7 +288,7 @@ def test_sgd_step_returns_pre_update_loss():
     X = np.array([[1.0, -1.0]])
     Y = np.array([[1.0]])
     before = oracles.flat_loss_and_grad(mlp, X, Y)[0]
-    reported = sgd_step(mlp, X, Y, eta=0.1)
+    reported = sgd_step(Step(mlp.sizes, 1, training=True), mlp, X, Y, eta=0.1)
     assert reported == pytest.approx(before, abs=1e-15)
     after = oracles.flat_loss_and_grad(mlp, X, Y)[0]
     assert after < before
@@ -310,7 +314,7 @@ def test_blob_roundtrip_is_bitwise(tmp_path):
     for m in (back, load_model(tmp_path / "model.json")[0]):
         assert m.params.flags.writeable
         start = m.params.copy()
-        sgd_step(m, X, Y, eta=0.1)
+        sgd_step(Step(m.sizes, 3, training=True), m, X, Y, eta=0.1)
         assert not np.array_equal(m.params, start)
 
 
