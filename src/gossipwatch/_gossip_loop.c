@@ -1,13 +1,16 @@
-/* The three entries of gossipwatch.protocol, and at the end of the file the
- * three of gossipwatch.neural's network step.  Every instance owns one
- * numpy PCG64 generator, kept as a row of a (B, 6) uint64 states array
- * that the entries advance in place.  seed_states: each row from its
- * instance's SeedSequence entropy words, as PCG64(SeedSequence(...)) seeds
- * itself.  draw_problems: each instance's least-squares problem and
- * injection target, drawn before its run (phi = theta x* stays in numpy,
- * whose BLAS product the C build does not reproduce).  gossip_loop, one
- * call of run_batch: each instance's draws, then its t = 1..T loop, one
- * instance after another on the calling thread.  Built with
+/* The four entries of the simulation, bound in gossipwatch.protocol, and
+ * at the end of the file the three of gossipwatch.neural's network step.
+ * Every instance, and every dataset row, owns one numpy PCG64 generator,
+ * kept as a row of a (B, 6) uint64 states array that the entries advance
+ * in place.  seed_states: each row from its SeedSequence entropy words, as
+ * PCG64(SeedSequence(...)) seeds itself.  draw_rows: each dataset row's
+ * monitored agent and insider placement, drawn as Generator.integers and
+ * Generator.choice draw them, with the trustworthy agents' connectivity
+ * checked by a BFS.  draw_problems: each instance's least-squares problem
+ * and injection target, drawn before its run (phi = theta x* stays in
+ * numpy, whose BLAS product the C build does not reproduce).  gossip_loop,
+ * one call of run_batch: each instance's draws, then its t = 1..T loop,
+ * one instance after another on the calling thread.  Built with
  * -O3 -ffp-contract=off, every expression rounds exactly as the numpy
  * reference in tests/oracles.py does, operation for operation (no
  * reduction is reassociated and no multiply-add fused), and every draw is
@@ -16,8 +19,8 @@
  * so both return the same bits and leave the generators in the same state.
  * An instance reads and writes only its own states row and its own slices
  * of the outputs, so its bits do not depend on the batch it runs in.
- * Arrays are C-contiguous; protocol.py checks shapes and dtypes before the
- * call. */
+ * Arrays are C-contiguous; the Python callers check shapes and dtypes
+ * before the call. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -331,6 +334,129 @@ void draw_problems(int64_t B, int64_t n, int64_t d, uint64_t *states,
                 alphas[b * d + k] = uniform(g, -0.5, 1.0);
         store_pcg64(states + b * 6, g);
     }
+}
+
+/* numpy's random_bounded_uint64(g, 0, rng, 0, 0) for rng < 2^32 - 1: a
+ * uniform draw from 0..rng, which consumes nothing where rng is 0. */
+static inline int64_t bounded(pcg64_t *g, int64_t rng)
+{
+    return rng ? (int64_t)bounded_uint32(g, (uint32_t)rng) : 0;
+}
+
+/* Generator.choice(pop, size, replace=False) into out, in numpy's draws:
+ * for a population above 10,000 from which more than a 50th is taken, the
+ * tail of arange(pop) shuffled down to pop - size (in idx, pop entries);
+ * otherwise Floyd's algorithm (taken, pop bytes, zero on entry and on
+ * return), then the sample shuffled from its last entry down to its second. */
+static void choose(pcg64_t *g, int64_t pop, int64_t size, int64_t *out, int64_t *idx,
+                   uint8_t *taken)
+{
+    if (pop > 10000 && size > pop / 50) {
+        for (int64_t i = 0; i < pop; i++)
+            idx[i] = i;
+        for (int64_t i = pop - 1, stop = pop - size > 1 ? pop - size : 1; i >= stop; i--) {
+            const int64_t j = bounded(g, i), t = idx[j];
+            idx[j] = idx[i];
+            idx[i] = t;
+        }
+        memcpy(out, idx + pop - size, size * sizeof *out);
+        return;
+    }
+    for (int64_t j = pop - size; j < pop; j++) {
+        const int64_t val = bounded(g, j), pick = taken[val] ? j : val;
+        taken[pick] = 1;
+        out[j - pop + size] = pick;
+    }
+    for (int64_t k = 0; k < size; k++)
+        taken[out[k]] = 0;
+    for (int64_t i = size - 1; i >= 1; i--) {
+        const int64_t j = bounded(g, i), t = out[j];
+        out[j] = out[i];
+        out[i] = t;
+    }
+}
+
+/* Whether the agents not flagged in attacked (n bytes) induce a connected
+ * subgraph, by a BFS from start, one of them, in queue (n entries). */
+static int trustworthy_connected(int64_t n, const int64_t *degrees, const int64_t *nbr_table,
+                                 int64_t width, const uint8_t *attacked, int64_t start,
+                                 int64_t *queue, uint8_t *seen)
+{
+    int64_t head = 0, tail = 0, keep = 0;
+    for (int64_t v = 0; v < n; v++) {
+        seen[v] = attacked[v];
+        keep += !attacked[v];
+    }
+    seen[start] = 1;
+    queue[tail++] = start;
+    while (head < tail) {
+        const int64_t v = queue[head++];
+        for (int64_t k = 0; k < degrees[v]; k++) {
+            const int64_t w = nbr_table[v * width + k];
+            if (!seen[w]) {
+                seen[w] = 1;
+                queue[tail++] = w;
+            }
+        }
+    }
+    return tail == keep;
+}
+
+/* The monitor and attackers of each of R dataset rows from its generator,
+ * states row r, advanced in place: monitors[r] = pool[integers(npool)],
+ * then, where m > 0, up to tries placements, each choice(nbrs, c) then
+ * choice(outside, m - c) without replacement, until the agents left
+ * trustworthy are connected.  nbrs are the monitor's neighbors in
+ * nbr_table order, outside the agents neither the monitor nor one of
+ * them, ascending; attacked (R, n) flags each row's attackers.  Returns
+ * -1, or the first row that has no placement, with *reason 1 where c
+ * exceeds its monitor's degree, 2 where m - c exceed the agents outside,
+ * 3 where no try was connected; -2 when out of memory. */
+int64_t draw_rows(int64_t R, int64_t n, uint64_t *states, const int64_t *degrees,
+                  const int64_t *nbr_table, int64_t width, const int64_t *pool, int64_t npool,
+                  int64_t m, int64_t c, int64_t tries, int64_t *monitors, uint8_t *attacked,
+                  int64_t *reason)
+{
+    int64_t *buf = malloc(4 * n * sizeof *buf);
+    uint8_t *flags = calloc(2 * n, 1);
+    int64_t failed = buf && flags ? -1 : -2;
+    int64_t *outside = buf, *picks = buf + n, *idx = buf + 2 * n, *queue = buf + 3 * n;
+    uint8_t *taken = flags, *seen = flags + n;
+    for (int64_t r = 0; r < R && failed == -1; r++) {
+        pcg64_t gen = load_pcg64(states + r * 6), *g = &gen;
+        const int64_t mon = pool[bounded(g, npool - 1)], deg = degrees[mon];
+        const int64_t *nbrs = nbr_table + mon * width;
+        uint8_t *row = attacked + r * n;
+        monitors[r] = mon;
+        if (m > 0) {
+            int64_t nout = 0;
+            for (int64_t k = 0; k < deg; k++)
+                taken[nbrs[k]] = 1;
+            taken[mon] = 1;
+            for (int64_t v = 0; v < n; v++) {
+                if (!taken[v])
+                    outside[nout++] = v;
+                taken[v] = 0;
+            }
+            *reason = c > deg ? 1 : m - c > nout ? 2 : 3;
+            for (int64_t t = 0; t < tries && *reason == 3; t++) {
+                choose(g, deg, c, picks, idx, taken);
+                choose(g, nout, m - c, picks + c, idx, taken);
+                for (int64_t k = 0; k < m; k++)
+                    row[k < c ? nbrs[picks[k]] : outside[picks[k]]] = 1;
+                if (trustworthy_connected(n, degrees, nbr_table, width, row, mon, queue, seen))
+                    *reason = 0;
+                else
+                    memset(row, 0, n);
+            }
+            if (*reason)
+                failed = r;
+        }
+        store_pcg64(states + r * 6, g);
+    }
+    free(buf);
+    free(flags);
+    return failed;
 }
 
 /* ------------------------------------------------------------------------

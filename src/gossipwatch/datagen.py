@@ -21,6 +21,8 @@ from gossipwatch.fanout import fan_out
 from gossipwatch.features import SPATIAL, TEMPORAL, spatial_scores, tailor_inputs, temporal_scores
 from gossipwatch.protocol import (
     ProtocolConfig,
+    _check_states,
+    _compiled_loop,
     draw_problems,
     entropy_words,
     run_batch,
@@ -31,7 +33,6 @@ from gossipwatch.topology import (
     attacker_mask,
     expected_transition_matrix,
     second_largest_eigenvalue,
-    subset_connected,
 )
 
 # Initial-state laws of the named scenarios: trustworthy agents start at
@@ -51,7 +52,7 @@ EVENT_FAR = "far-from"
 _SPLIT_CODES = {"train": 0, "test": 1}
 _EVENT_CODES = {EVENT_H0: 0, EVENT_NEXT: 1, EVENT_FAR: 2, "nl-" + EVENT_NEXT: 3}
 
-# Rejection-sampling draws place_attackers makes before it gives up.
+# Placements _draw_rows draws for a row before it gives up.
 PLACEMENT_TRIES = 100
 
 # The cost of build_datasets in pair updates of one CPU, each about 18 ns at
@@ -61,9 +62,10 @@ PLACEMENT_TRIES = 100
 # seeding and problem draw.  A build of _FAN_OUT_WORK (about 45 ms) or more
 # runs its chunks on forked workers.  Below it the workers' start-up, about
 # 10 ms each, and the pickled columns they send back are a share of the
-# build that the other CPUs are not shown to win back.  On that host a row
-# measures 24-45 us (1,300 to 2,500 pair updates, more with attackers to
-# place) and an instance about 1.2 us beyond its pair updates (about 70).
+# build that the other CPUs are not shown to win back.  On that host a
+# chunk spends 3-7 us a row outside run_batch at K = 1 to 5 (150 to 400
+# pair updates, its instances' seeding and problem draws included), and an
+# instance about 1.2 us beyond its pair updates (about 70).
 # The constants keep the values they were first given: no benchmark build
 # lies between the warm-up gen-data (about 280,000) and _FAN_OUT_WORK, so
 # no paired run could show a gain from moving them; tests/test_datagen.py
@@ -182,42 +184,6 @@ class DatasetPair:
     test: LabeledDataset
 
 
-def _placement_pools(graph: Graph, monitor: int):
-    nbrs = graph.neighbors[monitor]
-    outside = np.setdiff1d(np.arange(graph.n), np.append(nbrs, monitor))
-    return nbrs, outside
-
-
-def place_attackers(
-    scenario: Scenario,
-    monitor: int,
-    rng: np.random.Generator,
-    pools: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[int, ...]:
-    """Draw m attacker ids with exactly c adjacent to the monitor, keeping
-    the trustworthy subgraph connected.  Rejection-samples placements.
-    pools is _placement_pools(graph, monitor), computed here when None."""
-    graph, m, c = scenario.graph, scenario.m, scenario.c
-    if m == 0:
-        return ()
-    nbrs, outside = _placement_pools(graph, monitor) if pools is None else pools
-    if c > len(nbrs):
-        raise ValueError(f"c={c} exceeds monitor degree {len(nbrs)}")
-    if m - c > len(outside):
-        raise ValueError(f"m-c={m - c} attackers do not fit outside the neighborhood")
-    for _ in range(PLACEMENT_TRIES):
-        near = rng.choice(nbrs, size=c, replace=False).tolist() if c else []
-        far = rng.choice(outside, size=m - c, replace=False).tolist() if m - c else []
-        ids = sorted(near + far)
-        keep = [v for v in range(graph.n) if v not in ids]
-        if subset_connected(graph, keep):
-            return tuple(ids)
-    raise ValueError(
-        f"no connected-trustworthy placement found for m={m}, c={c} "
-        f"at monitor {monitor} in {PLACEMENT_TRIES} tries"
-    )
-
-
 def _resolve_event(scenario: Scenario, event: str) -> Scenario:
     if event == EVENT_H0:
         return replace(scenario, m=0, c=0, attackers=None)
@@ -228,73 +194,83 @@ def _resolve_event(scenario: Scenario, event: str) -> Scenario:
     raise ValueError(f"unknown event {event!r}; known: 'h0', 'next-to', 'far-from'")
 
 
-def _draw_monitor(scenario: Scenario, rng: np.random.Generator) -> int:
+def _draw_rows(scenario: Scenario, rngs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's monitored agent (R,) and attacker mask (R, n, bool) from
+    its generator, a states row of rngs (R, 6) from seed_states, advanced
+    in place.  The monitor is the fixed one, or drawn from the pool or from
+    every agent; where the scenario does not fix its attackers, up to
+    PLACEMENT_TRIES placements of m, c of them next to the monitor, are
+    drawn until the trustworthy agents are connected.  The draws run in C
+    (draw_rows in _gossip_loop.c), as place_attackers in tests/oracles.py
+    makes them with numpy's generator."""
+    graph, m, c = scenario.graph, scenario.m, scenario.c
     if scenario.monitor is not None:
-        return scenario.monitor
-    if scenario.monitor_pool is not None:
-        return int(scenario.monitor_pool[rng.integers(len(scenario.monitor_pool))])
-    return int(rng.integers(scenario.graph.n))
-
-
-def _row_seed(master_seed: int, split: str, event_code: int, row: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        master_seed, spawn_key=(_SPLIT_CODES[split], event_code, row)
+        pool = (scenario.monitor,)
+    else:
+        pool = scenario.monitor_pool if scenario.monitor_pool is not None else range(graph.n)
+    pool = np.array(pool, dtype=np.int64)
+    if not ((pool >= 0) & (pool < graph.n)).all():
+        raise ValueError(f"monitor ids must lie in [0, {graph.n}), got {pool.tolist()}")
+    fixed = scenario.attackers is not None
+    R = _check_states(rngs)
+    monitors, attacked = np.empty(R, np.int64), np.zeros((R, graph.n), bool)
+    reason = np.zeros(1, np.int64)
+    failed = _compiled_loop().draw_rows(
+        R, graph.n, rngs, graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
+        pool, len(pool), 0 if fixed else m, c, PLACEMENT_TRIES, monitors, attacked, reason,
     )
+    if failed == -2:
+        raise MemoryError("draw_rows could not allocate its work buffers")
+    if failed >= 0:
+        monitor = int(monitors[failed])
+        raise ValueError({
+            1: f"c={c} exceeds monitor degree {graph.degrees[monitor]}",
+            2: f"m-c={m - c} attackers do not fit outside the neighborhood",
+            3: f"no connected-trustworthy placement found for m={m}, c={c} "
+               f"at monitor {monitor} in {PLACEMENT_TRIES} tries",
+        }[int(reason[0])])
+    if fixed:
+        attacked[:] = attacker_mask(graph, scenario.attackers)
+        hit = attacked[np.arange(R), monitors]
+        if hit.any():
+            raise ValueError(f"monitor {monitors[hit.argmax()]} cannot be an attacker")
+    return monitors, attacked
 
 
 def _batch_samples(
-    scenario: Scenario, seeds: list[np.random.SeedSequence], Ks: tuple[int, ...]
+    scenario: Scenario, words: np.ndarray, Ks: tuple[int, ...]
 ) -> dict[int, dict[str, np.ndarray]]:
-    """The dataset rows of one sample per seed for each K in ``Ks``, from
-    one vectorized run_batch call of max(Ks) instances per row.
+    """The dataset rows of one sample per row of ``words`` for each K in
+    ``Ks``, from one vectorized run_batch call of max(Ks) instances per row.
+    Row r's words (R, E) are the entropy words (protocol.entropy_words) of
+    its seed, a SeedSequence that has not spawned.
 
     Each K maps to column arrays with one entry per tailored group: the
-    sample's index among ``seeds`` ("sample"), "groups", "monitors",
-    "events", the detection label "nd", the per-slot localization labels
-    "nl", "padded", "slot_agents", and per feature kind the inputs
-    (TEMPORAL, SPATIAL) and the monitor's self value (kind + "_self").  Only
-    the inputs and self values differ between Ks.
+    sample's row in ``words`` ("sample"), "groups", "monitors", "events",
+    the detection label "nd", the per-slot localization labels "nl",
+    "padded", "slot_agents", and per feature kind the inputs (TEMPORAL,
+    SPATIAL) and the monitor's self value (kind + "_self").  Only the inputs
+    and self values differ between Ks.
 
     Stream use per row, frozen for reproducibility: the monitor draw and
-    attacker placement from the row generator, default_rng(seed), then per
-    instance k the PCG64 of child k of the seed's spawn(K), covering the
-    problem draw and the injection target (protocol.draw_problems) and the
-    protocol run.  The children are seeded in C (protocol.seed_states) from
-    the row's entropy words with k appended to its spawn key, so no child
-    generator object is made; the seeds must not have spawned before.  A
-    row depends only on its own seed, not on the other rows of the batch;
+    attacker placement from the row generator, default_rng(seed)
+    (_draw_rows), then per instance k the PCG64 of child k of the seed's
+    spawn(K), covering the problem draw and the injection target
+    (protocol.draw_problems) and the protocol run.  Both are seeded in C
+    (protocol.seed_states), the children from the row's words with k
+    appended to its spawn key, so no generator object is made.  A row
+    depends only on its own seed, not on the other rows of the batch;
     spawning is prefix-stable, so its sample at K = k is the one of its
     first k instances.
     """
     graph = scenario.graph
     n, d, K = graph.n, scenario.d, max(Ks)
-    R = len(seeds)
-    monitors = np.empty(R, dtype=np.int64)
-    attacked = np.zeros((R, n), dtype=bool)  # attacker mask of each row
-    # Each row's child entropy words with k = 0, whose key word is the last.
-    words = np.repeat(
-        np.array([entropy_words(ss.entropy, (*ss.spawn_key, 0)) for ss in seeds], np.uint32),
-        K, axis=0,
-    )
-    words[:, -1] = np.tile(np.arange(K, dtype=np.uint32), R)
-    rngs = seed_states(words)
-    if scenario.attackers is not None:
-        attacker_mask(graph, scenario.attackers)  # validate once
-    pools = {}  # monitor -> its placement pools
-    for r, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        monitors[r] = monitor = _draw_monitor(scenario, rng)
-        if scenario.attackers is not None:
-            ids = scenario.attackers
-            if monitor in ids:
-                raise ValueError(f"monitor {monitor} cannot be an attacker")
-        elif scenario.m:
-            if monitor not in pools:
-                pools[monitor] = _placement_pools(graph, monitor)
-            ids = place_attackers(scenario, monitor, rng, pools=pools[monitor])
-        else:
-            ids = ()
-        attacked[r, list(ids)] = True
+    R, E = words.shape
+    children = np.empty((R * K, E + 1), np.uint32)
+    children[:, :E] = np.repeat(words, K, axis=0)
+    children[:, E] = np.tile(np.arange(K, dtype=np.uint32), R)
+    rngs = seed_states(children)
+    monitors, attacked = _draw_rows(scenario, seed_states(words))
     hit = attacked.any(axis=1)
     flags = np.repeat(attacked, K, axis=0)
     thetas, phis, alphas = draw_problems(n, d, np.repeat(hit, K), rngs)
@@ -382,10 +358,15 @@ def _dataset(blocks, task: str, kind: str, K: int, d: int) -> LabeledDataset:
 def _chunk_columns(scenario: Scenario, Ks, master_seed: int, task: str, split: str,
                    event: str, rows: range) -> dict[int, dict[str, np.ndarray]]:
     """_batch_samples of one chunk of build_datasets: the given rows of one
-    (task, split, event) block, each from its own seed."""
+    (task, split, event) block, row r from the seed
+    SeedSequence(master_seed, spawn_key=(split code, event code, r))."""
     code = _EVENT_CODES[("nl-" + event) if task == "nl" else event]
-    seeds = [_row_seed(master_seed, split, code, r) for r in rows]
-    return _batch_samples(_resolve_event(scenario, event), seeds, Ks)
+    words = np.tile(
+        np.array(entropy_words(master_seed, (_SPLIT_CODES[split], code, 0)), np.uint32),
+        (len(rows), 1),
+    )
+    words[:, -1] = rows  # the row index, the spawn key's last word
+    return _batch_samples(_resolve_event(scenario, event), words, Ks)
 
 
 def build_datasets(
@@ -577,6 +558,10 @@ def subset_rows(dataset: LabeledDataset, rows: np.ndarray) -> LabeledDataset:
     return replace(dataset, **{name: getattr(dataset, name)[rows] for name in per_row})
 
 
+# Rows write_dataset_csv formats at a time, which bounds the strings it holds.
+_CSV_BLOCK = 4096
+
+
 def write_dataset_csv(dataset: LabeledDataset, path) -> None:
     """One row per tailored group.  Floats use repr for exact round-trip."""
     M = dataset.M
@@ -591,16 +576,21 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
     )
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for at in range(0, dataset.n_rows, 64):  # 64 rows as Python values at a time
-            b = subset_rows(dataset, np.arange(at, min(at + 64, dataset.n_rows)))
-            for sample, grp, monitor, event, labels, own, inputs, pads, srcs in zip(
-                b.sample_ids.tolist(), b.groups.tolist(), b.monitors.tolist(), b.events.tolist(),
-                b.labels.reshape(b.n_rows, -1).tolist(), b.self_values.tolist(),
-                b.inputs.tolist(), b.padded.astype(np.int64).tolist(), b.slot_agents.tolist(),
-            ):
-                row = [str(sample), str(grp), str(monitor), event, *map(str, labels), repr(own)]
-                row += [*map(repr, inputs), *map(str, pads), *map(str, srcs)]
-                fh.write(",".join(row) + "\n")
+        for at in range(0, dataset.n_rows, _CSV_BLOCK):
+            b = subset_rows(dataset, np.arange(at, min(at + _CSV_BLOCK, dataset.n_rows)))
+            # The block's cells, column by column: ints by str, floats by repr.
+            cells = [
+                *_strs(str, np.stack([b.sample_ids, b.groups, b.monitors])), b.events.tolist(),
+                *_strs(str, b.labels.reshape(b.n_rows, -1).T),
+                *_strs(repr, np.vstack([b.self_values, b.inputs.T])),
+                *_strs(str, np.vstack([b.padded.T.astype(np.int64), b.slot_agents.T])),
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _strs(fmt, rows: np.ndarray) -> list[list[str]]:
+    """fmt of every value of a 2-D array, one list per row."""
+    return [list(map(fmt, row)) for row in rows.tolist()]
 
 
 def _parses(conv, cell: str) -> bool:
@@ -611,37 +601,15 @@ def _parses(conv, cell: str) -> bool:
     return True
 
 
-def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDataset:
-    """Read a file written by write_dataset_csv.
-
-    A header that lacks a column of the task or disagrees on the slot, pad
-    and src counts, a ragged row and a non-numeric cell each raise a
-    ValueError naming the file, the line and the column.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [(no, line.rstrip("\n").split(",")) for no, line in enumerate(fh, 2) if line.strip()]
-    widths = {p: sum(c.startswith(p) for c in header) for p in ("slot_", "pad_", "src_")}
-    M = max(widths.values())
-    for prefix, width in widths.items():
-        if width < M:
-            counts = ", ".join(f"{w} {p}" for p, w in widths.items())
-            raise ValueError(
-                f"{path}:1: column '{prefix}{width}': missing, the header has {counts} columns"
-            )
-    slots = range(M)
-    label_cols = ["label"] if task == "nd" else [f"label_{s}" for s in slots]
-    int_cols = ["sample", "grp", "monitor", *label_cols]
-    int_cols += [f"pad_{s}" for s in slots] + [f"src_{s}" for s in slots]
-    float_cols = ["self_value"] + [f"slot_{s}" for s in slots]
-    col = {c: i for i, c in enumerate(header)}
-    for name in ["event", *int_cols, *float_cols]:
-        if name not in col:
-            raise ValueError(f"{path}:1: column {name!r}: missing from the {task} header")
-    int_at = [col[c] for c in int_cols]
-    float_at = [col[c] for c in float_cols]
+def _checked_rows(path, header: list, lines: list, int_at: list, float_at: list, event_at: int):
+    """The int cells, float cells and events of the non-blank lines, by
+    int() and float() per cell: a ValueError naming the file, the line and
+    the column of the first ragged row or non-numeric cell."""
     ints, floats, events = [], [], []
-    for no, parts in rows:
+    for no, line in enumerate(lines, 2):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split(",")
         if len(parts) < len(header):
             raise ValueError(
                 f"{path}:{no}: column {header[len(parts)]!r}: missing, the row has "
@@ -663,9 +631,67 @@ def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDatas
             raise ValueError(
                 f"{path}:{no}: column {header[i]!r}: not a number: {parts[i]!r}"
             ) from None
-        events.append(parts[col["event"]])
-    ints = np.array(ints, dtype=np.int64).reshape(len(rows), len(int_cols))
-    floats = np.array(floats, dtype=np.float64).reshape(len(rows), len(float_cols))
+        events.append(parts[event_at])
+    return ints, floats, events
+
+
+def _loaded_rows(header: list, lines: list, int_at: list, float_at: list, event_at: int):
+    """_checked_rows with the numeric cells parsed by np.loadtxt, which
+    takes a subset of what int() and float() take, to the same values; a
+    ValueError where a row is ragged or loadtxt does not take a cell.
+    comments=None, since by default a cell would be cut at a '#'."""
+    rows = [line.rstrip("\n") for line in lines if line.strip()]
+    if not rows:
+        return [], [], []
+    if any(row.count(",") != len(header) - 1 for row in rows):
+        raise ValueError("a ragged row")
+
+    def load(dtype, at):
+        return np.loadtxt(rows, dtype, delimiter=",", comments=None, usecols=at, ndmin=2)
+
+    return load(np.int64, int_at), load(np.float64, float_at), [
+        row.split(",", event_at + 1)[event_at] for row in rows
+    ]
+
+
+def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDataset:
+    """Read a file written by write_dataset_csv.
+
+    A header that lacks a column of the task or disagrees on the slot, pad
+    and src counts, a ragged row and a non-numeric cell each raise a
+    ValueError naming the file, the line and the column.  The numeric cells
+    are parsed by np.loadtxt; a file it does not take is read again cell by
+    cell with int() and float(), which name the cell at fault or read it as
+    they read it.
+    """
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        lines = fh.readlines()
+    widths = {p: sum(c.startswith(p) for c in header) for p in ("slot_", "pad_", "src_")}
+    M = max(widths.values())
+    for prefix, width in widths.items():
+        if width < M:
+            counts = ", ".join(f"{w} {p}" for p, w in widths.items())
+            raise ValueError(
+                f"{path}:1: column '{prefix}{width}': missing, the header has {counts} columns"
+            )
+    slots = range(M)
+    label_cols = ["label"] if task == "nd" else [f"label_{s}" for s in slots]
+    int_cols = ["sample", "grp", "monitor", *label_cols]
+    int_cols += [f"pad_{s}" for s in slots] + [f"src_{s}" for s in slots]
+    float_cols = ["self_value"] + [f"slot_{s}" for s in slots]
+    col = {c: i for i, c in enumerate(header)}
+    for name in ["event", *int_cols, *float_cols]:
+        if name not in col:
+            raise ValueError(f"{path}:1: column {name!r}: missing from the {task} header")
+    int_at = [col[c] for c in int_cols]
+    float_at = [col[c] for c in float_cols]
+    try:
+        ints, floats, events = _loaded_rows(header, lines, int_at, float_at, col["event"])
+    except ValueError:
+        ints, floats, events = _checked_rows(path, header, lines, int_at, float_at, col["event"])
+    ints = np.array(ints, dtype=np.int64).reshape(len(events), len(int_cols))
+    floats = np.array(floats, dtype=np.float64).reshape(len(events), len(float_cols))
     at = 3 + len(label_cols)
     labels = ints[:, 3] if task == "nd" else ints[:, 3:at]
     padded, slot_agents = ints[:, at : at + M] == 1, ints[:, at + M :]

@@ -195,6 +195,9 @@ def check_config(cfg: dict, section: str) -> None:
             if same in seen:
                 raise ConfigError(f"'{here}' repeats an earlier entry, got {entry!r}")
             seen.append(same)
+    if cfg.get("m") == 0 and "nl" in cfg.get("tasks", ()):
+        raise ConfigError(f"'{section}.tasks' must not list 'nl' when m is 0: localization "
+                          f"rows need an attack scenario, got {cfg['tasks']!r}")
     graph = _torus(cfg) if "cuts" in cfg else None
     for i, (u, v) in enumerate(cfg.get("cuts", ())):  # in order, as degree-tailor cuts
         try:
@@ -327,13 +330,16 @@ _AGENT_FIELDS = [
 ]
 
 # List fields of integer pairs: (field, valid given the config, what an entry
-# must be).  A combo puts c attackers on the monitor's 4 torus neighbors.
+# must be).  A combo puts c attackers on the monitor's 4 torus neighbors and
+# m - c on the other agents but the monitor; with all 4 neighbors attackers
+# the monitor is cut off unless every other agent is an attacker too.
 _PAIR_DOMAINS = [
     ("temporal_setups", lambda K, d, cfg: K >= 1 and d >= 1, "[K, d] with K, d >= 1"),
     ("spatial_setups", lambda K, d, cfg: K >= 1 and d >= 1, "[K, d] with K, d >= 1"),
     ("combos", lambda m, c, cfg: 0 <= c <= m, "[m, c] with 0 <= c <= m"),
-    ("combos", lambda m, c, cfg: c <= 4 and m - c <= _grid(cfg) - 5,
-     "[m, c] that fits the {rows}x{cols} torus, c <= 4 and m - c <= rows * cols - 5"),
+    ("combos", lambda m, c, cfg: m - c <= _grid(cfg) - 5 and (c <= 3 or m - c == _grid(cfg) - 5),
+     "[m, c] that fits the {rows}x{cols} torus with the trustworthy agents connected: "
+     "m - c <= rows * cols - 5, and c <= 3, or c == 4 with m - c == rows * cols - 5"),
     ("cuts", lambda u, v, cfg: (min(u, v), max(u, v)) in _torus(cfg).edges,
      "an edge [u, v] of the {rows}x{cols} torus"),
 ]

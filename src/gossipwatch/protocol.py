@@ -156,6 +156,11 @@ def _compiled_loop():
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64),
         f64, f64, f64, f64, arr(np.int64), arr(np.float64),
     ]
+    lib.draw_rows.restype = i64
+    lib.draw_rows.argtypes = [
+        i64, i64, arr(np.uint64), arr(np.int64), arr(np.int64), i64, arr(np.int64), i64,
+        i64, i64, i64, arr(np.int64), arr(np.bool_), arr(np.int64),
+    ]
     lib.draw_problems.restype = None
     lib.draw_problems.argtypes = [
         i64, i64, i64, arr(np.uint64), arr(np.uint8),

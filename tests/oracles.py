@@ -5,15 +5,16 @@ score detector statistics of one dataset row, the pair-averaging matrix of
 one gossip step, the rates of a thresholded detector, the numpy training
 path (forward pass, loss, one gradient array per layer and per bias, one
 row gather per SGD step, a gossip merge through a decoded model), the
-problem draw and
-the gossip iteration in numpy, which write out the frozen stream order of
-every instance's draws, and the temporal and spatial scores of one dataset
-row.  The package computes the same quantities by other routes (row
-statistics over tailored slots reduced for a whole dataset at once, the
-expected transition matrix, the exact ROC sweep, the compiled SGD step
-and forward pass with in-place merges, the compiled draws and gossip loop,
-scores over a whole
-chunk's arrays); the tests check one against the other.
+problem draw and the gossip iteration in numpy, which write out the frozen
+stream order of every instance's draws, each dataset row's seed, monitor
+draw and attacker placement with numpy's generator, and the temporal and
+spatial scores of one dataset row.  The package computes the same
+quantities by other routes (row statistics over tailored slots reduced for
+a whole dataset at once, the expected transition matrix, the exact ROC
+sweep, the compiled SGD step and forward pass with in-place merges, the
+compiled draws and gossip loop, the compiled monitor and attacker draws of
+a whole chunk, scores over a whole chunk's arrays); the tests check one
+against the other.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gossipwatch.datagen import _SPLIT_CODES, PLACEMENT_TRIES, Scenario
 from gossipwatch.evaluation import GREATER_IS_H1, SMALLER_IS_H1, _validate_scores_labels
 from gossipwatch.neural import Mlp, mlp_from_blob, params_to_blob
 from gossipwatch.protocol import BOX_HI, BOX_LO, BatchStats, LeastSquaresProblem, stepsizes
-from gossipwatch.topology import Graph
+from gossipwatch.topology import Graph, subset_connected
 
 
 @dataclass(frozen=True)
@@ -412,6 +414,66 @@ def _numpy_loop(
         sums += x
         if snap_of[t] >= 0:
             snaps[snap_of[t]] = x
+
+
+# --- per-row monitor and attacker draws --------------------------------------
+
+
+def row_seed(master_seed: int, split: str, event_code: int, row: int) -> np.random.SeedSequence:
+    """The seed of one dataset row, whose entropy words datagen._chunk_columns
+    builds as arrays."""
+    return np.random.SeedSequence(
+        master_seed, spawn_key=(_SPLIT_CODES[split], event_code, row)
+    )
+
+
+def draw_monitor(scenario: Scenario, rng: np.random.Generator) -> int:
+    """A row's monitored agent: the fixed one, or drawn from the pool or
+    from every agent."""
+    if scenario.monitor is not None:
+        return scenario.monitor
+    if scenario.monitor_pool is not None:
+        return int(scenario.monitor_pool[rng.integers(len(scenario.monitor_pool))])
+    return int(rng.integers(scenario.graph.n))
+
+
+def placement_pools(graph: Graph, monitor: int):
+    """The monitor's neighbors and, ascending, the agents outside its
+    closed neighborhood."""
+    nbrs = graph.neighbors[monitor]
+    outside = np.setdiff1d(np.arange(graph.n), np.append(nbrs, monitor))
+    return nbrs, outside
+
+
+def place_attackers(
+    scenario: Scenario,
+    monitor: int,
+    rng: np.random.Generator,
+    pools: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[int, ...]:
+    """Draw m attacker ids with exactly c adjacent to the monitor, keeping
+    the trustworthy subgraph connected.  Rejection-samples placements.
+    pools is placement_pools(graph, monitor), computed here when None.
+    datagen._draw_rows makes the same draws in C."""
+    graph, m, c = scenario.graph, scenario.m, scenario.c
+    if m == 0:
+        return ()
+    nbrs, outside = placement_pools(graph, monitor) if pools is None else pools
+    if c > len(nbrs):
+        raise ValueError(f"c={c} exceeds monitor degree {len(nbrs)}")
+    if m - c > len(outside):
+        raise ValueError(f"m-c={m - c} attackers do not fit outside the neighborhood")
+    for _ in range(PLACEMENT_TRIES):
+        near = rng.choice(nbrs, size=c, replace=False).tolist() if c else []
+        far = rng.choice(outside, size=m - c, replace=False).tolist() if m - c else []
+        ids = sorted(near + far)
+        keep = [v for v in range(graph.n) if v not in ids]
+        if subset_connected(graph, keep):
+            return tuple(ids)
+    raise ValueError(
+        f"no connected-trustworthy placement found for m={m}, c={c} "
+        f"at monitor {monitor} in {PLACEMENT_TRIES} tries"
+    )
 
 
 # --- per-row features -------------------------------------------------------

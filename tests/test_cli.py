@@ -196,6 +196,11 @@ def test_out_of_domain_train_gossip_values_are_config_errors(tmp_path, capsys, s
     assert not out.exists()
 
 
+# What a torus combo [m, c] must be: the check's wording, which gen-data shares.
+_FITS = ("[m, c] that fits the 3x3 torus with the trustworthy agents connected: "
+         "m - c <= rows * cols - 5, and c <= 3, or c == 4 with m - c == rows * cols - 5")
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [("T=0", "'gen-data.T' must be >= 1, got 0"),
@@ -203,10 +208,8 @@ def test_out_of_domain_train_gossip_values_are_config_errors(tmp_path, capsys, s
      ("K=0", "'gen-data.K' must be >= 1, got 0"),
      ("monitor=20", "'gen-data.monitor' must be an agent id in [0, 9), got 20"),
      ("monitor=[4]", "'gen-data.monitor' must be an agent id in [0, 9), got [4]"),
-     ("m=7", "'gen-data.m' must be [m, c] that fits the 3x3 torus, c <= 4 and "
-             "m - c <= rows * cols - 5, got [7, 1] for its next-to rows"),
-     ("m=5", "'gen-data.m' must be [m, c] that fits the 3x3 torus, c <= 4 and "
-             "m - c <= rows * cols - 5, got [5, 0] for its far-from rows"),
+     ("m=7", f"'gen-data.m' must be {_FITS}, got [7, 1] for its next-to rows"),
+     ("m=5", f"'gen-data.m' must be {_FITS}, got [5, 0] for its far-from rows"),
      ("c=2", "'gen-data.m' must be [m, c] with 0 <= c <= m, got [1, 2] for its next-to rows")],
 )
 def test_out_of_domain_gen_data_values_are_config_errors(tmp_path, capsys, setting, message):
@@ -215,6 +218,41 @@ def test_out_of_domain_gen_data_values_are_config_errors(tmp_path, capsys, setti
     assert rc == 1
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_CUT_OFF = f"must be {_FITS}, got [4, 4]"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-data", "--set", "m=4", "--set", "c=4", "--set", "K=1", "--set", "T=20",
+      "--set", "scale=0.002"], f"'gen-data.m' {_CUT_OFF} for its next-to rows"),
+    (["experiment", "multi-attacker", "--set", "combos=[[4,4]]", "--set", "scale=0.002"],
+     f"'multi-attacker.combos[0]' {_CUT_OFF}"),
+    (["gen-data", "--set", "m=0", "--set", "c=0", "--set", "K=1", "--set", "T=20",
+      "--set", "scale=0.002"],
+     "'gen-data.tasks' must not list 'nl' when m is 0: localization rows need an attack "
+     "scenario, got ['nd', 'nl']"),
+], ids=["gen-data-c-is-the-degree", "combo-c-is-the-degree", "gen-data-nl-without-attackers"])
+def test_configs_no_placement_can_fit_are_config_errors(tmp_path, capsys, argv, message):
+    """A next-to placement with all four torus neighbors of the monitor
+    attackers cuts the monitor off unless every other agent is an attacker
+    too, and localization rows need attackers: each fails the config check
+    with the field named, before --out exists, not the build."""
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_all_four_neighbors_attack_where_every_other_agent_does(tmp_path):
+    """c == 4 passes the check where m - c == rows * cols - 5: the monitor
+    is the one trustworthy agent left, which is connected."""
+    out = tmp_path / "o"
+    argv = ["gen-data", "--set", "m=8", "--set", "c=4", "--set", "K=1", "--set", "T=20",
+            "--set", "scale=0.002", "--set", 'events=["next-to"]', "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = (out / "nl_temporal_train.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[4:8] == ["1"] * 4 for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -264,8 +302,7 @@ def test_a_dataset_with_no_rows_fails_before_writing(tmp_path, capsys, section, 
      (["multi-attacker", "--set", "combos=[[1, 2]]"],
       "'multi-attacker.combos[0]' must be [m, c] with 0 <= c <= m, got [1, 2]"),
      (["multi-attacker", "--set", "combos=[[9, 1]]", "--set", "scale=0.002"],
-      "'multi-attacker.combos[0]' must be [m, c] that fits the 3x3 torus, c <= 4 and "
-      "m - c <= rows * cols - 5, got [9, 1]"),
+      f"'multi-attacker.combos[0]' must be {_FITS}, got [9, 1]"),
      (["multi-attacker", "--set", "scale=0.00004"],
       "'multi-attacker.scale' must be > 1/12000, so that every split has a row, got 4e-05"),
      (["multi-attacker", "--set", "scale=0.00006"],

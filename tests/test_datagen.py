@@ -1,11 +1,14 @@
 """Dataset generation: scenarios, budgets, placement, sharding, CSV round trips."""
 
+import hashlib
 import multiprocessing
 import os
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
+from oracles import pcg64_row, place_attackers
 
 from gossipwatch import cli, datagen, experiments, fanout, protocol
 from gossipwatch.datagen import (
@@ -20,7 +23,6 @@ from gossipwatch.datagen import (
     _batch_samples,
     build_dataset,
     build_datasets,
-    place_attackers,
     read_dataset_csv,
     scenario_from_tag,
     shard_for_gossip,
@@ -28,7 +30,7 @@ from gossipwatch.datagen import (
     training_arrays,
     write_dataset_csv,
 )
-from gossipwatch.topology import Graph, manhattan_grid
+from gossipwatch.topology import Graph, manhattan_grid, small_world
 
 
 def _torus():
@@ -98,27 +100,11 @@ def test_place_attackers_respects_adjacency_counts():
 
 def test_place_attackers_with_given_pools_draws_the_same():
     scn = _scenario(m=3, c=2)
-    pools = datagen._placement_pools(scn.graph, 4)
+    pools = oracles.placement_pools(scn.graph, 4)
     for seed in range(10):
         rng, own = np.random.default_rng(seed), np.random.default_rng(seed)
         assert place_attackers(scn, 4, rng, pools=pools) == place_attackers(scn, 4, own)
         assert rng.bit_generator.state == own.bit_generator.state
-
-
-def test_placement_pools_are_computed_once_per_monitor(monkeypatch):
-    scn = _scenario(m=2, c=1)
-    seeds = [np.random.SeedSequence(7, spawn_key=(r,)) for r in range(12)]
-    monitors = {datagen._draw_monitor(scn, np.random.default_rng(ss)) for ss in seeds}
-    calls = []
-    real = datagen._placement_pools
-
-    def count(graph, monitor):
-        calls.append(monitor)
-        return real(graph, monitor)
-
-    monkeypatch.setattr(datagen, "_placement_pools", count)
-    _batch_samples(scn, seeds, (2,))
-    assert sorted(calls) == sorted(monitors) and len(monitors) > 1
 
 
 def test_place_attackers_rejects_infeasible_requests():
@@ -134,6 +120,122 @@ def test_place_attackers_rejects_infeasible_requests():
         place_attackers(scn, 0, np.random.default_rng(0))
 
 
+def _rows_both_ways(scenario, rows=24):
+    """datagen._draw_rows on the row seeds of rows rows, and the oracles'
+    monitor draw and placement with numpy's generator on the same seeds:
+    for each, the monitors, the attacker masks and the row generators'
+    final states, or the message of the ValueError it raised."""
+    seeds = [oracles.row_seed(5, "train", 1, r) for r in range(rows)]
+    states = protocol.seed_states(
+        [protocol.entropy_words(ss.entropy, ss.spawn_key) for ss in seeds]
+    )
+    try:
+        monitors, attacked = datagen._draw_rows(scenario, states)
+        compiled = (monitors.tolist(), attacked.tolist(), states.tolist())
+    except ValueError as err:
+        compiled = str(err)
+    monitors, attacked, ends = [], np.zeros((rows, scenario.graph.n), bool), []
+    try:
+        for r, ss in enumerate(seeds):
+            rng = np.random.default_rng(ss)
+            monitors.append(monitor := oracles.draw_monitor(scenario, rng))
+            if scenario.attackers is not None:
+                ids = scenario.attackers
+                if monitor in ids:
+                    raise ValueError(f"monitor {monitor} cannot be an attacker")
+            else:
+                ids = place_attackers(scenario, monitor, rng)
+            attacked[r, list(ids)] = True
+            ends.append(pcg64_row(rng).tolist())
+        oracle = (monitors, attacked.tolist(), ends)
+    except ValueError as err:
+        oracle = str(err)
+    return compiled, oracle
+
+
+_MONITORS = {"fixed": dict(monitor=4), "pool": dict(monitor_pool=(0, 4, 7)),
+             "pool-of-one": dict(monitor_pool=(3,)), "drawn": {}}
+
+
+@pytest.mark.parametrize("monitor", list(_MONITORS))
+@pytest.mark.parametrize("m, c", [(m, c) for m in range(5) for c in range(m + 1)] + [(8, 4)])
+def test_draw_rows_equals_the_numpy_draws(monitor, m, c):
+    """The monitors, attacker masks and final row generator states of the
+    compiled draws are the oracles' on the 3x3 torus, bit for bit, and a
+    request without a placement fails with their message: with c = 4 the
+    monitor is cut off unless all 8 other agents attack, so (4, 4) exhausts
+    its tries."""
+    compiled, oracle = _rows_both_ways(_scenario(m=m, c=c, **_MONITORS[monitor]))
+    assert compiled == oracle
+    assert isinstance(oracle, str) == ((m, c) == (4, 4))
+    if (m, c) == (4, 4):
+        assert oracle.startswith("no connected-trustworthy placement found for m=4, c=4")
+
+
+def test_draw_rows_rejects_placements_as_the_oracle_does(monkeypatch):
+    """Where some placements cut the trustworthy agents apart, the compiled
+    draws reject the same tries as the oracle, which rejects some."""
+    checks, real = [], oracles.subset_connected
+
+    def counted(graph, keep):
+        checks.append(keep)
+        return real(graph, keep)
+
+    monkeypatch.setattr(oracles, "subset_connected", counted)
+    compiled, oracle = _rows_both_ways(_scenario(m=5, c=3), rows=40)
+    assert compiled == oracle and len(checks) > 40
+
+
+@pytest.mark.parametrize("m, c, message", [
+    (5, 5, "c=5 exceeds monitor degree 4"),
+    (6, 1, "m-c=5 attackers do not fit outside the neighborhood"),
+])
+def test_draw_rows_fails_infeasible_requests_as_the_oracle_does(m, c, message):
+    compiled, oracle = _rows_both_ways(_scenario(m=m, c=c))
+    assert compiled == oracle == message
+
+
+@pytest.mark.parametrize("pool", [(0, 9), (-1,)])
+def test_draw_rows_rejects_a_monitor_outside_the_graph(pool):
+    """The C draws index the neighbor table by the monitor: an id outside
+    the graph fails before the call."""
+    states = protocol.seed_states([[1, 2]])
+    with pytest.raises(ValueError, match=r"monitor ids must lie in \[0, 9\)"):
+        datagen._draw_rows(_scenario(monitor_pool=pool), states)
+
+
+@pytest.mark.parametrize("scenario", [
+    dict(m=3, c=1, monitor_pool=(0, 2, 3, 4)),
+    dict(m=3, c=1),
+    dict(m=3, c=2),
+    dict(m=3, c=1, attackers=(1, 5, 9), monitor_pool=(0, 2, 3, 4)),
+    dict(m=3, c=1, attackers=(1, 5, 9)),
+], ids=["pool", "drawn", "drawn-c-is-a-degree", "fixed-attackers",
+        "fixed-attackers-monitor-drawn"])
+def test_draw_rows_equals_the_numpy_draws_on_a_small_world(scenario):
+    """On a small world the degrees (2 to 6 here) differ, so the neighbor
+    order and the pools differ per monitor; a monitor of degree c is cut
+    off, fixed attackers are set as given, and a drawn monitor that is one
+    of them fails, each as in the oracle."""
+    world = small_world(30, 4, 0.2, np.random.default_rng(3))
+    compiled, oracle = _rows_both_ways(Scenario(graph=world, d=1, T=10, **scenario), rows=40)
+    assert compiled == oracle
+    assert isinstance(oracle, str) == (
+        "monitor_pool" not in scenario and ("attackers" in scenario or scenario["c"] == 2)
+    )
+
+
+@pytest.mark.parametrize("m", [204, 205])
+def test_draw_rows_takes_numpys_tail_shuffle_for_large_pools(m):
+    """A pool above 10,000 agents from which more than a 50th is drawn is a
+    shuffled tail of arange in numpy, not Floyd's algorithm: 204 attackers
+    on the 101x101 torus draw 203 of the 10,196 agents outside the
+    monitor's neighborhood by Floyd, 205 draw 204 by the tail shuffle."""
+    big = Scenario(graph=manhattan_grid(101, 101), m=m, c=1, d=1, T=10)
+    compiled, oracle = _rows_both_ways(big, rows=3)
+    assert not isinstance(oracle, str) and compiled == oracle
+
+
 def _sample(scn, seed):
     """The dataset columns of one row seed, monitored at agent 4, and the
     attackers its instances were simulated with."""
@@ -145,7 +247,8 @@ def _sample(scn, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datagen, "run_batch", spy)
-        cols = _batch_samples(replace(scn, monitor=4), [np.random.SeedSequence(seed)], (1,))
+        words = np.array([protocol.entropy_words(seed)], np.uint32)
+        cols = _batch_samples(replace(scn, monitor=4), words, (1,))
     return cols[1], simulated[0]
 
 
@@ -387,7 +490,7 @@ def test_a_failing_chunk_fails_the_build_and_leaves_no_worker(
 
     _fan_out_everything(monkeypatch)
     _use_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(datagen, "place_attackers", fail)  # forked workers inherit it
+    monkeypatch.setattr(datagen, "_draw_rows", fail)  # forked workers inherit it
     with pytest.raises(ValueError) as err:
         build_datasets(_scenario(), (2, 1), _tiny_budget(), 0)
     assert type(err.value) is ValueError and str(err.value) == "no placement today"
@@ -618,6 +721,54 @@ def test_csv_roundtrip_keeps_column_dtypes_without_rows(tmp_path):
             assert getattr(back, name).dtype.kind == value.dtype.kind, name
 
 
+# SHA-256 of the CSVs of build_dataset(_scenario(), 1, _tiny_budget(), 6),
+# as the row-by-row writer that preceded the column-wise one wrote them.
+_CSV_DIGESTS = {
+    "nd_spatial_train": "c9e1258dc25b31aebe7ac03b31241574bf7736704bda995c09f7707eab152078",
+    "nd_spatial_test": "0ad5e1f7138193e1c90cbb026b9fa183de445a9ce49dd0da432616d4a7b1c327",
+    "nd_temporal_train": "37ef86fcc670b6e5f8a128e263613e38eee4f05d9b73cddf6605849c891a234a",
+    "nd_temporal_test": "6df2621ed8221bd170e728f428c674735c45b1efaa60b8eeb7e47f184934f6c2",
+    "nl_spatial_train": "198cb3bf31f337270212363bb7d2a55a17af8c7e86e6f1068a2fe5250e3bf018",
+    "nl_spatial_test": "dff085bc81c1e32a5855803a0222c4c1321e5e7ab57484666c7727e6e62e0477",
+    "nl_temporal_train": "216f241dfd17671cea212a43a8b36e15a25668aaf6dd751606d04a51c645080b",
+    "nl_temporal_test": "2318020395fa5c4c254e21658c19fab568ffd2313cb655f35f2eb5546842c871",
+}
+
+
+@pytest.mark.parametrize("block", [4096, 2])
+def test_csv_bytes_are_pinned(tmp_path, monkeypatch, block):
+    """write_dataset_csv writes the pinned bytes, whatever its block size."""
+    monkeypatch.setattr(datagen, "_CSV_BLOCK", block)
+    data = build_dataset(_scenario(), 1, _tiny_budget(), master_seed=6)
+    got = {}
+    for key, pair in data.items():
+        for split in ("train", "test"):
+            path = tmp_path / f"{key}_{split}.csv"
+            write_dataset_csv(getattr(pair, split), path)
+            got[f"{key}_{split}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == _CSV_DIGESTS
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_csv_roundtrip_of_zero_and_one_rows_is_bitwise(tmp_path, rows):
+    for key in ("nd_temporal", "nl_spatial"):
+        ds = build_dataset(_scenario(), 1, _tiny_budget(), master_seed=6)[key].train
+        ds = subset_rows(ds, np.arange(rows))
+        path = tmp_path / f"{key}.csv"
+        write_dataset_csv(ds, path)
+        assert _columns(read_dataset_csv(path, ds.task, ds.kind, ds.K, ds.d)) == _columns(ds)
+
+
+def _columns(ds):
+    """Every field of a dataset, its arrays as kind, shape and bytes (the
+    events as strings, whose width is that of the longest)."""
+    return {
+        name: v.tolist() if name == "events" else
+        (v.dtype.kind, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+        for name, v in vars(ds).items()
+    }
+
+
 def _written_csv(tmp_path, key="nd_temporal"):
     ds = build_dataset(_scenario(), 1, _tiny_budget(), master_seed=6)[key].train
     path = tmp_path / f"{key}.csv"
@@ -653,6 +804,49 @@ def test_read_dataset_csv_rejects_malformed_rows(tmp_path):
         with pytest.raises(ValueError) as err:
             read_dataset_csv(bad, ds.task, ds.kind, ds.K, ds.d)
         assert str(err.value).startswith(f"{bad}:{line}: column {what}"), str(err.value)
+
+
+@pytest.mark.parametrize("column, cell, parsed", [
+    ("monitor", "1_0", False), ("slot_0", "1_0", False), ("sample", "\uff11", False),
+    ("slot_1", "\uff11", False), ("grp", "1.0", False), ("monitor", "4#", False),
+    ("slot_2", "0.5#x", False), ("src_3", "3#", False), ("src_0", " 1", True),
+    ("pad_0", "+1", True), ("slot_3", " +1.5", True), ("self_value", "nan", True),
+    ("slot_0", "-inf", True),
+])
+def test_read_dataset_csv_reads_odd_cells_as_the_row_validator(
+    tmp_path, monkeypatch, column, cell, parsed
+):
+    """np.loadtxt takes a subset of the cells that int() and float() take,
+    to the same values; a file with a cell it does not take is read by the
+    row validator, which reads it, or fails on it, as before.  A '#' is a
+    cell's own character, not the start of a comment that would cut the
+    last cell short."""
+    ds, path = _written_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    parts = lines[2].split(",")
+    parts[lines[0].split(",").index(column)] = cell
+    odd = _rewrite(path, lines[:2] + [",".join(parts)] + lines[3:])
+    checked, validator = [], datagen._checked_rows
+
+    def read():
+        try:
+            return _columns(read_dataset_csv(odd, ds.task, ds.kind, ds.K, ds.d))
+        except ValueError as err:
+            return str(err)
+
+    def count(*args):
+        checked.append(args)
+        return validator(*args)
+
+    monkeypatch.setattr(datagen, "_checked_rows", count)
+    fast = read()
+    assert (not checked) == parsed
+
+    def refuse(*args):
+        raise ValueError("read by the row validator")
+
+    monkeypatch.setattr(datagen, "_loaded_rows", refuse)
+    assert read() == fast
 
 
 def test_read_dataset_csv_rejects_headers_of_another_task(tmp_path):

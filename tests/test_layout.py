@@ -8,8 +8,8 @@ argument list, that file is the one C source and protocol alone builds it,
 numpy's OpenBLAS is named and opened only in ``neural._blas``, the declared
 numpy floor bundles that library, compiled steps are bound once per fit and
 per gossip run, one module alone forks worker processes, none starts a
-thread, and the README's module table lists exactly the package's
-modules."""
+thread, a dataset chunk makes no generator object per row, and the README's
+module table lists exactly the package's modules."""
 
 import ast
 import re
@@ -165,7 +165,8 @@ def test_every_c_entry_is_bound_with_all_its_arguments():
         )
     }
     assert {
-        "gossip_loop", "draw_problems", "seed_states", "net_forward", "net_output", "net_backward"
+        "gossip_loop", "draw_problems", "draw_rows", "seed_states", "net_forward", "net_output",
+        "net_backward",
     } <= entries.keys()
     lib = protocol._compiled_loop()
     unbound = [
@@ -303,6 +304,24 @@ def test_nothing_in_the_package_starts_a_thread():
             if any(name.split(".")[0] in ("threading", "_thread") for name in names):
                 threading.add(path.name)
     assert not threading, sorted(threading)
+
+
+def test_a_chunk_makes_no_generator_object_per_row():
+    """A dataset chunk seeds its rows' and instances' generators in C from
+    entropy words built as arrays: neither _chunk_columns nor _batch_samples
+    (nor anything they define) names numpy's default_rng or SeedSequence,
+    so no per-row generator object creeps back."""
+    tree = ast.parse((PACKAGE / "datagen.py").read_text())
+    named = {
+        (top.name, node.id if isinstance(node, ast.Name) else node.attr)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name in ("_chunk_columns", "_batch_samples")
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and (node.id if isinstance(node, ast.Name) else node.attr)
+        in ("default_rng", "SeedSequence")
+    }
+    assert not named, sorted(named)
 
 
 def test_the_readme_module_table_lists_exactly_the_package_modules():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import generate_problem, numpy_run_batch, pcg64_row
+from oracles import generate_problem, numpy_run_batch, pcg64_row, row_seed
 
 from gossipwatch import cli, datagen, protocol
 from gossipwatch.protocol import (
@@ -212,7 +212,10 @@ def test_inline_pcg64_draws_match_numpy_draws(tmp_path):
 
 def test_chunk_states_are_the_spawned_children_of_each_row(monkeypatch):
     """The states a dataset chunk seeds for its K instances per row are those
-    of the spawn(K) children of each row's default_rng(row seed)."""
+    of the spawn(K) children of each row's default_rng(row seed), and the
+    states it seeds for its rows' monitor and attacker draws are those of
+    default_rng(row seed) itself: its rows' entropy words, built as arrays,
+    are their seeds'."""
     seeded = []
 
     def keep(words):
@@ -222,11 +225,12 @@ def test_chunk_states_are_the_spawned_children_of_each_row(monkeypatch):
 
     monkeypatch.setattr(datagen, "seed_states", keep)
     scenario = datagen.scenario_from_tag("S0", manhattan_grid(3, 3), T=20)
-    seeds = [datagen._row_seed(2**33 + 1, "test", 2, r) for r in range(4)]
-    datagen._batch_samples(scenario, seeds, (1, 3))
+    datagen._chunk_columns(scenario, (1, 3), 2**33 + 1, "nd", "test", "far-from", range(4))
+    seeds = [row_seed(2**33 + 1, "test", 2, r) for r in range(4)]
     children = [c for ss in seeds for c in np.random.default_rng(ss).spawn(3)]
-    (states,) = seeded
-    _assert_same_generators(states, children)
+    child_states, row_states = seeded
+    _assert_same_generators(child_states, children)
+    _assert_same_generators(row_states, [np.random.default_rng(ss) for ss in seeds])
 
 
 @pytest.mark.parametrize("entropy", list(SEEDS))
