@@ -199,9 +199,9 @@ static inline double reduce_sum(const double *a, int64_t n)
 typedef struct {
     int64_t B, n, d, T, width;
     uint64_t *states;
-    double *first, *x, *sums, *snaps;
+    double *first, *x, *sums, *traj;
     const uint8_t *flags;
-    const int64_t *degrees, *nbr_table, *snap_of;
+    const int64_t *degrees, *nbr_table;
     const double *thetas, *phis, *alphas, *powers, *sched;
     double init_low, init_range, lo, hi;
 } job_t;
@@ -213,19 +213,19 @@ typedef struct {
  * neighbors are nbr_table[i * width .. i * width + degrees[i]).  An
  * attacker member's noise row is drawn at its event, in (t,
  * waking-then-pulled) order, which continues the stream where the pair
- * draws end.  snap_of[t] is the slot of iteration t in snaps (slot, B, n,
- * d), or -1. */
+ * draws end.  Unless traj is NULL, its (B, T + 1, n, d) slice of instance
+ * b receives the states of every iteration. */
 static inline __attribute__((always_inline)) void run_instance_d(const job_t *j, int64_t b,
                                                                  double *buf, const int64_t d)
 {
-    const int64_t n = j->n, T = j->T, nd = n * d, B = j->B;
+    const int64_t n = j->n, T = j->T, nd = n * d;
     int64_t *wake = (int64_t *)buf, *pull = wake + T;
     double *xb = (double *)(pull + T), *sb = xb + nd, *xbar = sb + nd, *prod = xbar + d;
     pcg64_t gen = load_pcg64(j->states + b * 6), *g = &gen;
     const double *ab = j->alphas + b * d, *powers = j->powers, *sched = j->sched;
     const double *thetas = j->thetas + b * nd, *phis = j->phis + b * n, lo = j->lo, hi = j->hi;
     const uint8_t *fb = j->flags + b * n;
-    const int64_t *snap_of = j->snap_of;
+    double *tb = j->traj == NULL ? NULL : j->traj + b * (T + 1) * nd;
     for (int64_t k = 0; k < nd; k++)
         xb[k] = uniform(g, j->init_low, j->init_range);
     for (int64_t v = 0; v < n; v++)
@@ -240,8 +240,8 @@ static inline __attribute__((always_inline)) void run_instance_d(const job_t *j,
     }
     memcpy(j->first + b * nd, xb, nd * sizeof *xb);
     memcpy(sb, xb, nd * sizeof *xb);
-    if (snap_of[0] >= 0)
-        memcpy(j->snaps + (snap_of[0] * B + b) * nd, xb, nd * sizeof *xb);
+    if (tb != NULL)
+        memcpy(tb, xb, nd * sizeof *xb);
     for (int64_t t = 1; t <= T; t++) {
         const int64_t pair[2] = {wake[t - 1], pull[t - 1]};
         const double gam = sched[t - 1];
@@ -266,8 +266,8 @@ static inline __attribute__((always_inline)) void run_instance_d(const job_t *j,
         }
         for (int64_t k = 0; k < nd; k++)
             sb[k] += xb[k];
-        if (snap_of[t] >= 0)
-            memcpy(j->snaps + (snap_of[t] * B + b) * nd, xb, nd * sizeof *xb);
+        if (tb != NULL)
+            memcpy(tb + t * nd, xb, nd * sizeof *xb);
     }
     memcpy(j->x + b * nd, xb, nd * sizeof *xb);
     memcpy(j->sums + b * nd, sb, nd * sizeof *sb);
@@ -302,10 +302,10 @@ int gossip_loop(int64_t B, int64_t n, int64_t d, int64_t T, uint64_t *states, do
                 const int64_t *nbr_table, int64_t width, const double *thetas,
                 const double *phis, const double *alphas, const double *powers,
                 const double *sched, double init_low, double init_high, double lo, double hi,
-                const int64_t *snap_of, double *snaps)
+                double *traj)
 {
-    const job_t job = {B, n, d, T, width, states, first, x, sums, snaps, flags, degrees,
-                       nbr_table, snap_of, thetas, phis, alphas, powers, sched,
+    const job_t job = {B, n, d, T, width, states, first, x, sums, traj, flags, degrees,
+                       nbr_table, thetas, phis, alphas, powers, sched,
                        init_low, init_high - init_low, lo, hi};
     double *buf = malloc((2 * T + 2 * n * d + 2 * d) * sizeof *buf);
     if (buf == NULL)

@@ -35,6 +35,7 @@ from .datagen import (
     read_dataset_csv,
     scenario_from_tag,
     shard_for_gossip,
+    write_csv,
     write_dataset_csv,
 )
 from .evaluation import (
@@ -45,7 +46,7 @@ from .evaluation import (
     roc_to_csv,
 )
 from .experiments import ConfigError, apply_overrides
-from .gossip_train import RoundMetrics, run_gossip_training
+from .gossip_train import run_gossip_training
 from .neural import TrainConfig, load_model, save_model
 from .topology import induced_subgraph, manhattan_grid
 
@@ -312,15 +313,13 @@ def _cmd_train(args) -> int:
 
     outdir = _outdir(args, "train")
     os.makedirs(outdir, exist_ok=True)
-    name = cfg["name"]
-    save_model(
-        mlp, os.path.join(outdir, name + ".json"),
+    files = save_model(
+        mlp, os.path.join(outdir, cfg["name"] + ".json"),
         meta={"task": dataset.task, "kind": dataset.kind, "K": dataset.K, "d": dataset.d},
     )
-    ex.write_csv(os.path.join(outdir, "losses.csv"), ["epoch", "loss"], list(enumerate(losses)))
-    ex.write_manifest(
-        outdir, "train", cfg, [name + ".json", name + ".json.bin", "losses.csv"]
-    )
+    write_csv(os.path.join(outdir, "losses.csv"), ["epoch", "loss"],
+              [np.arange(len(losses)), losses])
+    ex.write_manifest(outdir, "train", cfg, [*files, "losses.csv"])
     return 0
 
 
@@ -365,15 +364,13 @@ def _cmd_train_gossip(args) -> int:
     outdir = _outdir(args, "train-gossip")
     os.makedirs(outdir, exist_ok=True)
     artifacts = ["telemetry.csv"]
-    ex.write_csv(os.path.join(outdir, "telemetry.csv"), RoundMetrics._fields, metrics)
+    ex.write_telemetry(os.path.join(outdir, "telemetry.csv"), metrics)
     for state in learners:
-        name = f"model_agent{state.agent}"
-        save_model(
-            state.model, os.path.join(outdir, name + ".json"),
+        artifacts += save_model(
+            state.model, os.path.join(outdir, f"model_agent{state.agent}.json"),
             meta={"agent": state.agent, "task": dataset.task, "kind": dataset.kind,
                   "K": dataset.K, "d": dataset.d, "shard_rows": int(len(shards[state.agent]))},
         )
-        artifacts += [name + ".json", name + ".json.bin"]
     ex.write_manifest(outdir, "train-gossip", cfg, artifacts)
     return 0
 

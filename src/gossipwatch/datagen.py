@@ -558,13 +558,29 @@ def subset_rows(dataset: LabeledDataset, rows: np.ndarray) -> LabeledDataset:
     return replace(dataset, **{name: getattr(dataset, name)[rows] for name in per_row})
 
 
-# Rows write_dataset_csv formats at a time, which bounds the strings it holds.
+# Rows write_csv formats at a time, which bounds the strings it holds.
 _CSV_BLOCK = 4096
 
 
+def write_csv(path, header, columns) -> None:
+    """Write a table of equal-length columns under ``header``: the cells of
+    a float column by repr, which reads back to the same float, and those of
+    every other column by str.  The one place that formats a CSV cell."""
+    columns = [np.asarray(c) for c in columns]
+    rows = len(columns[0])
+    if len(columns) != len(header) or any(len(c) != rows for c in columns):
+        raise ValueError(f"need {len(header)} columns of {rows} rows")
+    fmts = [repr if c.dtype.kind == "f" else str for c in columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for at in range(0, rows, _CSV_BLOCK):
+            cells = [map(f, c[at : at + _CSV_BLOCK].tolist()) for f, c in zip(fmts, columns)]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
 def write_dataset_csv(dataset: LabeledDataset, path) -> None:
-    """One row per tailored group.  Floats use repr for exact round-trip."""
-    M = dataset.M
+    """One row per tailored group, written by write_csv."""
+    M, R = dataset.M, dataset.n_rows
     label_cols = ["label"] if dataset.task == "nd" else [f"label_{s}" for s in range(M)]
     cols = (
         ["sample", "grp", "monitor", "event"]
@@ -574,23 +590,11 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
         + [f"pad_{s}" for s in range(M)]
         + [f"src_{s}" for s in range(M)]
     )
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for at in range(0, dataset.n_rows, _CSV_BLOCK):
-            b = subset_rows(dataset, np.arange(at, min(at + _CSV_BLOCK, dataset.n_rows)))
-            # The block's cells, column by column: ints by str, floats by repr.
-            cells = [
-                *_strs(str, np.stack([b.sample_ids, b.groups, b.monitors])), b.events.tolist(),
-                *_strs(str, b.labels.reshape(b.n_rows, -1).T),
-                *_strs(repr, np.vstack([b.self_values, b.inputs.T])),
-                *_strs(str, np.vstack([b.padded.T.astype(np.int64), b.slot_agents.T])),
-            ]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def _strs(fmt, rows: np.ndarray) -> list[list[str]]:
-    """fmt of every value of a 2-D array, one list per row."""
-    return [list(map(fmt, row)) for row in rows.tolist()]
+    write_csv(path, cols, [
+        dataset.sample_ids, dataset.groups, dataset.monitors, dataset.events,
+        *dataset.labels.reshape(R, len(label_cols)).T, dataset.self_values, *dataset.inputs.T,
+        *dataset.padded.T.astype(np.int64), *dataset.slot_agents.T,
+    ])
 
 
 def _parses(conv, cell: str) -> bool:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from gossipwatch.datagen import EVENT_H0, LabeledDataset
+from gossipwatch.datagen import EVENT_H0, LabeledDataset, write_csv
 from gossipwatch.neural import Mlp, forward
 
 GREATER_IS_H1 = "greater-is-H1"
@@ -166,13 +166,13 @@ def make_nn_detector(model: Mlp, task: str, kind: str, name: str) -> Detector:
     return Detector(name, task, kind, GREATER_IS_H1, fn)
 
 
-def _merge_groups(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max of ``values`` per distinct row of ``keys`` (ids stay sorted)."""
+def _merge_groups(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Column-wise max of the rows of ``values`` per distinct row of
+    ``keys``, in ascending key order."""
     order = np.lexsort(keys.T[::-1])
-    k, v = keys[order], values[order]
+    k = keys[order]
     new = np.flatnonzero(np.concatenate([[True], (np.diff(k, axis=0) != 0).any(axis=1)]))
-    merged = np.maximum.reduceat(v, new)
-    return k[new], merged
+    return np.maximum.reduceat(values[order], new)
 
 
 def evaluate_detector(
@@ -196,10 +196,7 @@ def evaluate_detector(
     if dataset.task == "nd":
         if raw.shape != (dataset.n_rows,):
             raise ValueError("detection scores must be one per row")
-        keys = dataset.sample_ids[:, None]
-        _, merged = _merge_groups(keys, sign * raw)
-        _, labels = _merge_groups(keys, dataset.labels)  # constant within a sample
-        scores = sign * merged
+        keys, vals, labs = dataset.sample_ids[:, None], raw, dataset.labels
     else:
         if raw.shape != (dataset.n_rows, dataset.M):
             raise ValueError("localization scores must be one per row slot")
@@ -210,13 +207,10 @@ def evaluate_detector(
         keys = np.stack(
             [dataset.sample_ids[rows], dataset.slot_agents[rows, slots]], axis=1
         )
-        vals = sign * raw[rows, slots]
-        labs = dataset.labels[rows, slots]
-        kept, merged = _merge_groups(keys, vals)
-        _, merged_labs = _merge_groups(keys, labs.astype(np.float64))
-        scores = sign * merged
-        labels = (merged_labs > 0).astype(np.int64)
-    curve = roc_curve(scores, labels, detector.orientation)
+        vals, labs = raw[rows, slots], dataset.labels[rows, slots]
+    # The score and the label of each group, merged by one sort of its keys.
+    merged = _merge_groups(keys, np.stack([sign * vals, labs], axis=1))
+    curve = roc_curve(sign * merged[:, 0], merged[:, 1], detector.orientation)
     summary = {
         "detector": detector.name,
         "task": dataset.task,
@@ -231,20 +225,9 @@ def evaluate_detector(
 
 
 def roc_to_csv(curve: RocCurve, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("threshold,p_f,p_d\n")
-        for thr, pf, pd_ in zip(curve.thresholds, curve.p_f, curve.p_d):
-            fh.write(f"{repr(float(thr))},{repr(float(pf))},{repr(float(pd_))}\n")
+    write_csv(path, ["threshold", "p_f", "p_d"], [curve.thresholds, curve.p_f, curve.p_d])
 
 
 def auc_table_to_csv(summaries: list[dict], path, extra_cols: tuple[str, ...] = ()) -> None:
     cols = ["detector", "task", "kind", "K", "d", "auc", "n_pos", "n_neg", *extra_cols]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for s in summaries:
-            fh.write(
-                ",".join(
-                    repr(float(s[c])) if c == "auc" else str(s.get(c, "")) for c in cols
-                )
-                + "\n"
-            )
+    write_csv(path, cols, [[s.get(c, "") for s in summaries] for c in cols])

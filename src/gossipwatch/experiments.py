@@ -51,6 +51,7 @@ from .datagen import (
     shard_for_gossip,
     subset_rows,
     training_arrays,
+    write_csv,
 )
 from .evaluation import (
     auc_table_to_csv,
@@ -423,18 +424,10 @@ def write_manifest(
     return manifest
 
 
-def write_csv(path, header: list[str] | tuple[str, ...], rows: list[tuple]) -> None:
-    """Floats via repr (round-trip exact), everything else via str."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                    for v in row
-                )
-                + "\n"
-            )
+def write_telemetry(path, metrics: list[RoundMetrics]) -> None:
+    """One row per round of run_gossip_training's metrics."""
+    write_csv(path, RoundMetrics._fields,
+              [[getattr(m, f) for m in metrics] for f in RoundMetrics._fields])
 
 
 def _rng(*key) -> np.random.Generator:
@@ -452,12 +445,11 @@ def fit(
     return mlp, losses
 
 
-def _fit_job(dataset, config: TrainConfig, key: tuple, outdir, name: str) -> None:
+def _fit_job(dataset, config: TrainConfig, key: tuple, path) -> list[str]:
     """One job of _fit_and_test: fit a network on dataset, seeded by
-    _rng(*key), and save it as ``name`` in outdir, where _fit_and_test
-    reads it back."""
-    mlp, _ = fit(dataset, config, _rng(*key))
-    save_model(mlp, os.path.join(outdir, name + ".json"))
+    _rng(*key), and save it at ``path``, where _fit_and_test reads it back;
+    returns save_model's file names."""
+    return save_model(fit(dataset, config, _rng(*key))[0], path)
 
 
 def _fit_key(master: int, K: int, d: int, task: str, kind: str) -> tuple:
@@ -467,11 +459,6 @@ def _fit_key(master: int, K: int, d: int, task: str, kind: str) -> tuple:
 
 def _out_width(dataset) -> int:
     return 1 if dataset.task == "nd" else dataset.M
-
-
-def _save(mlp, outdir, name, artifacts) -> None:
-    save_model(mlp, os.path.join(outdir, name + ".json"))
-    artifacts.extend([name + ".json", name + ".json.bin"])
 
 
 def _fit_and_test(
@@ -484,15 +471,16 @@ def _fit_and_test(
     saved as ``model name``, read back for this test alone.  Writes one ROC
     curve per detector and test, and aucs.csv with ``extra_cols`` after the
     summary columns; returns every artifact name."""
-    fan_out([
-        functools.partial(_fit_job, dataset, tcfg, key, outdir, name)
+    saved = fan_out([
+        functools.partial(_fit_job, dataset, tcfg, key, os.path.join(outdir, name + ".json"))
         for dataset, key, name in fits
     ], fork=True)
-    artifacts = [name + ext for _, _, name in fits for ext in (".json", ".json.bin")]
+    files = {name: names for (_, _, name), names in zip(fits, saved)}
+    artifacts = [f for names in saved for f in names]
     summaries: list[dict] = []
     for ds, name, tail, extra in tests:
         method = _METHODS[ds.kind]
-        mlp = load_model(os.path.join(outdir, name + ".json"))[0]
+        mlp = load_model(os.path.join(outdir, files[name][0]))[0]
         for detector in (
             make_score_detector(method, ds.task),
             make_nn_detector(mlp, ds.task, ds.kind, method + "nn"),
@@ -544,41 +532,40 @@ def run_converge(cfg: dict, outdir) -> list[str]:
 
     def trajectories(batch_flags, batch_alphas, lam_b, key):
         """(S, T+1, n, d) states of every seed's run."""
-        stats = run_batch(
+        return run_batch(
             graph, batch_flags, thetas, phis, batch_alphas, lam_b, config, states(key),
-            checkpoints=range(T + 1),
-        )
-        return np.stack([stats.checkpoints[t] for t in range(T + 1)], axis=1)
+            trajectory=True,
+        ).trajectory
 
     clean = trajectories(np.zeros((S, n), dtype=bool), None, None, 1)
     hit = trajectories(np.tile(flags, (S, 1)), alphas, lam, 3)
 
     artifacts: list[str] = []
-    rows = []
+    finals = np.empty((3, S))  # f_gap, disagreement, attack_distance at t = T
     for s in range(S):
         problem = LeastSquaresProblem(theta=thetas[s], phi=phis[s])
         _, f_star = optimal_value(problem)
         f_gap_t, spread_t = _clean_trajectory(problem, clean[s], f_star)
         dist_t = _attack_trajectory(hit[s], alphas[s], flags)
-        rows.append((s, f_gap_t[-1], spread_t[-1], dist_t[-1]))
+        finals[:, s] = f_gap_t[-1], spread_t[-1], dist_t[-1]
 
         if s == cfg["trace_seed"]:
             write_csv(
                 os.path.join(outdir, "trajectory_clean.csv"),
                 ["t", "f_gap", "disagreement"],
-                [(t, f_gap_t[t], spread_t[t]) for t in range(T + 1)],
+                [np.arange(T + 1), f_gap_t, spread_t],
             )
             write_csv(
                 os.path.join(outdir, "trajectory_attack.csv"),
                 ["t", "attack_distance"],
-                [(t, dist_t[t]) for t in range(T + 1)],
+                [np.arange(T + 1), dist_t],
             )
             artifacts.extend(["trajectory_clean.csv", "trajectory_attack.csv"])
 
     write_csv(
         os.path.join(outdir, "report.csv"),
         ["seed", "f_gap", "disagreement", "attack_distance"],
-        rows,
+        [np.arange(S), *finals],
     )
     artifacts.append("report.csv")
     return artifacts
@@ -863,14 +850,14 @@ def _gossip_case1(cfg, case, agents, outdir):
         summaries.append((name, shards[starved].size, summary["auc"]))
         roc_to_csv(curve, os.path.join(outdir, f"roc_case1_{name}.csv"))
         artifacts.append(f"roc_case1_{name}.csv")
-        _save(mlp, outdir, f"model_case1_{name}", artifacts)
+        artifacts += save_model(mlp, os.path.join(outdir, f"model_case1_{name}.json"))
 
     write_csv(
         os.path.join(outdir, "case1_report.csv"),
         ["model", "starved_rows", "auc"],
-        summaries,
+        list(zip(*summaries)),
     )
-    write_csv(os.path.join(outdir, "case1_telemetry.csv"), RoundMetrics._fields, metrics)
+    write_telemetry(os.path.join(outdir, "case1_telemetry.csv"), metrics)
     artifacts += ["case1_report.csv", "case1_telemetry.csv"]
     return artifacts
 
@@ -909,9 +896,9 @@ def _gossip_case2(cfg, case, agents, outdir):
     write_csv(
         os.path.join(outdir, "case2_report.csv"),
         ["model", "agent", "test_events", "auc"],
-        rows,
+        list(zip(*rows)),
     )
-    write_csv(os.path.join(outdir, "case2_telemetry.csv"), RoundMetrics._fields, metrics)
+    write_telemetry(os.path.join(outdir, "case2_telemetry.csv"), metrics)
     return ["case2_report.csv", "case2_telemetry.csv"]
 
 

@@ -295,9 +295,11 @@ def mlp_from_blob(sizes, blob: bytes) -> Mlp:
     return Mlp(sizes, np.frombuffer(blob, dtype="<f8").astype(np.float64))
 
 
-def save_model(mlp: Mlp, path, meta: dict | None = None) -> None:
-    """Write ``path`` (JSON header) and ``path``.bin (parameter blob)."""
-    blob_name = os.path.basename(str(path)) + ".bin"
+def save_model(mlp: Mlp, path, meta: dict | None = None) -> list[str]:
+    """Write ``path`` (JSON header) and ``path``.bin (parameter blob);
+    returns the names of the two files, the header's first."""
+    name = os.path.basename(str(path))
+    blob_name = name + ".bin"
     header = {
         "sizes": list(mlp.sizes),
         "hidden_activation": "relu",
@@ -311,6 +313,7 @@ def save_model(mlp: Mlp, path, meta: dict | None = None) -> None:
         fh.write("\n")
     with open(str(path) + ".bin", "wb") as fh:
         fh.write(params_to_blob(mlp))
+    return [name, blob_name]
 
 
 def load_model(path) -> tuple[Mlp, dict]:

@@ -19,7 +19,7 @@ import os
 import subprocess
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +94,12 @@ class ProtocolConfig:
 class BatchStats:
     """Sufficient statistics of a batch of instances: states at t = 0 and
     t = T plus the running sum over t = 0..T, from which the detection
-    features are linear functions.  Optional checkpoint snapshots."""
+    features are linear functions.  Optionally the whole trajectory."""
 
     first: np.ndarray  # (B, n, d)
     last: np.ndarray  # (B, n, d)
     sums: np.ndarray  # (B, n, d)
-    checkpoints: dict = field(default_factory=dict)  # t -> (B, n, d)
+    trajectory: np.ndarray | None = None  # (B, T + 1, n, d)
 
 
 # -ffp-contract=off keeps every product and sum rounded as numpy rounds it;
@@ -154,7 +154,7 @@ def _compiled_loop():
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.uint8),
         arr(np.int64), arr(np.int64), i64,
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64),
-        f64, f64, f64, f64, arr(np.int64), arr(np.float64),
+        f64, f64, f64, f64, ctypes.c_void_p,  # the trajectory's address, or None for NULL
     ]
     lib.draw_rows.restype = i64
     lib.draw_rows.argtypes = [
@@ -256,7 +256,7 @@ def run_batch(
     lambda_hat: float | None,
     config: ProtocolConfig,
     rngs: np.ndarray,
-    checkpoints: tuple[int, ...] = (),
+    trajectory: bool = False,
 ) -> BatchStats:
     """Runner for B instances on a shared graph, in the compiled loop of
     _gossip_loop.c.
@@ -267,9 +267,8 @@ def run_batch(
     states row from seed_states (or as draw_problems left it); the loop
     draws from it in the frozen stream order that the numpy reference in
     tests/oracles.py writes out, and advances it in place to the state that
-    order leaves numpy's generator in.  checkpoints lists
-    iterations t whose full (B, n, d) states are kept; range(T + 1) records
-    whole trajectories.
+    order leaves numpy's generator in.  With ``trajectory``, the states of
+    every iteration t = 0..T are kept as BatchStats.trajectory.
 
     Only the two agents of the sampled pair change state at an iteration.
     Trustworthy members move to the projected subgradient step from the pair
@@ -296,20 +295,16 @@ def run_batch(
     flags = np.ascontiguousarray(flags, dtype=np.uint8)
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     phis = np.ascontiguousarray(phis, dtype=np.float64)
-    times = sorted({int(c) for c in checkpoints if 0 <= int(c) <= T})
-    snap_of = np.full(T + 1, -1, dtype=np.int64)
-    snap_of[times] = np.arange(len(times))
-    snaps = np.empty((len(times), B, n, d))
+    traj = np.empty((B, T + 1, n, d)) if trajectory else None
     first, last, sums = (np.empty((B, n, d)) for _ in range(3))
     status = _compiled_loop().gossip_loop(
         B, n, d, T, rngs, first, last, sums, flags,
         graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
         thetas, phis, alphas, powers, stepsizes(T),
-        float(config.init_low), float(config.init_high), BOX_LO, BOX_HI, snap_of, snaps,
+        float(config.init_low), float(config.init_high), BOX_LO, BOX_HI,
+        None if traj is None else traj.ctypes.data,
     )
     if status != 0:
         raise MemoryError("gossip loop could not allocate its work buffer")
-    return BatchStats(
-        first=first, last=last, sums=sums, checkpoints={t: snaps[k] for k, t in enumerate(times)}
-    )
+    return BatchStats(first=first, last=last, sums=sums, trajectory=traj)
 

@@ -328,7 +328,7 @@ def pcg64_row(rng: np.random.Generator) -> np.ndarray:
 
 
 def numpy_run_batch(
-    graph, flags, thetas, phis, alphas, lambda_hat, config, rngs, checkpoints=()
+    graph, flags, thetas, phis, alphas, lambda_hat, config, rngs, trajectory=False
 ) -> BatchStats:
     """protocol.run_batch in numpy: the draws of _draw_instance_randomness
     per instance, then _numpy_loop over the whole batch.  The same arguments,
@@ -343,10 +343,7 @@ def numpy_run_batch(
         powers = lambda_hat ** np.arange(T + 1, dtype=np.float64)
     else:
         alphas, powers = np.zeros((B, d)), np.zeros(T + 1)
-    times = sorted({int(c) for c in checkpoints if 0 <= int(c) <= T})
-    snap_of = np.full(T + 1, -1, dtype=np.int64)
-    snap_of[times] = np.arange(len(times))
-    snaps = np.empty((len(times), B, n, d))
+    traj = np.empty((B, T + 1, n, d)) if trajectory else None
 
     i_seq = np.empty((B, T), dtype=np.int64)
     j_seq = np.empty((B, T), dtype=np.int64)
@@ -370,23 +367,21 @@ def numpy_run_batch(
     _numpy_loop(
         x, sums, i_seq, j_seq, flags, np.asarray(thetas, dtype=np.float64),
         np.asarray(phis, dtype=np.float64), alphas, powers, noise, start,
-        stepsizes(T), BOX_LO, BOX_HI, snap_of, snaps,
+        stepsizes(T), BOX_LO, BOX_HI, traj,
     )
-    return BatchStats(
-        first=first, last=x, sums=sums, checkpoints={t: snaps[k] for k, t in enumerate(times)}
-    )
+    return BatchStats(first=first, last=x, sums=sums, trajectory=traj)
 
 
 def _numpy_loop(
     x, sums, i_seq, j_seq, flags, thetas, phis, alphas, powers, noise, start, sched,
-    lo, hi, snap_of, snaps,
+    lo, hi, traj,
 ):
     """The reference loop the compiled loop must match bit for bit,
     vectorized over the batch.  x holds the (B, n, d) states at t = 0 and
     receives them at t = T; sums holds x and receives the sum over
     t = 0..T.  Instance b's attack-noise rows are noise[start[b]:start[b + 1]],
     one per attacker pair-membership event in (t, waking-then-pulled) order.
-    snap_of[t] is the slot of iteration t in snaps, or -1."""
+    Unless traj is None, traj[:, t] receives the states at every t."""
     B, T = i_seq.shape
     aB = np.arange(B)
     att_i = flags[aB[:, None], i_seq].astype(bool)
@@ -396,8 +391,8 @@ def _numpy_loop(
     idx = (start[:B, None] + np.cumsum(inter, axis=1) - 1).reshape(B, T, 2)
     idx_i, idx_j = np.maximum(idx[:, :, 0], 0), np.maximum(idx[:, :, 1], 0)
     any_event = bool(inter.any())
-    if snap_of[0] >= 0:
-        snaps[snap_of[0]] = x
+    if traj is not None:
+        traj[:, 0] = x
     for t in range(1, T + 1):
         i = i_seq[:, t - 1]
         j = j_seq[:, t - 1]
@@ -412,8 +407,8 @@ def _numpy_loop(
                 upd = np.where(att_m[:, t - 1][:, None], att_vals, upd)
             x[aB, member] = upd
         sums += x
-        if snap_of[t] >= 0:
-            snaps[snap_of[t]] = x
+        if traj is not None:
+            traj[:, t] = x
 
 
 # --- per-row monitor and attacker draws --------------------------------------

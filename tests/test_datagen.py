@@ -749,6 +749,50 @@ def test_csv_bytes_are_pinned(tmp_path, monkeypatch, block):
     assert got == _CSV_DIGESTS
 
 
+def test_write_csv_of_no_rows_writes_only_the_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    datagen.write_csv(path, ["t", "loss", "event"], [np.arange(0), [], np.array([], dtype=str)])
+    assert path.read_text() == "t,loss,event\n"
+
+
+def test_write_csv_formats_floats_by_repr_and_the_rest_by_str(tmp_path):
+    """A float column's cells read back to the same floats, its odd values
+    among them; int and string columns are written as str writes them."""
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1.0, 1e16])
+    ints = np.array([0, -1, 7, 2**62, -(2**63), 3, 10, 11])
+    strs = ["h0", "next-to", "far-from", "", "a b", "x", "y", "z"]
+    path = tmp_path / "table.csv"
+    datagen.write_csv(path, ["f", "i", "s"], [floats, ints, strs])
+    assert path.read_text().splitlines() == [
+        "f,i,s",
+        "nan,0,h0",
+        "inf,-1,next-to",
+        "-inf,7,far-from",
+        "-0.0,4611686018427387904,",
+        "5e-324,-9223372036854775808,a b",
+        "0.1,3,x",
+        "1.0,10,y",
+        "1e+16,11,z",
+    ]
+    back = np.array([float(line.split(",")[0]) for line in path.read_text().splitlines()[1:]])
+    assert back.tobytes() == floats.tobytes()
+
+
+def test_write_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    """A table of int, string and float columns, five rows, written in
+    blocks of 2 (the last one short) and of 4,096 rows."""
+    rng = np.random.default_rng(8)
+    columns = [np.arange(5), ["a", "bb", "", "d", "e"], rng.standard_normal(5),
+               rng.integers(-9, 9, 5), rng.uniform(size=5) * 1e-300]
+    written = []
+    for block in (2, 4096):
+        monkeypatch.setattr(datagen, "_CSV_BLOCK", block)
+        path = tmp_path / f"block{block}.csv"
+        datagen.write_csv(path, ["i", "s", "x", "j", "y"], columns)
+        written.append(path.read_bytes())
+    assert written[0] == written[1] and written[0].count(b"\n") == 6
+
+
 @pytest.mark.parametrize("rows", [0, 1])
 def test_csv_roundtrip_of_zero_and_one_rows_is_bitwise(tmp_path, rows):
     for key in ("nd_temporal", "nl_spatial"):

@@ -5,10 +5,9 @@ import oracles
 import pytest
 
 from gossipwatch import gossip_train
-from gossipwatch.experiments import write_csv
+from gossipwatch.experiments import write_telemetry
 from gossipwatch.gossip_train import (
     LearnerState,
-    RoundMetrics,
     merge_model,
     run_gossip_training,
 )
@@ -242,7 +241,7 @@ def test_metrics_csv_format(tmp_path):
     learners = [_learner(0, sizes=(2, 2, 1)), _learner(1, sizes=(2, 2, 1))]
     metrics = run_gossip_training(learners, graph, 2, np.random.default_rng(0), **RUN)
     path = tmp_path / "telemetry.csv"
-    write_csv(path, RoundMetrics._fields, metrics)
+    write_telemetry(path, metrics)
     lines = path.read_text().splitlines()
     assert lines[0] == "round,mean_loss,dispersion"
     assert len(lines) == 3

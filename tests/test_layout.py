@@ -8,8 +8,10 @@ argument list, that file is the one C source and protocol alone builds it,
 numpy's OpenBLAS is named and opened only in ``neural._blas``, the declared
 numpy floor bundles that library, compiled steps are bound once per fit and
 per gossip run, one module alone forks worker processes, none starts a
-thread, a dataset chunk makes no generator object per row, and the README's
-module table lists exactly the package's modules."""
+thread, a dataset chunk makes no generator object per row, one function
+formats CSV cells, three open files for writing text, save_model alone
+names a model's files, and the README's module table lists exactly the
+package's modules."""
 
 import ast
 import re
@@ -331,3 +333,58 @@ def test_the_readme_module_table_lists_exactly_the_package_modules():
     rows = re.findall(r"^\| `gossipwatch\.(\w+)` \|", README.read_text(), flags=re.M)
     modules = [path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     assert sorted(rows) == sorted(modules)
+
+
+def _owned_nodes():
+    """(module file, enclosing top-level function or class, or None at
+    module level, node) of every node of the package modules."""
+    for name, tree in _trees().items():
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                yield name, owner, node
+
+
+def test_one_function_formats_csv_cells():
+    """repr, which writes a float so that it reads back to the same float,
+    is named only in datagen.write_csv: every CSV table of the package goes
+    through that one writer."""
+    users = {
+        (name, owner) for name, owner, node in _owned_nodes()
+        if isinstance(node, ast.Name) and node.id == "repr"
+    }
+    assert users == {("datagen.py", "write_csv")}
+    assert not re.search(r"\brepr\(", "".join(p.read_text() for p in PACKAGE.glob("*.py")))
+
+
+def _text_mode(call: ast.Call) -> bool:
+    """Whether an open() call may open a text file for writing: a constant
+    mode other than a binary one or "r", or a mode that is not a constant."""
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not isinstance(mode, ast.Constant) or ("b" not in mode.value and mode.value != "r")
+
+
+def test_text_files_are_written_in_three_places():
+    """Tables are written by datagen.write_csv, manifests by
+    experiments.write_manifest and model headers by neural.save_model; no
+    other code opens a text file for writing."""
+    writers = {
+        (name, owner) for name, owner, node in _owned_nodes()
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "open" and _text_mode(node)
+    }
+    assert writers == {
+        ("datagen.py", "write_csv"), ("experiments.py", "write_manifest"),
+        ("neural.py", "save_model"),
+    }
+
+
+def test_only_save_model_names_a_models_files():
+    """save_model returns the names of the two files it writes, so no code
+    spells out the blob's suffix."""
+    spelled = [p.name for p in sorted(PACKAGE.iterdir())
+               if p.suffix in (".py", ".c") and ".json.bin" in p.read_text()]
+    assert not spelled

@@ -116,11 +116,6 @@ def _run(
     )
 
 
-def _trajectory(stats, b, T):
-    """(T+1, n, d) states of instance b from a run with every checkpoint."""
-    return np.stack([stats.checkpoints[t][b] for t in range(T + 1)])
-
-
 def test_harmonic_stepsize_values():
     gamma = stepsizes(5)
     for t in range(1, 6):
@@ -287,9 +282,9 @@ def test_subgradient_matches_finite_differences():
     problems = [generate_problem(9, 3, rng) for _ in range(6)]
     gam = 1.0 / 11.0
     config = ProtocolConfig(d=3, T=1)
-    stats = _run(graph, problems, config, range(6), checkpoints=(0,))
+    stats = _run(graph, problems, config, range(6))
     for b, p in enumerate(problems):
-        x0, x1 = stats.checkpoints[0][b], stats.last[b]
+        x0, x1 = stats.first[b], stats.last[b]
         pair = np.flatnonzero(np.abs(x1 - x0).sum(axis=1))
         assert pair.size == 2
         xbar = 0.5 * (x0[pair[0]] + x0[pair[1]])
@@ -307,12 +302,11 @@ def test_run_batch_checkpoint_support():
     graph = manhattan_grid(3, 3)
     problems = [generate_problem(9, 2, np.random.default_rng(s)) for s in range(3)]
     config = ProtocolConfig(d=2, T=60)
-    stats = _run(graph, problems, config, (1, 2, 3), checkpoints=range(61))
-    assert sorted(stats.checkpoints) == list(range(61))
+    stats = _run(graph, problems, config, (1, 2, 3), trajectory=True)
+    assert stats.trajectory.shape == (3, 61, 9, 2)
     nbr_sets = [set(int(v) for v in graph.neighbors[i]) for i in range(9)]
     for b in range(3):
-        states = _trajectory(stats, b, 60)
-        assert states.shape == (61, 9, 2)
+        states = stats.trajectory[b]
         for t in range(1, 61):
             changed = np.flatnonzero(np.abs(states[t] - states[t - 1]).sum(axis=1))
             assert changed.size <= 2
@@ -324,8 +318,8 @@ def test_batch_sums_match_checkpoints():
     graph = manhattan_grid(3, 3)
     problems = [generate_problem(9, 2, np.random.default_rng(30))]
     config = ProtocolConfig(d=2, T=40)
-    stats = _run(graph, problems, config, (31,), checkpoints=range(41))
-    states = _trajectory(stats, 0, 40)
+    stats = _run(graph, problems, config, (31,), trajectory=True)
+    states = stats.trajectory[0]
     assert np.array_equal(stats.first[0], states[0])
     assert np.array_equal(stats.last[0], states[-1])
     assert np.allclose(stats.sums[0], states.sum(axis=0), rtol=1e-12)
@@ -337,8 +331,7 @@ def test_run_batch_respects_box():
     graph = manhattan_grid(3, 3)
     problem = generate_problem(9, 2, np.random.default_rng(5))
     problem = LeastSquaresProblem(theta=problem.theta, phi=np.resize([1e4, -1e4], 9))
-    stats = _run(graph, [problem], ProtocolConfig(d=2, T=200), (6,), checkpoints=range(201))
-    states = _trajectory(stats, 0, 200)
+    states = _run(graph, [problem], ProtocolConfig(d=2, T=200), (6,), trajectory=True).trajectory
     assert states.min() == BOX_LO and states.max() == BOX_HI
 
 
@@ -362,7 +355,7 @@ def test_pure_averaging_keeps_mean_and_contracts_range():
     # theta = 0 makes every subgradient step exactly the pair average
     problem = LeastSquaresProblem(theta=np.zeros_like(problem.theta), phi=problem.phi)
     config = ProtocolConfig(d=1, T=400)
-    states = _trajectory(_run(graph, [problem], config, (3,), checkpoints=range(401)), 0, 400)
+    states = _run(graph, [problem], config, (3,), trajectory=True).trajectory[0]
     means = states.mean(axis=1)
     assert np.allclose(means, means[0], atol=1e-12)
     ranges = states.max(axis=1) - states.min(axis=1)
@@ -379,9 +372,9 @@ def test_attacker_reemission_stays_near_alpha():
     config = ProtocolConfig(d=2, T=300)
     stats = _run(
         graph, [problem], config, (11,), flags=flags, alphas=alpha[None], lam=lam,
-        checkpoints=range(301),
+        trajectory=True,
     )
-    states = _trajectory(stats, 0, 300)
+    states = stats.trajectory[0]
     for t in range(1, 301):
         if not np.array_equal(states[t, 4], states[t - 1, 4]):
             gap = np.abs(states[t, 4] - alpha).max()
@@ -456,7 +449,7 @@ def _check_against_reference(runner):
                 stats = _run(
                     graph, problems, config, seeds, flags=flags,
                     alphas=alphas if any_attack else None, lam=lam if any_attack else None,
-                    runner=runner, checkpoints=range(T + 1),
+                    runner=runner, trajectory=True,
                 )
                 for b in range(B):
                     ref = _reference_run(
@@ -469,7 +462,7 @@ def _check_against_reference(runner):
                     for t in range(1, T + 1):
                         total += ref[t]
                     assert np.array_equal(stats.sums[b], total)
-                    assert np.array_equal(_trajectory(stats, b, T), ref)
+                    assert np.array_equal(stats.trajectory[b], ref)
 
 
 def _attacked_torus_batch(B, T):
@@ -489,17 +482,14 @@ def _attacked_torus_batch(B, T):
     )
 
 
-def _run_seeded(args, checkpoints=(), runner=run_batch):
+def _run_seeded(args, runner=run_batch):
     B = len(args[1])
-    return runner(*args, _generators(runner, range(B)), checkpoints=checkpoints)
+    return runner(*args, _generators(runner, range(B)), trajectory=True)
 
 
 def _assert_same(a, b):
-    for name in ("first", "last", "sums"):
+    for name in ("first", "last", "sums", "trajectory"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.checkpoints.keys() == b.checkpoints.keys()
-    for t in a.checkpoints:
-        assert np.array_equal(a.checkpoints[t], b.checkpoints[t]), t
 
 
 @pytest.fixture
@@ -513,8 +503,8 @@ def fresh_loader():
 
 def test_compiled_and_numpy_loops_agree_bitwise_at_datagen_size():
     args = _attacked_torus_batch(256, 2000)
-    compiled = _run_seeded(args, checkpoints=(0, 1, 999, 2000))
-    reference = _run_seeded(args, checkpoints=(0, 1, 999, 2000), runner=numpy_run_batch)
+    compiled = _run_seeded(args)
+    reference = _run_seeded(args, runner=numpy_run_batch)
     _assert_same(compiled, reference)
 
 
@@ -541,8 +531,8 @@ def test_compiled_draws_match_numpy_draws_for_any_bit_generator(bit_generator, T
 def _check_draws_against_numpy(seeds, T):
     args = _attacked_torus_batch(12, T)
     states, rngs = _seeded(seeds, 12)
-    compiled = run_batch(*args, states, checkpoints=(0, 7, T))
-    reference = numpy_run_batch(*args, rngs, checkpoints=(0, 7, T))
+    compiled = run_batch(*args, states, trajectory=True)
+    reference = numpy_run_batch(*args, rngs, trajectory=True)
     _assert_same(compiled, reference)
     _assert_same_generators(states, rngs)
 
@@ -559,15 +549,14 @@ def test_compiled_output_does_not_depend_on_the_thread_count(entropy, B, T):
     args = _attacked_torus_batch(B, T)
     graph, flags, thetas, phis, alphas, lam, config = args
     states, _ = _seeded(entropy, B)
-    batch = run_batch(*args, states, checkpoints=(0, 7, T))
+    batch = run_batch(*args, states, trajectory=True)
     alone_states, _ = _seeded(entropy, B)
     for b in range(B):
         one = slice(b, b + 1)
         alone = run_batch(graph, flags[one], thetas[one], phis[one], alphas[one], lam, config,
-                          alone_states[one], checkpoints=(0, 7, T))
+                          alone_states[one], trajectory=True)
         _assert_same(alone, BatchStats(
-            batch.first[one], batch.last[one], batch.sums[one],
-            {t: snaps[one] for t, snaps in batch.checkpoints.items()},
+            batch.first[one], batch.last[one], batch.sums[one], batch.trajectory[one],
         ))
     assert np.array_equal(states, alone_states)
 
