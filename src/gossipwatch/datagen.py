@@ -597,23 +597,46 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
     ])
 
 
-def _parses(conv, cell: str) -> bool:
+def _load(rows: list, dtype, at: list) -> np.ndarray:
+    """The cells of columns ``at`` of ``rows`` as ``dtype``, by np.loadtxt:
+    the one reader of a dataset CSV's numeric cells.  comments=None, since
+    by default a cell would be cut at a '#'."""
+    return np.loadtxt(rows, dtype, delimiter=",", comments=None, usecols=at, ndmin=2)
+
+
+def _takes(row: str, dtype, at: list) -> bool:
+    """Whether _load takes the cells of columns ``at`` of ``row``."""
     try:
-        conv(cell)
+        _load([row], dtype, at)
     except ValueError:
         return False
     return True
 
 
-def _checked_rows(path, header: list, lines: list, int_at: list, float_at: list, event_at: int):
-    """The int cells, float cells and events of the non-blank lines, by
-    int() and float() per cell: a ValueError naming the file, the line and
-    the column of the first ragged row or non-numeric cell."""
-    ints, floats, events = [], [], []
+def _loaded_rows(header: list, lines: list, int_at: list, float_at: list, event_at: int):
+    """The int cells, float cells and events of the non-blank lines; a
+    ValueError where a row is ragged or _load does not take a cell."""
+    rows = [line.rstrip("\n") for line in lines if line.strip()]
+    if not rows:
+        return [], [], []
+    if any(row.count(",") != len(header) - 1 for row in rows):
+        raise ValueError("a ragged row")
+    return _load(rows, np.int64, int_at), _load(rows, np.float64, float_at), [
+        row.split(",", event_at + 1)[event_at] for row in rows
+    ]
+
+
+def _locate_fault(path, header: list, lines: list, int_at: list, float_at: list):
+    """Raise the ValueError naming the file, the line and the column of the
+    first ragged row, or of the first cell that _load does not take, with
+    the same _load call on one line at a time; for a file that _loaded_rows
+    refused.  An int cell that is a number outside the int64 range is not an
+    int64, any other refused cell not a number."""
     for no, line in enumerate(lines, 2):
         if not line.strip():
             continue
-        parts = line.rstrip("\n").split(",")
+        row = line.rstrip("\n")
+        parts = row.split(",")
         if len(parts) < len(header):
             raise ValueError(
                 f"{path}:{no}: column {header[len(parts)]!r}: missing, the row has "
@@ -624,38 +647,16 @@ def _checked_rows(path, header: list, lines: list, int_at: list, float_at: list,
                 f"{path}:{no}: column {len(header) + 1}: the row has {len(parts)} "
                 f"fields, the header {len(header)}"
             )
-        try:
-            ints.append([int(parts[i]) for i in int_at])
-            floats.append([float(parts[i]) for i in float_at])
-        except ValueError:
-            i = next(
-                i for conv, at in ((int, int_at), (float, float_at))
-                for i in at if not _parses(conv, parts[i])
+        for dtype, at in ((np.int64, int_at), (np.float64, float_at)):
+            if _takes(row, dtype, at):
+                continue
+            i = next(i for i in at if not _takes(row, dtype, [i]))
+            big = dtype is np.int64 and _takes(row, np.float64, [i]) and (
+                abs(_load([row], np.float64, [i])[0, 0]) >= 2.0**63
             )
-            raise ValueError(
-                f"{path}:{no}: column {header[i]!r}: not a number: {parts[i]!r}"
-            ) from None
-        events.append(parts[event_at])
-    return ints, floats, events
-
-
-def _loaded_rows(header: list, lines: list, int_at: list, float_at: list, event_at: int):
-    """_checked_rows with the numeric cells parsed by np.loadtxt, which
-    takes a subset of what int() and float() take, to the same values; a
-    ValueError where a row is ragged or loadtxt does not take a cell.
-    comments=None, since by default a cell would be cut at a '#'."""
-    rows = [line.rstrip("\n") for line in lines if line.strip()]
-    if not rows:
-        return [], [], []
-    if any(row.count(",") != len(header) - 1 for row in rows):
-        raise ValueError("a ragged row")
-
-    def load(dtype, at):
-        return np.loadtxt(rows, dtype, delimiter=",", comments=None, usecols=at, ndmin=2)
-
-    return load(np.int64, int_at), load(np.float64, float_at), [
-        row.split(",", event_at + 1)[event_at] for row in rows
-    ]
+            what = "not an int64" if big else "not a number"
+            raise ValueError(f"{path}:{no}: column {header[i]!r}: {what}: {parts[i]!r}")
+    raise ValueError(f"{path}: np.loadtxt refused the file at no line")
 
 
 def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDataset:
@@ -664,9 +665,9 @@ def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDatas
     A header that lacks a column of the task or disagrees on the slot, pad
     and src counts, a ragged row and a non-numeric cell each raise a
     ValueError naming the file, the line and the column.  The numeric cells
-    are parsed by np.loadtxt; a file it does not take is read again cell by
-    cell with int() and float(), which name the cell at fault or read it as
-    they read it.
+    are read by np.loadtxt alone; where it refuses a file, _locate_fault
+    checks it again line by line with the same call to name the cell at
+    fault.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -693,7 +694,7 @@ def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDatas
     try:
         ints, floats, events = _loaded_rows(header, lines, int_at, float_at, col["event"])
     except ValueError:
-        ints, floats, events = _checked_rows(path, header, lines, int_at, float_at, col["event"])
+        _locate_fault(path, header, lines, int_at, float_at)
     ints = np.array(ints, dtype=np.int64).reshape(len(events), len(int_cols))
     floats = np.array(floats, dtype=np.float64).reshape(len(events), len(float_cols))
     at = 3 + len(label_cols)

@@ -1,11 +1,11 @@
-"""Experiment families: one runner per evaluation study, CSV/JSON artifacts.
+"""Experiment families and pipeline steps: one runner each, CSV/JSON artifacts.
 
-Each family has a DEFAULTS config (plain JSON-serializable dict), a runner
-``run_<family>(cfg, outdir) -> list of artifact names``, and a shared driver
-``run_family`` that resolves overrides, runs, and writes a ``manifest.json``
-recording the exact config, its digest, and every artifact produced.  All
-output is deterministic: same config, same bytes.  Nothing here timestamps
-or hashes anything machine-specific.
+Each family, and each pipeline step the CLI runs (gen-data, train,
+train-gossip, eval-roc), has a DEFAULTS config (plain JSON-serializable
+dict), a runner ``run_<name>(cfg, outdir) -> manifest fields``, and one
+driver ``run_family`` that resolves overrides, runs, and writes a
+``manifest.json`` recording the exact config, its digest, and every
+artifact produced.  All output is deterministic: same config, same bytes.
 
 Families:
   converge        attacker-free convergence and single-attacker steering
@@ -33,6 +33,7 @@ import hashlib
 import itertools
 import json
 import os
+import shutil
 from typing import NamedTuple
 
 import numpy as np
@@ -48,10 +49,12 @@ from .datagen import (
     scenario_from_tag,
     build_dataset,
     build_datasets,
+    read_dataset_csv,
     shard_for_gossip,
     subset_rows,
     training_arrays,
     write_csv,
+    write_dataset_csv,
 )
 from .evaluation import (
     auc_table_to_csv,
@@ -139,21 +142,82 @@ DEFAULTS: dict[str, dict] = {
         scenario="S0", n=20, mean_degree=8, rewire_prob=0.2, graph_seed=5, attackers=[3, 10, 17],
         M=4, temporal_K=5, spatial_K=2, d=2,
     ),
+    # The pipeline steps that the CLI runs as subcommands of their own.  A
+    # dataset field left null (task, kind, K, d) comes from the gen-data
+    # manifest beside the CSV.
+    "gen-data": {
+        "scenario": "S0",
+        "rows": 3,
+        "cols": 3,
+        "m": 1,
+        "c": 1,
+        "K": 2,
+        "d": 2,
+        "T": 2000,
+        "monitor": None,
+        "master_seed": 0,
+        "scale": 0.1,
+        "full": False,
+        "tasks": ["nd", "nl"],
+        "events": ["h0", "next-to", "far-from"],
+    },
+    "train": {
+        "data": None,
+        "task": None,
+        "kind": None,
+        "K": None,
+        "d": None,
+        **TRAIN_DEFAULTS,
+        "seed": 0,
+        "name": "model",
+    },
+    "train-gossip": {
+        "data": None,
+        "task": None,
+        "kind": None,
+        "K": None,
+        "d": None,
+        "rows": 3,
+        "cols": 3,
+        "exclude": [1],
+        "policy": "starved",
+        "starved_agent": 1,
+        "starved_fraction": 0.02,
+        "starved_events": ["next-to"],
+        "position_groups": None,
+        "rounds": 200,
+        "mu": 0.5,
+        "mode": "sync",
+        "policy_seed": 0,
+        "seed": 0,
+        **{key: TRAIN_DEFAULTS[key] for key in ("eta", "batch_size")},
+    },
+    "eval-roc": {
+        "temporal_data": None,
+        "spatial_data": None,
+        "task": None,
+        "K": None,
+        "d": None,
+        "detectors": ["td", "sd", "tdnn", "sdnn"],
+        "tdnn_model": None,
+        "sdnn_model": None,
+        "oracle_nd": True,
+    },
 }
 
 
-def resolve_config(family: str, overrides: dict | None = None) -> dict:
-    """Defaults for ``family`` with ``overrides`` merged in and checked, by
-    apply_overrides.
+def resolve_config(section: str, overrides: dict | None = None) -> dict:
+    """Defaults for ``section``, a family or a pipeline step, with
+    ``overrides`` merged in and checked, by apply_overrides.
 
     Unknown fields raise ConfigError with the full field path, so a typo in
     a config file fails loudly instead of being ignored.
     """
-    if family not in DEFAULTS:
+    if section not in DEFAULTS:
         raise ConfigError(
-            f"unknown experiment family {family!r}; known: {sorted(DEFAULTS)}"
+            f"unknown experiment family {section!r}; known: {sorted(DEFAULTS)}"
         )
-    return apply_overrides(DEFAULTS[family], overrides or {}, family)
+    return apply_overrides(DEFAULTS[section], overrides or {}, section)
 
 
 def apply_overrides(defaults: dict, overrides: dict, path: str) -> dict:
@@ -166,12 +230,13 @@ def apply_overrides(defaults: dict, overrides: dict, path: str) -> dict:
 
 
 def check_config(cfg: dict, section: str) -> None:
-    """The check of every merged config, of an experiment family or a CLI
-    subcommand: a ConfigError naming the field path under ``section``, so
-    that a bad value fails before any output is made.  Checks the row
+    """The check of every merged config, of an experiment family or a
+    pipeline step: a ConfigError naming the field path under ``section``,
+    so that a bad value fails before any output is made.  Checks the row
     budgets' scale, each list field's entries against its row of
     _LIST_DOMAINS or _PAIR_DOMAINS and for repeats (each entry names its
-    own artifacts), and each agent id against the graph it indexes."""
+    own artifacts), each agent id against the graph it indexes, gen-data's
+    [m, c] against the torus and train-gossip's position groups."""
     if section in _DESK_SECTIONS and not cfg.get("full"):
         if cfg["scale"] > 1:
             raise ConfigError(f"'{section}.scale' must be in (0, 1], got {cfg['scale']!r}")
@@ -221,6 +286,26 @@ def check_config(cfg: dict, section: str) -> None:
     for key, count, many in _AGENT_FIELDS:
         if cfg.get(key) is not None:
             check_agent_ids(cfg[key], count(cfg), f"{section}.{key}", many, key == "exclude")
+    # A next-to row places c of the m attackers beside the monitor, a
+    # far-from row none: each [m, c] must fit the torus as a family's combo.
+    for event, c in (("next-to", cfg.get("c")), ("far-from", 0)):
+        if event in cfg.get("events", ()):
+            try:
+                check_pair("combos", [cfg["m"], c], cfg, f"{section}.m")
+            except ConfigError as err:
+                raise ConfigError(f"{err} for its {event} rows") from None
+    # position_groups, which the by-position policy needs, maps event tags
+    # to lists of learner ids.
+    groups = cfg.get("position_groups")
+    if groups is None and cfg.get("policy") == "by-position":
+        raise ConfigError(f"'{section}.position_groups' must be set for the by-position policy")
+    if groups is not None:
+        if json_type(groups) != "object":
+            raise ConfigError(f"'{section}.position_groups' expects a JSON object, got {groups!r}")
+        for tag, group in groups.items():
+            here = f"{section}.position_groups.{tag}"
+            check_value("event", tag, here)
+            check_agent_ids(group, _learners(cfg), here, many=True)
 
 
 def check_value(field: str, value, path: str) -> None:
@@ -264,12 +349,19 @@ def _choice(values) -> tuple:
 
 
 # Fields, wherever they appear in a config, and entry domains of list
-# fields: (JSON type, valid, what a value must be).  A field whose default
-# is null is checked where it is read.
+# fields: (JSON type, valid, what a value must be).
 DOMAINS = {
     **dict.fromkeys(
         ("T", "K", "d", "temporal_K", "spatial_K", "M", "batch_size"),
         ("integer", lambda v: v >= 1, ">= 1"),
+    ),
+    **dict.fromkeys(
+        ("epochs", "rounds", "master_seed", "seed", "policy_seed", "graph_seed", "trace_seed"),
+        ("integer", lambda v: v >= 0, ">= 0"),
+    ),
+    **dict.fromkeys(
+        ("data", "temporal_data", "spatial_data", "tdnn_model", "sdnn_model"),
+        ("string", lambda v: True, "a path"),
     ),
     **dict.fromkeys(("rows", "cols", "n"), ("integer", lambda v: v >= 3, ">= 3")),
     **dict.fromkeys(("scenario", "train_scenario"), _choice(BETA_LAWS)),
@@ -280,8 +372,6 @@ DOMAINS = {
     "scale": ("number", lambda v: v > 0, "> 0"),
     "starved_fraction": ("number", lambda v: 0 < v < 1, "in (0, 1)"),
     "eta": ("number", lambda v: v > 0, "> 0"),
-    "epochs": ("integer", lambda v: v >= 0, ">= 0"),
-    "rounds": ("integer", lambda v: v >= 0, ">= 0"),
     "mu": ("number", lambda v: 0 <= v <= 1, "in [0, 1]"),
     "mode": ("string", lambda v: v in ("sync", "async"), "'sync' or 'async'"),
     "policy": (
@@ -356,9 +446,8 @@ _SWEEP_FAMILIES = ("multi-attacker", "degree-tailor", "mismatch", "small-world")
 
 def _merge(base: dict, overrides: dict, path: str) -> None:
     """Overlay ``overrides`` on ``base`` in place.  Each value must have the
-    JSON type of its default (_typed), and a field of ``DOMAINS`` its
-    domain; a field whose default is null takes any value and is checked
-    where it is used."""
+    JSON type of its default (_typed; a null default takes any type), and a
+    field of ``DOMAINS`` its domain, whatever its default."""
     for key, value in overrides.items():
         here = f"{path}.{key}"
         if key not in base:
@@ -369,8 +458,7 @@ def _merge(base: dict, overrides: dict, path: str) -> None:
         if expected == "object":
             _merge(base[key], value, here)
         else:
-            if expected != "null":
-                check_value(key, value, here)
+            check_value(key, value, here)
             base[key] = value
 
 
@@ -397,17 +485,26 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def run_family(family: str, outdir, overrides: dict | None = None) -> dict:
-    """Resolve config, run the family, write manifest.json; returns it."""
-    cfg = resolve_config(family, overrides)
-    os.makedirs(outdir, exist_ok=True)
-    artifacts = _RUNNERS[family](cfg, outdir)
-    return write_manifest(outdir, family, cfg, artifacts)
+def run_family(section: str, outdir, overrides: dict | None = None) -> dict:
+    """The one driver, of every family and pipeline step: resolve the
+    config of ``section``, make ``outdir``, run the section's runner there
+    and write manifest.json from the fields it returns; returns the
+    manifest.  A run that fails removes the directories that this call
+    made, and nothing else."""
+    cfg = resolve_config(section, overrides)
+    made, parent = None, os.path.abspath(outdir)
+    while not os.path.lexists(parent):  # made: the outermost directory to make
+        made, parent = parent, os.path.dirname(parent)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        return write_manifest(outdir, section, cfg, **_RUNNERS[section](cfg, outdir))
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
-def write_manifest(
-    outdir, family: str, cfg: dict, artifacts: list[str], extra: dict | None = None
-) -> dict:
+def write_manifest(outdir, family: str, cfg: dict, artifacts: list[str], **extra) -> dict:
     from . import __version__
 
     manifest = {
@@ -416,7 +513,7 @@ def write_manifest(
         "digest": config_digest(cfg),
         "version": __version__,
         "artifacts": sorted(artifacts) + ["manifest.json"],
-        **(extra or {}),
+        **extra,
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -506,7 +603,7 @@ def _test_budget(scale: float) -> Budget:
 # --- converge ---------------------------------------------------------------
 
 
-def run_converge(cfg: dict, outdir) -> list[str]:
+def run_converge(cfg: dict, outdir) -> dict:
     """Attacker-free convergence plus single-attacker steering, per seed.
 
     All seeds run in two batches, one clean and one attacked, with one
@@ -568,7 +665,7 @@ def run_converge(cfg: dict, outdir) -> list[str]:
         [np.arange(S), *finals],
     )
     artifacts.append("report.csv")
-    return artifacts
+    return {"artifacts": artifacts}
 
 
 def _clean_trajectory(problem, states, f_star):
@@ -588,7 +685,7 @@ def _attack_trajectory(states, alpha, flags):
 # --- one-attacker -----------------------------------------------------------
 
 
-def run_one_attacker(cfg: dict, outdir) -> list[str]:
+def run_one_attacker(cfg: dict, outdir) -> dict:
     """Score and neural detectors on the torus with a single attacker.
 
     Temporal methods (td, tdnn) sweep the configured (K, d) setups; spatial
@@ -618,7 +715,7 @@ def run_one_attacker(cfg: dict, outdir) -> list[str]:
             sets, name = data[K, d][f"{task}_{kind}"], f"model_{task}_{method}nn_K{K}_d{d}"
             fits.append((sets.train, _fit_key(master, K, d, task, kind), name))
             tests.append((sets.test, name, f"_K{K}_d{d}", {}))
-    return _fit_and_test(fits, tests, tcfg, outdir)
+    return {"artifacts": _fit_and_test(fits, tests, tcfg, outdir)}
 
 
 # --- train-then-sweep families ---------------------------------------------
@@ -639,7 +736,7 @@ class _Variant(NamedTuple):
 def _sweep(
     cfg, outdir, train_scenario, specs, variants, extra_cols=(),
     model_name="model_{task}_{method}",
-) -> list[str]:
+) -> dict:
     """Train networks once on ``train_scenario``, then test them and the
     score detectors on every variant, through _fit_and_test.
 
@@ -677,7 +774,7 @@ def _sweep(
         for K, kind in specs
         for task in ("nd", "nl")
     ]
-    return _fit_and_test(fits, tests, tcfg, outdir, extra_cols)
+    return {"artifacts": _fit_and_test(fits, tests, tcfg, outdir, extra_cols)}
 
 
 def _two_specs(cfg) -> tuple[tuple[int, str], ...]:
@@ -687,7 +784,7 @@ def _two_specs(cfg) -> tuple[tuple[int, str], ...]:
 # --- multi-attacker ---------------------------------------------------------
 
 
-def run_multi_attacker(cfg: dict, outdir) -> list[str]:
+def run_multi_attacker(cfg: dict, outdir) -> dict:
     """Detectors trained on one attacker, tested against (m, c) combos.
 
     Attacked test events are all next-to placements: c of the m attackers
@@ -714,7 +811,7 @@ def run_multi_attacker(cfg: dict, outdir) -> list[str]:
 # --- degree-tailor ----------------------------------------------------------
 
 
-def run_degree_tailor(cfg: dict, outdir) -> list[str]:
+def run_degree_tailor(cfg: dict, outdir) -> dict:
     """Cut monitor edges one by one and re-test fixed-width detectors.
 
     Models train on the intact torus with the monitor drawn per sample;
@@ -743,7 +840,7 @@ def run_degree_tailor(cfg: dict, outdir) -> list[str]:
 # --- mismatch ---------------------------------------------------------------
 
 
-def run_mismatch(cfg: dict, outdir) -> list[str]:
+def run_mismatch(cfg: dict, outdir) -> dict:
     """Train under one initial-state law, test across all of them."""
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
     d = cfg["d"]
@@ -764,7 +861,7 @@ def run_mismatch(cfg: dict, outdir) -> list[str]:
 # --- gossip-learning --------------------------------------------------------
 
 
-def run_gossip_learning(cfg: dict, outdir) -> list[str]:
+def run_gossip_learning(cfg: dict, outdir) -> dict:
     """Collaborative detector training over the trustworthy agents.
 
     Case 1 starves one agent of attacked rows (a starved_fraction share of
@@ -781,7 +878,8 @@ def run_gossip_learning(cfg: dict, outdir) -> list[str]:
     )
     agents = tuple(range(learner_graph.n))
     case = functools.partial(_gossip_case, cfg, graph, learner_graph, tcfg)
-    return _gossip_case1(cfg, case, agents, outdir) + _gossip_case2(cfg, case, agents, outdir)
+    artifacts = _gossip_case1(cfg, case, agents, outdir)
+    return {"artifacts": artifacts + _gossip_case2(cfg, case, agents, outdir)}
 
 
 def spawn_learners(shards, dataset, agents, key):
@@ -905,7 +1003,7 @@ def _gossip_case2(cfg, case, agents, outdir):
 # --- small-world ------------------------------------------------------------
 
 
-def run_small_world(cfg: dict, outdir) -> list[str]:
+def run_small_world(cfg: dict, outdir) -> dict:
     """Torus-trained detectors transplanted onto a rewired ring.
 
     The test graph is a Watts-Strogatz small world with fixed attackers;
@@ -932,6 +1030,191 @@ def run_small_world(cfg: dict, outdir) -> list[str]:
     )
 
 
+# --- pipeline steps ---------------------------------------------------------
+
+
+def run_gen_data(cfg: dict, outdir) -> dict:
+    """Labeled detector datasets, one CSV per task, feature kind and split."""
+    graph = manhattan_grid(cfg["rows"], cfg["cols"])
+    scenario = scenario_from_tag(
+        cfg["scenario"], graph,
+        m=cfg["m"], c=cfg["c"], d=cfg["d"], T=cfg["T"],
+        monitor=cfg["monitor"],
+    )
+    budget = Budget.full() if cfg["full"] else Budget.desk(cfg["scale"])
+    data = build_dataset(
+        scenario, cfg["K"], budget, cfg["master_seed"],
+        tasks=tuple(cfg["tasks"]), events=tuple(cfg["events"]),
+    )
+    datasets = {}
+    for key, pair in sorted(data.items()):
+        for split, ds in (("train", pair.train), ("test", pair.test)):
+            name = f"{key}_{split}.csv"
+            write_dataset_csv(ds, os.path.join(outdir, name))
+            datasets[name] = {
+                "task": ds.task, "kind": ds.kind, "split": split,
+                "K": ds.K, "d": ds.d, "M": ds.M, "rows": ds.n_rows,
+            }
+    return {"artifacts": list(datasets), "datasets": datasets}
+
+
+def run_train(cfg: dict, outdir) -> dict:
+    """One detector network fit on a dataset CSV, with its epoch losses."""
+    dataset = _load_dataset(cfg["data"], cfg)
+    config = TrainConfig(eta=cfg["eta"], batch_size=cfg["batch_size"], epochs=cfg["epochs"])
+    mlp, losses = fit(dataset, config, np.random.default_rng(cfg["seed"]))
+    files = save_model(
+        mlp, os.path.join(outdir, cfg["name"] + ".json"),
+        meta={"task": dataset.task, "kind": dataset.kind, "K": dataset.K, "d": dataset.d},
+    )
+    write_csv(os.path.join(outdir, "losses.csv"), ["epoch", "loss"],
+              [np.arange(len(losses)), losses])
+    return {"artifacts": [*files, "losses.csv"]}
+
+
+def run_train_gossip(cfg: dict, outdir) -> dict:
+    """Collaborative training over the torus without its excluded agents."""
+    graph = manhattan_grid(cfg["rows"], cfg["cols"])
+    dataset = _load_dataset(cfg["data"], cfg)
+    learner_graph = induced_subgraph(graph, [v for v in range(graph.n) if v not in cfg["exclude"]])
+    agents = tuple(range(learner_graph.n))
+    groups = cfg["position_groups"]
+    policy = ShardPolicy(
+        kind=cfg["policy"],
+        agents=agents,
+        starved_agent=cfg["starved_agent"],
+        starved_fraction=cfg["starved_fraction"],
+        starved_events=tuple(cfg["starved_events"]) if cfg["starved_events"] else None,
+        position_groups={k: tuple(v) for k, v in groups.items()} if groups else None,
+        seed=cfg["policy_seed"],
+    )
+    shards = shard_for_gossip(dataset, policy)
+    learners = spawn_learners(shards, dataset, agents, (cfg["seed"],))
+    metrics = run_gossip_training(
+        learners, learner_graph, cfg["rounds"], np.random.default_rng([cfg["seed"], len(agents)]),
+        cfg["eta"], cfg["batch_size"], cfg["mu"], mode=cfg["mode"],
+    )
+
+    artifacts = ["telemetry.csv"]
+    write_telemetry(os.path.join(outdir, "telemetry.csv"), metrics)
+    for state in learners:
+        artifacts += save_model(
+            state.model, os.path.join(outdir, f"model_agent{state.agent}.json"),
+            meta={"agent": state.agent, "task": dataset.task, "kind": dataset.kind,
+                  "K": dataset.K, "d": dataset.d, "shard_rows": int(len(shards[state.agent]))},
+        )
+    return {"artifacts": artifacts}
+
+
+def run_eval_roc(cfg: dict, outdir) -> dict:
+    """ROC curves of the configured detectors on test CSVs, and aucs.csv."""
+    datasets: dict[str, object] = {}
+    detectors = []
+    for det in cfg["detectors"]:
+        kind = DETECTOR_KINDS[det]
+        if kind not in datasets:
+            path = cfg[f"{kind}_data"]
+            if path is None:
+                raise ConfigError(
+                    f"detector {det!r} needs --set {kind}_data=PATH (a gen-data CSV)"
+                )
+            datasets[kind] = _load_dataset(path, cfg, expected_kind=kind)
+        dataset = datasets[kind]
+        if det in ("td", "sd"):
+            detector = make_score_detector(det, dataset.task)
+        else:
+            model_path = cfg[f"{det}_model"]
+            if model_path is None:
+                raise ConfigError(f"detector {det!r} needs --set {det}_model=PATH")
+            if not os.path.exists(model_path):
+                raise FileNotFoundError(
+                    f"model file not found: {model_path}; "
+                    f"produce it with the train subcommand"
+                )
+            mlp, _ = load_model(model_path)
+            detector = make_nn_detector(mlp, dataset.task, kind, det)
+        detectors.append((detector, dataset))
+
+    artifacts, summaries = [], []
+    for detector, dataset in detectors:
+        curve, summary = evaluate_detector(detector, dataset, oracle_nd=cfg["oracle_nd"])
+        name = f"roc_{detector.name}.csv"
+        roc_to_csv(curve, os.path.join(outdir, name))
+        artifacts.append(name)
+        summaries.append(summary)
+
+    auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"))
+    return {"artifacts": [*artifacts, "aucs.csv"]}
+
+
+def read_json(path, error):
+    """The JSON document in ``path``; raises ``error`` naming the file, line
+    and column when it does not parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise error(f"{path}:{err.lineno}: column {err.colno}: not JSON: {err.msg}") from None
+
+
+_DATASET_FIELDS = ("task", "kind", "K", "d")
+
+
+def _dataset_meta(path) -> dict:
+    """Per-file metadata from a manifest.json sitting next to the CSV."""
+    manifest = os.path.join(os.path.dirname(os.path.abspath(str(path))), "manifest.json")
+    if not os.path.exists(manifest):
+        return {}
+    content = read_json(manifest, ValueError)
+    if not isinstance(content, dict):
+        raise ValueError(f"{manifest}: not a JSON object")
+    name = os.path.basename(str(path))
+    datasets = content.get("datasets", {})
+    if not isinstance(datasets, dict):
+        raise ValueError(f"{manifest}: field 'datasets': not an object")
+    entry = datasets.get(name, {})
+    if not isinstance(entry, dict):
+        raise ValueError(f"{manifest}: field 'datasets.{name}': not an object")
+    for field in _DATASET_FIELDS:
+        path = f"datasets.{name}.{field}"
+        try:
+            check_value(field, entry.get(field), path)
+        except ConfigError as err:  # a file error, naming the manifest field
+            problem = str(err).removeprefix(f"'{path}' ")
+            raise ValueError(f"{manifest}: field '{path}': {problem}") from None
+    return entry
+
+
+def _load_dataset(path, cfg, expected_kind=None):
+    """The dataset CSV at ``path``; its task, kind, K and d come from the
+    step's config ``cfg`` or else from the gen-data manifest beside it."""
+    if path is None:
+        raise ConfigError("no dataset file configured; pass --set data=PATH")
+    if not os.path.exists(path):
+        raise FileNotFoundError(
+            f"dataset file not found: {path}; produce it with the gen-data subcommand"
+        )
+    meta = _dataset_meta(path)
+    fields = {}
+    for field in _DATASET_FIELDS:
+        value = cfg[field] if cfg.get(field) is not None else meta.get(field)
+        if value is None:
+            raise ConfigError(
+                f"cannot determine {field!r} for {path}; "
+                f"pass --set {field}=... or keep the gen-data manifest.json beside it"
+            )
+        fields[field] = value
+    if expected_kind is not None and fields["kind"] != expected_kind:
+        raise ConfigError(
+            f"{path} holds {fields['kind']} features, expected {expected_kind}"
+        )
+    dataset = read_dataset_csv(path, fields["task"], fields["kind"], fields["K"], fields["d"])
+    if dataset.n_rows == 0:
+        raise ValueError(f"{path}: no data rows")
+    return dataset
+
+
+# The seven experiment families, then the four pipeline steps.
 _RUNNERS = {
     "converge": run_converge,
     "one-attacker": run_one_attacker,
@@ -940,6 +1223,10 @@ _RUNNERS = {
     "mismatch": run_mismatch,
     "gossip-learning": run_gossip_learning,
     "small-world": run_small_world,
+    "gen-data": run_gen_data,
+    "train": run_train,
+    "train-gossip": run_train_gossip,
+    "eval-roc": run_eval_roc,
 }
 
-FAMILIES = tuple(_RUNNERS)
+FAMILIES = tuple(_RUNNERS)[:7]

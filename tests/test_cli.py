@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from gossipwatch import cli
+from gossipwatch import cli, experiments
 from gossipwatch.datagen import Budget
 
 TINY_GEN = [
@@ -167,7 +167,9 @@ def test_ill_typed_set_value_is_a_config_error(tmp_path, capsys):
     "setting, message",
     [("eta=0", "'train.eta' must be > 0, got 0"),
      ("batch_size=0", "'train.batch_size' must be >= 1, got 0"),
-     ("epochs=-1", "'train.epochs' must be >= 0, got -1")],
+     ("epochs=-1", "'train.epochs' must be >= 0, got -1"),
+     ("seed=-1", "'train.seed' must be >= 0, got -1"),
+     ("data=3", "'train.data' expects a JSON string, got 3")],
 )
 def test_out_of_domain_train_values_are_config_errors(tmp_path, capsys, setting, message):
     data = _gen(tmp_path)
@@ -184,7 +186,8 @@ def test_out_of_domain_train_values_are_config_errors(tmp_path, capsys, setting,
     [("mode=foo", "'train-gossip.mode' must be 'sync' or 'async', got 'foo'"),
      ("mu=1.5", "'train-gossip.mu' must be in [0, 1], got 1.5"),
      ("rounds=-3", "'train-gossip.rounds' must be >= 0, got -3"),
-     ("starved_fraction=2", "'train-gossip.starved_fraction' must be in (0, 1), got 2")],
+     ("starved_fraction=2", "'train-gossip.starved_fraction' must be in (0, 1), got 2"),
+     ("policy_seed=-1", "'train-gossip.policy_seed' must be >= 0, got -1")],
 )
 def test_out_of_domain_train_gossip_values_are_config_errors(tmp_path, capsys, setting, message):
     data = _gen(tmp_path)
@@ -208,6 +211,7 @@ _FITS = ("[m, c] that fits the 3x3 torus with the trustworthy agents connected: 
      ("K=0", "'gen-data.K' must be >= 1, got 0"),
      ("monitor=20", "'gen-data.monitor' must be an agent id in [0, 9), got 20"),
      ("monitor=[4]", "'gen-data.monitor' must be an agent id in [0, 9), got [4]"),
+     ("master_seed=-1", "'gen-data.master_seed' must be >= 0, got -1"),
      ("m=7", f"'gen-data.m' must be {_FITS}, got [7, 1] for its next-to rows"),
      ("m=5", f"'gen-data.m' must be {_FITS}, got [5, 0] for its far-from rows"),
      ("c=2", "'gen-data.m' must be [m, c] with 0 <= c <= m, got [1, 2] for its next-to rows")],
@@ -456,11 +460,15 @@ _EVENT_TAGS = "one of ['far-from', 'h0', 'next-to']"
       "got [2, 8]: graph has an isolated agent"),
      (["gen-data", "--set", "tasks=[]"], "'gen-data.tasks' must list at least one entry, got []"),
      (["eval-roc", "--set", "detectors=[]"],
-      "'eval-roc.detectors' must list at least one entry, got []")],
+      "'eval-roc.detectors' must list at least one entry, got []"),
+     (["eval-roc", "--set", "tdnn_model=true", "--set", 'detectors=["td"]'],
+      "'eval-roc.tdnn_model' expects a JSON string, got True"),
+     (["experiment", "small-world", "--set", "graph_seed=-5"],
+      "'small-world.graph_seed' must be >= 0, got -5")],
     ids=["tasks_twice", "unknown_task", "unknown_event", "kind", "task", "detectors_twice",
          "starved_events", "position_groups_key", "test_scenarios_twice", "setups_twice",
          "cut_not_an_edge", "cuts_twice", "cut_reversed", "cuts_isolating", "no_tasks",
-         "no_detectors"],
+         "no_detectors", "model_path_unused", "graph_seed"],
 )
 def test_list_entries_and_dataset_fields_fail_before_writing(tmp_path, capsys, argv, message):
     """Every list entry lies in its field's domain and differs from the
@@ -532,6 +540,21 @@ def test_unconfigured_inputs_are_config_errors(tmp_path, capsys):
     assert not (tmp_path / "roc").exists()
 
 
+def test_a_failed_run_removes_only_the_out_it_made(tmp_path, capsys):
+    """A run that fails after its --out is made removes every directory
+    that it made, however deep, and leaves an --out that existed before."""
+    fail = ["gen-data", *TINY_GEN, "--set", "events=[]"]
+    new = tmp_path / "new"
+    assert cli.main([*fail, "--out", str(new / "deeper" / "out")]) == 2
+    assert "one or more events" in capsys.readouterr().err
+    assert not new.exists() and tmp_path.exists()
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "keep.txt").write_text("mine")
+    assert cli.main([*fail, "--out", str(old)]) == 2
+    assert (old / "keep.txt").read_text() == "mine"
+
+
 def test_config_file_plus_set_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"T": 50, "K": 1, "scale": 0.002, "tasks": ["nd"]}))
@@ -574,7 +597,7 @@ def test_full_flag_selects_full_budgets(tmp_path, monkeypatch, capsys):
         seen["budget"] = budget
         raise RuntimeError("stop before the expensive build")
 
-    monkeypatch.setattr(cli, "build_dataset", fake_build)
+    monkeypatch.setattr(experiments, "build_dataset", fake_build)
     rc = cli.main(["gen-data", "--full", "--out", str(tmp_path / "d")])
     assert rc == 2
     assert seen["budget"] == Budget.full()

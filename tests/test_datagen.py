@@ -855,42 +855,37 @@ def test_read_dataset_csv_rejects_malformed_rows(tmp_path):
     ("slot_1", "\uff11", False), ("grp", "1.0", False), ("monitor", "4#", False),
     ("slot_2", "0.5#x", False), ("src_3", "3#", False), ("src_0", " 1", True),
     ("pad_0", "+1", True), ("slot_3", " +1.5", True), ("self_value", "nan", True),
-    ("slot_0", "-inf", True),
+    ("slot_0", "-inf", True), ("sample", "99999999999999999999", False),
 ])
 def test_read_dataset_csv_reads_odd_cells_as_the_row_validator(
-    tmp_path, monkeypatch, column, cell, parsed
+    tmp_path, column, cell, parsed
 ):
-    """np.loadtxt takes a subset of the cells that int() and float() take,
-    to the same values; a file with a cell it does not take is read by the
-    row validator, which reads it, or fails on it, as before.  A '#' is a
-    cell's own character, not the start of a comment that would cut the
-    last cell short."""
+    """np.loadtxt alone reads the cells: a cell it takes is read to the
+    value that int() or float() gives it, and a file with a cell it refuses
+    fails, naming the line and the column of that cell, with the same call
+    per cell.  A '#' is a cell's own character, not the start of a comment
+    that would cut the last cell short."""
     ds, path = _written_csv(tmp_path)
     lines = path.read_text().splitlines()
+    header = lines[0].split(",")
     parts = lines[2].split(",")
-    parts[lines[0].split(",").index(column)] = cell
+    parts[header.index(column)] = cell
     odd = _rewrite(path, lines[:2] + [",".join(parts)] + lines[3:])
-    checked, validator = [], datagen._checked_rows
-
-    def read():
-        try:
-            return _columns(read_dataset_csv(odd, ds.task, ds.kind, ds.K, ds.d))
-        except ValueError as err:
-            return str(err)
-
-    def count(*args):
-        checked.append(args)
-        return validator(*args)
-
-    monkeypatch.setattr(datagen, "_checked_rows", count)
-    fast = read()
-    assert (not checked) == parsed
-
-    def refuse(*args):
-        raise ValueError("read by the row validator")
-
-    monkeypatch.setattr(datagen, "_loaded_rows", refuse)
-    assert read() == fast
+    if not parsed:
+        with pytest.raises(ValueError) as err:
+            read_dataset_csv(odd, ds.task, ds.kind, ds.K, ds.d)
+        # a decimal integer beyond the int64 range, or no number of its column's type
+        what = "not an int64" if cell.isascii() and cell.isdigit() else "not a number"
+        assert str(err.value) == f"{odd}:3: column {column!r}: {what}: {cell!r}"
+        return
+    read = read_dataset_csv(odd, ds.task, ds.kind, ds.K, ds.d)
+    if column.startswith("slot_"):
+        got = read.inputs[1, int(column[5:])]
+    else:
+        got = {"self_value": read.self_values[1], "src_0": read.slot_agents[1, 0],
+               "pad_0": read.padded[1, 0]}[column]
+    want = float(cell) if column.startswith(("slot_", "self")) else int(cell)
+    assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 def test_read_dataset_csv_rejects_headers_of_another_task(tmp_path):

@@ -19,7 +19,11 @@ from gossipwatch.experiments import (
 
 
 def test_known_families_all_have_defaults():
-    assert set(FAMILIES) == set(DEFAULTS)
+    """DEFAULTS holds the seven families and the four pipeline steps that
+    the CLI runs as subcommands; FAMILIES, the families alone."""
+    steps = {"gen-data", "train", "train-gossip", "eval-roc"}
+    assert len(FAMILIES) == 7 and set(FAMILIES) == set(DEFAULTS) - steps
+    assert steps < set(DEFAULTS)
     assert "converge" in FAMILIES and "gossip-learning" in FAMILIES
 
 
@@ -67,13 +71,16 @@ def test_apply_overrides_does_not_touch_inputs():
 
 
 def test_apply_overrides_checks_json_types():
-    base = {"scale": 0.1, "T": 50, "full": False, "name": "m", "tasks": ["nd"], "K": None}
-    ok = apply_overrides(base, {"scale": 1, "K": "anything"}, "fam")
-    assert ok["scale"] == 1 and ok["K"] == "anything"
+    """A value has its default's JSON type; a null default takes any type,
+    but a field of DOMAINS, such as K, still has that row's type."""
+    base = {"scale": 0.1, "T": 50, "full": False, "name": "m", "tasks": ["nd"], "K": None,
+            "note": None}
+    ok = apply_overrides(base, {"scale": 1, "K": 3, "note": "anything"}, "fam")
+    assert ok["scale"] == 1 and ok["K"] == 3 and ok["note"] == "anything"
     for field, value, expected in (
         ("T", 2.5, "integer"), ("T", True, "integer"), ("full", 1, "boolean"),
         ("scale", "0.1", "number"), ("name", 3, "string"), ("tasks", "nd", "list"),
-        ("tasks", None, "list"),
+        ("tasks", None, "list"), ("K", "anything", "integer"),
     ):
         with pytest.raises(ConfigError, match=f"'fam.{field}' expects a JSON {expected}"):
             apply_overrides(base, {field: value}, "fam")
@@ -96,13 +103,12 @@ def test_training_fields_outside_their_domain_raise_with_the_field_path():
 
 
 def test_every_list_field_has_a_row_of_the_entry_check():
-    """Each list-valued default, of a family or of a CLI subcommand, has a
+    """Each list-valued default, of a family or of a pipeline step, has a
     row in a table of check_config, so that no list field skips the entry
     check."""
-    from gossipwatch import cli, experiments
+    from gossipwatch import experiments
 
-    tables = (*DEFAULTS.values(), cli.GEN_DATA_DEFAULTS, cli.TRAIN_DEFAULTS,
-              cli.TRAIN_GOSSIP_DEFAULTS, cli.EVAL_ROC_DEFAULTS)
+    tables = DEFAULTS.values()
     checked = {*experiments._LIST_DOMAINS, *(row[0] for row in experiments._PAIR_DOMAINS),
                *(row[0] for row in experiments._AGENT_FIELDS)}
     lists = {key for table in tables for key, value in table.items() if isinstance(value, list)}
@@ -156,7 +162,8 @@ def test_a_failing_fit_fails_the_family_and_leaves_no_worker(
 ):
     """A fit that raises, in this process on one CPU or in a forked worker
     on two, fails run_family with its own exception type and message and the
-    CLI with exit code 2; no worker process is left running."""
+    CLI with exit code 2; no worker process is left running, and neither
+    run leaves the output directory that it made."""
     from gossipwatch import cli, experiments, fanout
 
     def fail(*args, **kwargs):
@@ -169,6 +176,7 @@ def test_a_failing_fit_fails_the_family_and_leaves_no_worker(
     with pytest.raises(ValueError) as err:
         run_family(family, tmp_path / "a", overrides)
     assert type(err.value) is ValueError and str(err.value) == "no fit today"
+    assert not (tmp_path / "a").exists()
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):  # no worker is left, not even a zombie
         os.waitpid(-1, os.WNOHANG)
@@ -177,6 +185,7 @@ def test_a_failing_fit_fails_the_family_and_leaves_no_worker(
         argv += ["--set", f"{key}={json.dumps(value)}"]
     assert cli.main(argv) == 2
     assert "error: no fit today" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

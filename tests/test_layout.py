@@ -10,11 +10,13 @@ numpy floor bundles that library, compiled steps are bound once per fit and
 per gossip run, one module alone forks worker processes, none starts a
 thread, a dataset chunk makes no generator object per row, one function
 formats CSV cells, three open files for writing text, save_model alone
-names a model's files, and the README's module table lists exactly the
-package's modules."""
+names a model's files, run_family is the one driver and the CLI only
+parses, and the README's module table lists exactly the package's
+modules."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 from gossipwatch import protocol
@@ -388,3 +390,29 @@ def test_only_save_model_names_a_models_files():
     spelled = [p.name for p in sorted(PACKAGE.iterdir())
                if p.suffix in (".py", ".c") and ".json.bin" in p.read_text()]
     assert not spelled
+
+
+def test_run_family_is_the_one_driver():
+    """Every family and pipeline step runs through experiments.run_family,
+    the one caller of write_manifest, and the CLI only parses: cli.py
+    imports no package module but experiments, and defines no per-command
+    bodies (_cmd_ functions) that would grow a second driver."""
+    callers = {
+        (name, owner) for name, owner, node in _owned_nodes()
+        if isinstance(node, ast.Call)
+        and "write_manifest" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {("experiments.py", "run_family")}
+    cli = _trees()["cli.py"]
+    imports = []  # (level, module, names) of every import of cli.py
+    for node in ast.walk(cli):
+        if isinstance(node, ast.Import):
+            imports += [(0, alias.name, []) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports.append((node.level, node.module, [alias.name for alias in node.names]))
+    outside = [i for i in imports if i != (1, None, ["experiments"])
+               and (i[0] or i[1].split(".")[0] not in sys.stdlib_module_names)]
+    assert not outside, outside
+    commands = [n.name for n in ast.walk(cli)
+                if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
+    assert not commands, commands
