@@ -481,7 +481,7 @@ typedef void (*dgemv_fn)(int, int, int64_t, int64_t, double, const double *, int
 typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *, int64_t);
 
 /* The layer widths of a network shape and the work buffers of one step on
- * up to neural._Step's cap rows, laid out as neural._Net; the parameters
+ * up to neural.Step's cap rows, laid out as neural._Net; the parameters
  * of the network at hand come with each call.  params and grad hold W (out
  * x in, C order) then b for each layer; acts holds the rows x sizes[h]
  * activations of hidden layers h = 1 .. layers - 1, one after another; z,
@@ -539,34 +539,26 @@ static void matmul_gemm(const net_t *net, const double *A, int64_t am, int64_t a
 }
 
 /* C (m x p) = A (m x n) @ B (n x p), strides in elements, by the routine
- * numpy's DOUBLE_matmul picks: ddot for a 1 x 1 result, gemv when a row
- * count or the output width is 1, its own loop for an outer product, gemm
- * otherwise.  The cases of numpy's that never arise here are left out: an
- * output in Fortran order and syrk (A @ A.T on one buffer). */
+ * numpy's DOUBLE_matmul picks for C-order operands and their transposes
+ * into a C-order C: its own loop for an empty or an outer (n == 1)
+ * product, ddot for a 1 x 1 result, gemv when a row count or the output
+ * width is 1, gemm otherwise (never syrk: no product here is A @ A.T). */
 static void matmul(const net_t *net, const double *A, int64_t am, int64_t an, const double *B,
                    int64_t bn, int64_t bp, double *C, int64_t cm, int64_t cp, int64_t m,
                    int64_t n, int64_t p)
 {
-    const int a_ok = blasable(am, an, n) || blasable(an, am, m);
-    const int b_ok = blasable(bn, bp, p) || blasable(bp, bn, n);
-    if (m == 0 || n == 0 || p == 0) {
+    if (m == 0 || n == 0 || p == 0)
         matmul_noblas(A, am, an, B, bn, bp, C, cm, cp, m, n, p);
-    } else if (m == 1 || n == 1 || p == 1) {
-        if (m == 1 && p == 1)
-            C[0] = 0.0 + ((ddot_fn)net->dot)(n, A, an, B, bn);
-        else if (n == 1)
-            matmul_noblas(A, am, an, B, bn, bp, C, cm, cp, m, n, p);
-        else if (m == 1 && b_ok && an >= 1)
-            matmul_gemv(net, B, bp, bn, A, an, C, cp, p, n);
-        else if (p == 1 && a_ok && bn >= 1)
-            matmul_gemv(net, A, am, an, B, bn, C, cm, m, n);
-        else
-            matmul_noblas(A, am, an, B, bn, bp, C, cm, cp, m, n, p);
-    } else if (a_ok && b_ok && blasable(cm, cp, p)) {
+    else if (m == 1 && p == 1)
+        C[0] = 0.0 + ((ddot_fn)net->dot)(n, A, an, B, bn);
+    else if (n == 1) /* the constant lets the compiler drop the inner loop */
+        matmul_noblas(A, am, an, B, bn, bp, C, cm, cp, m, 1, p);
+    else if (m == 1)
+        matmul_gemv(net, B, bp, bn, A, an, C, cp, p, n);
+    else if (p == 1)
+        matmul_gemv(net, A, am, an, B, bn, C, cm, m, n);
+    else
         matmul_gemm(net, A, am, an, B, bn, bp, C, cm, m, n, p);
-    } else {
-        matmul_noblas(A, am, an, B, bn, bp, C, cm, cp, m, n, p);
-    }
 }
 
 /* np.add.reduce of n contiguous values: pairwise, from +0.0. */
@@ -616,22 +608,20 @@ static void relu_gate(double *restrict back, const double *restrict a, int64_t n
 }
 
 /* Hidden layers, then the output layer's z and -|z| for np.exp, on rows
- * rows of X (rows ldx apart). */
-void net_forward(net_t *net, const double *params, const double *X, int64_t ldx, int64_t rows)
+ * contiguous rows of X. */
+void net_forward(net_t *net, const double *params, const double *X, int64_t rows)
 {
     const int64_t L = net->layers, *s = net->sizes;
     const double *in = X, *W = params;
     double *acts = net->acts;
-    int64_t ld = ldx;
     for (int64_t h = 0; h < L; h++) {
         const int64_t fi = s[h], fo = s[h + 1];
         const double *b = W + fo * fi;
         double *out = h == L - 1 ? net->z : acts;
         /* in (rows x fi) @ W.T (fi x fo) */
-        matmul(net, in, ld, 1, W, 1, fi, out, fo, 1, rows, fi, fo);
+        matmul(net, in, fi, 1, W, 1, fi, out, fo, 1, rows, fi, fo);
         add_bias(out, b, rows, fo, h < L - 1);
         in = out;
-        ld = fo;
         acts += rows * fo;
         W = b + fo;
     }
@@ -662,7 +652,7 @@ void net_output(net_t *net, int64_t rows, int64_t clip)
  * into grad, then params -= eta * grad.  mask (rows x out, or NULL)
  * weights each row's output slots by mask / (the row's mask sum).  Returns
  * 1, before any change to params, where a row's mask sums to 0. */
-int64_t net_backward(net_t *net, double *params, const double *X, int64_t ldx, const double *Y,
+int64_t net_backward(net_t *net, double *params, const double *X, const double *Y,
                      const double *mask, int64_t rows, double eta)
 {
     const int64_t L = net->layers, *s = net->sizes, out = s[L], n = rows * out;
@@ -696,9 +686,8 @@ int64_t net_backward(net_t *net, double *params, const double *X, int64_t ldx, c
         at -= fo * fi + fo;
         hidden -= h > 0 ? rows * fi : 0;
         const double *a = h > 0 ? net->acts + hidden : X;
-        const int64_t lda = h > 0 ? fi : ldx;
         /* delta.T (fo x rows) @ a (rows x fi), then delta's column sums */
-        matmul(net, delta, 1, fo, a, lda, 1, net->grad + at, fi, 1, fo, rows, fi);
+        matmul(net, delta, 1, fo, a, fi, 1, net->grad + at, fi, 1, fo, rows, fi);
         sum_columns(delta, rows, fo, net->grad + at + fo * fi);
         if (h > 0) {
             /* (delta @ W) * (a > 0) */

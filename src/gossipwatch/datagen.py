@@ -663,11 +663,11 @@ def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDatas
     """Read a file written by write_dataset_csv.
 
     A header that lacks a column of the task or disagrees on the slot, pad
-    and src counts, a ragged row and a non-numeric cell each raise a
-    ValueError naming the file, the line and the column.  The numeric cells
-    are read by np.loadtxt alone; where it refuses a file, _locate_fault
-    checks it again line by line with the same call to name the cell at
-    fault.
+    and src counts, a ragged row, a non-numeric cell and a float cell that
+    is not finite each raise a ValueError naming the file, the line and the
+    column.  The numeric cells are read by np.loadtxt alone; where it
+    refuses a file, _locate_fault checks it again line by line with the
+    same call to name the cell at fault.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -697,6 +697,12 @@ def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDatas
         _locate_fault(path, header, lines, int_at, float_at)
     ints = np.array(ints, dtype=np.int64).reshape(len(events), len(int_cols))
     floats = np.array(floats, dtype=np.float64).reshape(len(events), len(float_cols))
+    bad = np.argwhere(~np.isfinite(floats))
+    if bad.size:  # the first, in file order; blank lines count as lines
+        row, i = bad[0]
+        no = [no for no, line in enumerate(lines, 2) if line.strip()][row]
+        cell = lines[no - 2].rstrip("\n").split(",")[float_at[i]]
+        raise ValueError(f"{path}:{no}: column {float_cols[i]!r}: not finite: {cell!r}")
     at = 3 + len(label_cols)
     labels = ints[:, 3] if task == "nd" else ints[:, 3:at]
     padded, slot_agents = ints[:, at : at + M] == 1, ints[:, at + M :]

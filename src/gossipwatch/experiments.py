@@ -236,7 +236,8 @@ def check_config(cfg: dict, section: str) -> None:
     budgets' scale, each list field's entries against its row of
     _LIST_DOMAINS or _PAIR_DOMAINS and for repeats (each entry names its
     own artifacts), each agent id against the graph it indexes, gen-data's
-    [m, c] against the torus and train-gossip's position groups."""
+    [m, c] against the torus, train-gossip's position groups and that every
+    input file a step reads is set."""
     if section in _DESK_SECTIONS and not cfg.get("full"):
         if cfg["scale"] > 1:
             raise ConfigError(f"'{section}.scale' must be in (0, 1], got {cfg['scale']!r}")
@@ -306,6 +307,16 @@ def check_config(cfg: dict, section: str) -> None:
             here = f"{section}.position_groups.{tag}"
             check_value("event", tag, here)
             check_agent_ids(group, _learners(cfg), here, many=True)
+    # The files a pipeline step reads: train's and train-gossip's dataset,
+    # and each eval-roc detector's test CSV and, for a network, its model
+    # (a score detector has no model field).
+    inputs = [("data", "")] + [
+        (key, f" for detector {det!r}") for det in cfg.get("detectors", ())
+        for key in (f"{DETECTOR_KINDS[det]}_data", f"{det}_model")
+    ]
+    for key, why in inputs:
+        if key in cfg and cfg[key] is None:
+            raise ConfigError(f"'{section}.{key}' must be set to a file path{why}, got null")
 
 
 def check_value(field: str, value, path: str) -> None:
@@ -364,6 +375,8 @@ DOMAINS = {
         ("string", lambda v: True, "a path"),
     ),
     **dict.fromkeys(("rows", "cols", "n"), ("integer", lambda v: v >= 3, ">= 3")),
+    "name": ("string", lambda v: v not in ("", ".", "..") and os.path.basename(v) == v,
+             "a file name: not empty, '.' or '..', and with no path separator"),
     **dict.fromkeys(("scenario", "train_scenario"), _choice(BETA_LAWS)),
     "task": _choice(("nd", "nl")),
     "kind": _choice(_METHODS),
@@ -565,29 +578,40 @@ def _fit_and_test(
     ``fits`` with _fit_job, on forked workers (fanout.fan_out), then score
     each (test set, model name, ROC stem tail, extra columns) of ``tests`` in
     order: the score detector of the set's feature kind, then the network
-    saved as ``model name``, read back for this test alone.  Writes one ROC
-    curve per detector and test, and aucs.csv with ``extra_cols`` after the
-    summary columns; returns every artifact name."""
+    saved as ``model name``, read back once.  Writes one ROC curve per
+    detector and test, and aucs.csv with ``extra_cols`` after the summary
+    columns, by _roc_sweep; returns every artifact name."""
     saved = fan_out([
         functools.partial(_fit_job, dataset, tcfg, key, os.path.join(outdir, name + ".json"))
         for dataset, key, name in fits
     ], fork=True)
-    files = {name: names for (_, _, name), names in zip(fits, saved)}
-    artifacts = [f for names in saved for f in names]
-    summaries: list[dict] = []
-    for ds, name, tail, extra in tests:
-        method = _METHODS[ds.kind]
-        mlp = load_model(os.path.join(outdir, files[name][0]))[0]
+    models = {
+        name: load_model(os.path.join(outdir, names[0]))[0]
+        for (_, _, name), names in zip(fits, saved)
+    }
+    runs = [
+        (detector, ds, f"roc_{ds.task}_{detector.name}{tail}.csv", extra)
+        for ds, name, tail, extra in tests
         for detector in (
-            make_score_detector(method, ds.task),
-            make_nn_detector(mlp, ds.task, ds.kind, method + "nn"),
-        ):
-            curve, summary = evaluate_detector(detector, ds)
-            summaries.append({**summary, **extra})
-            artifacts.append(f"roc_{ds.task}_{detector.name}{tail}.csv")
-            roc_to_csv(curve, os.path.join(outdir, artifacts[-1]))
+            make_score_detector(_METHODS[ds.kind], ds.task),
+            make_nn_detector(models[name], ds.task, ds.kind, _METHODS[ds.kind] + "nn"),
+        )
+    ]
+    return [f for names in saved for f in names] + _roc_sweep(outdir, runs, extra_cols)
+
+
+def _roc_sweep(outdir, runs: list, extra_cols=(), oracle_nd: bool = True) -> list[str]:
+    """Evaluate each (detector, dataset, ROC file name, extra columns) of
+    ``runs`` in order and write its ROC curve under that name, then
+    aucs.csv: one summary row per run, ``extra_cols`` after the summary
+    columns.  Returns the file names, aucs.csv last."""
+    summaries = []
+    for detector, dataset, name, extra in runs:
+        curve, summary = evaluate_detector(detector, dataset, oracle_nd=oracle_nd)
+        roc_to_csv(curve, os.path.join(outdir, name))
+        summaries.append({**summary, **extra})
     auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"), extra_cols)
-    return artifacts + ["aucs.csv"]
+    return [name for _, _, name, _ in runs] + ["aucs.csv"]
 
 
 def _test_budget(scale: float) -> Budget:
@@ -1109,23 +1133,16 @@ def run_train_gossip(cfg: dict, outdir) -> dict:
 def run_eval_roc(cfg: dict, outdir) -> dict:
     """ROC curves of the configured detectors on test CSVs, and aucs.csv."""
     datasets: dict[str, object] = {}
-    detectors = []
+    runs = []
     for det in cfg["detectors"]:
         kind = DETECTOR_KINDS[det]
         if kind not in datasets:
-            path = cfg[f"{kind}_data"]
-            if path is None:
-                raise ConfigError(
-                    f"detector {det!r} needs --set {kind}_data=PATH (a gen-data CSV)"
-                )
-            datasets[kind] = _load_dataset(path, cfg, expected_kind=kind)
+            datasets[kind] = _load_dataset(cfg[f"{kind}_data"], cfg, expected_kind=kind)
         dataset = datasets[kind]
         if det in ("td", "sd"):
             detector = make_score_detector(det, dataset.task)
         else:
             model_path = cfg[f"{det}_model"]
-            if model_path is None:
-                raise ConfigError(f"detector {det!r} needs --set {det}_model=PATH")
             if not os.path.exists(model_path):
                 raise FileNotFoundError(
                     f"model file not found: {model_path}; "
@@ -1133,18 +1150,8 @@ def run_eval_roc(cfg: dict, outdir) -> dict:
                 )
             mlp, _ = load_model(model_path)
             detector = make_nn_detector(mlp, dataset.task, kind, det)
-        detectors.append((detector, dataset))
-
-    artifacts, summaries = [], []
-    for detector, dataset in detectors:
-        curve, summary = evaluate_detector(detector, dataset, oracle_nd=cfg["oracle_nd"])
-        name = f"roc_{detector.name}.csv"
-        roc_to_csv(curve, os.path.join(outdir, name))
-        artifacts.append(name)
-        summaries.append(summary)
-
-    auc_table_to_csv(summaries, os.path.join(outdir, "aucs.csv"))
-    return {"artifacts": [*artifacts, "aucs.csv"]}
+        runs.append((detector, dataset, f"roc_{detector.name}.csv", {}))
+    return {"artifacts": _roc_sweep(outdir, runs, oracle_nd=cfg["oracle_nd"])}
 
 
 def read_json(path, error):
@@ -1188,8 +1195,6 @@ def _dataset_meta(path) -> dict:
 def _load_dataset(path, cfg, expected_kind=None):
     """The dataset CSV at ``path``; its task, kind, K and d come from the
     step's config ``cfg`` or else from the gen-data manifest beside it."""
-    if path is None:
-        raise ConfigError("no dataset file configured; pass --set data=PATH")
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"dataset file not found: {path}; produce it with the gen-data subcommand"

@@ -11,13 +11,14 @@ layers, the loss, the backward pass and the update in place.  They call
 numpy's bundled OpenBLAS (``libscipy_openblas64_``, in numpy 2.0 and later
 wheels) for every matrix product exactly as numpy's matmul would, and only
 exp and the two logs of the loss run in numpy, on the step's own buffers,
-so the bits are those of the numpy reference in ``tests/oracles.py``.  A
-``Step`` binds a step's buffers and raw pointers: once per ``train`` or
-``forward`` call, and once per gossip run, whose ``sgd_step`` calls take
-that step.  The OpenBLAS runs on one thread, set when the package is
-imported, so trained bits do not depend on the BLAS thread count.  Where
-numpy has no bundled OpenBLAS, the first fit or forward pass raises a
-RuntimeError that names the missing library or symbol.
+so the bits are those of the numpy reference in ``tests/oracles.py``.  The
+step reads C-contiguous float64 rows, copied so where need be.  A ``Step``
+binds a step's buffers and raw pointers: once per ``train`` or ``forward``
+call, and once per gossip run, whose ``sgd_step`` calls take that step.
+The OpenBLAS runs on one thread, set when the package is imported, so
+trained bits do not depend on the BLAS thread count.  Where numpy has no
+bundled OpenBLAS, the first fit or forward pass raises a RuntimeError that
+names the missing library or symbol.
 """
 
 from __future__ import annotations
@@ -133,9 +134,9 @@ class _Net(ctypes.Structure):
 
 class Step:
     """The compiled forward pass and, with ``training``, SGD step for
-    networks of layer ``sizes``, on batches of up to ``cap`` rows.  The work
-    buffers and the raw pointers to them are bound once, so a step is three
-    ctypes calls and the three numpy calls exp, log and log; the parameters
+    networks of layer ``sizes``, on up to ``cap`` C-contiguous float64 rows.
+    The work buffers and their raw pointers are bound once, so a step is
+    three ctypes calls and the numpy calls exp, log and log; the parameters
     are those of the network at hand, passed by address."""
 
     def __init__(self, sizes: tuple[int, ...], cap: int, training: bool):
@@ -159,30 +160,30 @@ class Step:
         )
         self.ref = ctypes.addressof(self.net)
 
-    def forward(self, params: int, X: np.ndarray, ldx: int) -> np.ndarray:
-        """Output probabilities (rows, out) of X, whose rows lie ldx apart;
-        a view of this step's buffer."""
+    def forward(self, params: int, X: np.ndarray) -> np.ndarray:
+        """Output probabilities (rows, out) of X, whose rows are C-contiguous
+        float64; a view of this step's buffer."""
         rows = X.shape[0]
         e = self.buf["e"][: rows * self.out]
-        self.c_forward(self.ref, params, X.ctypes.data, ldx, rows)
+        self.c_forward(self.ref, params, X.ctypes.data, rows)
         np.exp(e, out=e)
         self.c_output(self.ref, rows, 0)
         return self.buf["p"][: rows * self.out].reshape(rows, self.out)
 
-    def sgd(self, params: int, x: int, ldx: int, y: int, mask: int | None, rows: int,
+    def sgd(self, params: int, x: int, y: int, mask: int | None, rows: int,
             eta: float) -> float:
         """One step in place on the parameters at address params, on the
-        rows at address x (ldx apart), with labels and mask weights (or
-        None) at addresses y and mask, rows x out each.  Returns the batch
-        loss before the update."""
+        C-contiguous float64 rows at address x, with labels and mask weights
+        (or None) at addresses y and mask, rows x out each.  Returns the
+        batch loss before the update."""
         n = rows * self.out
         e, lp, lq = (self.buf[k][:n] for k in ("e", "lp", "lq"))
-        self.c_forward(self.ref, params, x, ldx, rows)
+        self.c_forward(self.ref, params, x, rows)
         np.exp(e, out=e)
         self.c_output(self.ref, rows, 1)
         np.log(lp, out=lp)
         np.log(lq, out=lq)
-        if self.c_backward(self.ref, params, x, ldx, y, mask, rows, eta):
+        if self.c_backward(self.ref, params, x, y, mask, rows, eta):
             raise ValueError("every row needs at least one unmasked output slot")
         return self.net.loss
 
@@ -195,18 +196,13 @@ def _params(mlp: Mlp) -> int:
     return params.ctypes.data
 
 
-def _inputs(mlp: Mlp, x) -> tuple[np.ndarray, int]:
-    """x as a float64 (rows, M) array and the element distance between its
-    rows: adjacent columns, rows a whole row or more apart (other layouts
-    are copied), as the C step reads them."""
+def _inputs(mlp: Mlp, x) -> np.ndarray:
+    """x as an aligned, C-contiguous float64 (rows, M) array, the one input
+    layout the compiled step reads; other layouts are copied."""
     X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if X.ndim != 2 or X.shape[1] != mlp.sizes[0]:
         raise ValueError(f"inputs of shape {X.shape} for a network of {mlp.sizes[0]} inputs")
-    row, col = X.strides
-    rows_apart = X.shape[0] < 2 or (row % 8 == 0 and row >= 8 * X.shape[1])
-    if not (col == 8 and rows_apart and X.flags.aligned):
-        X = X.copy()
-    return X, X.strides[0] // 8 if X.shape[0] > 1 else mlp.sizes[0]
+    return np.require(X, requirements=["C", "A"])
 
 
 def _targets(mlp: Mlp, rows: int, Y, mask):
@@ -218,9 +214,9 @@ def _targets(mlp: Mlp, rows: int, Y, mask):
 
 def forward(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     """Network output for one input (M,) or a batch (B, M)."""
-    X, ldx = _inputs(mlp, x)
+    X = _inputs(mlp, x)
     params = np.ascontiguousarray(mlp.params, dtype=np.float64)
-    out = Step(mlp.sizes, X.shape[0], training=False).forward(params.ctypes.data, X, ldx)
+    out = Step(mlp.sizes, X.shape[0], training=False).forward(params.ctypes.data, X)
     return out[0] if np.ndim(x) == 1 else out
 
 
@@ -229,7 +225,7 @@ def sgd_step(step: Step, mlp: Mlp, X, Y, eta: float, mask=None) -> float:
     ``train``, through the training ``step`` bound for mlp's layer sizes.
     Returns the batch loss before the step.  A batch of more than the
     step's ``cap`` rows, which would overrun its buffers, is a ValueError."""
-    X, ldx = _inputs(mlp, X)
+    X = _inputs(mlp, X)
     rows = X.shape[0]
     if not (step.training and step.sizes == tuple(mlp.sizes) and rows <= step.cap):
         raise ValueError(f"a batch of {rows} rows for layer sizes {list(mlp.sizes)} needs a "
@@ -237,7 +233,7 @@ def sgd_step(step: Step, mlp: Mlp, X, Y, eta: float, mask=None) -> float:
                          f"{list(step.sizes)}, cap {step.cap}, training {step.training}")
     Y, mask = _targets(mlp, rows, Y, mask)
     m = None if mask is None else mask.ctypes.data
-    return step.sgd(_params(mlp), X.ctypes.data, ldx, Y.ctypes.data, m, rows, eta)
+    return step.sgd(_params(mlp), X.ctypes.data, Y.ctypes.data, m, rows, eta)
 
 
 def train(
@@ -257,7 +253,7 @@ def train(
     mean over its unmasked slots, so padded localization slots drop out of
     both the loss and the gradient.
     """
-    X, _ = _inputs(mlp, X)
+    X = _inputs(mlp, X)
     B, M, out, size = X.shape[0], mlp.sizes[0], mlp.sizes[-1], config.batch_size
     Y, mask = _targets(mlp, B, Y, mask)
     step, params = Step(mlp.sizes, min(size, B), training=True), _params(mlp)
@@ -272,7 +268,7 @@ def train(
         for s in range(0, B, size):
             rows = min(B, s + size) - s
             loss = step.sgd(
-                params, x + 8 * s * M, M, y + 8 * s * out,
+                params, x + 8 * s * M, y + 8 * s * out,
                 None if m is None else m + 8 * s * out, rows, config.eta,
             )
             total += loss * rows

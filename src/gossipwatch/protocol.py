@@ -169,11 +169,11 @@ def _compiled_loop():
     # neural's step passes raw addresses, bound once per fit.
     ptr = ctypes.c_void_p
     lib.net_forward.restype = None
-    lib.net_forward.argtypes = [ptr, ptr, ptr, i64, i64]
+    lib.net_forward.argtypes = [ptr, ptr, ptr, i64]
     lib.net_output.restype = None
     lib.net_output.argtypes = [ptr, i64, i64]
     lib.net_backward.restype = i64
-    lib.net_backward.argtypes = [ptr, ptr, ptr, i64, ptr, ptr, i64, f64]
+    lib.net_backward.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, f64]
     return lib
 
 

@@ -163,22 +163,29 @@ def test_ill_typed_set_value_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+_NAME = "a file name: not empty, '.' or '..', and with no path separator"
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [("eta=0", "'train.eta' must be > 0, got 0"),
      ("batch_size=0", "'train.batch_size' must be >= 1, got 0"),
      ("epochs=-1", "'train.epochs' must be >= 0, got -1"),
      ("seed=-1", "'train.seed' must be >= 0, got -1"),
-     ("data=3", "'train.data' expects a JSON string, got 3")],
+     ("data=3", "'train.data' expects a JSON string, got 3"),
+     *((f"name={name}", f"'train.name' must be {_NAME}, got {name!r}")
+       for name in ("../escaped", "", ".", "a/b"))],
 )
 def test_out_of_domain_train_values_are_config_errors(tmp_path, capsys, setting, message):
+    """A bad value fails before any file is written: no --out, and no model
+    file beside it, where a name that climbs out of --out would put one."""
     data = _gen(tmp_path)
     out = tmp_path / "m"
-    rc = cli.main(["train", "--set", f"data={data}/nd_temporal_train.csv", "--set", setting,
-                   "--out", str(out)])
+    rc = cli.main(["train", "--set", f"data={data}/nd_temporal_train.csv", "--set", "epochs=1",
+                   "--set", setting, "--out", str(out)])
     assert rc == 1
     assert f"config error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    assert os.listdir(tmp_path) == ["data"]
 
 
 @pytest.mark.parametrize(
@@ -498,46 +505,24 @@ def test_desk_scale_above_one_fails_before_writing(tmp_path, capsys, argv, messa
 
 
 def test_unconfigured_inputs_are_config_errors(tmp_path, capsys):
-    assert cli.main(["train", "--out", str(tmp_path / "m")]) == 1
-    assert not (tmp_path / "m").exists()
-    assert cli.main(["train-gossip", "--out", str(tmp_path / "g")]) == 1
-    assert not (tmp_path / "g").exists()
+    """An input file a step reads and its config leaves null is a config
+    error naming its field, before --out is made."""
     data = _gen(tmp_path)
-    assert (
-        cli.main(
-            [
-                "eval-roc",
-                "--set", 'detectors=["sd"]',
-                "--out", str(tmp_path / "roc"),
-            ]
-        )
-        == 1
-    )
-    assert not (tmp_path / "roc").exists()
-    assert (
-        cli.main(
-            [
-                "eval-roc",
-                "--set", f"temporal_data={data}/nd_temporal_test.csv",
-                "--set", 'detectors=["zd"]',
-                "--out", str(tmp_path / "roc"),
-            ]
-        )
-        == 1
-    )
-    assert not (tmp_path / "roc").exists()
-    assert (
-        cli.main(
-            [
-                "eval-roc",
-                "--set", f"temporal_data={data}/nd_temporal_test.csv",
-                "--set", 'detectors=["td", "tdnn"]',
-                "--out", str(tmp_path / "roc"),
-            ]
-        )
-        == 1
-    )
-    assert not (tmp_path / "roc").exists()
+    temporal = ["--set", f"temporal_data={data}/nd_temporal_test.csv"]
+    cases = [
+        (["train"], "'train.data' must be set to a file path, got null"),
+        (["train-gossip"], "'train-gossip.data' must be set to a file path, got null"),
+        (["eval-roc", "--set", 'detectors=["sd"]'],
+         "'eval-roc.spatial_data' must be set to a file path for detector 'sd', got null"),
+        (["eval-roc", *temporal, "--set", 'detectors=["zd"]'],
+         "'eval-roc.detectors[0]' must be one of"),
+        (["eval-roc", *temporal, "--set", 'detectors=["td", "tdnn"]'],
+         "'eval-roc.tdnn_model' must be set to a file path for detector 'tdnn', got null"),
+    ]
+    for argv, message in cases:
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_a_failed_run_removes_only_the_out_it_made(tmp_path, capsys):

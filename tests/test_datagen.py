@@ -854,8 +854,8 @@ def test_read_dataset_csv_rejects_malformed_rows(tmp_path):
     ("monitor", "1_0", False), ("slot_0", "1_0", False), ("sample", "\uff11", False),
     ("slot_1", "\uff11", False), ("grp", "1.0", False), ("monitor", "4#", False),
     ("slot_2", "0.5#x", False), ("src_3", "3#", False), ("src_0", " 1", True),
-    ("pad_0", "+1", True), ("slot_3", " +1.5", True), ("self_value", "nan", True),
-    ("slot_0", "-inf", True), ("sample", "99999999999999999999", False),
+    ("pad_0", "+1", True), ("slot_3", " +1.5", True),
+    ("sample", "99999999999999999999", False),
 ])
 def test_read_dataset_csv_reads_odd_cells_as_the_row_validator(
     tmp_path, column, cell, parsed
@@ -885,7 +885,23 @@ def test_read_dataset_csv_reads_odd_cells_as_the_row_validator(
         got = {"self_value": read.self_values[1], "src_0": read.slot_agents[1, 0],
                "pad_0": read.padded[1, 0]}[column]
     want = float(cell) if column.startswith(("slot_", "self")) else int(cell)
-    assert got == want or (np.isnan(got) and np.isnan(want))
+    assert got == want
+
+
+@pytest.mark.parametrize("column", ["self_value", "slot_0", "slot_3"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_read_dataset_csv_names_non_finite_float_cells(tmp_path, column, cell):
+    """A float cell that parses to NaN or an infinity names the file, its
+    line, counting the blank lines that reading skips, and its column."""
+    ds, path = _written_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    parts = lines[3].split(",")
+    parts[header.index(column)] = cell
+    odd = _rewrite(path, lines[:2] + ["", ""] + lines[2:3] + [",".join(parts)] + lines[4:])
+    with pytest.raises(ValueError) as err:
+        read_dataset_csv(odd, ds.task, ds.kind, ds.K, ds.d)
+    assert str(err.value) == f"{odd}:6: column {column!r}: not finite: {cell!r}"
 
 
 def test_read_dataset_csv_rejects_headers_of_another_task(tmp_path):

@@ -206,16 +206,20 @@ def test_train_matches_per_layer_oracle_bitwise(out, masked, rows, batch, nan_ro
     numpy per-layer gradients and updates with one gather per step, on the
     detector network's own layer shapes: full and short last batches,
     single-row batches, and a NaN input row, which numpy's maximum and
-    minimum carry through."""
+    minimum carry through.  Inputs whose rows lie further apart than a row
+    train to the same bytes as their contiguous copy."""
     X, Y, mask = _labeled(rows, out, masked, nan_row)
     cfg = TrainConfig(eta=0.05, batch_size=batch, epochs=3)
-    got, ref = (init_mlp([4, 200, 100, 50, out], seed=5) for _ in range(2))
+    ref = init_mlp([4, 200, 100, 50, out], seed=5)
     with np.errstate(invalid="ignore"):
-        losses = train(got, X, Y, cfg, np.random.default_rng(6), mask)
         expect = oracles.train(ref, X, Y, cfg, np.random.default_rng(6), mask)
-    assert _same_bits(got.params, ref.params)
-    assert _same_bits(losses, expect)
-    assert np.isnan(losses).any() == nan_row
+    for inputs in (X, np.pad(X, ((0, 0), (1, 1)))[:, 1:5]):
+        got = init_mlp([4, 200, 100, 50, out], seed=5)
+        with np.errstate(invalid="ignore"):
+            losses = train(got, inputs, Y, cfg, np.random.default_rng(6), mask)
+        assert _same_bits(got.params, ref.params)
+        assert _same_bits(losses, expect)
+        assert np.isnan(losses).any() == nan_row
 
 
 @pytest.mark.parametrize(
