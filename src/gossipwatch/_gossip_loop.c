@@ -10,8 +10,9 @@
  * and injection target, drawn before its run (phi = theta x* stays in
  * numpy, whose BLAS product the C build does not reproduce).  gossip_loop,
  * one call of run_batch: each instance's draws, then its t = 1..T loop,
- * one instance after another on the calling thread.  Built with
- * -O3 -ffp-contract=off, every expression rounds exactly as the numpy
+ * one instance after another on the calling thread, keeping the time sums
+ * of the agents that run_batch's summed mask names (NaN elsewhere).  Built
+ * with -O3 -ffp-contract=off, every expression rounds exactly as the numpy
  * reference in tests/oracles.py does, operation for operation (no
  * reduction is reassociated and no multiply-add fused), and every draw is
  * PCG64's own output, through numpy's buffered 32-bit and double
@@ -200,48 +201,72 @@ typedef struct {
     int64_t B, n, d, T, width;
     uint64_t *states;
     double *first, *x, *sums, *traj;
-    const uint8_t *flags;
+    const uint8_t *flags, *summed;
     const int64_t *degrees, *nbr_table;
     const double *thetas, *phis, *alphas, *powers, *sched;
     double init_low, init_range, lo, hi;
 } job_t;
 
-/* Instance b: its draws from states row b, then its t = 1..T loop in buf,
- * which holds wake and pull (T entries each), the running state x and sum
- * (n * d each), then xbar and prod (d each).  Its states at t = 0 and
- * t = T and its sum over t = 0..T go to first, x and sums.  Agent i's
- * neighbors are nbr_table[i * width .. i * width + degrees[i]).  An
- * attacker member's noise row is drawn at its event, in (t,
+#define SUM_REGS 10 /* the doubles of a running sum that registers hold */
+
+/* The n agents' d-vectors of src, stored by position, into dst by id. */
+static inline void by_id(double *dst, const double *src, const int64_t *pos, int64_t n, int64_t d)
+{
+    for (int64_t v = 0; v < n; v++)
+        memcpy(dst + v * d, src + pos[v] * d, d * sizeof *dst);
+}
+
+/* Instance b: its draws from states row b, then its t = 1..T loop in buf.
+ * pos (n entries, buf's head) relabels its agents: the S that summed[b]
+ * flags take positions 0..S-1 and the rest follow, each part in id order.
+ * Then buf holds wake and pull (T positions each) and, by position, the
+ * running state x and sum (n * d + SUM_REGS each; x's tail stays calloc's
+ * zeros), thetas (n * d), phis (n), xbar and prod (d each), flags (n
+ * bytes).  The draws keep their stream order, each drawn id mapped to its
+ * position.  The states at t = 0 and t = T and the S agents' sums over
+ * t = 0..T go to first, x and sums by id, the other sums as NaN.  With
+ * regs, the sum covers x's first SUM_REGS doubles, in a local array.
+ * Agent i's neighbors are nbr_table[i * width .. i * width + degrees[i]).
+ * An attacker member's noise row is drawn at its event, in (t,
  * waking-then-pulled) order, which continues the stream where the pair
  * draws end.  Unless traj is NULL, its (B, T + 1, n, d) slice of instance
  * b receives the states of every iteration. */
-static inline __attribute__((always_inline)) void run_instance_d(const job_t *j, int64_t b,
-                                                                 double *buf, const int64_t d)
+static inline __attribute__((always_inline)) void run_instance_d(
+    const job_t *j, int64_t b, int64_t *pos, const int64_t d, const int64_t S, const int regs)
 {
     const int64_t n = j->n, T = j->T, nd = n * d;
-    int64_t *wake = (int64_t *)buf, *pull = wake + T;
-    double *xb = (double *)(pull + T), *sb = xb + nd, *xbar = sb + nd, *prod = xbar + d;
+    int64_t *wake = pos + n, *pull = wake + T;
+    double *xb = (double *)(pull + T), *sb = xb + nd + SUM_REGS, *th = sb + nd + SUM_REGS;
+    double *ph = th + nd, *xbar = ph + n, *prod = xbar + d, acc[SUM_REGS], *sum = regs ? acc : sb;
+    const int64_t span = regs ? SUM_REGS : S * d;
+    uint8_t *fb = (uint8_t *)(prod + d);
     pcg64_t gen = load_pcg64(j->states + b * 6), *g = &gen;
-    const double *ab = j->alphas + b * d, *powers = j->powers, *sched = j->sched;
-    const double *thetas = j->thetas + b * nd, *phis = j->phis + b * n, lo = j->lo, hi = j->hi;
-    const uint8_t *fb = j->flags + b * n;
+    const double *ab = j->alphas + b * d, *powers = j->powers, *sched = j->sched, lo = j->lo;
+    const double hi = j->hi;
     double *tb = j->traj == NULL ? NULL : j->traj + b * (T + 1) * nd;
-    for (int64_t k = 0; k < nd; k++)
-        xb[k] = uniform(g, j->init_low, j->init_range);
+    for (int64_t v = 0; v < n; v++) {
+        fb[pos[v]] = j->flags[b * n + v];
+        ph[pos[v]] = j->phis[b * n + v];
+        memcpy(th + pos[v] * d, j->thetas + (b * n + v) * d, d * sizeof *th);
+        for (int64_t k = 0; k < d; k++)
+            xb[pos[v] * d + k] = uniform(g, j->init_low, j->init_range);
+    }
     for (int64_t v = 0; v < n; v++)
-        if (fb[v])
+        if (fb[pos[v]])
             for (int64_t k = 0; k < d; k++)
-                xb[v * d + k] = ab[k] + 1.0 * uniform(g, -1.0, 2.0);
+                xb[pos[v] * d + k] = ab[k] + 1.0 * uniform(g, -1.0, 2.0);
     for (int64_t t = 0; t < T; t++)
         wake[t] = bounded_uint32(g, (uint32_t)(n - 1));
     for (int64_t t = 0; t < T; t++) {
         const double u = next_double(g);
-        pull[t] = j->nbr_table[wake[t] * j->width + (int64_t)(u * (double)j->degrees[wake[t]])];
+        const int64_t w = wake[t];
+        pull[t] = pos[j->nbr_table[w * j->width + (int64_t)(u * (double)j->degrees[w])]];
+        wake[t] = pos[w];
     }
-    memcpy(j->first + b * nd, xb, nd * sizeof *xb);
-    memcpy(sb, xb, nd * sizeof *xb);
+    by_id(j->first + b * nd, xb, pos, n, d);
+    memcpy(sum, xb, span * sizeof *xb);
     if (tb != NULL)
-        memcpy(tb, xb, nd * sizeof *xb);
+        by_id(tb, xb, pos, n, d);
     for (int64_t t = 1; t <= T; t++) {
         const int64_t pair[2] = {wake[t - 1], pull[t - 1]};
         const double gam = sched[t - 1];
@@ -255,59 +280,72 @@ static inline __attribute__((always_inline)) void run_instance_d(const job_t *j,
                     xv[k] = ab[k] + powers[t] * uniform(g, -1.0, 2.0);
                 continue;
             }
-            const double *th = thetas + v * d;
+            const double *tv = th + v * d;
             for (int64_t k = 0; k < d; k++)
-                prod[k] = th[k] * xbar[k];
-            const double resid = (0.0 + reduce_sum(prod, d)) - phis[v];
+                prod[k] = tv[k] * xbar[k];
+            const double resid = (0.0 + reduce_sum(prod, d)) - ph[v];
             for (int64_t k = 0; k < d; k++) {
-                const double u = xbar[k] - gam * (2.0 * th[k] * resid);
+                const double u = xbar[k] - gam * (2.0 * tv[k] * resid);
                 xv[k] = u < lo ? lo : (u > hi ? hi : u);
             }
         }
-        for (int64_t k = 0; k < nd; k++)
-            sb[k] += xb[k];
+        for (int64_t k = 0; k < span; k++)
+            sum[k] += xb[k];
         if (tb != NULL)
-            memcpy(tb + t * nd, xb, nd * sizeof *xb);
+            by_id(tb + t * nd, xb, pos, n, d);
     }
-    memcpy(j->x + b * nd, xb, nd * sizeof *xb);
-    memcpy(j->sums + b * nd, sb, nd * sizeof *sb);
+    if (regs)
+        memcpy(sb, acc, sizeof acc);
+    for (int64_t k = S * d; k < nd; k++)
+        sb[k] = NAN;
+    by_id(j->x + b * nd, xb, pos, n, d);
+    by_id(j->sums + b * nd, sb, pos, n, d);
     store_pcg64(j->states + b * 6, g);
 }
 
-/* run_instance_d inlined with d = 1 and d = 2 as constants, so that the
- * compiler unrolls the d loops and vectorizes the n * d running-sum update. */
-static void run_instance(const job_t *j, int64_t b, double *buf)
+/* Instance b's positions into pos, then run_instance_d inlined with d = 1
+ * and d = 2 as constants, so that the compiler unrolls the d loops, and
+ * with regs, a constant there too, where the kept sums fit SUM_REGS. */
+static void run_instance(const job_t *j, int64_t b, int64_t *pos)
 {
-    if (j->d == 1)
-        run_instance_d(j, b, buf, 1);
-    else if (j->d == 2)
-        run_instance_d(j, b, buf, 2);
+    const int64_t n = j->n, d = j->d;
+    int64_t S = 0;
+    for (int64_t v = 0; v < n; v++)
+        S += j->summed[b * n + v] != 0;
+    for (int64_t v = 0, in = 0, out = S; v < n; v++)
+        pos[v] = j->summed[b * n + v] ? in++ : out++;
+    const int regs = S * d <= SUM_REGS;
+    if (d == 1)
+        regs ? run_instance_d(j, b, pos, 1, S, 1) : run_instance_d(j, b, pos, 1, S, 0);
+    else if (d == 2)
+        regs ? run_instance_d(j, b, pos, 2, S, 1) : run_instance_d(j, b, pos, 2, S, 0);
     else
-        run_instance_d(j, b, buf, j->d);
+        run_instance_d(j, b, pos, d, S, regs);
 }
 
 /* Every instance, one after another, in the one work buffer buf.  Kept out
  * of line: inlined into gossip_loop, the loop ran 12% or more slower per
  * pair update (one CPU of a 2-vCPU x86-64 host). */
-static __attribute__((noinline)) void run_instances(const job_t *j, double *buf)
+static __attribute__((noinline)) void run_instances(const job_t *j, int64_t *buf)
 {
     for (int64_t b = 0; b < j->B; b++)
         run_instance(j, b, buf);
 }
 
-/* states (B, 6) holds each instance's PCG64, advanced in place.  See
- * run_instance for the arrays.  Returns 0, or -1 when out of memory. */
+/* states (B, 6) holds each instance's PCG64, advanced in place; summed (B,
+ * n) flags the agents whose sums are kept.  See run_instance_d for the
+ * arrays.  Returns 0, or -1 when out of memory. */
 int gossip_loop(int64_t B, int64_t n, int64_t d, int64_t T, uint64_t *states, double *first,
-                double *x, double *sums, const uint8_t *flags, const int64_t *degrees,
-                const int64_t *nbr_table, int64_t width, const double *thetas,
-                const double *phis, const double *alphas, const double *powers,
-                const double *sched, double init_low, double init_high, double lo, double hi,
-                double *traj)
+                double *x, double *sums, const uint8_t *flags, const uint8_t *summed,
+                const int64_t *degrees, const int64_t *nbr_table, int64_t width,
+                const double *thetas, const double *phis, const double *alphas,
+                const double *powers, const double *sched, double init_low, double init_high,
+                double lo, double hi, double *traj)
 {
-    const job_t job = {B, n, d, T, width, states, first, x, sums, traj, flags, degrees,
+    const job_t job = {B, n, d, T, width, states, first, x, sums, traj, flags, summed, degrees,
                        nbr_table, thetas, phis, alphas, powers, sched,
                        init_low, init_high - init_low, lo, hi};
-    double *buf = malloc((2 * T + 2 * n * d + 2 * d) * sizeof *buf);
+    int64_t *buf = calloc(2 * T + 3 * n + 3 * n * d + 2 * d + 2 * SUM_REGS, sizeof *buf);
     if (buf == NULL)
         return -1;
     run_instances(&job, buf);

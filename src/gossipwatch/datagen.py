@@ -48,6 +48,7 @@ BETA_LAWS = {
 EVENT_H0 = "h0"
 EVENT_NEXT = "next-to"
 EVENT_FAR = "far-from"
+EVENTS = (EVENT_H0, EVENT_NEXT, EVENT_FAR)  # the events a dataset row can have
 
 _SPLIT_CODES = {"train": 0, "test": 1}
 _EVENT_CODES = {EVENT_H0: 0, EVENT_NEXT: 1, EVENT_FAR: 2, "nl-" + EVENT_NEXT: 3}
@@ -55,17 +56,18 @@ _EVENT_CODES = {EVENT_H0: 0, EVENT_NEXT: 1, EVENT_FAR: 2, "nl-" + EVENT_NEXT: 3}
 # Placements _draw_rows draws for a row before it gives up.
 PLACEMENT_TRIES = 100
 
-# The cost of build_datasets in pair updates of one CPU, each about 18 ns at
-# d = 2 and 15 ns at d = 1 (one thread of a 2-vCPU x86-64 host): a row's
+# The cost of build_datasets in pair updates of one CPU, each about 14 ns at
+# d = 2 and 13 ns at d = 1 on the 3x3 torus, summing the monitor's closed
+# neighborhood only (one thread of a 2-vCPU x86-64 host): a row's
 # monitor draw, placement, seeding and features cost about _ROW_WORK, and
 # each of its instances its T pair updates plus _INSTANCE_WORK for its
-# seeding and problem draw.  A build of _FAN_OUT_WORK (about 45 ms) or more
+# seeding and problem draw.  A build of _FAN_OUT_WORK (about 35 ms) or more
 # runs its chunks on forked workers.  Below it the workers' start-up, about
 # 10 ms each, and the pickled columns they send back are a share of the
 # build that the other CPUs are not shown to win back.  On that host a
-# chunk spends 3-7 us a row outside run_batch at K = 1 to 5 (150 to 400
+# chunk spends 3-7 us a row outside run_batch at K = 1 to 5 (200 to 500
 # pair updates, its instances' seeding and problem draws included), and an
-# instance about 1.2 us beyond its pair updates (about 70).
+# instance about 1.2 us beyond its pair updates (about 85).
 # The constants keep the values they were first given: no benchmark build
 # lies between the warm-up gen-data (about 280,000) and _FAN_OUT_WORK, so
 # no paired run could show a gain from moving them; tests/test_datagen.py
@@ -275,7 +277,12 @@ def _batch_samples(
     flags = np.repeat(attacked, K, axis=0)
     thetas, phis, alphas = draw_problems(n, d, np.repeat(hit, K), rngs)
     lam = scenario.noise_decay() if scenario.m else None
-    stats = run_batch(graph, flags, thetas, phis, alphas, lam, scenario.protocol_config(), rngs)
+    # spatial_scores reads the sums of the monitor and its neighbors only.
+    adjacent = graph.choice_probabilities() > 0
+    closed = np.repeat(adjacent[monitors] | (np.arange(n) == monitors[:, None]), K, axis=0)
+    stats = run_batch(
+        graph, flags, thetas, phis, alphas, lam, scenario.protocol_config(), rngs, summed=closed
+    )
     first, last, sums = (a.reshape(R, K, n, d) for a in (stats.first, stats.last, stats.sums))
 
     # Each output row's slot agents, from the slot layouts of the monitors.
@@ -290,7 +297,7 @@ def _batch_samples(
     groups = np.arange(len(sample)) - (np.cumsum(counts) - counts)[sample]
     slot_agents = np.concatenate(layouts)[(np.cumsum(sizes) - sizes)[at][sample] + groups]
     padded = slot_agents == monitors[sample, None]
-    near = (attacked & (graph.choice_probabilities() > 0)[monitors]).any(axis=1)
+    near = (attacked & adjacent[monitors]).any(axis=1)
     events = np.where(hit, np.where(near, EVENT_NEXT, EVENT_FAR), EVENT_H0)
     common = {
         "sample": sample,
@@ -375,7 +382,7 @@ def build_datasets(
     budget: Budget,
     master_seed: int,
     tasks: tuple[str, ...] = ("nd", "nl"),
-    events: tuple[str, ...] = (EVENT_H0, EVENT_NEXT, EVENT_FAR),
+    events: tuple[str, ...] = EVENTS,
     chunk: int = 256,
 ) -> dict[int, dict[str, DatasetPair]]:
     """Build train and test datasets of the scenario family for every K in
@@ -452,7 +459,7 @@ def build_dataset(
     budget: Budget,
     master_seed: int,
     tasks: tuple[str, ...] = ("nd", "nl"),
-    events: tuple[str, ...] = (EVENT_H0, EVENT_NEXT, EVENT_FAR),
+    events: tuple[str, ...] = EVENTS,
     chunk: int = 256,
 ) -> dict[str, DatasetPair]:
     """build_datasets at one K."""
@@ -659,15 +666,30 @@ def _locate_fault(path, header: list, lines: list, int_at: list, float_at: list)
     raise ValueError(f"{path}: np.loadtxt refused the file at no line")
 
 
+def _refuse_cells(path, lines: list, bad: np.ndarray, names: list, at: list, what: list):
+    """Raise the ValueError naming the file, the line and the column of the
+    first True cell of ``bad`` (rows x columns, of the non-blank lines), in
+    file order: the column is names[i], at field at[i] of its line, and
+    what[i] says what is wrong with it.  Blank lines count as lines."""
+    hits = np.argwhere(bad)
+    if hits.size:
+        row, i = hits[0]
+        no = [no for no, line in enumerate(lines, 2) if line.strip()][row]
+        cell = lines[no - 2].rstrip("\n").split(",")[at[i]]
+        raise ValueError(f"{path}:{no}: column {names[i]!r}: {what[i]}: {cell!r}")
+
+
 def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDataset:
     """Read a file written by write_dataset_csv.
 
     A header that lacks a column of the task or disagrees on the slot, pad
-    and src counts, a ragged row, a non-numeric cell and a float cell that
-    is not finite each raise a ValueError naming the file, the line and the
-    column.  The numeric cells are read by np.loadtxt alone; where it
-    refuses a file, _locate_fault checks it again line by line with the
-    same call to name the cell at fault.
+    and src counts, a ragged row, a non-numeric cell, a float cell that is
+    not finite, a negative sample, grp, monitor or src cell, a pad or label
+    cell other than 0 or 1 and an event other than h0, next-to and far-from
+    each raise a ValueError naming the file, the line and the column.  The
+    numeric cells are read by np.loadtxt alone; where it refuses a file,
+    _locate_fault checks it again line by line with the same call to name
+    the cell at fault.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -695,14 +717,16 @@ def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDatas
         ints, floats, events = _loaded_rows(header, lines, int_at, float_at, col["event"])
     except ValueError:
         _locate_fault(path, header, lines, int_at, float_at)
+    events = np.array(events, dtype=str)
     ints = np.array(ints, dtype=np.int64).reshape(len(events), len(int_cols))
     floats = np.array(floats, dtype=np.float64).reshape(len(events), len(float_cols))
-    bad = np.argwhere(~np.isfinite(floats))
-    if bad.size:  # the first, in file order; blank lines count as lines
-        row, i = bad[0]
-        no = [no for no, line in enumerate(lines, 2) if line.strip()][row]
-        cell = lines[no - 2].rstrip("\n").split(",")[float_at[i]]
-        raise ValueError(f"{path}:{no}: column {float_cols[i]!r}: not finite: {cell!r}")
+    _refuse_cells(path, lines, ~np.isfinite(floats), float_cols, float_at,
+                  ["not finite"] * len(float_cols))
+    binary = np.array([c in label_cols or c.startswith("pad_") for c in int_cols])
+    _refuse_cells(path, lines, (ints < 0) | (binary & (ints > 1)), int_cols, int_at,
+                  ["not 0 or 1" if b else "negative" for b in binary])
+    _refuse_cells(path, lines, ~np.isin(events, EVENTS)[:, None], ["event"], [col["event"]],
+                  [f"not one of {', '.join(EVENTS)}"])
     at = 3 + len(label_cols)
     labels = ints[:, 3] if task == "nd" else ints[:, 3:at]
     padded, slot_agents = ints[:, at : at + M] == 1, ints[:, at + M :]
@@ -714,7 +738,7 @@ def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDatas
         padded=padded,
         self_values=selfs.copy(),
         labels=labels.copy(),
-        events=np.array(events, dtype=str),
+        events=events,
         monitors=ints[:, 2].copy(),
         sample_ids=ints[:, 0].copy(),
         groups=ints[:, 1].copy(),

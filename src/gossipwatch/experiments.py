@@ -43,6 +43,7 @@ from .datagen import (
     EVENT_FAR,
     EVENT_H0,
     EVENT_NEXT,
+    EVENTS,
     Budget,
     Scenario,
     ShardPolicy,
@@ -87,8 +88,6 @@ from .topology import (
 )
 
 HIDDEN = (200, 100, 50)
-
-_ALL_EVENTS = (EVENT_H0, EVENT_NEXT, EVENT_FAR)
 
 TRAIN_DEFAULTS = {"eta": 0.01, "batch_size": 32, "epochs": 30}
 
@@ -380,7 +379,7 @@ DOMAINS = {
     **dict.fromkeys(("scenario", "train_scenario"), _choice(BETA_LAWS)),
     "task": _choice(("nd", "nl")),
     "kind": _choice(_METHODS),
-    "event": _choice(_ALL_EVENTS),
+    "event": _choice(EVENTS),
     "detector": _choice(DETECTOR_KINDS),
     "scale": ("number", lambda v: v > 0, "> 0"),
     "starved_fraction": ("number", lambda v: 0 < v < 1, "in (0, 1)"),
@@ -851,7 +850,7 @@ def run_degree_tailor(cfg: dict, outdir) -> dict:
         _Variant(
             f"_p{p}", {"p": p},
             scenario_from_tag(tag, cut, d=d, M=graph.max_degree(), monitor=cfg["monitor"]),
-            1, _ALL_EVENTS,
+            1, EVENTS,
         )
         for p, cut in enumerate(cuts)
     ]
@@ -872,7 +871,7 @@ def run_mismatch(cfg: dict, outdir) -> dict:
     variants = [
         _Variant(
             "_K{K}_" + tag, {"scenario": tag},
-            scenario_from_tag(tag, graph, d=d), 1000, _ALL_EVENTS,
+            scenario_from_tag(tag, graph, d=d), 1000, EVENTS,
         )
         for tag in cfg["test_scenarios"]
     ]
@@ -999,7 +998,7 @@ def _gossip_case2(cfg, case, agents, outdir):
     )
     probes = {"next": next_group[0], "far": far_group[0]}
     test, _, iso, learners, metrics = case(
-        policy, offset=500, key=31, events=_ALL_EVENTS, isolated=list(probes.values())
+        policy, offset=500, key=31, events=EVENTS, isolated=list(probes.values())
     )
 
     subsets = {

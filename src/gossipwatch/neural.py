@@ -315,9 +315,11 @@ def save_model(mlp: Mlp, path, meta: dict | None = None) -> list[str]:
 def load_model(path) -> tuple[Mlp, dict]:
     """Read a model written by save_model.
 
-    A header that is not JSON or lacks a field, and a blob that is missing
-    or does not fit the layer sizes, each raise a ValueError naming the file
-    and the field.
+    A header that is not JSON, lacks a field, names an activation other
+    than relu (hidden) and sigmoid (output) or a parameter count other than
+    its layer sizes', and a blob that is missing, does not fit the layer
+    sizes or holds a weight that is not finite, each raise a ValueError
+    naming the file and the field.
     """
     with open(path) as fh:
         try:
@@ -332,13 +334,22 @@ def load_model(path) -> tuple[Mlp, dict]:
     sizes = header["sizes"]
     if not (
         isinstance(sizes, list) and len(sizes) >= 2
-        and all(isinstance(s, int) and s >= 1 for s in sizes)
+        and all(type(s) is int and s >= 1 for s in sizes)
     ):
         raise ValueError(f"{path}: field 'sizes': not a list of layer widths: {sizes!r}")
+    need = {"hidden_activation": "relu", "output_activation": "sigmoid", "params": _n_params(sizes)}
+    for name, value in need.items():
+        if name not in header:
+            raise ValueError(f"{path}: field {name!r}: missing from the model header")
+        if type(header[name]) is not type(value) or header[name] != value:
+            raise ValueError(f"{path}: field {name!r}: must be {value!r}, got {header[name]!r}")
     blob_path = os.path.join(os.path.dirname(str(path)), str(header["blob"]))
     try:
         with open(blob_path, "rb") as fh:
             mlp = mlp_from_blob(sizes, fh.read())
+        bad = np.flatnonzero(~np.isfinite(mlp.params))
+        if bad.size:
+            raise ValueError(f"parameter {bad[0]} is not finite: {float(mlp.params[bad[0]])!r}")
     except FileNotFoundError:
         raise ValueError(f"{blob_path}: field 'blob' of {path}: file not found") from None
     except ValueError as err:

@@ -151,7 +151,7 @@ def _compiled_loop():
     lib.gossip_loop.restype = ctypes.c_int
     lib.gossip_loop.argtypes = [
         i64, i64, i64, i64, arr(np.uint64),
-        arr(np.float64), arr(np.float64), arr(np.float64), arr(np.uint8),
+        arr(np.float64), arr(np.float64), arr(np.float64), arr(np.uint8), arr(np.uint8),
         arr(np.int64), arr(np.int64), i64,
         arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64), arr(np.float64),
         f64, f64, f64, f64, ctypes.c_void_p,  # the trajectory's address, or None for NULL
@@ -257,6 +257,7 @@ def run_batch(
     config: ProtocolConfig,
     rngs: np.ndarray,
     trajectory: bool = False,
+    summed: np.ndarray | None = None,
 ) -> BatchStats:
     """Runner for B instances on a shared graph, in the compiled loop of
     _gossip_loop.c.
@@ -268,7 +269,10 @@ def run_batch(
     draws from it in the frozen stream order that the numpy reference in
     tests/oracles.py writes out, and advances it in place to the state that
     order leaves numpy's generator in.  With ``trajectory``, the states of
-    every iteration t = 0..T are kept as BatchStats.trajectory.
+    every iteration t = 0..T are kept as BatchStats.trajectory.  summed, a
+    (B, n) bool mask, names the agents whose time sums are kept (None keeps
+    every agent's); BatchStats.sums is NaN at the others, and the kept sums
+    have the bits of a run that keeps them all.
 
     Only the two agents of the sampled pair change state at an iteration.
     Trustworthy members move to the projected subgradient step from the pair
@@ -282,6 +286,10 @@ def run_batch(
     n, d, T = graph.n, config.d, config.T
     if flags.shape != (B, n) or thetas.shape != (B, n, d) or phis.shape != (B, n):
         raise ValueError("batch array shapes are inconsistent")
+    if summed is None:
+        summed = np.ones((B, n), bool)
+    elif not (isinstance(summed, np.ndarray) and summed.dtype == bool and summed.shape == (B, n)):
+        raise ValueError(f"summed must be a (B, n) = {(B, n)} bool array")
     if flags.any():
         if alphas is None or lambda_hat is None:
             raise ValueError("attackers present but alphas/lambda_hat missing")
@@ -298,7 +306,7 @@ def run_batch(
     traj = np.empty((B, T + 1, n, d)) if trajectory else None
     first, last, sums = (np.empty((B, n, d)) for _ in range(3))
     status = _compiled_loop().gossip_loop(
-        B, n, d, T, rngs, first, last, sums, flags,
+        B, n, d, T, rngs, first, last, sums, flags, np.ascontiguousarray(summed).view(np.uint8),
         graph.degrees, graph.nbr_table, graph.nbr_table.shape[1],
         thetas, phis, alphas, powers, stepsizes(T),
         float(config.init_low), float(config.init_high), BOX_LO, BOX_HI,

@@ -328,13 +328,15 @@ def pcg64_row(rng: np.random.Generator) -> np.ndarray:
 
 
 def numpy_run_batch(
-    graph, flags, thetas, phis, alphas, lambda_hat, config, rngs, trajectory=False
+    graph, flags, thetas, phis, alphas, lambda_hat, config, rngs, trajectory=False,
+    summed=None,
 ) -> BatchStats:
     """protocol.run_batch in numpy: the draws of _draw_instance_randomness
     per instance, then _numpy_loop over the whole batch.  The same arguments,
     except that rngs are numpy generators, not PCG64 states rows; the same
     BatchStats and bits, and each generator left in the state that run_batch
-    leaves its row in (compare with pcg64_row)."""
+    leaves its row in (compare with pcg64_row).  Every agent is summed, and
+    the sums that the (B, n) bool mask summed does not keep are then NaN."""
     B = len(rngs)
     n, d, T = graph.n, config.d, config.T
     flags = np.ascontiguousarray(flags, dtype=np.uint8)
@@ -369,6 +371,8 @@ def numpy_run_batch(
         np.asarray(phis, dtype=np.float64), alphas, powers, noise, start,
         stepsizes(T), BOX_LO, BOX_HI, traj,
     )
+    if summed is not None:
+        sums[~summed] = np.nan
     return BatchStats(first=first, last=x, sums=sums, trajectory=traj)
 
 

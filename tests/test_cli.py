@@ -60,6 +60,15 @@ def test_missing_model_names_the_producer(tmp_path, capsys):
     assert "train subcommand" in capsys.readouterr().err
 
 
+def _trained_tdnn(tmp_path, data):
+    rc = cli.main([
+        "train", "--set", f"data={data}/nd_temporal_train.csv", "--set", "epochs=1",
+        "--set", "name=tdnn", "--out", str(tmp_path / "m"),
+    ])
+    assert rc == 0
+    return tmp_path / "m" / "tdnn.json"
+
+
 def test_bad_model_files_name_the_file_and_field(tmp_path, capsys):
     data = _gen(tmp_path)
 
@@ -79,18 +88,53 @@ def test_bad_model_files_name_the_file_and_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "manifest.json: field 'sizes': missing" in err
 
-    rc = cli.main(
-        [
-            "train", "--set", f"data={data}/nd_temporal_train.csv",
-            "--set", "epochs=1", "--set", "name=tdnn", "--out", str(tmp_path / "m"),
-        ]
-    )
-    assert rc == 0
-    blob = tmp_path / "m" / "tdnn.json.bin"
-    blob.write_bytes(blob.read_bytes()[:-5])
-    assert eval_with(tmp_path / "m" / "tdnn.json") == 2
+    model = _trained_tdnn(tmp_path, data)
+    header, blob = model.read_text(), model.with_name("tdnn.json.bin")
+    body = blob.read_bytes()
+    blob.write_bytes(body[:-5])
+    assert eval_with(model) == 2
     err = capsys.readouterr().err
     assert "tdnn.json.bin: field 'blob' of" in err and "bytes" in err
+
+    # a header that names another network, and a NaN first weight
+    blob.write_bytes(body)
+    for field, value, what in (
+        ("hidden_activation", "tanh", "must be 'relu', got 'tanh'"),
+        ("params", 3, "must be"),
+    ):
+        model.write_text(json.dumps({**json.loads(header), field: value}))
+        assert eval_with(model) == 2
+        assert f"{model}: field {field!r}: {what}" in capsys.readouterr().err
+    model.write_text(header)
+    blob.write_bytes(b"\x00\x00\x00\x00\x00\x00\xf8\x7f" + body[8:])
+    assert eval_with(model) == 2
+    err = capsys.readouterr().err
+    assert f"{blob}: field 'blob' of {model}: parameter 0 is not finite: nan" in err
+    assert not (tmp_path / "roc").exists()
+
+
+@pytest.mark.parametrize("column, cell, what", [
+    ("monitor", "-3", "negative"), ("event", "abc", "not one of h0, next-to, far-from"),
+    ("pad_0", "7", "not 0 or 1"), ("src_1", "-1", "negative"), ("sample", "-5", "negative"),
+])
+def test_dataset_cells_outside_their_domain_exit_2(tmp_path, capsys, column, cell, what):
+    """eval-roc with td and tdnn refuses a test dataset with one int or
+    event cell outside its domain, naming the file, the line and the
+    column, and writes no --out."""
+    data = _gen(tmp_path)
+    model = _trained_tdnn(tmp_path, data)
+    path = data / "nd_temporal_test.csv"
+    lines = path.read_text().splitlines()
+    parts = lines[1].split(",")
+    parts[lines[0].split(",").index(column)] = cell
+    path.write_text("\n".join([lines[0], ",".join(parts), *lines[2:]]) + "\n")
+    rc = cli.main([
+        "eval-roc", "--set", f"temporal_data={path}", "--set", 'detectors=["td", "tdnn"]',
+        "--set", f"tdnn_model={model}", "--out", str(tmp_path / "roc"),
+    ])
+    assert rc == 2
+    assert f"{path}:2: column {column!r}: {what}: {cell!r}" in capsys.readouterr().err
+    assert not (tmp_path / "roc").exists()
 
 
 def test_unknown_task_writes_nothing(tmp_path, capsys):

@@ -241,15 +241,38 @@ def _sample(scn, seed):
     attackers its instances were simulated with."""
     simulated = []
 
-    def spy(graph, flags, *args):
+    def spy(graph, flags, *args, **kwargs):
         simulated.append(tuple(int(a) for a in np.flatnonzero(flags[0])))
-        return protocol.run_batch(graph, flags, *args)
+        return protocol.run_batch(graph, flags, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(datagen, "run_batch", spy)
         words = np.array([protocol.entropy_words(seed)], np.uint32)
         cols = _batch_samples(replace(scn, monitor=4), words, (1,))
     return cols[1], simulated[0]
+
+
+def test_batch_samples_sum_only_each_monitors_closed_neighborhood(monkeypatch):
+    """A chunk asks run_batch for the time sums of each row's monitor and its
+    neighbors alone, for each of the row's K instances: the only sums that
+    the spatial scores read."""
+    masks, run_batch = [], datagen.run_batch
+
+    def spy(*args, summed=None, **kwargs):
+        masks.append(summed)
+        return run_batch(*args, summed=summed, **kwargs)
+
+    monkeypatch.setattr(datagen, "run_batch", spy)
+    scn, K = _scenario(), 3
+    words = np.array([protocol.entropy_words(s) for s in range(8)], np.uint32)
+    cols = _batch_samples(scn, words, (K,))[K]
+    monitors = np.empty(8, np.int64)
+    monitors[cols["sample"]] = cols["monitors"]
+    closed = np.zeros((8, scn.graph.n), bool)
+    for r, m in enumerate(monitors):
+        closed[r, [m, *scn.graph.neighbors[m]]] = True
+    assert len(set(monitors.tolist())) > 1
+    assert np.array_equal(masks[0], np.repeat(closed, K, axis=0))
 
 
 def test_batch_samples_labels_and_determinism():
@@ -902,6 +925,40 @@ def test_read_dataset_csv_names_non_finite_float_cells(tmp_path, column, cell):
     with pytest.raises(ValueError) as err:
         read_dataset_csv(odd, ds.task, ds.kind, ds.K, ds.d)
     assert str(err.value) == f"{odd}:6: column {column!r}: not finite: {cell!r}"
+
+
+EVENTS_NAMED = "not one of h0, next-to, far-from"
+
+
+@pytest.mark.parametrize("key, column, cell, what", [
+    ("nd_temporal", "sample", "-5", "negative"),
+    ("nd_temporal", "grp", "-1", "negative"),
+    ("nd_temporal", "monitor", "-3", "negative"),
+    ("nd_temporal", "src_1", "-1", "negative"),
+    ("nd_temporal", "pad_0", "7", "not 0 or 1"),
+    ("nd_temporal", "pad_3", "-1", "not 0 or 1"),
+    ("nd_temporal", "label", "2", "not 0 or 1"),
+    ("nl_spatial", "label_1", "-1", "not 0 or 1"),
+    ("nl_spatial", "src_0", "-2", "negative"),
+    ("nd_temporal", "event", "abc", EVENTS_NAMED),
+    ("nd_temporal", "event", "", EVENTS_NAMED),
+    ("nl_spatial", "event", "nl-next-to", EVENTS_NAMED),
+])
+def test_read_dataset_csv_names_int_and_event_cells_outside_their_domain(
+    tmp_path, key, column, cell, what
+):
+    """sample, grp, monitor and src cells are >= 0, pad and label cells 0 or
+    1, and an event h0, next-to or far-from; any other cell names the file,
+    its line, counting the blank lines that reading skips, and its column."""
+    ds, path = _written_csv(tmp_path, key)
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    parts = lines[3].split(",")
+    parts[header.index(column)] = cell
+    odd = _rewrite(path, lines[:2] + ["", ""] + lines[2:3] + [",".join(parts)] + lines[4:])
+    with pytest.raises(ValueError) as err:
+        read_dataset_csv(odd, ds.task, ds.kind, ds.K, ds.d)
+    assert str(err.value) == f"{odd}:6: column {column!r}: {what}: {cell!r}"
 
 
 def test_read_dataset_csv_rejects_headers_of_another_task(tmp_path):

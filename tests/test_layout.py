@@ -4,18 +4,19 @@ top-level function is passed by some call in the package.  Code that only
 tests use belongs in ``tests/`` (``tests/oracles.py`` holds the reference
 implementations), and every top-level function and class there is used by
 some test.  Every C entry of ``_gossip_loop.c`` is bound with its full
-argument list, that file is the one C source and protocol alone builds it,
-numpy's OpenBLAS is named and opened only in ``neural._blas``, the declared
-numpy floor bundles that library, compiled steps are bound once per fit and
-per gossip run, one module alone forks worker processes, none starts a
-thread, a dataset chunk makes no generator object per row, one function
-formats CSV cells, three open files for writing text, save_model alone
-names a model's files, run_family is the one driver and the CLI only
-parses, and the README's module table lists exactly the package's
-modules."""
+argument list, that file is the one C source, protocol alone builds it and
+it compiles without a warning, numpy's OpenBLAS is named and opened only
+in ``neural._blas``, the declared numpy floor bundles that library,
+compiled steps are bound once per fit and per gossip run, one module alone
+forks worker processes, none starts a thread, a dataset chunk makes no
+generator object per row, one function formats CSV cells, three open files
+for writing text, save_model alone names a model's files, run_family is the
+one driver and the CLI only parses, and the README's module table lists
+exactly the package's modules."""
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -245,6 +246,19 @@ def test_the_kernel_is_built_without_value_changing_flags():
         "-freciprocal-math", "-march=native", "-mtune=native", "-mcpu=native",
     }
     assert not flags & changing, sorted(flags & changing)
+
+
+def test_the_kernel_compiles_without_a_warning():
+    """_gossip_loop.c passes protocol._CC with -Wall -Wextra -Wvla -Werror
+    and -fsyntax-only with no diagnostic: it stays warning-free and holds no
+    variable-length array, which in the gossip loop spilled the frame and
+    cost 65% per pair update (one CPU of a 2-vCPU x86-64 host)."""
+    done = subprocess.run(
+        [*protocol._CC, "-Wall", "-Wextra", "-Wvla", "-Werror", "-fsyntax-only",
+         str(PACKAGE / "_gossip_loop.c")],
+        capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout + done.stderr) == (0, "")
 
 
 def test_only_the_fan_out_module_starts_processes():

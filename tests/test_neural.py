@@ -361,3 +361,48 @@ def test_load_model_errors_name_the_file_and_field(tmp_path):
     bin_path.unlink()
     with pytest.raises(ValueError, match=r"model\.json\.bin: field 'blob' of .*not found"):
         load_model(path)
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("hidden_activation", "tanh", "must be 'relu', got 'tanh'"),
+    ("output_activation", "softmax", "must be 'sigmoid', got 'softmax'"),
+    ("output_activation", None, "must be 'sigmoid', got None"),
+    ("params", 3, "must be 37, got 3"),
+    ("params", 37.0, "must be 37, got 37.0"),
+    ("params", "37", "must be 37, got '37'"),
+    ("hidden_activation", KeyError, "missing from the model header"),
+    ("params", KeyError, "missing from the model header"),
+    ("sizes", [True, 6, 1], "not a list of layer widths: [True, 6, 1]"),
+])
+def test_load_model_requires_the_networks_header_fields(tmp_path, field, value, what):
+    """The header names the network the step runs: integer layer widths,
+    ReLU hidden layers, a sigmoid output and the parameter count of its
+    layer sizes; any other value, or none, names the file and the field."""
+    path = tmp_path / "model.json"
+    save_model(init_mlp([4, 6, 1], seed=1), path)
+    header = json.loads(path.read_text())
+    if value is KeyError:
+        del header[field]
+    else:
+        header[field] = value
+    path.write_text(json.dumps(header))
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: field {field!r}: {what}"
+
+
+@pytest.mark.parametrize("at, value", [(0, np.nan), (36, np.inf), (7, -np.inf)])
+def test_load_model_refuses_a_weight_that_is_not_finite(tmp_path, at, value):
+    """A NaN or infinite parameter in the blob names the blob, its header's
+    field and the parameter."""
+    path = tmp_path / "model.json"
+    save_model(init_mlp([4, 6, 1], seed=1), path)
+    blob = tmp_path / "model.json.bin"
+    params = np.frombuffer(blob.read_bytes(), "<f8").copy()
+    params[at] = value
+    blob.write_bytes(params.tobytes())
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == (
+        f"{blob}: field 'blob' of {path}: parameter {at} is not finite: {float(value)!r}"
+    )

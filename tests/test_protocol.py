@@ -561,6 +561,60 @@ def test_compiled_output_does_not_depend_on_the_thread_count(entropy, B, T):
     assert np.array_equal(states, alone_states)
 
 
+def test_a_summed_mask_keeps_the_bits_of_the_sums_it_flags():
+    """With a summed mask, run_batch returns the flagged agents' sums bit for
+    bit as a run that keeps every sum, NaN at the others, and the same first
+    and last states, trajectory and generator states; so does the numpy
+    reference.  The masks' rows keep every agent, none, the closed
+    neighborhood of agent 4 and random sets, so that both the sum held in
+    registers and the sum in the work buffer run, at d = 1, 2 and 3 (the
+    generic-d path), on the torus and on a small world, at a prime B."""
+    graphs = (manhattan_grid(3, 3), small_world(20, 8, 0.2, np.random.default_rng(5)))
+    B, T = 7, 151
+    for graph, d in itertools.product(graphs, (1, 2, 3)):
+        prng = np.random.default_rng(60 + d)
+        problems = [generate_problem(graph.n, d, prng) for _ in range(B)]
+        alphas = prng.uniform(-0.5, 0.5, size=(B, d))
+        lam = second_largest_eigenvalue(expected_transition_matrix(graph))
+        attacked = np.zeros((B, graph.n), dtype=bool)
+        attacked[1, 4] = True
+        attacked[3, [0, graph.n - 1]] = True
+        mask = prng.random((B, graph.n)) < 0.4
+        mask[0], mask[1], mask[2] = True, False, False
+        mask[2, [4, *graph.neighbors[4]]] = True
+        config = ProtocolConfig(d=d, T=T)
+        for flags, trajectory, runner in itertools.product(
+            (np.zeros_like(attacked), attacked), (False, True), (run_batch, numpy_run_batch)
+        ):
+            hit = bool(flags.any())
+            seeds = [np.random.SeedSequence(300 + b) for b in range(B)]
+            states = [_generators(runner, seeds) for _ in range(2)]
+            full, kept = (
+                runner(graph, flags, np.stack([p.theta for p in problems]),
+                       np.stack([p.phi for p in problems]), alphas if hit else None,
+                       lam if hit else None, config, rngs, trajectory=trajectory, **extra)
+                for rngs, extra in zip(states, ({}, {"summed": mask}))
+            )
+            for name in ("first", "last", "trajectory"):
+                assert np.array_equal(getattr(full, name), getattr(kept, name)), name
+            assert np.array_equal(kept.sums[mask], full.sums[mask])
+            assert np.isnan(kept.sums[~mask]).all()
+            assert not np.isnan(full.sums).any()
+            if runner is run_batch:
+                assert np.array_equal(*states)
+            else:
+                _assert_same_generators(np.stack([pcg64_row(r) for r in states[0]]), states[1])
+
+
+def test_a_summed_mask_of_the_wrong_shape_or_dtype_is_refused():
+    args = _attacked_torus_batch(5, 20)
+    flags = args[1]
+    for bad in (np.ones((5, 10), bool), np.ones((4, 9), bool), np.ones(45, bool),
+                flags.astype(np.uint8), flags.astype(np.float64), flags.tolist()):
+        with pytest.raises(ValueError, match="summed must be a"):
+            run_batch(*args, _states(range(5)), summed=bad)
+
+
 def test_compiled_run_batch_allocates_no_per_step_arrays():
     """The compiled path keeps no (B, T) pair or noise arrays, which at
     B = 256, T = 2000 would take 8 MB for the pairs alone."""
