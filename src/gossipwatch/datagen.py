@@ -679,17 +679,20 @@ def _refuse_cells(path, lines: list, bad: np.ndarray, names: list, at: list, wha
         raise ValueError(f"{path}:{no}: column {names[i]!r}: {what[i]}: {cell!r}")
 
 
-def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDataset:
+def read_dataset_csv(
+    path, task: str, kind: str, K: int, d: int, n: int | None = None
+) -> LabeledDataset:
     """Read a file written by write_dataset_csv.
 
     A header that lacks a column of the task or disagrees on the slot, pad
     and src counts, a ragged row, a non-numeric cell, a float cell that is
-    not finite, a negative sample, grp, monitor or src cell, a pad or label
-    cell other than 0 or 1 and an event other than h0, next-to and far-from
-    each raise a ValueError naming the file, the line and the column.  The
-    numeric cells are read by np.loadtxt alone; where it refuses a file,
-    _locate_fault checks it again line by line with the same call to name
-    the cell at fault.
+    not finite, a negative sample, grp, monitor or src cell, a monitor or
+    src cell of n or more (an agent id outside the graph of n agents, where
+    n is given), a pad or label cell other than 0 or 1 and an event other
+    than h0, next-to and far-from each raise a ValueError naming the file,
+    the line and the column.  The numeric cells are read by np.loadtxt
+    alone; where it refuses a file, _locate_fault checks it again line by
+    line with the same call to name the cell at fault.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -725,6 +728,10 @@ def read_dataset_csv(path, task: str, kind: str, K: int, d: int) -> LabeledDatas
     binary = np.array([c in label_cols or c.startswith("pad_") for c in int_cols])
     _refuse_cells(path, lines, (ints < 0) | (binary & (ints > 1)), int_cols, int_at,
                   ["not 0 or 1" if b else "negative" for b in binary])
+    if n is not None:
+        agent = np.array([c == "monitor" or c.startswith("src_") for c in int_cols])
+        _refuse_cells(path, lines, agent & (ints >= n), int_cols, int_at,
+                      [f"not an agent id in [0, {n})"] * len(int_cols))
     _refuse_cells(path, lines, ~np.isin(events, EVENTS)[:, None], ["event"], [col["event"]],
                   [f"not one of {', '.join(EVENTS)}"])
     at = 3 + len(label_cols)

@@ -16,10 +16,12 @@ Families:
   gossip-learning collaborative training, starved and position-split shards
   small-world     torus-trained detectors on a rewired 20-agent graph
 
-Every ROC family lists the networks it fits and the test sets it scores,
-and hands both lists to one driver, ``_fit_and_test``, which fits the
-networks, sweeps the score and neural detectors over each test set in list
-order and writes the ROC curves and ``aucs.csv``.  multi-attacker,
+Every network starts in ``fit``, which trains one, or in ``_gossip``, which
+runs gossip learning.  Every ROC family lists the networks it fits and the
+test sets it scores, and hands both lists to one driver, ``_fit_and_test``,
+which fits the networks on forked workers (fanout.fan_out) that send them
+back, saves them, sweeps the score and neural detectors over each test set
+in list order and writes the ROC curves and ``aucs.csv``.  multi-attacker,
 degree-tailor, mismatch and small-world differ only in their test
 conditions and build their lists through ``_sweep``.  A ``Scenario`` leaves
 K open: datasets needed at several K for the same rows come from one
@@ -544,21 +546,22 @@ def _rng(*key) -> np.random.Generator:
 
 
 def fit(
-    dataset, config: TrainConfig, rng: np.random.Generator
+    dataset, config: TrainConfig, init, rng: np.random.Generator, rows: np.ndarray | None
 ) -> tuple[Mlp, list[float]]:
-    """Train a fresh [M, 200, 100, 50, out] network on a labeled dataset;
-    returns it with its epoch loss history."""
-    X, Y, mask = training_arrays(dataset)
-    mlp = init_mlp([dataset.M, *HIDDEN, _out_width(dataset)], seed=rng)
+    """The one network fit: a fresh network of _sizes(dataset), its weights
+    drawn from ``init`` (a seed or a Generator), trained on the dataset's
+    ``rows`` (all where None) with epochs shuffled by ``rng``; returns it
+    with its epoch loss history."""
+    X, Y, mask = training_arrays(dataset, rows)
+    mlp = init_mlp(_sizes(dataset), seed=init)
     losses = train(mlp, X, Y, config, rng=rng, mask=mask)
     return mlp, losses
 
 
-def _fit_job(dataset, config: TrainConfig, key: tuple, path) -> list[str]:
-    """One job of _fit_and_test: fit a network on dataset, seeded by
-    _rng(*key), and save it at ``path``, where _fit_and_test reads it back;
-    returns save_model's file names."""
-    return save_model(fit(dataset, config, _rng(*key))[0], path)
+def _sizes(dataset) -> list[int]:
+    """The layer sizes of a detector network: [M, 200, 100, 50, out], one
+    output for detection and one per slot for localization."""
+    return [dataset.M, *HIDDEN, 1 if dataset.task == "nd" else dataset.M]
 
 
 def _fit_key(master: int, K: int, d: int, task: str, kind: str) -> tuple:
@@ -566,28 +569,28 @@ def _fit_key(master: int, K: int, d: int, task: str, kind: str) -> tuple:
     return (master, 11, K, d, task == "nl", kind == "spatial")
 
 
-def _out_width(dataset) -> int:
-    return 1 if dataset.task == "nd" else dataset.M
-
-
 def _fit_and_test(
     fits: list, tests: list, tcfg: TrainConfig, outdir, extra_cols=()
 ) -> list[str]:
-    """Fit and save one network per (dataset, seed key, model name) of
-    ``fits`` with _fit_job, on forked workers (fanout.fan_out), then score
-    each (test set, model name, ROC stem tail, extra columns) of ``tests`` in
-    order: the score detector of the set's feature kind, then the network
-    saved as ``model name``, read back once.  Writes one ROC curve per
-    detector and test, and aucs.csv with ``extra_cols`` after the summary
-    columns, by _roc_sweep; returns every artifact name."""
-    saved = fan_out([
-        functools.partial(_fit_job, dataset, tcfg, key, os.path.join(outdir, name + ".json"))
-        for dataset, key, name in fits
-    ], fork=True)
-    models = {
-        name: load_model(os.path.join(outdir, names[0]))[0]
-        for (_, _, name), names in zip(fits, saved)
-    }
+    """Fit one network per (dataset, seed key, model name) of ``fits`` on
+    forked workers (fanout.fan_out), its weights and epochs both drawn from
+    _rng(*key), and save each as ``model name`` from this process.  Then
+    score each (test set, model name, ROC stem tail, extra columns) of
+    ``tests`` in order: the score detector of the set's feature kind, then
+    the network of that name.  Writes one ROC curve per detector and test,
+    and aucs.csv with ``extra_cols`` after the summary columns, by
+    _roc_sweep; returns every artifact name."""
+    jobs = []
+    for dataset, key, _ in fits:
+        g = _rng(*key)
+        jobs.append(functools.partial(fit, dataset, tcfg, g, g, None))
+    nets = fan_out(jobs, fork=True)
+    models = {name: mlp for (_, _, name), (mlp, _) in zip(fits, nets)}
+    saved = [
+        f
+        for name, mlp in models.items()
+        for f in save_model(mlp, os.path.join(outdir, name + ".json"))
+    ]
     runs = [
         (detector, ds, f"roc_{ds.task}_{detector.name}{tail}.csv", extra)
         for ds, name, tail, extra in tests
@@ -596,7 +599,7 @@ def _fit_and_test(
             make_nn_detector(models[name], ds.task, ds.kind, _METHODS[ds.kind] + "nn"),
         )
     ]
-    return [f for names in saved for f in names] + _roc_sweep(outdir, runs, extra_cols)
+    return saved + _roc_sweep(outdir, runs, extra_cols)
 
 
 def _roc_sweep(outdir, runs: list, extra_cols=(), oracle_nd: bool = True) -> list[str]:
@@ -893,63 +896,10 @@ def run_gossip_learning(cfg: dict, outdir) -> dict:
     attacked rows by attacker position (next-to rows to one agent group,
     far-from rows to the other) and compares position-specialist models
     against collaborative ones on matched and mismatched test subsets.
+    Each case is one _gossip_case.
     """
     graph = manhattan_grid(cfg["rows"], cfg["cols"])
-    tcfg = TrainConfig(**cfg["train"])
-    learner_graph = induced_subgraph(
-        graph, [v for v in range(graph.n) if v != cfg["excluded_agent"]]
-    )
-    agents = tuple(range(learner_graph.n))
-    case = functools.partial(_gossip_case, cfg, graph, learner_graph, tcfg)
-    artifacts = _gossip_case1(cfg, case, agents, outdir)
-    return {"artifacts": artifacts + _gossip_case2(cfg, case, agents, outdir)}
-
-
-def spawn_learners(shards, dataset, agents, key):
-    """One learner per agent on its shard; agent a's network is seeded by
-    _rng(*key, a)."""
-    learners = []
-    for a in agents:
-        X, Y, mask = training_arrays(dataset, shards[a])
-        mlp = init_mlp([dataset.M, *HIDDEN, _out_width(dataset)], seed=_rng(*key, a))
-        learners.append(LearnerState(agent=a, model=mlp, X=X, Y=Y, mask=mask))
-    return learners
-
-
-def _gossip_case(cfg, graph, learner_graph, tcfg, policy, offset, key, events, isolated):
-    """The steps both gossip-learning cases share.
-
-    Builds the spatial detection dataset of ``events``, seeded by master +
-    ``offset``, and shards its training rows by ``policy``.  Spawns one
-    learner per agent, its network initialized by _rng(master, key, a).
-    Fits an isolated network for each agent in ``isolated``, from a copy of
-    its learner's initial network, on its learner's shard, with
-    _rng(master, key + 1, a); then gossips the learners for cfg["rounds"]
-    sync rounds drawn from _rng(master, key + 2).  Returns
-    the test split, the shards, the isolated networks by agent, the learners
-    and the round metrics.
-    """
-    master = cfg["master_seed"]
-    scenario = scenario_from_tag(cfg["scenario"], graph, d=cfg["d"])
-    data = build_dataset(
-        scenario, cfg["K"], Budget.desk(cfg["scale"]), master + offset,
-        tasks=("nd",), events=events,
-    )["nd_spatial"]
-    shards = shard_for_gossip(data.train, policy)
-    learners = spawn_learners(shards, data.train, policy.agents, (master, key))
-    iso = {}
-    for a in isolated:
-        lr = learners[a]
-        iso[a] = Mlp(lr.model.sizes, lr.model.params.copy())
-        train(iso[a], lr.X, lr.Y, tcfg, rng=_rng(master, key + 1, a), mask=lr.mask)
-    metrics = run_gossip_training(
-        learners, learner_graph, cfg["rounds"], _rng(master, key + 2),
-        tcfg.eta, tcfg.batch_size, cfg["mu"], mode="sync",
-    )
-    return data.test, shards, iso, learners, metrics
-
-
-def _gossip_case1(cfg, case, agents, outdir):
+    agents = tuple(range(_learners(cfg)))
     starved = cfg["starved_agent"]
     policy = ShardPolicy(
         kind="starved",
@@ -959,16 +909,17 @@ def _gossip_case1(cfg, case, agents, outdir):
         starved_events=(EVENT_NEXT,),
         seed=cfg["policy_seed"],
     )
-    test, shards, iso, learners, metrics = case(
-        policy, offset=0, key=21, events=(EVENT_H0, EVENT_NEXT), isolated=[starved]
+    test, nets, metrics = _gossip_case(
+        cfg, graph, policy, offset=0, key=21, events=(EVENT_H0, EVENT_NEXT), isolated=[starved]
     )
 
     artifacts = []
     summaries = []
-    for name, mlp in (("isolated", iso[starved]), ("collaborative", learners[starved].model)):
+    shard_rows, isolated, collaborative = nets[starved]
+    for name, mlp in (("isolated", isolated), ("collaborative", collaborative)):
         det = make_nn_detector(mlp, "nd", "spatial", name)
         curve, summary = evaluate_detector(det, test)
-        summaries.append((name, shards[starved].size, summary["auc"]))
+        summaries.append((name, shard_rows, summary["auc"]))
         roc_to_csv(curve, os.path.join(outdir, f"roc_case1_{name}.csv"))
         artifacts.append(f"roc_case1_{name}.csv")
         artifacts += save_model(mlp, os.path.join(outdir, f"model_case1_{name}.json"))
@@ -980,10 +931,7 @@ def _gossip_case1(cfg, case, agents, outdir):
     )
     write_telemetry(os.path.join(outdir, "case1_telemetry.csv"), metrics)
     artifacts += ["case1_report.csv", "case1_telemetry.csv"]
-    return artifacts
 
-
-def _gossip_case2(cfg, case, agents, outdir):
     next_group = tuple(cfg["next_group"])
     far_group = tuple(cfg["far_group"])
     policy = ShardPolicy(
@@ -997,8 +945,8 @@ def _gossip_case2(cfg, case, agents, outdir):
         seed=cfg["policy_seed"],
     )
     probes = {"next": next_group[0], "far": far_group[0]}
-    test, _, iso, learners, metrics = case(
-        policy, offset=500, key=31, events=EVENTS, isolated=list(probes.values())
+    test, nets, metrics = _gossip_case(
+        cfg, graph, policy, offset=500, key=31, events=EVENTS, isolated=list(probes.values())
     )
 
     subsets = {
@@ -1008,7 +956,8 @@ def _gossip_case2(cfg, case, agents, outdir):
 
     rows = []
     for agent in probes.values():
-        for label, mlp in (("independent", iso[agent]), ("collaborative", learners[agent].model)):
+        _, independent, collaborative = nets[agent]
+        for label, mlp in (("independent", independent), ("collaborative", collaborative)):
             det = make_nn_detector(mlp, "nd", "spatial", label)
             for subset_label, subset in subsets.items():
                 _, summary = evaluate_detector(det, subset)
@@ -1020,7 +969,58 @@ def _gossip_case2(cfg, case, agents, outdir):
         list(zip(*rows)),
     )
     write_telemetry(os.path.join(outdir, "case2_telemetry.csv"), metrics)
-    return ["case2_report.csv", "case2_telemetry.csv"]
+    return {"artifacts": artifacts + ["case2_report.csv", "case2_telemetry.csv"]}
+
+
+def _gossip_case(cfg, graph, policy: ShardPolicy, offset, key, events, isolated):
+    """One case of the gossip-learning family.
+
+    Builds the spatial detection dataset of ``events``, seeded by master +
+    ``offset``, and gossips over its training rows by _gossip with
+    ``policy``: agent a's network starts from _rng(master, key, a), and the
+    sync rounds are drawn from _rng(master, key + 2).  Then fits, in this
+    process, an isolated network for each agent a of ``isolated``: its
+    learner's starting weights, trained on its shard with _rng(master, key
+    + 1, a).  Returns the test split, (shard rows, isolated network,
+    collaborative network) by isolated agent, and the round metrics.
+    """
+    master = cfg["master_seed"]
+    tcfg = TrainConfig(**cfg["train"])
+    scenario = scenario_from_tag(cfg["scenario"], graph, d=cfg["d"])
+    data = build_dataset(
+        scenario, cfg["K"], Budget.desk(cfg["scale"]), master + offset,
+        tasks=("nd",), events=events,
+    )["nd_spatial"]
+    shards, learners, metrics = _gossip(
+        data.train, graph, [cfg["excluded_agent"]], policy, (master, key),
+        _rng(master, key + 2), cfg["rounds"], tcfg.eta, tcfg.batch_size, cfg["mu"], "sync",
+    )
+    nets = {}
+    for a in isolated:
+        mlp, _ = fit(data.train, tcfg, _rng(master, key, a), _rng(master, key + 1, a), shards[a])
+        nets[a] = (shards[a].size, mlp, learners[a].model)
+    return data.test, nets, metrics
+
+
+def _gossip(dataset, graph, exclude, policy: ShardPolicy, key, rng, rounds, eta, batch_size,
+            mu, mode):
+    """The one gossip-learning run: the learners are the agents of ``graph``
+    without those of ``exclude``, numbered anew as ``policy.agents``.  Their
+    shards of ``dataset`` follow ``policy``, agent a's network starts from
+    _rng(*key, a), and ``rounds`` rounds drawn from ``rng`` train them in
+    place (gossip_train.run_gossip_training).  Returns the shards, the
+    learners and the round metrics."""
+    learner_graph = induced_subgraph(graph, [v for v in range(graph.n) if v not in exclude])
+    shards = shard_for_gossip(dataset, policy)
+    learners = []
+    for a in policy.agents:
+        X, Y, mask = training_arrays(dataset, shards[a])
+        mlp = init_mlp(_sizes(dataset), seed=_rng(*key, a))
+        learners.append(LearnerState(agent=a, model=mlp, X=X, Y=Y, mask=mask))
+    metrics = run_gossip_training(
+        learners, learner_graph, rounds, rng, eta, batch_size, mu, mode=mode
+    )
+    return shards, learners, metrics
 
 
 # --- small-world ------------------------------------------------------------
@@ -1085,7 +1085,8 @@ def run_train(cfg: dict, outdir) -> dict:
     """One detector network fit on a dataset CSV, with its epoch losses."""
     dataset = _load_dataset(cfg["data"], cfg)
     config = TrainConfig(eta=cfg["eta"], batch_size=cfg["batch_size"], epochs=cfg["epochs"])
-    mlp, losses = fit(dataset, config, np.random.default_rng(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
+    mlp, losses = fit(dataset, config, rng, rng, None)
     files = save_model(
         mlp, os.path.join(outdir, cfg["name"] + ".json"),
         meta={"task": dataset.task, "kind": dataset.kind, "K": dataset.K, "d": dataset.d},
@@ -1097,25 +1098,21 @@ def run_train(cfg: dict, outdir) -> dict:
 
 def run_train_gossip(cfg: dict, outdir) -> dict:
     """Collaborative training over the torus without its excluded agents."""
-    graph = manhattan_grid(cfg["rows"], cfg["cols"])
     dataset = _load_dataset(cfg["data"], cfg)
-    learner_graph = induced_subgraph(graph, [v for v in range(graph.n) if v not in cfg["exclude"]])
-    agents = tuple(range(learner_graph.n))
     groups = cfg["position_groups"]
     policy = ShardPolicy(
         kind=cfg["policy"],
-        agents=agents,
+        agents=tuple(range(_learners(cfg))),
         starved_agent=cfg["starved_agent"],
         starved_fraction=cfg["starved_fraction"],
         starved_events=tuple(cfg["starved_events"]) if cfg["starved_events"] else None,
         position_groups={k: tuple(v) for k, v in groups.items()} if groups else None,
         seed=cfg["policy_seed"],
     )
-    shards = shard_for_gossip(dataset, policy)
-    learners = spawn_learners(shards, dataset, agents, (cfg["seed"],))
-    metrics = run_gossip_training(
-        learners, learner_graph, cfg["rounds"], np.random.default_rng([cfg["seed"], len(agents)]),
-        cfg["eta"], cfg["batch_size"], cfg["mu"], mode=cfg["mode"],
+    shards, learners, metrics = _gossip(
+        dataset, _torus(cfg), cfg["exclude"], policy, (cfg["seed"],),
+        _rng(cfg["seed"], len(policy.agents)), cfg["rounds"], cfg["eta"], cfg["batch_size"],
+        cfg["mu"], cfg["mode"],
     )
 
     artifacts = ["telemetry.csv"]
@@ -1147,7 +1144,14 @@ def run_eval_roc(cfg: dict, outdir) -> dict:
                     f"model file not found: {model_path}; "
                     f"produce it with the train subcommand"
                 )
-            mlp, _ = load_model(model_path)
+            mlp, meta = load_model(model_path)
+            for field in _DATASET_FIELDS:  # a family's models have no meta to check
+                want = getattr(dataset, field)
+                if field in meta and (type(meta[field]), meta[field]) != (type(want), want):
+                    raise ValueError(
+                        f"{model_path}: field 'meta.{field}': the network was fit on {field} "
+                        f"{meta[field]!r}, but {cfg[f'{kind}_data']} holds {field} {want!r}"
+                    )
             detector = make_nn_detector(mlp, dataset.task, kind, det)
         runs.append((detector, dataset, f"roc_{detector.name}.csv", {}))
     return {"artifacts": _roc_sweep(outdir, runs, oracle_nd=cfg["oracle_nd"])}
@@ -1167,7 +1171,9 @@ _DATASET_FIELDS = ("task", "kind", "K", "d")
 
 
 def _dataset_meta(path) -> dict:
-    """Per-file metadata from a manifest.json sitting next to the CSV."""
+    """Per-file metadata from a manifest.json sitting next to the CSV: the
+    fields of its entry under ``datasets``, and n, the agent count of the
+    torus of its ``config`` (rows x cols), where the config gives both."""
     manifest = os.path.join(os.path.dirname(os.path.abspath(str(path))), "manifest.json")
     if not os.path.exists(manifest):
         return {}
@@ -1181,19 +1187,32 @@ def _dataset_meta(path) -> dict:
     entry = datasets.get(name, {})
     if not isinstance(entry, dict):
         raise ValueError(f"{manifest}: field 'datasets.{name}': not an object")
-    for field in _DATASET_FIELDS:
-        path = f"datasets.{name}.{field}"
-        try:
-            check_value(field, entry.get(field), path)
-        except ConfigError as err:  # a file error, naming the manifest field
-            problem = str(err).removeprefix(f"'{path}' ")
-            raise ValueError(f"{manifest}: field '{path}': {problem}") from None
-    return entry
+    config = content.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError(f"{manifest}: field 'config': not an object")
+    fields = {}
+    for where, key, names in (
+        (entry, f"datasets.{name}", _DATASET_FIELDS),
+        (config, "config", ("rows", "cols")),
+    ):
+        for field in names:
+            here = f"{key}.{field}"
+            fields[field] = where.get(field)
+            try:
+                check_value(field, fields[field], here)
+            except ConfigError as err:  # a file error, naming the manifest field
+                problem = str(err).removeprefix(f"'{here}' ")
+                raise ValueError(f"{manifest}: field '{here}': {problem}") from None
+    if fields["rows"] is not None and fields["cols"] is not None:
+        fields["n"] = _grid(fields)
+    return fields
 
 
 def _load_dataset(path, cfg, expected_kind=None):
     """The dataset CSV at ``path``; its task, kind, K and d come from the
-    step's config ``cfg`` or else from the gen-data manifest beside it."""
+    step's config ``cfg`` or else from the gen-data manifest beside it.
+    With that manifest, a monitor or slot agent id of the file must lie in
+    the torus of its config; without it, agent ids are not checked."""
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"dataset file not found: {path}; produce it with the gen-data subcommand"
@@ -1212,7 +1231,9 @@ def _load_dataset(path, cfg, expected_kind=None):
         raise ConfigError(
             f"{path} holds {fields['kind']} features, expected {expected_kind}"
         )
-    dataset = read_dataset_csv(path, fields["task"], fields["kind"], fields["K"], fields["d"])
+    dataset = read_dataset_csv(
+        path, fields["task"], fields["kind"], fields["K"], fields["d"], n=meta.get("n")
+    )
     if dataset.n_rows == 0:
         raise ValueError(f"{path}: no data rows")
     return dataset

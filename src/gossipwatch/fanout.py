@@ -20,22 +20,23 @@ def fan_out(jobs: list, fork: bool) -> list:
     where ``fork`` is true, or in order in this process where it is false,
     where that count is one, or where the platform has no fork.  A dataset
     build passes ``fork`` from its work against the workers' start-up, about
-    10 ms, and the cost of pickling the results back; a family's fits always
-    pay for it.
+    10 ms, and the cost of pickling the results back.  A ROC family's fits
+    always pay for it: each job is one experiments.fit, whose network comes
+    back pickled as its layer sizes and parameters, and the caller saves it.
 
-    Each job must seed its own generator and write only its own files, so
-    the bytes do not depend on the worker count or the order.  The workers
-    inherit the jobs and their data through the fork.  Through one pair of
-    pipes per worker, job indices go out, one at a time to whichever worker
-    is free, and the pickled results come back.  Worker w binds itself to
-    usable_cpus()[w]: in a cpuset without load balancing the scheduler
-    would otherwise keep new processes on the CPU they forked on.  Inside a
-    worker, usable_cpus() is then that one CPU, so a fan_out there runs
-    in-process.  A failing job's exception is re-raised here, chained to its
-    traceback in the worker, after the other workers are stopped; no worker
-    outlives the call.  Forking is safe because no other thread is at work:
-    the package starts none, and BLAS computes on one thread (OpenBLAS stops
-    its idle pool at a fork).
+    Each job must seed its own generator and write no file that another job
+    writes, so the bytes do not depend on the worker count or the order.
+    The workers inherit the jobs and their data through the fork.  Through
+    one pair of pipes per worker, job indices go out, one at a time to
+    whichever worker is free, and the pickled results come back.  Worker w
+    binds itself to usable_cpus()[w]: in a cpuset without load balancing the
+    scheduler would otherwise keep new processes on the CPU they forked on.
+    Inside a worker, usable_cpus() is then that one CPU, so a fan_out there
+    runs in-process.  A failing job's exception is re-raised here, chained
+    to its traceback in the worker, after the other workers are stopped; no
+    worker outlives the call.  Forking is safe because no other thread is at
+    work: the package starts none, and BLAS computes on one thread (OpenBLAS
+    stops its idle pool at a fork).
     """
     cpus = usable_cpus()
     workers = min(len(cpus), len(jobs))

@@ -84,6 +84,11 @@ class Mlp:
             self.biases.append(self.params[at : at + fan_out])
             at += fan_out
 
+    def __reduce__(self):
+        """Pickled as its sizes and parameters, so that the weight and bias
+        views are views of the loaded parameters again."""
+        return Mlp, (self.sizes, self.params)
+
     def n_params(self) -> int:
         return self.params.size
 
@@ -317,9 +322,9 @@ def load_model(path) -> tuple[Mlp, dict]:
 
     A header that is not JSON, lacks a field, names an activation other
     than relu (hidden) and sigmoid (output) or a parameter count other than
-    its layer sizes', and a blob that is missing, does not fit the layer
-    sizes or holds a weight that is not finite, each raise a ValueError
-    naming the file and the field.
+    its layer sizes' or a meta that is not an object, and a blob that is
+    missing, does not fit the layer sizes or holds a weight that is not
+    finite, each raise a ValueError naming the file and the field.
     """
     with open(path) as fh:
         try:
@@ -354,4 +359,7 @@ def load_model(path) -> tuple[Mlp, dict]:
         raise ValueError(f"{blob_path}: field 'blob' of {path}: file not found") from None
     except ValueError as err:
         raise ValueError(f"{blob_path}: field 'blob' of {path}: {err}") from None
-    return mlp, header.get("meta", {})
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: field 'meta': not an object: {meta!r}")
+    return mlp, meta

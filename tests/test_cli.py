@@ -105,6 +105,12 @@ def test_bad_model_files_name_the_file_and_field(tmp_path, capsys):
         model.write_text(json.dumps({**json.loads(header), field: value}))
         assert eval_with(model) == 2
         assert f"{model}: field {field!r}: {what}" in capsys.readouterr().err
+    # a header whose meta names another K than the dataset's
+    meta = json.loads(header)["meta"]
+    model.write_text(json.dumps({**json.loads(header), "meta": {**meta, "K": meta["K"] + 4}}))
+    assert eval_with(model) == 2
+    err = capsys.readouterr().err
+    assert f"{model}: field 'meta.K'" in err and f"{data}/nd_temporal_test.csv" in err
     model.write_text(header)
     blob.write_bytes(b"\x00\x00\x00\x00\x00\x00\xf8\x7f" + body[8:])
     assert eval_with(model) == 2
@@ -116,11 +122,13 @@ def test_bad_model_files_name_the_file_and_field(tmp_path, capsys):
 @pytest.mark.parametrize("column, cell, what", [
     ("monitor", "-3", "negative"), ("event", "abc", "not one of h0, next-to, far-from"),
     ("pad_0", "7", "not 0 or 1"), ("src_1", "-1", "negative"), ("sample", "-5", "negative"),
+    ("monitor", "9", "not an agent id in [0, 9)"), ("src_1", "9", "not an agent id in [0, 9)"),
 ])
 def test_dataset_cells_outside_their_domain_exit_2(tmp_path, capsys, column, cell, what):
     """eval-roc with td and tdnn refuses a test dataset with one int or
     event cell outside its domain, naming the file, the line and the
-    column, and writes no --out."""
+    column, and writes no --out.  An agent id's domain is the 3x3 torus
+    of the gen-data manifest beside the file."""
     data = _gen(tmp_path)
     model = _trained_tdnn(tmp_path, data)
     path = data / "nd_temporal_test.csv"

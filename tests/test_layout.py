@@ -11,8 +11,10 @@ compiled steps are bound once per fit and per gossip run, one module alone
 forks worker processes, none starts a thread, a dataset chunk makes no
 generator object per row, one function formats CSV cells, three open files
 for writing text, save_model alone names a model's files, run_family is the
-one driver and the CLI only parses, and the README's module table lists
-exactly the package's modules."""
+one driver and the CLI only parses, every network starts in one fit or one
+gossip path and only eval-roc reads a model back, no source line is wider
+than 100 columns, and the README's module table lists exactly the
+package's modules."""
 
 import ast
 import re
@@ -430,3 +432,31 @@ def test_run_family_is_the_one_driver():
     commands = [n.name for n in ast.walk(cli)
                 if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
     assert not commands, commands
+
+
+def test_one_fit_path_and_one_gossip_path():
+    """Every network starts in experiments.fit or experiments._gossip
+    (init_mlp), fit alone trains one outside the gossip rounds (train), and
+    only eval-roc reads a model file back (load_model): a ROC family's fits
+    come back from the workers as networks, not through their files."""
+    callers: dict[str, set] = {}
+    for name, owner, node in _owned_nodes():
+        if isinstance(node, ast.Call):
+            func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            callers.setdefault(func, set()).add((name, owner))
+    assert callers["init_mlp"] == {("experiments.py", "fit"), ("experiments.py", "_gossip")}
+    assert callers["train"] == {("experiments.py", "fit")}
+    assert callers["load_model"] == {("experiments.py", "run_eval_roc")}
+
+
+def test_no_source_line_is_wider_than_100_columns():
+    """No line of a package module or of _gossip_loop.c is wider than 100
+    columns, so that code is not made shorter by packing it onto longer
+    lines."""
+    wide = [
+        f"{path.name}:{no} ({len(line.expandtabs())} columns)"
+        for path in [*sorted(PACKAGE.glob("*.py")), PACKAGE / "_gossip_loop.c"]
+        for no, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line.expandtabs()) > 100
+    ]
+    assert not wide, wide

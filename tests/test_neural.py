@@ -1,6 +1,7 @@
 """MLP correctness: init, forward, analytic gradients, training, serialization."""
 
 import json
+import pickle
 
 import numpy as np
 import oracles
@@ -322,6 +323,19 @@ def test_blob_roundtrip_is_bitwise(tmp_path):
         assert not np.array_equal(m.params, start)
 
 
+def test_a_pickled_network_loads_with_views_of_its_parameters():
+    """A network pickles as its sizes and parameters, so the loaded one's
+    weights and biases are views of its own parameters again, as a network
+    that a fan-out worker sends back must be for SGD to move its layers."""
+    mlp = init_mlp([5, 7, 3], seed=4)
+    back = pickle.loads(pickle.dumps(mlp, protocol=pickle.HIGHEST_PROTOCOL))
+    assert back.sizes == mlp.sizes and np.array_equal(back.params, mlp.params)
+    assert all(np.shares_memory(W, back.params) for W in back.weights)
+    assert all(np.shares_memory(b, back.params) for b in back.biases)
+    back.params[:] = 0.0
+    assert not any(W.any() for W in back.weights) and not any(b.any() for b in back.biases)
+
+
 def test_save_load_roundtrip_with_meta(tmp_path):
     mlp = init_mlp([4, 6, 2], seed=13)
     path = tmp_path / "model.json"
@@ -373,6 +387,7 @@ def test_load_model_errors_name_the_file_and_field(tmp_path):
     ("hidden_activation", KeyError, "missing from the model header"),
     ("params", KeyError, "missing from the model header"),
     ("sizes", [True, 6, 1], "not a list of layer widths: [True, 6, 1]"),
+    ("meta", "K", "not an object: 'K'"),
 ])
 def test_load_model_requires_the_networks_header_fields(tmp_path, field, value, what):
     """The header names the network the step runs: integer layer widths,
